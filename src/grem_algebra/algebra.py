@@ -232,6 +232,63 @@ def introduced_vars(expr: AlgebraExpr) -> set[str]:
     raise TypeError(f"not an algebra expression: {expr!r}")
 
 
+def merge_columns(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
+    """Schema of a join or union: the left columns, then the right ones the
+    left lacks."""
+    return left + tuple(c for c in right if c not in left)
+
+
+def _with_vars(columns: tuple[str, ...], *names: str | None) -> tuple[str, ...]:
+    for v in names:
+        if v and v not in columns:
+            columns = columns + (v,)
+    return columns
+
+
+def output_columns(
+    expr: AlgebraExpr,
+    inputs: tuple[tuple[str, ...], ...],
+    arg_columns: tuple[str, ...] = (),
+) -> tuple[str, ...]:
+    """The column rule of one operator: its visible schema, given the
+    schemas of its inputs (left and right for Join/Union, else the single
+    input; a Selection's predicate is not an input) and, for Argument, the
+    schema of the rows under test."""
+    if isinstance(expr, (GetVertices, GetEdges)):
+        return (expr.var,) if expr.var else ()
+    if isinstance(expr, Argument):
+        return _with_vars(arg_columns, expr.var)
+    if isinstance(expr, Traverse):
+        return _with_vars(inputs[0], expr.from_var, expr.to_var)
+    if isinstance(expr, (PropertyFilter, LabelFilter)):
+        return _with_vars(inputs[0], expr.var)
+    if isinstance(expr, (Selection, Dedup, Restriction, Sort)):
+        return inputs[0]
+    if isinstance(expr, Projection):
+        return expr.vars
+    if isinstance(expr, Group):
+        return ("key", "member")
+    if isinstance(expr, (Join, Union)):
+        return merge_columns(inputs[0], inputs[1])
+    if isinstance(expr, Aggregate):
+        return ()
+    raise TypeError(f"not an algebra expression: {expr!r}")
+
+
+def static_columns(expr: AlgebraExpr, arg_columns: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """Visible column schema of the binding set an expression produces.
+
+    Inside a selection predicate, Argument leaves start from arg_columns,
+    the schema of the rows under test (empty at compile time)."""
+    if isinstance(expr, (Join, Union)):
+        inputs = (static_columns(expr.left, arg_columns), static_columns(expr.right, arg_columns))
+    elif isinstance(expr, (GetVertices, GetEdges, Argument)):
+        inputs = ()
+    else:
+        inputs = (static_columns(expr.input, arg_columns),)
+    return output_columns(expr, inputs, arg_columns)
+
+
 def validate(expr: AlgebraExpr, outer_scope: frozenset[str] = frozenset()) -> list[str]:
     """Static variable-scoping check.
 

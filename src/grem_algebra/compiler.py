@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import algebra as alg
-from .algebra import AlgebraExpr
+from .algebra import AlgebraExpr, static_columns
 from .errors import CompileError
 from .parser import Literal, Step, StepKind, TraversalAST
 from .property_graph import PropertyValue
@@ -163,6 +163,12 @@ def _apply_chain(chain: PatternChain, expr: AlgebraExpr) -> AlgebraExpr:
                 )
             expr = alg.LabelFilter(var=anchor, label=op.label, input=expr)
         elif isinstance(op, ChainValues):
+            if first:
+                # bind the anchor the way a has()-first chain does; values()
+                # drops elements lacking the key anyway
+                expr = alg.PropertyFilter(
+                    var=anchor, key=op.key, predicate=None, bind_value=False, input=expr
+                )
             expr = alg.PropertyFilter(
                 var=target,
                 key=op.key,
@@ -374,40 +380,6 @@ def _compile_predicate(ast: object, eq7_grouping: bool) -> AlgebraExpr:
         raise CompileError("predicate must be an anonymous traversal")
     leaf = alg.Argument()
     return _compile_steps(ast.steps, leaf, leaf, eq7_grouping)
-
-
-def static_columns(expr: AlgebraExpr) -> tuple[str, ...]:
-    """Visible column schema of the binding set an expression produces."""
-    if isinstance(expr, (alg.GetVertices, alg.GetEdges)):
-        return (expr.var,) if expr.var else ()
-    if isinstance(expr, alg.Traverse):
-        cols = list(static_columns(expr.input))
-        for v in (expr.from_var, expr.to_var):
-            if v and v not in cols:
-                cols.append(v)
-        return tuple(cols)
-    if isinstance(expr, (alg.PropertyFilter, alg.LabelFilter)):
-        cols = list(static_columns(expr.input))
-        if expr.var and expr.var not in cols:
-            cols.append(expr.var)
-        return tuple(cols)
-    if isinstance(expr, (alg.Selection, alg.Dedup, alg.Restriction, alg.Sort)):
-        return static_columns(expr.input)
-    if isinstance(expr, alg.Projection):
-        return expr.vars
-    if isinstance(expr, alg.Group):
-        return ("key", "member")
-    if isinstance(expr, alg.Join):
-        left = static_columns(expr.left)
-        return left + tuple(c for c in static_columns(expr.right) if c not in left)
-    if isinstance(expr, alg.Union):
-        left = static_columns(expr.left)
-        return left + tuple(c for c in static_columns(expr.right) if c not in left)
-    if isinstance(expr, alg.Aggregate):
-        return ()
-    if isinstance(expr, alg.Argument):
-        return (expr.var,) if expr.var else ()
-    raise TypeError(f"not an algebra expression: {expr!r}")
 
 
 def compile_traversal(ast: TraversalAST, eq7_grouping: bool = False) -> AlgebraExpr:

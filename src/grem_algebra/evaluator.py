@@ -6,8 +6,21 @@ the traversal's current position under the reserved column "@"; it is
 never part of the visible schema.
 
 Row order is deterministic: the vertex/edge sources emit elements in
-ascending lexicographic id order, and every operator except sorting
-preserves its input order.
+ascending lexicographic id order, and every operator except sorting and
+grouping preserves its input order.
+
+Inside the engine a row is a tuple, not a dict: one slot per column, in
+the order of the column rules of ``algebra.output_columns``, then a final
+slot for the current position; None marks an absent binding.  Element
+references are the graph's interned refs, read through lookup tables the
+graph builds once, on first use (``Graph.tables()``): ref -> index maps,
+the vertices in id order and neighbour lists per direction and label.
+where()/not() run their predicate once over all input rows, each tagged
+with its row's index in a hidden first slot.  Inside the predicate,
+dedup, join, limit and aggregate key on that tag, and sort and group are
+stable, so the batch answers exactly what one run per row would.  Join is
+a hash join, sorting uses stable key passes.  ``evaluate`` converts the
+final rows to dicts.
 
 The module also houses the path algebra (concatenation and concatenative
 join over edge sequences), the traverser-level match/bind semantics that
@@ -19,8 +32,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cmp_to_key
+from json.encoder import encode_basestring_ascii as _json_string
+from operator import itemgetter
 from typing import Iterable
 
 from . import algebra as alg
@@ -36,6 +52,7 @@ from .errors import EvaluationError, UnboundPatternError
 from .property_graph import (
     EdgeRef,
     Graph,
+    GraphTables,
     PropertyValue,
     VertexRef,
     is_numeric,
@@ -188,22 +205,6 @@ def path_join(paths: Iterable[Path], others: Iterable[Path]) -> list[Path]:
     return out
 
 
-# -- bag union ------------------------------------------------------------------
-
-
-def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
-    """Bag union: concatenates rows, adding multiplicities.
-
-    The two schemas must contain the same columns; otherwise this raises,
-    since rows with absent columns are not representable.
-    """
-    if set(a.columns) != set(b.columns):
-        raise EvaluationError(
-            f"union schema mismatch: {list(a.columns)} vs {list(b.columns)}"
-        )
-    return BindingSet(a.columns, [dict(r) for r in a.rows] + [dict(r) for r in b.rows])
-
-
 # -- predicate helpers ------------------------------------------------------------
 
 
@@ -230,7 +231,607 @@ def _is_ref(v: object) -> bool:
     return isinstance(v, (VertexRef, EdgeRef))
 
 
-# -- the evaluator -----------------------------------------------------------------
+# -- keys ---------------------------------------------------------------------------
+#
+# Every element reference in an engine row is the graph's interned ref
+# (GraphTables), so refs are told apart by identity or by id.
+
+
+def _identity_keys(values: list) -> list:
+    """Keys under which values of one column are the same row value
+    (dedup): value_key's identity, with None (absent) as its own key.  A
+    column of a single type whose values are their own identity keeps them;
+    interned vertex refs are keyed by object identity."""
+    types = set(map(type, values))
+    if types == {VertexRef}:
+        return list(map(id, values))
+    if types == {str} or types == {int} or types == {bool}:
+        return values
+    return [("missing",) if v is None else value_key(v) for v in values]
+
+
+def _order_keys(values: list) -> list:
+    """Keys ordering one column's values as sort_key does, an absent value
+    first; numbers, strings or bools alone order as they are."""
+    types = set(map(type, values))
+    if types == {VertexRef}:
+        return [v.id for v in values]
+    if types <= {int, float} or types == {str} or types == {bool}:
+        return values
+    return [(-1,) if v is None else sort_key(v) for v in values]
+
+
+def _join_key(v: object) -> object:
+    """Key under which two values join: values_equal, so int and float
+    meet numerically while bool, str and refs stay type-strict.  A vertex
+    is keyed by its bare id; every other value by a tagged tuple, which
+    never equals a string."""
+    t = type(v)
+    if t is VertexRef:
+        return v.id  # type: ignore[union-attr]
+    if t is int or t is float:
+        return ("n", v)
+    if t is bool:
+        return ("b", v)
+    if t is str:
+        return ("s", v)
+    if t is EdgeRef:
+        return ("e", v.id)  # type: ignore[union-attr]
+    raise TypeError(f"not a graph value: {v!r}")
+
+
+def _column_keys(rows: list[tuple], slots: list[int], keys_of) -> list:
+    """Per row, the key of the given slots: one key for one slot, else a
+    tuple of keys; keys_of maps one column's values to their keys."""
+    columns = [keys_of(list(map(itemgetter(s), rows))) for s in slots]
+    if len(columns) == 1:
+        return columns[0]
+    return list(zip(*columns))
+
+
+def _picker(slots: list[int]):
+    """itemgetter over slots that always returns a tuple."""
+    if len(slots) == 1:
+        only = slots[0]
+        return lambda row: (row[only],)
+    return itemgetter(*slots)
+
+
+# -- the engine ----------------------------------------------------------------------
+
+
+class _Rel:
+    """A relation inside the engine.
+
+    cols are the visible columns (a name may repeat after a projection
+    such as select('a','a'); it then reads from its first slot).  A row is
+    a tuple: when the relation is tagged, slot 0 holds the index of the
+    row under test it derives from (see _selection); then one slot per
+    visible column; the last slot is the current position.  None marks an
+    absent binding; holes says whether any row may hold one.
+    """
+
+    __slots__ = ("cols", "rows", "tagged", "holes")
+
+    def __init__(self, cols: tuple[str, ...], rows: list[tuple], tagged: bool = False,
+                 holes: bool = False):
+        self.cols = cols
+        self.rows = rows
+        self.tagged = tagged
+        self.holes = holes
+
+    def slot(self, name: str | None) -> int | None:
+        """Row slot of a column, or None when it is not a column."""
+        if name is None or name not in self.cols:
+            return None
+        return self.cols.index(name) + self.tagged
+
+
+def _natural(row: tuple, slots: list) -> Value:
+    """_natural_value over a row: the sole present column among slots,
+    else the current position, else the last present column."""
+    present = [s for s in slots if s is not None and row[s] is not None]
+    if len(present) == 1:
+        return row[present[0]]
+    if row[-1] is not None:
+        return row[-1]
+    if present:
+        return row[present[-1]]
+    return None
+
+
+def _element_reader(t: GraphTables, key: str):
+    """elem -> its property value, or None (absent key or not an element)."""
+    vindex, vprops = t.vertex_index, t.vertex_props
+    eindex, eprops = t.edge_index, t.edge_props
+
+    def read(elem: object) -> PropertyValue | None:
+        tp = type(elem)
+        if tp is VertexRef:
+            return vprops[vindex[elem.id]].get(key)  # type: ignore[union-attr]
+        if tp is EdgeRef:
+            return eprops[eindex[elem.id]].get(key)  # type: ignore[union-attr]
+        return None
+
+    return read
+
+
+def _property_test(t: GraphTables, key: str, predicate: tuple[str, PropertyValue] | None):
+    """elem -> whether it has the key (and its value passes the predicate).
+    has(key, value)'s equality with a string or a number is inlined."""
+    vindex, vprops = t.vertex_index, t.vertex_props
+    read = _element_reader(t, key)
+    if predicate is None:
+        return lambda e: read(e) is not None
+    cmp, const = predicate
+    if cmp == "=" and type(const) in (str, int, float):
+        kinds = (str,) if type(const) is str else (int, float)
+
+        def accept(e: object) -> bool:
+            if type(e) is VertexRef:
+                value = vprops[vindex[e.id]].get(key)  # type: ignore[union-attr]
+            else:
+                value = read(e)
+            return value == const and type(value) in kinds
+
+        return accept
+
+    def accept(e: object) -> bool:
+        value = read(e)
+        return value is not None and _compare(value, cmp, const)
+
+    return accept
+
+
+def _label_test(t: GraphTables, label: str):
+    """elem -> whether it is an element carrying label."""
+    vindex, vlabels = t.vertex_index, t.vertex_labels
+    eindex, elabels = t.edge_index, t.edge_labels
+
+    def accept(elem: object) -> bool:
+        tp = type(elem)
+        if tp is VertexRef:
+            return vlabels[vindex[elem.id]] == label  # type: ignore[union-attr]
+        if tp is EdgeRef:
+            return elabels[eindex[elem.id]] == label  # type: ignore[union-attr]
+        return False
+
+    return accept
+
+
+def _run(expr: AlgebraExpr, t: GraphTables, arg: _Rel | None) -> _Rel:
+    """Evaluate expr; its inputs first, one stack frame per plan level."""
+    tp = type(expr)
+    op = _OPERATORS.get(tp)
+    if op is None:
+        raise EvaluationError(f"cannot evaluate {expr!r}")
+    if tp is alg.Join or tp is alg.Union:
+        inputs = (_run(expr.left, t, arg), _run(expr.right, t, arg))  # type: ignore[union-attr]
+    elif tp is alg.GetVertices or tp is alg.GetEdges or tp is alg.Argument:
+        inputs = ()
+    else:
+        inputs = (_run(expr.input, t, arg),)  # type: ignore[union-attr]
+    return op(expr, inputs, t, arg)
+
+
+def _source(expr: alg.GetVertices | alg.GetEdges, inputs, t: GraphTables, arg) -> _Rel:
+    refs = t.vertices_sorted if type(expr) is alg.GetVertices else t.edges_sorted()
+    if expr.var:
+        return _Rel((expr.var,), [(r, r) for r in refs])
+    return _Rel((), [(r,) for r in refs])
+
+
+def _argument(expr: alg.Argument, inputs, t, arg: _Rel | None) -> _Rel:
+    if arg is None:
+        raise EvaluationError("predicate argument used outside a selection")
+    cols = alg.output_columns(expr, (), arg.cols)
+    var = expr.var
+    if not var:
+        return _Rel(cols, arg.rows, True, arg.holes)
+    p = arg.slot(var)
+    rows = []
+    if p is None:
+        for r in arg.rows:
+            if r[-1] is not None:
+                rows.append(r[:-1] + (r[-1], r[-1]))
+    else:
+        for r in arg.rows:
+            if r[p] is not None:
+                rows.append(r[:-1] + (r[p],))
+            elif r[-1] is not None:
+                rows.append(r[:p] + (r[-1],) + r[p + 1:])
+    return _Rel(cols, rows, True, arg.holes)
+
+
+def _traverse(expr: alg.Traverse, inputs, t: GraphTables, arg) -> _Rel:
+    (src,) = inputs
+    cols = alg.output_columns(expr, (src.cols,))
+    direction, label = expr.direction, expr.edge_label
+    nbrs = t.neighbours(direction, label)
+    index = t.vertex_index
+    pa = src.slot(expr.from_var)
+    bind_from = bool(expr.from_var) and pa is None
+    # the destination against the row without its position (the base)
+    base_cols = src.cols + ((expr.from_var,) if bind_from else ())
+    to = expr.to_var
+    pt = base_cols.index(to) + src.tagged if to and to in base_cols else None
+    new_to = bool(to) and pt is None
+    out: list[tuple] = []
+    extend = out.extend
+    for row in src.rows:
+        anchor = row[pa] if pa is not None else None
+        base = row[:-1]
+        if anchor is None:
+            anchor = row[-1]
+            if anchor is None:
+                raise EvaluationError("traverse from an unbound position")
+            if bind_from:
+                base += (anchor,)
+            elif pa is not None:
+                base = base[:pa] + (anchor,) + base[pa + 1:]
+        if type(anchor) is not VertexRef:
+            raise EvaluationError(f"traverse requires a vertex, got {anchor!r}")
+        vx = index[anchor.id]
+        ns = nbrs[vx]
+        if ns is None:
+            ns = t.adjacent(direction, label, vx)
+        if not ns:
+            continue
+        if new_to:
+            extend([base + (n, n) for n in ns])
+        elif pt is None:
+            extend([base + (n,) for n in ns])
+        else:
+            bound = base[pt]
+            if bound is None:
+                extend([base[:pt] + (n,) + base[pt + 1:] + (n,) for n in ns])
+            else:
+                extend([base + (n,) for n in ns if n is bound])
+    return _Rel(cols, out, src.tagged, src.holes)
+
+
+def _element_filter(src: _Rel, var: str | None, accept, cols: tuple[str, ...]) -> _Rel:
+    """Keep rows whose element (var's binding, else the position) passes
+    accept; a var that is not bound yet is bound to the element."""
+    p = src.slot(var)
+    bind = bool(var) and p is None
+    out = []
+    append = out.append
+    for row in src.rows:
+        elem = row[p] if p is not None else None
+        if elem is not None:
+            if accept(elem):
+                append(row)
+            continue
+        elem = row[-1]
+        if elem is None or not accept(elem):
+            continue
+        if bind:
+            append(row[:-1] + (elem, elem))
+        elif p is not None:
+            append(row[:p] + (elem,) + row[p + 1:])
+        else:
+            append(row)
+    return _Rel(cols, out, src.tagged, src.holes)
+
+
+def _label_filter(expr: alg.LabelFilter, inputs, t: GraphTables, arg) -> _Rel:
+    (src,) = inputs
+    cols = alg.output_columns(expr, (src.cols,))
+    return _element_filter(src, expr.var, _label_test(t, expr.label), cols)
+
+
+def _property_filter(expr: alg.PropertyFilter, inputs, t: GraphTables, arg) -> _Rel:
+    (src,) = inputs
+    cols = alg.output_columns(expr, (src.cols,))
+    if not expr.bind_value:
+        return _element_filter(src, expr.var, _property_test(t, expr.key, expr.predicate), cols)
+    read = _element_reader(t, expr.key)
+    pa = src.slot(expr.anchor)
+    var = expr.var
+    pv = src.slot(var)
+    out = []
+    append = out.append
+    for row in src.rows:
+        elem = row[pa] if pa is not None else None
+        if elem is None:
+            elem = row[-1]
+        value = read(elem)
+        if value is None:
+            continue
+        if not var:
+            append(row[:-1] + (value,))
+        elif pv is None:
+            append(row[:-1] + (value, value))
+        elif row[pv] is None:
+            append(row[:pv] + (value,) + row[pv + 1:-1] + (value,))
+        elif values_equal(row[pv], value):
+            append(row[:-1] + (value,))
+    return _Rel(cols, out, src.tagged, src.holes)
+
+
+def _selection(expr: alg.Selection, inputs, t: GraphTables, arg) -> _Rel:
+    """Semi-join (where) or anti-join (not): the predicate runs once over
+    all input rows, each tagged with its index; a row survives when some
+    predicate row carries its tag (negated: none does)."""
+    (src,) = inputs
+    if not src.rows:
+        return src
+    # inside an enclosing predicate the rows are re-tagged
+    under_test = [(i,) + r[src.tagged:] for i, r in enumerate(src.rows)]
+    hits = _run(expr.predicate, t, _Rel(src.cols, under_test, True, src.holes))
+    negated = expr.negated
+    if hits.tagged:
+        found = set(map(itemgetter(0), hits.rows))
+        rows = [r for i, r in enumerate(src.rows) if (i in found) != negated]
+    else:  # a predicate that never reads the row under test
+        rows = src.rows if bool(hits.rows) != negated else []
+    return _Rel(src.cols, rows, src.tagged, src.holes)
+
+
+def _projection(expr: alg.Projection, inputs, t: GraphTables, arg) -> _Rel:
+    (src,) = inputs
+    slots = [src.slot(v) for v in expr.vars]
+    if None in slots:  # a column no input row binds
+        return _Rel(expr.vars, [], src.tagged, src.holes)
+    head = [0] if src.tagged else []
+    if expr.value_key is None:
+        pick = _picker(head + slots + [-1])
+        if src.holes:
+            rows = [pick(r) for r in src.rows if all(r[s] is not None for s in slots)]
+        else:
+            rows = list(map(pick, src.rows))
+        return _Rel(expr.vars, rows, src.tagged, src.holes)
+    read = _element_reader(t, expr.value_key)
+    rows = []
+    for r in src.rows:
+        values = [read(r[s]) for s in slots]
+        if None not in values:
+            rows.append(tuple(r[h] for h in head) + tuple(values) + (r[-1],))
+    return _Rel(expr.vars, rows, src.tagged, src.holes)
+
+
+def _dedup(expr: alg.Dedup, inputs, t, arg) -> _Rel:
+    """First occurrence per key; inside a predicate, per row under test."""
+    (src,) = inputs
+    names = expr.vars or src.cols
+    slots = [src.slot(c) for c in names] if names else [-1]
+    slots = [s for s in slots if s is not None]  # never bound: a constant key part
+    keys = _column_keys(src.rows, slots, _identity_keys) if slots else [()] * len(src.rows)
+    if src.tagged:
+        keys = list(zip(map(itemgetter(0), src.rows), keys))
+    seen: set = set()
+    add = seen.add
+    rows = [r for r, k in zip(src.rows, keys) if not (k in seen or add(k))]
+    return _Rel(src.cols, rows, src.tagged, src.holes)
+
+
+def _restriction(expr: alg.Restriction, inputs, t, arg) -> _Rel:
+    """skip/take in row order; inside a predicate, counted per row under test."""
+    (src,) = inputs
+    lo, hi = expr.skip, expr.skip + expr.take
+    if not src.tagged:
+        return _Rel(src.cols, src.rows[lo:hi], False, src.holes)
+    counts: dict[int, int] = {}
+    rows = []
+    for r in src.rows:
+        n = counts.get(r[0], 0)
+        counts[r[0]] = n + 1
+        if lo <= n < hi:
+            rows.append(r)
+    return _Rel(src.cols, rows, True, src.holes)
+
+
+def _sort(expr: alg.Sort, inputs, t, arg) -> _Rel:
+    """Stable sort: one stable pass per run of keys sharing a direction,
+    last run first.  No tag is needed inside a predicate: a stable sort of
+    all rows orders each tag's rows as sorting them alone would."""
+    (src,) = inputs
+    runs: list[tuple[str, list]] = []
+    for var, direction in expr.keys:
+        slot = src.slot(var) if var is not None else -1
+        if not runs or runs[-1][0] != direction:
+            runs.append((direction, []))
+        if slot is not None:  # never bound: every row ties
+            runs[-1][1].append(slot)
+    rows = src.rows
+    for direction, slots in reversed(runs):
+        if not slots:
+            continue
+        keys = _column_keys(rows, slots, _order_keys)
+        order = sorted(range(len(rows)), key=keys.__getitem__, reverse=direction != alg.ASCENDING)
+        rows = [rows[i] for i in order]
+    return _Rel(src.cols, rows, src.tagged, src.holes)
+
+
+def _group(expr: alg.Group, inputs, t: GraphTables, arg) -> _Rel:
+    """Flattened (key, member) rows in a stable sort by key.  Inside a
+    predicate each row keeps its tag; as for _sort, sorting all rows at
+    once orders each tag's rows as grouping them alone would."""
+    (src,) = inputs
+    key = expr.key
+    pk = src.slot(key)
+    all_slots = [src.slot(c) for c in src.cols]
+    member_slots = [src.slot(c) for c in src.cols if c != key]
+    read = _element_reader(t, key) if key is not None else None
+    tagged = src.tagged
+    keys, members, tags = [], [], []
+    for r in src.rows:
+        if pk is not None and r[pk] is not None:
+            key_val = r[pk]
+            member = _natural(r, member_slots)
+        else:
+            key_val = read(r[-1]) if read is not None else _natural(r, all_slots)
+            if key_val is None:
+                continue
+            member = _natural(r, all_slots) if all_slots else r[-1]
+        keys.append(key_val)
+        members.append(key_val if member is None else member)
+        if tagged:
+            tags.append(r[0])
+    ranked = sorted(range(len(keys)), key=_order_keys(keys).__getitem__)
+    if tagged:
+        rows = [(tags[i], keys[i], members[i], None) for i in ranked]
+    else:
+        rows = [(keys[i], members[i], None) for i in ranked]
+    return _Rel(("key", "member"), rows, tagged, True)
+
+
+def _join(expr: alg.Join, inputs, t, arg) -> _Rel:
+    """Hash join on the shared columns (values_equal), rows in left-major
+    order; a shared column takes the right side's value, as does the
+    position unless the right row has none.  Inside a predicate the tag is
+    a join column too."""
+    left, right = inputs
+    cols = alg.output_columns(expr, (left.cols, right.cols))
+    tagged = left.tagged or right.tagged
+    shared = [c for c in dict.fromkeys(left.cols) if c in right.cols]
+    width = len(left.cols) + left.tagged + 1  # right slots follow in l + r
+    picks = [0 if left.tagged else width] if tagged else []
+    for c in left.cols:
+        picks.append(width + right.slot(c) if c in shared else left.slot(c))
+    for c in cols[len(left.cols):]:
+        picks.append(width + right.slot(c))
+    pick = _picker(picks + [width + len(right.cols) + right.tagged])
+    holes = left.holes or right.holes
+
+    lslots = [left.slot(c) for c in shared]
+    rslots = [right.slot(c) for c in shared]
+    both = left.tagged and right.tagged
+    if lslots or both:
+        table: dict = {}
+        for r, k in zip(right.rows, _join_keys(right.rows, rslots, both)):
+            if k is not None:
+                table.setdefault(k, []).append(r)
+        pairs = [
+            (l, table.get(k, ())) for l, k in zip(left.rows, _join_keys(left.rows, lslots, both))
+        ]
+    else:  # cartesian product
+        pairs = [(l, right.rows) for l in left.rows]
+    out: list[tuple] = []
+    for l, matches in pairs:
+        if holes:  # a right row without a position keeps the left one
+            out.extend([_keep_position(pick(l + r), l) for r in matches])
+        else:
+            out.extend([pick(l + r) for r in matches])
+    return _Rel(cols, out, tagged, holes)
+
+
+def _keep_position(row: tuple, left: tuple) -> tuple:
+    return row if row[-1] is not None else row[:-1] + (left[-1],)
+
+
+def _join_keys(rows: list[tuple], slots: list[int], by_tag: bool) -> list:
+    """Join key per row, None for a row with an absent join column; by_tag
+    puts the tag (slot 0) first."""
+    columns = [
+        [None if v is None else _join_key(v) for v in map(itemgetter(s), rows)] for s in slots
+    ]
+    if by_tag:
+        columns.insert(0, list(map(itemgetter(0), rows)))
+    if len(columns) == 1:
+        return columns[0]
+    return [None if None in k else k for k in zip(*columns)]
+
+
+def _union(expr: alg.Union, inputs, t, arg: _Rel | None) -> _Rel:
+    left, right = inputs
+    return _union_rels(left, right, len(arg.rows) if arg is not None else 0)
+
+
+def _union_rels(left: _Rel, right: _Rel, ntags: int) -> _Rel:
+    """Bag union: left rows then right rows, multiplicities add.  The
+    schema is merge_columns; a column one side lacks is absent in its rows.
+    Inside a predicate, a side that never reads the row under test holds
+    for every row under test, so its rows are repeated once per tag."""
+    cols = alg.merge_columns(left.cols, right.cols)
+    tagged = left.tagged or right.tagged
+    holes = left.holes or right.holes or set(left.cols) != set(right.cols)
+    return _Rel(cols, _conform(left, cols, tagged, ntags) + _conform(right, cols, tagged, ntags),
+                tagged, holes)
+
+
+def _conform(rel: _Rel, cols: tuple[str, ...], tagged: bool, ntags: int) -> list[tuple]:
+    """rel's rows laid out for cols (absent columns None), tagged if asked."""
+    rows = rel.rows
+    if rel.cols != cols:
+        width = len(rel.cols) + rel.tagged + 1  # slot of the None appended below
+        slots = [rel.slot(c) for c in cols]
+        pick = _picker(
+            ([0] if rel.tagged else []) + [width if s is None else s for s in slots] + [width - 1]
+        )
+        rows = [pick(r + (None,)) for r in rows]
+    if tagged and not rel.tagged:
+        rows = [(i,) + r for i in range(ntags) for r in rows]
+    return rows
+
+
+def _aggregate(expr: alg.Aggregate, inputs, t, arg: _Rel | None) -> _Rel:
+    """max/min/count of a single-column bag; inside a predicate, one per
+    row under test (count: also for rows under test with no input)."""
+    (src,) = inputs
+    if len(src.cols) > 1:
+        raise EvaluationError(f"{expr.fn}() needs a single-column input")
+    slots = [src.slot(c) for c in src.cols]
+    values = [_natural(r, slots) for r in src.rows]
+    tags = list(map(itemgetter(0), src.rows)) if src.tagged else [0] * len(values)
+    if expr.fn == "count":
+        counts = Counter(tags)
+        if not src.tagged:
+            return _Rel((), [(counts[0],)])
+        return _Rel((), [(i, counts[i]) for i in range(len(arg.rows))], True)  # type: ignore[union-attr]
+    for v in values:
+        if not is_numeric(v):
+            raise EvaluationError(f"{expr.fn}() over non-numeric value {v!r}")
+    groups: dict[int, list] = {}
+    for tag, v in zip(tags, values):
+        groups.setdefault(tag, []).append(v)
+    rows = []
+    for tag, bag in groups.items():
+        mixed = any(isinstance(v, float) for v in bag) and any(isinstance(v, int) for v in bag)
+        result = max(bag) if expr.fn == "max" else min(bag)
+        if mixed:
+            result = float(result)
+        rows.append((tag, result) if src.tagged else (result,))
+    return _Rel((), rows, src.tagged)
+
+
+_OPERATORS = {
+    alg.GetVertices: _source,
+    alg.GetEdges: _source,
+    alg.Argument: _argument,
+    alg.Traverse: _traverse,
+    alg.LabelFilter: _label_filter,
+    alg.PropertyFilter: _property_filter,
+    alg.Selection: _selection,
+    alg.Projection: _projection,
+    alg.Dedup: _dedup,
+    alg.Restriction: _restriction,
+    alg.Sort: _sort,
+    alg.Group: _group,
+    alg.Join: _join,
+    alg.Union: _union,
+    alg.Aggregate: _aggregate,
+}
+
+
+# -- the public boundary ---------------------------------------------------------------
+
+
+def _to_bindings(rel: _Rel) -> BindingSet:
+    """Engine rows as dict rows; absent bindings are left out."""
+    keys = rel.cols + (CUR,)
+    if rel.holes:
+        rows = [{k: v for k, v in zip(keys, r) if v is not None} for r in rel.rows]
+    else:
+        rows = list(map(dict, map(zip, itertools.repeat(keys), rel.rows)))
+    return BindingSet(rel.cols, rows)
+
+
+def _from_bindings(bs: BindingSet) -> _Rel:
+    cols = tuple(bs.columns)
+    rows = [tuple(row.get(c) for c in cols) + (row.get(CUR),) for row in bs.rows]
+    return _Rel(cols, rows, False, True)
 
 
 def evaluate(expr: AlgebraExpr, g: Graph) -> BindingSet:
@@ -238,302 +839,21 @@ def evaluate(expr: AlgebraExpr, g: Graph) -> BindingSet:
     diags = alg.validate(expr)
     if diags:
         raise EvaluationError("invalid plan: " + "; ".join(diags))
-    return _eval(expr, g, None)
+    return _to_bindings(_run(expr, g.tables(), None))
 
 
-def _eval(expr: AlgebraExpr, g: Graph, arg: BindingSet | None) -> BindingSet:
-    if isinstance(expr, alg.GetVertices):
-        rows = []
-        for vid in g.vertex_ids():
-            ref = VertexRef(vid)
-            row: Row = {CUR: ref}
-            if expr.var:
-                row[expr.var] = ref
-            rows.append(row)
-        return BindingSet((expr.var,) if expr.var else (), rows)
+def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
+    """Bag union: concatenates rows, adding multiplicities.
 
-    if isinstance(expr, alg.GetEdges):
-        rows = []
-        for eid in g.edge_ids():
-            ref = EdgeRef(eid)
-            row = {CUR: ref}
-            if expr.var:
-                row[expr.var] = ref
-            rows.append(row)
-        return BindingSet((expr.var,) if expr.var else (), rows)
-
-    if isinstance(expr, alg.Argument):
-        if arg is None:
-            raise EvaluationError("predicate argument used outside a selection")
-        columns = list(arg.columns)
-        if expr.var and expr.var not in columns:
-            columns.append(expr.var)
-        rows = []
-        for row in arg.rows:
-            new = dict(row)
-            if expr.var:
-                if expr.var in new:
-                    new[CUR] = new[expr.var]
-                elif CUR in new:
-                    new[expr.var] = new[CUR]
-                else:
-                    continue
-            rows.append(new)
-        return BindingSet(tuple(columns), rows)
-
-    if isinstance(expr, alg.Traverse):
-        src = _eval(expr.input, g, arg)
-        columns = list(src.columns)
-        for v in (expr.from_var, expr.to_var):
-            if v and v not in columns:
-                columns.append(v)
-        out_rows: list[Row] = []
-        for row in src.rows:
-            if expr.from_var and expr.from_var in row:
-                anchor = row[expr.from_var]
-            else:
-                anchor = row.get(CUR)
-            if anchor is None:
-                raise EvaluationError("traverse from an unbound position")
-            if not isinstance(anchor, VertexRef):
-                raise EvaluationError(f"traverse requires a vertex, got {anchor!r}")
-            base = dict(row)
-            if expr.from_var and expr.from_var not in base:
-                base[expr.from_var] = anchor
-            if expr.direction == alg.OUT:
-                pairs = g.out_adjacent(anchor.id, expr.edge_label)
-            else:
-                pairs = g.in_adjacent(anchor.id, expr.edge_label)
-            for _eid, nvid in pairs:
-                nref = VertexRef(nvid)
-                if expr.to_var is None:
-                    out_rows.append({**base, CUR: nref})
-                elif expr.to_var in base:
-                    if values_equal(base[expr.to_var], nref):
-                        out_rows.append({**base, CUR: nref})
-                else:
-                    out_rows.append({**base, expr.to_var: nref, CUR: nref})
-        return BindingSet(tuple(columns), out_rows)
-
-    if isinstance(expr, alg.LabelFilter):
-        src = _eval(expr.input, g, arg)
-        columns = list(src.columns)
-        if expr.var and expr.var not in columns:
-            columns.append(expr.var)
-        out_rows = []
-        for row in src.rows:
-            elem = row[expr.var] if expr.var and expr.var in row else row.get(CUR)
-            if not _is_ref(elem):
-                continue
-            if g.element_label(elem) != expr.label:
-                continue
-            new = dict(row)
-            if expr.var and expr.var not in new:
-                new[expr.var] = elem
-            out_rows.append(new)
-        return BindingSet(tuple(columns), out_rows)
-
-    if isinstance(expr, alg.PropertyFilter):
-        src = _eval(expr.input, g, arg)
-        columns = list(src.columns)
-        if expr.var and expr.var not in columns:
-            columns.append(expr.var)
-        out_rows = []
-        if expr.bind_value:
-            for row in src.rows:
-                if expr.anchor and expr.anchor in row:
-                    elem = row[expr.anchor]
-                else:
-                    elem = row.get(CUR)
-                if not _is_ref(elem):
-                    continue
-                value = g.ref_property(elem, expr.key)
-                if value is None:
-                    continue
-                new = dict(row)
-                if expr.var:
-                    if expr.var in new:
-                        if not values_equal(new[expr.var], value):
-                            continue
-                    else:
-                        new[expr.var] = value
-                new[CUR] = value
-                out_rows.append(new)
-        else:
-            for row in src.rows:
-                elem = row[expr.var] if expr.var and expr.var in row else row.get(CUR)
-                if not _is_ref(elem):
-                    continue
-                value = g.ref_property(elem, expr.key)
-                if expr.predicate is not None:
-                    if value is None:
-                        continue
-                    cmp, const = expr.predicate
-                    if not _compare(value, cmp, const):
-                        continue
-                elif value is None:
-                    continue
-                new = dict(row)
-                if expr.var and expr.var not in new:
-                    new[expr.var] = elem
-                out_rows.append(new)
-        return BindingSet(tuple(columns), out_rows)
-
-    if isinstance(expr, alg.Selection):
-        src = _eval(expr.input, g, arg)
-        out_rows = []
-        for row in src.rows:
-            seed = BindingSet(src.columns, [dict(row)])
-            hits = _eval(expr.predicate, g, seed)
-            if bool(hits.rows) != expr.negated:
-                out_rows.append(dict(row))
-        return BindingSet(src.columns, out_rows)
-
-    if isinstance(expr, alg.Projection):
-        src = _eval(expr.input, g, arg)
-        out_rows = []
-        for row in src.rows:
-            if any(v not in row for v in expr.vars):
-                continue
-            new: Row = {}
-            dead = False
-            for v in expr.vars:
-                val = row[v]
-                if expr.value_key is not None:
-                    if not _is_ref(val):
-                        dead = True
-                        break
-                    prop = g.ref_property(val, expr.value_key)
-                    if prop is None:
-                        dead = True
-                        break
-                    val = prop
-                new[v] = val
-            if dead:
-                continue
-            if CUR in row:
-                new[CUR] = row[CUR]
-            out_rows.append(new)
-        return BindingSet(tuple(expr.vars), out_rows)
-
-    if isinstance(expr, alg.Dedup):
-        src = _eval(expr.input, g, arg)
-        keycols = list(expr.vars) if expr.vars else list(src.columns)
-        seen = set()
-        out_rows = []
-        for row in src.rows:
-            if keycols:
-                key = tuple(
-                    value_key(row[c]) if c in row else ("missing",) for c in keycols
-                )
-            else:
-                key = (value_key(row[CUR]),) if CUR in row else ()
-            if key in seen:
-                continue
-            seen.add(key)
-            out_rows.append(dict(row))
-        return BindingSet(src.columns, out_rows)
-
-    if isinstance(expr, alg.Restriction):
-        src = _eval(expr.input, g, arg)
-        return BindingSet(src.columns, [dict(r) for r in src.rows[expr.skip : expr.skip + expr.take]])
-
-    if isinstance(expr, alg.Sort):
-        src = _eval(expr.input, g, arg)
-
-        def extract(row: Row, var: str | None) -> tuple:
-            value = row.get(var) if var is not None else row.get(CUR)
-            if value is None and (var is None or var not in row):
-                return (-1,)
-            return sort_key(value)
-
-        def compare(r1: Row, r2: Row) -> int:
-            for var, direction in expr.keys:
-                k1 = extract(r1, var)
-                k2 = extract(r2, var)
-                if k1 == k2:
-                    continue
-                lesser = -1 if direction == alg.ASCENDING else 1
-                return lesser if k1 < k2 else -lesser
-            return 0
-
-        return BindingSet(src.columns, sorted((dict(r) for r in src.rows), key=cmp_to_key(compare)))
-
-    if isinstance(expr, alg.Group):
-        src = _eval(expr.input, g, arg)
-        grouped: list[tuple[tuple, Row]] = []
-        for row in src.rows:
-            if expr.key is not None and expr.key in row:
-                key_val = row[expr.key]
-                member_cols = tuple(c for c in src.columns if c != expr.key)
-            elif expr.key is not None:
-                elem = row.get(CUR)
-                if not _is_ref(elem):
-                    continue
-                key_val = g.ref_property(elem, expr.key)
-                if key_val is None:
-                    continue
-                member_cols = src.columns
-            else:
-                key_val = _natural_value(row, src.columns)
-                if key_val is None:
-                    continue
-                member_cols = src.columns
-            member = _natural_value(row, member_cols)
-            if member is None:
-                member = key_val
-            grouped.append((sort_key(key_val), {"key": key_val, "member": member}))
-        grouped.sort(key=lambda kv: kv[0])
-        return BindingSet(("key", "member"), [row for _, row in grouped])
-
-    if isinstance(expr, alg.Join):
-        left = _eval(expr.left, g, arg)
-        right = _eval(expr.right, g, arg)
-        shared = [c for c in left.columns if c in right.columns]
-        columns = left.columns + tuple(c for c in right.columns if c not in left.columns)
-        out_rows = []
-        for lrow in left.rows:
-            for rrow in right.rows:
-                ok = True
-                for c in shared:
-                    if c not in lrow or c not in rrow or not values_equal(lrow[c], rrow[c]):
-                        ok = False
-                        break
-                if ok:
-                    out_rows.append({**lrow, **rrow})
-        return BindingSet(columns, out_rows)
-
-    if isinstance(expr, alg.Union):
-        left = _eval(expr.left, g, arg)
-        right = _eval(expr.right, g, arg)
-        if set(left.columns) == set(right.columns):
-            return multiset_union(left, right)
-        # Branches binding different variables: keep rows as they are; a
-        # later projection decides which survive (select() semantics).
-        columns = left.columns + tuple(c for c in right.columns if c not in left.columns)
-        return BindingSet(columns, [dict(r) for r in left.rows] + [dict(r) for r in right.rows])
-
-    if isinstance(expr, alg.Aggregate):
-        src = _eval(expr.input, g, arg)
-        if len(src.columns) > 1:
-            raise EvaluationError(f"{expr.fn}() needs a single-column input")
-        if expr.fn == "count":
-            return BindingSet((), [{CUR: len(src.rows)}])
-        values = src.values()
-        if not values:
-            return BindingSet((), [])
-        for v in values:
-            if not is_numeric(v):
-                raise EvaluationError(f"{expr.fn}() over non-numeric value {v!r}")
-        mixed = any(isinstance(v, float) for v in values) and any(
-            isinstance(v, int) for v in values
+    The two schemas must contain the same columns; otherwise this raises,
+    since rows with absent columns are not representable.  The rows are
+    combined by the evaluator's own union.
+    """
+    if set(a.columns) != set(b.columns):
+        raise EvaluationError(
+            f"union schema mismatch: {list(a.columns)} vs {list(b.columns)}"
         )
-        result = max(values) if expr.fn == "max" else min(values)  # type: ignore[type-var]
-        if mixed:
-            result = float(result)  # type: ignore[arg-type]
-        return BindingSet((), [{CUR: result}])
-
-    raise EvaluationError(f"cannot evaluate {expr!r}")
+    return _to_bindings(_union_rels(_from_bindings(a), _from_bindings(b), 0))
 
 
 # -- traverser-level match semantics ---------------------------------------------
@@ -808,17 +1128,55 @@ def _encode_value(v: Value) -> object:
     return v
 
 
+_dump = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _json_value(v: Value) -> str:
+    """JSON text of one value, as json.dumps writes _encode_value(v)."""
+    tp = type(v)
+    if tp is VertexRef:
+        return '{"vertex":' + _json_string(v.id) + "}"  # type: ignore[union-attr]
+    if tp is EdgeRef:
+        return '{"edge":' + _json_string(v.id) + "}"  # type: ignore[union-attr]
+    if tp is str:
+        return _json_string(v)
+    if tp is int:
+        return int.__repr__(v)
+    if tp is float and math.isfinite(v):
+        return float.__repr__(v)
+    return _dump(v)
+
+
+def _json_texts(values: list, cache: dict[int, str]) -> list[str]:
+    """JSON text of each value, encoded once per distinct object; cache maps
+    id(object) to its text, and stays valid while the objects are alive."""
+    ids = list(map(id, values))
+    for i, v in dict(zip(ids, values)).items():
+        if i not in cache:
+            cache[i] = _json_value(v)
+    return list(map(cache.__getitem__, ids))
+
+
 def to_jsonl(result: BindingSet) -> str:
     """One JSON object per row; element references as {"vertex": id} /
     {"edge": id}; schema-less rows as {"value": ...}."""
-    lines = []
-    for row in result.rows:
-        if result.columns:
-            obj = {c: _encode_value(row[c]) for c in result.columns if c in row}
-        else:
-            obj = {"value": _encode_value(row.get(CUR))}
-        lines.append(json.dumps(obj, sort_keys=False, separators=(",", ":")))
-    return "\n".join(lines)
+    cache: dict[int, str] = {}  # the rows keep every value alive meanwhile
+    if not result.columns:
+        texts = _json_texts([row.get(CUR) for row in result.rows], cache)
+        return "\n".join(['{"value":' + text + "}" for text in texts])
+    cols = tuple(dict.fromkeys(result.columns))
+    try:
+        columns = [list(map(itemgetter(c), result.rows)) for c in cols]
+    except KeyError:  # some row lacks a column: each row writes the ones it has
+        return "\n".join(
+            _dump({c: _encode_value(row[c]) for c in cols if c in row}) for row in result.rows
+        )
+    parts = []
+    for i, (c, values) in enumerate(zip(cols, columns)):
+        parts.append(itertools.repeat(("{" if i == 0 else ",") + _json_string(c) + ":"))
+        parts.append(_json_texts(values, cache))
+    parts.append(itertools.repeat("}"))
+    return "\n".join(map("".join, zip(*parts)))
 
 
 def _format_cell(v: Value) -> str:

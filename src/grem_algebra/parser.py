@@ -9,6 +9,11 @@ Root traversals start with ``g.V()`` or ``g.E()``; anonymous traversals
 outside the supported set are rejected with a positioned error, as is any
 arity violation.  The parser is total: any input yields either an AST or a
 ParseError carrying line/column.
+
+Two size limits keep every later stage (compile, validate, evaluate,
+render) inside Python's recursion limit: nested traversals may be at most
+MAX_NESTING_DEPTH levels deep, and a query may hold at most MAX_STEPS
+steps, counting the steps of nested traversals and the source step.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Union
 from .errors import ParseError
 
 MAX_NESTING_DEPTH = 64
+MAX_STEPS = 256
 
 
 # -- tokens ------------------------------------------------------------------
@@ -234,6 +240,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.steps = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -286,6 +293,9 @@ class _Parser:
 
     def parse_step(self, first: bool, anonymous: bool, depth: int, prev: list[Step]) -> Step:
         name_tok = self.expect(TokenKind.NAME, "step name")
+        self.steps += 1
+        if self.steps > MAX_STEPS:
+            raise self.error(f"traversal has more than {MAX_STEPS} steps", name_tok)
         name = name_tok.value
         kind = _STEP_NAMES.get(name)
         if kind is None:

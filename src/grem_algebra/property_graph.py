@@ -8,12 +8,16 @@ on an absent key returns None rather than a default.
 Identifiers are strings in the file format.  At load time they are mapped
 to dense internal integer indexes (file order) that fix edge iteration
 order; all public accessors speak original string ids.
+
+The evaluator reads a graph through ``Graph.tables()``: lookup tables built
+once, on first use, and kept on the graph (see ``GraphTables``).
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 from importlib import resources
@@ -118,6 +122,97 @@ def sort_key(v: object) -> tuple:
     raise TypeError(f"not a graph value: {v!r}")
 
 
+class GraphTables:
+    """Read-only lookup tables over one graph, for the evaluator.
+
+    * ``vertex_refs``: one interned ``VertexRef`` per vertex, by vertex
+      index (file order);
+    * ``vertex_index`` / ``edge_index``: element id -> element index (the
+      ref -> index map: ``vertex_index[ref.id]``);
+    * ``vertices_sorted`` / ``edges_sorted()``: interned refs in ascending
+      lexicographic id order;
+    * ``adjacent(direction, label, vx)``: the tuple of interned vertex
+      refs adjacent to a vertex along edges of that label (None: any
+      label), one entry per edge, in file order; ``neighbours(direction,
+      label)`` is the list of these entries by vertex index, filled on
+      first use;
+    * label and property lists by element index.
+
+    The tables hold the graph's own lists, never the graph itself.  The
+    parts every query needs are built together; edge refs and each vertex's
+    neighbours are built on first use.  Each part is built completely
+    before it is published with a single assignment, so concurrent readers
+    never see a partial table.
+    """
+
+    __slots__ = (
+        "vertex_refs",
+        "vertex_index",
+        "vertices_sorted",
+        "vertex_labels",
+        "vertex_props",
+        "edge_index",
+        "edge_labels",
+        "edge_props",
+        "_edge_ids",
+        "_edge_ends",
+        "_adjacency",
+        "_memo",
+    )
+
+    def __init__(self, g: "Graph"):
+        refs = [VertexRef(vid) for vid in g._v_ids]
+        order = sorted(range(len(refs)), key=g._v_ids.__getitem__)
+        self.vertex_refs = refs
+        self.vertex_index = g._v_index
+        self.vertices_sorted = tuple(refs[i] for i in order)
+        self.vertex_labels = g._v_labels
+        self.vertex_props = g._v_props
+        self.edge_index = g._e_index
+        self.edge_labels = g._e_labels
+        self.edge_props = g._e_props
+        self._edge_ids = g._e_ids
+        self._edge_ends = {"out": g._e_in, "in": g._e_out}
+        self._adjacency = {
+            "out": (g._out_adj, g._out_all),
+            "in": (g._in_adj, g._in_all),
+        }
+        self._memo: dict = {}
+
+    def edges_sorted(self) -> tuple[EdgeRef, ...]:
+        ordered = self._memo.get("edges_sorted")
+        if ordered is None:
+            ids = self._edge_ids
+            ordered = tuple(EdgeRef(ids[i]) for i in sorted(range(len(ids)), key=ids.__getitem__))
+            self._memo["edges_sorted"] = ordered
+        return ordered
+
+    def neighbours(self, direction: str, label: str | None) -> list:
+        """Per vertex index, its entry of adjacent(direction, label, vx), or
+        None while that entry has not been built."""
+        key = (direction, label)
+        lists = self._memo.get(key)
+        if lists is None:
+            lists = [None] * len(self.vertex_refs)
+            self._memo[key] = lists
+        return lists
+
+    def adjacent(self, direction: str, label: str | None, vx: int) -> tuple[VertexRef, ...]:
+        """The interned refs adjacent to vertex index vx along edges of
+        label (None: any label), one per edge, in file order.  Built on
+        first use, so a query that touches a few vertices builds only
+        their entries."""
+        lists = self.neighbours(direction, label)
+        found = lists[vx]
+        if found is None:
+            by_label, every = self._adjacency[direction]
+            exs = every[vx] if label is None else by_label[vx].get(label, ())
+            refs, ends = self.vertex_refs, self._edge_ends[direction]
+            found = tuple([refs[ends[ex]] for ex in exs])
+            lists[vx] = found
+        return found
+
+
 class Graph:
     """Immutable property graph.  Construct via load_graph()."""
 
@@ -181,6 +276,15 @@ class Graph:
             raise GraphFormatError(
                 f"label(s) used for both vertices and edges: {sorted(clash)}"
             )
+        self._tables: GraphTables | None = None
+
+    def tables(self) -> GraphTables:
+        """The evaluator's lookup tables, built on first use."""
+        tables = self._tables
+        if tables is None:
+            tables = GraphTables(self)
+            self._tables = tables
+        return tables
 
     # -- basic accessors -------------------------------------------------
 
@@ -194,7 +298,7 @@ class Graph:
 
     def vertex_ids(self) -> list[str]:
         """All vertex ids in ascending lexicographic order."""
-        return sorted(self._v_ids)
+        return [ref.id for ref in self.tables().vertices_sorted]
 
     def edge_ids(self) -> list[str]:
         """All edge ids in ascending lexicographic order."""
@@ -324,7 +428,13 @@ def _check_properties(raw: object, where: str) -> dict[str, PropertyValue]:
     for key, val in raw.items():
         if not isinstance(key, str):
             raise GraphFormatError(f"{where}: property key {key!r} is not a string")
-        if not isinstance(val, (str, int, float, bool)):
+        kind = type(val)  # json.loads builds exact types
+        if kind is float:
+            if not math.isfinite(val):
+                raise GraphFormatError(
+                    f"{where}: property {key!r} has non-finite value {val!r}"
+                )
+        elif kind is not str and kind is not int and kind is not bool:
             raise GraphFormatError(
                 f"{where}: property {key!r} has non-scalar value {val!r}"
             )
@@ -346,7 +456,8 @@ def load_graph(source: Union[str, bytes, IO]) -> Graph:
 
     Format: {"vertices": [{"id","label","properties"?}...],
              "edges": [{"id","label","outV","inV","properties"?}...]}.
-    Unknown keys are rejected; every vertex and edge must carry a label.
+    Unknown keys are rejected; every vertex and edge must carry a label;
+    non-finite numbers (NaN, Infinity) are rejected.
     """
     if hasattr(source, "read"):
         data = source.read()

@@ -133,3 +133,57 @@ def test_run_without_graph_exit_2():
     proc = cli("run", "--query", "g.V()")
     assert proc.returncode == 2
     assert "requires --graph" in proc.stderr
+
+
+def test_non_finite_graph_value_exit_2(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"vertices": [{"id": "1", "label": "person", "properties": {"age": NaN}}], "edges": []}'
+    )
+    proc = cli("run", "--graph", str(path), "--query", "g.V().values('age')", "--format", "jsonl")
+    assert proc.returncode == 2
+    assert "non-finite value" in proc.stderr
+    assert proc.stdout == ""
+
+
+def _long_chain(steps):
+    """g.V() then out('knows') steps: `steps` steps in all."""
+    return "g.V()" + ".out('knows')" * (steps - 1)
+
+
+def test_step_limit_accepted_at_the_limit(tmp_path):
+    from grem_algebra.parser import MAX_STEPS
+
+    query_file = tmp_path / "q.txt"
+    query_file.write_text(_long_chain(MAX_STEPS))
+    proc = cli("run", "--graph", modern_graph_path(), "--query-file", str(query_file))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""  # no knows-path that long in the fixture
+    for style in ("paper", "ascii", "curried"):
+        proc = cli("plan", "--style", style, "--query-file", str(query_file))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("knows") == MAX_STEPS - 1
+
+
+def test_step_limit_exceeded_is_a_positioned_parse_error(tmp_path):
+    from grem_algebra.parser import MAX_STEPS
+
+    query_file = tmp_path / "q.txt"
+    text = _long_chain(MAX_STEPS + 1)
+    query_file.write_text(text)
+    for args in (
+        ("run", "--graph", modern_graph_path()),
+        ("plan",),
+        ("plan", "--style", "paper"),
+    ):
+        proc = cli(*args, "--query-file", str(query_file))
+        assert proc.returncode == 1
+        column = text.rindex("out") + 1
+        assert proc.stderr == (
+            f"parse error: traversal has more than {MAX_STEPS} steps at line 1, column {column}\n"
+        )
+    # a 2000-step chain, far past the limit: no traceback either
+    query_file.write_text(_long_chain(2001))
+    proc = cli("run", "--graph", modern_graph_path(), "--query-file", str(query_file))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr

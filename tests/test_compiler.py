@@ -29,6 +29,7 @@ from grem_algebra.algebra import (
     Traverse,
     Union,
 )
+from grem_algebra.algebra import validate as alg_validate
 from grem_algebra.compiler import PatternChain, static_columns
 
 from corpus import Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30, Q_AGES_ASC, Q_UNION_CREATORS
@@ -339,3 +340,26 @@ def test_where_predicate_binds_against_outer_var(modern):
     result = evaluate(compiled(q), modern)
     # marko created lop, knows josh, and josh also created lop
     assert [(r["a"].id, r["b"].id, r["c"].id) for r in result.rows] == [("1", "3", "4")]
+
+
+def test_values_first_pattern_binds_its_anchor(modern):
+    values_first = "g.V().match(__.as('a').values('age').as('x')).select('a','x')"
+    has_first = "g.V().match(__.as('a').has('age').values('age').as('x')).select('a','x')"
+    got = evaluate(compiled(values_first), modern)
+    want = evaluate(compiled(has_first), modern)
+    assert got.columns == want.columns == ("a", "x")
+    assert got.rows == want.rows
+    assert [(r["a"].id, r["x"]) for r in got.rows] == [("1", 29), ("2", 27), ("4", 32), ("6", 35)]
+    # without select(): a valid plan binding both variables
+    bare = compiled("g.V().match(__.as('a').values('age').as('x'))")
+    assert alg_validate(bare) == []
+    assert static_columns(bare) == ("a", "x")
+
+
+def test_values_first_pattern_on_bound_anchor(modern):
+    text = (
+        "g.V().match(__.as('a').out('knows').as('b'), __.as('b').values('age').as('x'))"
+        ".select('a','b','x')"
+    )
+    got = evaluate(compiled(text), modern)
+    assert [(r["a"].id, r["b"].id, r["x"]) for r in got.rows] == [("1", "2", 27), ("1", "4", 32)]

@@ -1,5 +1,6 @@
 """Operator semantics, path algebra, and bag-level invariants."""
 
+import json
 import random
 from collections import Counter
 
@@ -11,6 +12,7 @@ from grem_algebra import (
     Path,
     compile_traversal,
     evaluate,
+    load_graph,
     multiset_union,
     parse_traversal,
     path_concat,
@@ -407,3 +409,94 @@ def test_table_bare_values(modern):
 
 def test_table_empty(modern):
     assert to_table(run(Q_COCREATOR_30, modern)) == ""
+
+
+def test_join_equality_is_numeric_and_type_strict():
+    """Join columns agree by values_equal: 1 joins 1.0, true joins only
+    itself, and a shared column takes the right side's value."""
+    g = load_graph(
+        json.dumps(
+            {
+                "vertices": [
+                    {"id": "1", "label": "n", "properties": {"x": 1}},
+                    {"id": "2", "label": "n", "properties": {"x": 1.0}},
+                    {"id": "3", "label": "n", "properties": {"x": True}},
+                ],
+                "edges": [],
+            }
+        )
+    )
+    text = (
+        "g.V().match(__.as('a').has('x').values('x').as('v'), "
+        "__.as('b').has('x').values('x').as('v')).select('a','b','v')"
+    )
+    assert to_jsonl(run(text, g)).splitlines() == [
+        '{"a":{"vertex":"1"},"b":{"vertex":"1"},"v":1}',
+        '{"a":{"vertex":"1"},"b":{"vertex":"2"},"v":1.0}',
+        '{"a":{"vertex":"2"},"b":{"vertex":"1"},"v":1}',
+        '{"a":{"vertex":"2"},"b":{"vertex":"2"},"v":1.0}',
+        '{"a":{"vertex":"3"},"b":{"vertex":"3"},"v":true}',
+    ]
+
+
+def test_concurrent_queries_on_one_fresh_graph():
+    """Threads racing to build a graph's lookup tables all answer right."""
+    import sys
+    import threading
+
+    from corpus import CORPUS
+
+    texts = [q.text for q in CORPUS] + [
+        "g.V().where(__.out().dedup().limit(1).has('lang')).values('name')",
+        "g.E().values('weight').max()",
+    ]
+    expected = [to_jsonl(run(text, random_graph(50))) for text in texts]
+    g = random_graph(50)  # tables not built yet
+    results: list[list[str]] = []
+
+    def worker():
+        results.append([to_jsonl(run(text, g)) for _ in range(3) for text in texts])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [expected * 3] * 8
+
+
+def test_jsonl_encoding_matches_json_dumps():
+    from grem_algebra import EdgeRef, VertexRef
+
+    values = [
+        VertexRef("1"), VertexRef('q"é'), EdgeRef("7"), "naïve ☃", 'quote"\\', "", 0, -3,
+        2**70, 0.1, -0.0, 1e-7, 1e22, 2.5, True, False,
+    ]
+    rows = [{"a": v, "b": w, CUR: v} for v in values for w in values[::-1]]
+    result = BindingSet(("a", "b", "a"), rows)
+    expected = "\n".join(
+        json.dumps({"a": _as_json_object(r["a"]), "b": _as_json_object(r["b"])}, separators=(",", ":")) for r in rows
+    )
+    assert to_jsonl(result) == expected
+    ragged = BindingSet(("a", "b"), [{"a": 1}, {"b": VertexRef("2")}, {}])
+    assert to_jsonl(ragged) == '{"a":1}\n{"b":{"vertex":"2"}}\n{}'
+    bare = BindingSet((), [{CUR: v} for v in values] + [{}])
+    assert to_jsonl(bare).splitlines() == [
+        json.dumps({"value": _as_json_object(v)}, separators=(",", ":")) for v in values
+    ] + ['{"value":null}']
+
+
+def _as_json_object(v):
+    from grem_algebra import EdgeRef, VertexRef
+
+    if isinstance(v, VertexRef):
+        return {"vertex": v.id}
+    if isinstance(v, EdgeRef):
+        return {"edge": v.id}
+    return v

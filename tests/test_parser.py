@@ -247,3 +247,14 @@ def test_fuzz_smoke():
         except ParseError as exc:
             assert exc.pos >= 0
             assert exc.line >= 1
+
+
+def test_step_limit_counts_nested_steps():
+    from grem_algebra.parser import MAX_STEPS
+
+    # the source step and every nested step count toward the limit
+    inner = ".out()" * (MAX_STEPS - 2)
+    parse_traversal("g.V().where(__" + inner + ")")
+    with pytest.raises(ParseError, match=f"more than {MAX_STEPS} steps") as info:
+        parse_traversal("g.V().where(__" + inner + ".out())")
+    assert info.value.col == len("g.V().where(__" + inner + ".") + 1

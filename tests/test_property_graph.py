@@ -221,3 +221,71 @@ def test_shared_property_key_between_vertex_and_edge_accepted():
     )
     assert g.element_property("1", "weight") == 70
     assert g.element_property("e", "weight") == 0.5
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e999"])
+def test_non_finite_number_rejected(literal):
+    text = (
+        '{"vertices": [{"id": "1", "label": "person", "properties": {"age": '
+        + literal
+        + "}}], \"edges\": []}"
+    )
+    with pytest.raises(GraphFormatError, match="non-finite value"):
+        load_graph(text)
+
+
+def test_non_finite_edge_property_rejected():
+    doc = {
+        "vertices": [{"id": "1", "label": "person"}],
+        "edges": [
+            {"id": "2", "label": "knows", "outV": "1", "inV": "1", "properties": {"weight": 0.5}}
+        ],
+    }
+    load_graph(json.dumps(doc))
+    doc["edges"][0]["properties"]["weight"] = float("nan")
+    with pytest.raises(GraphFormatError, match=r"edges\[0\]: property 'weight'"):
+        load_graph(json.dumps(doc))
+
+
+def test_tables_built_once_and_shared():
+    modern = modern_graph()  # a graph no query has read yet
+    tables = modern.tables()
+    assert modern.tables() is tables
+    assert [r.id for r in tables.vertices_sorted] == modern.vertex_ids()
+    # one interned ref per vertex, reached the same way from every table
+    by_id = {r.id: r for r in tables.vertex_refs}
+    assert tables.vertex_refs[tables.vertex_index["1"]] is by_id["1"]
+    knows = tables.neighbours("out", "knows")
+    assert tables.neighbours("out", "knows") is knows
+    marko = tables.vertex_index["1"]
+    assert knows[marko] is None  # not built before first use
+    assert [r.id for r in tables.adjacent("out", "knows", marko)] == ["2", "4"]
+    assert knows[marko] is tables.adjacent("out", "knows", marko)
+    for direction, adjacent in (("out", modern.out_adjacent), ("in", modern.in_adjacent)):
+        for label in (None, "knows", "created"):
+            for vid in by_id:
+                found = tables.adjacent(direction, label, tables.vertex_index[vid])
+                assert found == tuple(by_id[v] for _, v in adjacent(vid, label))
+                assert all(n is by_id[n.id] for n in found)
+    assert [r.id for r in tables.edges_sorted()] == modern.edge_ids()
+
+
+def test_tables_hold_no_reference_to_the_graph():
+    import gc
+    import weakref
+
+    g = load_graph(json.dumps({"vertices": [{"id": "1", "label": "p"}], "edges": []}))
+    g.tables().adjacent("out", None, 0)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None  # freed by reference counting alone, no cycle
+    finally:
+        gc.enable()
+
+
+def test_vertex_ids_returns_a_fresh_list(modern):
+    ids = modern.vertex_ids()
+    ids.append("zzz")
+    assert modern.vertex_ids() == ["1", "2", "3", "4", "5", "6"]
