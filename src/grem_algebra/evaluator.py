@@ -11,16 +11,21 @@ grouping preserves its input order.
 
 Inside the engine a row is a tuple, not a dict: one slot per column, in
 the order of the column rules of ``algebra.output_columns``, then a final
-slot for the current position; None marks an absent binding.  Element
-references are the graph's interned refs, read through lookup tables the
-graph builds once, on first use (``Graph.tables()``): ref -> index maps,
-the vertices in id order and neighbour lists per direction and label.
-where()/not() run their predicate once over all input rows, each tagged
-with its row's index in a hidden first slot.  Inside the predicate,
-dedup, join, limit and aggregate key on that tag, and sort and group are
-stable, so the batch answers exactly what one run per row would.  Join is
-a hash join, sorting uses stable key passes.  ``evaluate`` converts the
-final rows to dicts.
+slot for the current position; None marks an absent binding.  A vertex is
+its token, the 1-tuple ``(rank,)`` of its rank in id order, read through
+lookup tables the graph builds once, on first use (``Graph.tables()``):
+tokens, labels and properties by rank, and neighbour tokens per direction
+and label.  A token is interned and is the only tuple a row value can be;
+it orders, dedups and joins as itself.  Rows of tokens and scalars hold
+nothing CPython's cyclic garbage collector must follow, so it stops
+tracking them at their first collection.  An edge is the graph's interned
+``EdgeRef``.  where()/not() run their predicate once over all input rows,
+each tagged with its row's index in a hidden first slot.  Inside the
+predicate, dedup, join, limit and aggregate key on that tag, and sort and
+group are stable, so the batch answers exactly what one run per row would.
+Join is a hash join, sorting uses stable key passes.  ``evaluate`` converts
+the final rows to dicts and each token to the graph's interned
+``VertexRef``: results never hold a token.
 
 The module also houses the path algebra (concatenation and concatenative
 join over edge sequences), the traverser-level match/bind semantics that
@@ -63,7 +68,7 @@ from .property_graph import (
 
 CUR = "@"
 
-Value = object  # VertexRef | EdgeRef | PropertyValue
+Value = object  # VertexRef (in the engine: its token) | EdgeRef | PropertyValue
 Row = dict
 
 
@@ -233,42 +238,43 @@ def _is_ref(v: object) -> bool:
 
 # -- keys ---------------------------------------------------------------------------
 #
-# Every element reference in an engine row is the graph's interned ref
-# (GraphTables), so refs are told apart by identity or by id.
+# A vertex in an engine row is its interned token (rank,) and an edge the
+# graph's interned EdgeRef (GraphTables).  A token is a 1-tuple of an int:
+# it never equals a tagged key such as ("s", "x") or ("missing",).
 
 
 def _identity_keys(values: list) -> list:
     """Keys under which values of one column are the same row value
-    (dedup): value_key's identity, with None (absent) as its own key.  A
-    column of a single type whose values are their own identity keeps them;
-    interned vertex refs are keyed by object identity."""
+    (dedup): value_key's identity, a vertex token its own, with None
+    (absent) as its own key.  A column of a single type whose values are
+    their own identity keeps them."""
     types = set(map(type, values))
-    if types == {VertexRef}:
-        return list(map(id, values))
-    if types == {str} or types == {int} or types == {bool}:
+    if types == {tuple} or types == {str} or types == {int} or types == {bool}:
         return values
-    return [("missing",) if v is None else value_key(v) for v in values]
+    return [
+        ("missing",) if v is None else v if type(v) is tuple else value_key(v) for v in values
+    ]
 
 
 def _order_keys(values: list) -> list:
     """Keys ordering one column's values as sort_key does, an absent value
-    first; numbers, strings or bools alone order as they are."""
+    first; vertex tokens (rank order is id order), numbers, strings or
+    bools alone order as they are."""
     types = set(map(type, values))
-    if types == {VertexRef}:
-        return [v.id for v in values]
-    if types <= {int, float} or types == {str} or types == {bool}:
+    if types == {tuple} or types <= {int, float} or types == {str} or types == {bool}:
         return values
-    return [(-1,) if v is None else sort_key(v) for v in values]
+    return [
+        (-1,) if v is None else (3, v) if type(v) is tuple else sort_key(v) for v in values
+    ]
 
 
 def _join_key(v: object) -> object:
     """Key under which two values join: values_equal, so int and float
-    meet numerically while bool, str and refs stay type-strict.  A vertex
-    is keyed by its bare id; every other value by a tagged tuple, which
-    never equals a string."""
+    meet numerically while bool, str and elements stay type-strict.  A
+    vertex is keyed by its token; every other value by a tagged tuple."""
     t = type(v)
-    if t is VertexRef:
-        return v.id  # type: ignore[union-attr]
+    if t is tuple:
+        return v
     if t is int or t is float:
         return ("n", v)
     if t is bool:
@@ -342,13 +348,13 @@ def _natural(row: tuple, slots: list) -> Value:
 
 def _element_reader(t: GraphTables, key: str):
     """elem -> its property value, or None (absent key or not an element)."""
-    vindex, vprops = t.vertex_index, t.vertex_props
+    vprops = t.vertex_props
     eindex, eprops = t.edge_index, t.edge_props
 
     def read(elem: object) -> PropertyValue | None:
         tp = type(elem)
-        if tp is VertexRef:
-            return vprops[vindex[elem.id]].get(key)  # type: ignore[union-attr]
+        if tp is tuple:
+            return vprops[elem[0]].get(key)  # type: ignore[index]
         if tp is EdgeRef:
             return eprops[eindex[elem.id]].get(key)  # type: ignore[union-attr]
         return None
@@ -359,7 +365,7 @@ def _element_reader(t: GraphTables, key: str):
 def _property_test(t: GraphTables, key: str, predicate: tuple[str, PropertyValue] | None):
     """elem -> whether it has the key (and its value passes the predicate).
     has(key, value)'s equality with a string or a number is inlined."""
-    vindex, vprops = t.vertex_index, t.vertex_props
+    vprops = t.vertex_props
     read = _element_reader(t, key)
     if predicate is None:
         return lambda e: read(e) is not None
@@ -368,8 +374,8 @@ def _property_test(t: GraphTables, key: str, predicate: tuple[str, PropertyValue
         kinds = (str,) if type(const) is str else (int, float)
 
         def accept(e: object) -> bool:
-            if type(e) is VertexRef:
-                value = vprops[vindex[e.id]].get(key)  # type: ignore[union-attr]
+            if type(e) is tuple:
+                value = vprops[e[0]].get(key)  # type: ignore[index]
             else:
                 value = read(e)
             return value == const and type(value) in kinds
@@ -385,13 +391,13 @@ def _property_test(t: GraphTables, key: str, predicate: tuple[str, PropertyValue
 
 def _label_test(t: GraphTables, label: str):
     """elem -> whether it is an element carrying label."""
-    vindex, vlabels = t.vertex_index, t.vertex_labels
+    vlabels = t.vertex_labels
     eindex, elabels = t.edge_index, t.edge_labels
 
     def accept(elem: object) -> bool:
         tp = type(elem)
-        if tp is VertexRef:
-            return vlabels[vindex[elem.id]] == label  # type: ignore[union-attr]
+        if tp is tuple:
+            return vlabels[elem[0]] == label  # type: ignore[index]
         if tp is EdgeRef:
             return elabels[eindex[elem.id]] == label  # type: ignore[union-attr]
         return False
@@ -415,10 +421,10 @@ def _run(expr: AlgebraExpr, t: GraphTables, arg: _Rel | None) -> _Rel:
 
 
 def _source(expr: alg.GetVertices | alg.GetEdges, inputs, t: GraphTables, arg) -> _Rel:
-    refs = t.vertices_sorted if type(expr) is alg.GetVertices else t.edges_sorted()
+    elems = t.vertex_tokens if type(expr) is alg.GetVertices else t.edges_sorted()
     if expr.var:
-        return _Rel((expr.var,), [(r, r) for r in refs])
-    return _Rel((), [(r,) for r in refs])
+        return _Rel((expr.var,), [(e, e) for e in elems])
+    return _Rel((), [(e,) for e in elems])
 
 
 def _argument(expr: alg.Argument, inputs, t, arg: _Rel | None) -> _Rel:
@@ -448,7 +454,6 @@ def _traverse(expr: alg.Traverse, inputs, t: GraphTables, arg) -> _Rel:
     cols = alg.output_columns(expr, (src.cols,))
     direction, label = expr.direction, expr.edge_label
     nbrs = t.neighbours(direction, label)
-    index = t.vertex_index
     pa = src.slot(expr.from_var)
     bind_from = bool(expr.from_var) and pa is None
     # the destination against the row without its position (the base)
@@ -469,12 +474,11 @@ def _traverse(expr: alg.Traverse, inputs, t: GraphTables, arg) -> _Rel:
                 base += (anchor,)
             elif pa is not None:
                 base = base[:pa] + (anchor,) + base[pa + 1:]
-        if type(anchor) is not VertexRef:
+        if type(anchor) is not tuple:
             raise EvaluationError(f"traverse requires a vertex, got {anchor!r}")
-        vx = index[anchor.id]
-        ns = nbrs[vx]
+        ns = nbrs[anchor[0]]
         if ns is None:
-            ns = t.adjacent(direction, label, vx)
+            ns = t.adjacent(direction, label, anchor[0])
         if not ns:
             continue
         if new_to:
@@ -559,7 +563,13 @@ def _selection(expr: alg.Selection, inputs, t: GraphTables, arg) -> _Rel:
         return src
     # inside an enclosing predicate the rows are re-tagged
     under_test = [(i,) + r[src.tagged:] for i, r in enumerate(src.rows)]
-    hits = _run(expr.predicate, t, _Rel(src.cols, under_test, True, src.holes))
+    try:
+        hits = _run(expr.predicate, t, _Rel(src.cols, under_test, True, src.holes))
+    except EvaluationError:
+        # raise what one run per row raises first, in input order
+        for row in under_test:
+            _run(expr.predicate, t, _Rel(src.cols, [(0,) + row[1:]], True, src.holes))
+        raise
     negated = expr.negated
     if hits.tagged:
         found = set(map(itemgetter(0), hits.rows))
@@ -782,7 +792,8 @@ def _aggregate(expr: alg.Aggregate, inputs, t, arg: _Rel | None) -> _Rel:
         return _Rel((), [(i, counts[i]) for i in range(len(arg.rows))], True)  # type: ignore[union-attr]
     for v in values:
         if not is_numeric(v):
-            raise EvaluationError(f"{expr.fn}() over non-numeric value {v!r}")
+            shown = t.vertex_refs[v[0]] if type(v) is tuple else v  # type: ignore[index]
+            raise EvaluationError(f"{expr.fn}() over non-numeric value {shown!r}")
     groups: dict[int, list] = {}
     for tag, v in zip(tags, values):
         groups.setdefault(tag, []).append(v)
@@ -818,13 +829,30 @@ _OPERATORS = {
 # -- the public boundary ---------------------------------------------------------------
 
 
-def _to_bindings(rel: _Rel) -> BindingSet:
-    """Engine rows as dict rows; absent bindings are left out."""
+def _with_refs(values: list, refs: tuple[VertexRef, ...]) -> list:
+    """One column's values with each vertex token replaced by its ref."""
+    types = set(map(type, values))
+    if tuple not in types:
+        return values
+    if len(types) == 1:
+        return [refs[v[0]] for v in values]
+    return [refs[v[0]] if type(v) is tuple else v for v in values]
+
+
+def _to_bindings(rel: _Rel, refs: tuple[VertexRef, ...] | None) -> BindingSet:
+    """Engine rows as dict rows; absent bindings are left out.  refs (by
+    rank) replace vertex tokens; None: the rows hold no tokens."""
     keys = rel.cols + (CUR,)
+    rows = rel.rows
+    if refs is not None:
+        columns = [list(map(itemgetter(s), rows)) for s in range(len(keys))]
+        converted = [_with_refs(c, refs) for c in columns]
+        if any(c is not d for c, d in zip(columns, converted)):
+            rows = zip(*converted)
     if rel.holes:
-        rows = [{k: v for k, v in zip(keys, r) if v is not None} for r in rel.rows]
+        rows = [{k: v for k, v in zip(keys, r) if v is not None} for r in rows]
     else:
-        rows = list(map(dict, map(zip, itertools.repeat(keys), rel.rows)))
+        rows = list(map(dict, map(zip, itertools.repeat(keys), rows)))
     return BindingSet(rel.cols, rows)
 
 
@@ -839,7 +867,8 @@ def evaluate(expr: AlgebraExpr, g: Graph) -> BindingSet:
     diags = alg.validate(expr)
     if diags:
         raise EvaluationError("invalid plan: " + "; ".join(diags))
-    return _to_bindings(_run(expr, g.tables(), None))
+    t = g.tables()
+    return _to_bindings(_run(expr, t, None), t.vertex_refs)
 
 
 def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
@@ -853,7 +882,7 @@ def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
         raise EvaluationError(
             f"union schema mismatch: {list(a.columns)} vs {list(b.columns)}"
         )
-    return _to_bindings(_union_rels(_from_bindings(a), _from_bindings(b), 0))
+    return _to_bindings(_union_rels(_from_bindings(a), _from_bindings(b), 0), None)
 
 
 # -- traverser-level match semantics ---------------------------------------------

@@ -125,18 +125,26 @@ def sort_key(v: object) -> tuple:
 class GraphTables:
     """Read-only lookup tables over one graph, for the evaluator.
 
-    * ``vertex_refs``: one interned ``VertexRef`` per vertex, by vertex
-      index (file order);
-    * ``vertex_index`` / ``edge_index``: element id -> element index (the
-      ref -> index map: ``vertex_index[ref.id]``);
-    * ``vertices_sorted`` / ``edges_sorted()``: interned refs in ascending
-      lexicographic id order;
-    * ``adjacent(direction, label, vx)``: the tuple of interned vertex
-      refs adjacent to a vertex along edges of that label (None: any
-      label), one entry per edge, in file order; ``neighbours(direction,
-      label)`` is the list of these entries by vertex index, filled on
-      first use;
-    * label and property lists by element index.
+    Inside the evaluator a vertex is a token: the 1-tuple ``(rank,)`` of its
+    rank in ascending lexicographic id order.  There is one token per
+    vertex, so identity, equality, ordering, dedup and join keys are the
+    token itself.  A tuple that holds only scalars and such tokens is not
+    something CPython's cyclic garbage collector must follow, and the
+    collector stops tracking it at its first collection: tokens, neighbour
+    entries and the evaluator's rows then cost full collections nothing.
+    ``VertexRef`` appears only where ``evaluate`` hands rows back.
+
+    * ``vertex_tokens``: the tokens, by rank;
+    * ``vertex_refs``: one interned ``VertexRef`` per vertex, by rank (the
+      ref a result holds for a token);
+    * ``vertex_labels`` / ``vertex_props``: by rank;
+    * ``adjacent(direction, label, rank)``: the tokens adjacent to a vertex
+      along edges of that label (None: any label), one per edge, in file
+      order; ``neighbours(direction, label)`` is the list of these entries
+      by rank, filled on first use;
+    * ``edge_index``: edge id -> edge index (file order), and edge labels
+      and properties by edge index; ``edges_sorted()``: interned
+      ``EdgeRef``s in ascending id order.
 
     The tables hold the graph's own lists, never the graph itself.  The
     parts every query needs are built together; edge refs and each vertex's
@@ -146,14 +154,15 @@ class GraphTables:
     """
 
     __slots__ = (
+        "vertex_tokens",
         "vertex_refs",
-        "vertex_index",
-        "vertices_sorted",
         "vertex_labels",
         "vertex_props",
         "edge_index",
         "edge_labels",
         "edge_props",
+        "_order",
+        "_rank",
         "_edge_ids",
         "_edge_ends",
         "_adjacency",
@@ -161,22 +170,23 @@ class GraphTables:
     )
 
     def __init__(self, g: "Graph"):
-        refs = [VertexRef(vid) for vid in g._v_ids]
-        order = sorted(range(len(refs)), key=g._v_ids.__getitem__)
-        self.vertex_refs = refs
-        self.vertex_index = g._v_index
-        self.vertices_sorted = tuple(refs[i] for i in order)
-        self.vertex_labels = g._v_labels
-        self.vertex_props = g._v_props
+        ids = g._v_ids
+        order = sorted(range(len(ids)), key=ids.__getitem__)  # rank -> vertex index
+        rank = [0] * len(order)
+        for r, vx in enumerate(order):
+            rank[vx] = r
+        self.vertex_tokens = tuple([(r,) for r in range(len(order))])
+        self.vertex_refs = tuple([VertexRef(ids[vx]) for vx in order])
+        self.vertex_labels = [g._v_labels[vx] for vx in order]
+        self.vertex_props = [g._v_props[vx] for vx in order]
         self.edge_index = g._e_index
         self.edge_labels = g._e_labels
         self.edge_props = g._e_props
+        self._order = order
+        self._rank = rank
         self._edge_ids = g._e_ids
         self._edge_ends = {"out": g._e_in, "in": g._e_out}
-        self._adjacency = {
-            "out": (g._out_adj, g._out_all),
-            "in": (g._in_adj, g._in_all),
-        }
+        self._adjacency = {"out": g._out_edges, "in": g._in_edges}
         self._memo: dict = {}
 
     def edges_sorted(self) -> tuple[EdgeRef, ...]:
@@ -188,28 +198,30 @@ class GraphTables:
         return ordered
 
     def neighbours(self, direction: str, label: str | None) -> list:
-        """Per vertex index, its entry of adjacent(direction, label, vx), or
-        None while that entry has not been built."""
+        """Per rank, its entry of adjacent(direction, label, rank), or None
+        while that entry has not been built."""
         key = (direction, label)
         lists = self._memo.get(key)
         if lists is None:
-            lists = [None] * len(self.vertex_refs)
+            lists = [None] * len(self.vertex_tokens)
             self._memo[key] = lists
         return lists
 
-    def adjacent(self, direction: str, label: str | None, vx: int) -> tuple[VertexRef, ...]:
-        """The interned refs adjacent to vertex index vx along edges of
+    def adjacent(self, direction: str, label: str | None, rank: int) -> tuple[tuple[int], ...]:
+        """The tokens adjacent to the vertex of that rank along edges of
         label (None: any label), one per edge, in file order.  Built on
-        first use, so a query that touches a few vertices builds only
-        their entries."""
+        first use, so a query that touches a few vertices builds only their
+        entries."""
         lists = self.neighbours(direction, label)
-        found = lists[vx]
+        found = lists[rank]
         if found is None:
-            by_label, every = self._adjacency[direction]
-            exs = every[vx] if label is None else by_label[vx].get(label, ())
-            refs, ends = self.vertex_refs, self._edge_ends[direction]
-            found = tuple([refs[ends[ex]] for ex in exs])
-            lists[vx] = found
+            tokens, ranks, ends = self.vertex_tokens, self._rank, self._edge_ends[direction]
+            exs = self._adjacency[direction][self._order[rank]]
+            if label is not None:
+                labels = self.edge_labels
+                exs = [ex for ex in exs if labels[ex] == label]
+            found = tuple([tokens[ranks[ends[ex]]] for ex in exs])
+            lists[rank] = found
         return found
 
 
@@ -240,11 +252,9 @@ class Graph:
         self._e_out: list[int] = []
         self._e_in: list[int] = []
         self._e_props: list[dict[str, PropertyValue]] = []
-        # adjacency precomputed per (vertex, direction, label); file order
-        self._out_adj: list[dict[str, list[int]]] = [dict() for _ in self._v_ids]
-        self._in_adj: list[dict[str, list[int]]] = [dict() for _ in self._v_ids]
-        self._out_all: list[list[int]] = [[] for _ in self._v_ids]
-        self._in_all: list[list[int]] = [[] for _ in self._v_ids]
+        # edge indexes leaving / entering each vertex, in file order
+        out_edges: list[list[int]] = [[] for _ in self._v_ids]
+        in_edges: list[list[int]] = [[] for _ in self._v_ids]
 
         for eid, label, out_v, in_v, props in edges:
             if eid in self._e_index:
@@ -264,10 +274,11 @@ class Graph:
             self._e_out.append(src)
             self._e_in.append(dst)
             self._e_props.append(dict(props))
-            self._out_adj[src].setdefault(label, []).append(ex)
-            self._in_adj[dst].setdefault(label, []).append(ex)
-            self._out_all[src].append(ex)
-            self._in_all[dst].append(ex)
+            out_edges[src].append(ex)
+            in_edges[dst].append(ex)
+        # tuples of ints, which the garbage collector stops tracking
+        self._out_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_edges))
+        self._in_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_edges))
 
         vertex_labels = set(self._v_labels)
         edge_labels = set(self._e_labels)
@@ -298,7 +309,7 @@ class Graph:
 
     def vertex_ids(self) -> list[str]:
         """All vertex ids in ascending lexicographic order."""
-        return [ref.id for ref in self.tables().vertices_sorted]
+        return [ref.id for ref in self.tables().vertex_refs]
 
     def edge_ids(self) -> list[str]:
         """All edge ids in ascending lexicographic order."""
@@ -341,21 +352,19 @@ class Graph:
         Filtered to the edge label when given; multiplicity is one pair per
         matching edge, in file order.
         """
-        vx = self._require_vertex(vid)
-        if label is None:
-            exs = self._out_all[vx]
-        else:
-            exs = self._out_adj[vx].get(label, [])
-        return [(self._e_ids[ex], self._v_ids[self._e_in[ex]]) for ex in exs]
+        return self._adjacent(self._out_edges, self._e_in, vid, label)
 
     def in_adjacent(self, vid: str, label: str | None = None) -> list[tuple[str, str]]:
         """(edge id, source vertex id) pairs for edges arriving at vid."""
-        vx = self._require_vertex(vid)
-        if label is None:
-            exs = self._in_all[vx]
-        else:
-            exs = self._in_adj[vx].get(label, [])
-        return [(self._e_ids[ex], self._v_ids[self._e_out[ex]]) for ex in exs]
+        return self._adjacent(self._in_edges, self._e_out, vid, label)
+
+    def _adjacent(self, edges, ends: list[int], vid: str, label: str | None) -> list[tuple[str, str]]:
+        labels = self._e_labels
+        return [
+            (self._e_ids[ex], self._v_ids[ends[ex]])
+            for ex in edges[self._require_vertex(vid)]
+            if label is None or labels[ex] == label
+        ]
 
     # -- properties ------------------------------------------------------
 

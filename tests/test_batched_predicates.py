@@ -10,7 +10,14 @@ import random
 
 import pytest
 
-from grem_algebra import GremAlgebraError, compile_traversal, evaluate, parse_traversal, to_jsonl
+from grem_algebra import (
+    GremAlgebraError,
+    compile_traversal,
+    evaluate,
+    modern_graph,
+    parse_traversal,
+    to_jsonl,
+)
 from grem_algebra import evaluator
 
 from corpus import random_graph
@@ -102,3 +109,12 @@ def test_batched_selection_equals_per_row(monkeypatch, chunk):
             assert batched[text, i] == reference, text
             answered += reference not in ("EvaluationError", "CompileError", "ParseError")
     assert answered > 60  # most queries answer; errors alone would prove little
+
+
+def test_batched_error_names_the_row_a_per_row_run_fails_on_first():
+    # in id order, vertex 1 has no in-edges and vertex 2 (vadas) is the
+    # first whose predicate fails, on 'marko'; the batch sorts every row's
+    # names together and would reach 'josh' (from vertex 3) first
+    text = "g.V().where(__.in().values('name').order().max())"
+    with pytest.raises(GremAlgebraError, match="non-numeric value 'marko'"):
+        evaluate(compile_traversal(parse_traversal(text)), modern_graph())

@@ -251,22 +251,25 @@ def test_tables_built_once_and_shared():
     modern = modern_graph()  # a graph no query has read yet
     tables = modern.tables()
     assert modern.tables() is tables
-    assert [r.id for r in tables.vertices_sorted] == modern.vertex_ids()
-    # one interned ref per vertex, reached the same way from every table
-    by_id = {r.id: r for r in tables.vertex_refs}
-    assert tables.vertex_refs[tables.vertex_index["1"]] is by_id["1"]
+    assert [r.id for r in tables.vertex_refs] == modern.vertex_ids()
+    # one interned token (rank,) and one interned ref per vertex, by rank
+    rank = {r.id: i for i, r in enumerate(tables.vertex_refs)}
+    assert tables.vertex_tokens == tuple((i,) for i in range(len(rank)))
+    assert tables.vertex_props[rank["1"]]["name"] == "marko"
+    assert tables.vertex_labels[rank["3"]] == "software"
     knows = tables.neighbours("out", "knows")
     assert tables.neighbours("out", "knows") is knows
-    marko = tables.vertex_index["1"]
+    marko = rank["1"]
     assert knows[marko] is None  # not built before first use
-    assert [r.id for r in tables.adjacent("out", "knows", marko)] == ["2", "4"]
+    found = tables.adjacent("out", "knows", marko)
+    assert [tables.vertex_refs[n[0]].id for n in found] == ["2", "4"]
     assert knows[marko] is tables.adjacent("out", "knows", marko)
     for direction, adjacent in (("out", modern.out_adjacent), ("in", modern.in_adjacent)):
         for label in (None, "knows", "created"):
-            for vid in by_id:
-                found = tables.adjacent(direction, label, tables.vertex_index[vid])
-                assert found == tuple(by_id[v] for _, v in adjacent(vid, label))
-                assert all(n is by_id[n.id] for n in found)
+            for vid in rank:
+                found = tables.adjacent(direction, label, rank[vid])
+                assert found == tuple((rank[v],) for _, v in adjacent(vid, label))
+                assert all(n is tables.vertex_tokens[n[0]] for n in found)
     assert [r.id for r in tables.edges_sorted()] == modern.edge_ids()
 
 
