@@ -12,26 +12,8 @@ from .errors import (
     GraphFormatError,
     GremAlgebraError,
     ParseError,
-    UnboundPatternError,
 )
-from .evaluator import (
-    BindingSet,
-    OracleGraphPattern,
-    Path,
-    PatternEdge,
-    PatternVertex,
-    Traverser,
-    bind,
-    eval_match,
-    evaluate,
-    match_all,
-    multiset_union,
-    oracle_match,
-    path_concat,
-    path_join,
-    to_jsonl,
-    to_table,
-)
+from .evaluator import BindingSet, evaluate, multiset_union, to_jsonl, to_table
 from .parser import TraversalAST, parse_traversal, render_traversal, tokenize
 from .property_graph import (
     EdgeRecord,
@@ -54,31 +36,19 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "GremAlgebraError",
-    "OracleGraphPattern",
     "ParseError",
-    "Path",
     "PatternChain",
-    "PatternEdge",
-    "PatternVertex",
     "TraversalAST",
-    "Traverser",
-    "UnboundPatternError",
     "VertexRef",
-    "bind",
     "compile_traversal",
-    "eval_match",
     "evaluate",
     "extract_patterns",
     "load_graph",
     "load_graph_file",
-    "match_all",
     "modern_graph",
     "modern_graph_path",
     "multiset_union",
-    "oracle_match",
     "parse_traversal",
-    "path_concat",
-    "path_join",
     "render_plan",
     "render_traversal",
     "stitch_patterns",

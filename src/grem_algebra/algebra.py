@@ -27,8 +27,6 @@ IN = "in"
 ASCENDING = "asc"
 DESCENDING = "desc"
 
-COMPARATORS = ("=", "!=", "<", "<=", ">", ">=")
-
 AlgebraExpr = Union[
     "GetVertices",
     "GetEdges",
@@ -184,9 +182,8 @@ class Union:
 
 @dataclass(frozen=True)
 class Aggregate:
-    """Reduces a single-column bag; fn is max, min, or count."""
+    """Reduces a single-column bag of numbers to its maximum."""
 
-    fn: str
     input: AlgebraExpr
 
 
@@ -205,31 +202,55 @@ class Argument:
 # -- static variable analysis -------------------------------------------------
 
 
-def introduced_vars(expr: AlgebraExpr) -> set[str]:
-    """Variables bound somewhere inside expr."""
-    if isinstance(expr, (GetVertices, GetEdges)):
-        return {expr.var} if expr.var else set()
-    if isinstance(expr, Traverse):
-        out = introduced_vars(expr.input)
-        if expr.from_var:
-            out.add(expr.from_var)
-        if expr.to_var:
-            out.add(expr.to_var)
-        return out
-    if isinstance(expr, (PropertyFilter, LabelFilter)):
-        out = introduced_vars(expr.input)
-        if expr.var:
-            out.add(expr.var)
-        return out
-    if isinstance(expr, Selection):
-        return introduced_vars(expr.input)
-    if isinstance(expr, (Projection, Dedup, Restriction, Sort, Group, Aggregate)):
-        return introduced_vars(expr.input)
-    if isinstance(expr, (Join, Union)):
-        return introduced_vars(expr.left) | introduced_vars(expr.right)
-    if isinstance(expr, Argument):
-        return {expr.var} if expr.var else set()
+_UNARY = frozenset([
+    Traverse, PropertyFilter, LabelFilter, Selection, Projection, Dedup, Restriction, Sort,
+    Group, Aggregate,
+])
+
+
+def inputs(expr: AlgebraExpr) -> tuple[AlgebraExpr, ...]:
+    """The operator's inputs: left and right for Join/Union, none for a
+    leaf, else its single input.  A Selection's predicate is not an input."""
+    tp = type(expr)
+    if tp in _UNARY:
+        return (expr.input,)  # type: ignore[union-attr]
+    if tp is Join or tp is Union:
+        return (expr.left, expr.right)  # type: ignore[union-attr]
+    if tp is GetVertices or tp is GetEdges or tp is Argument:
+        return ()
     raise TypeError(f"not an algebra expression: {expr!r}")
+
+
+def _binds(expr: AlgebraExpr) -> tuple[str | None, ...]:
+    """The variables the operator itself binds (None: no variable)."""
+    if type(expr) is Traverse:
+        return (expr.from_var, expr.to_var)  # type: ignore[union-attr]
+    if type(expr) in (GetVertices, GetEdges, Argument, PropertyFilter, LabelFilter):
+        return (expr.var,)  # type: ignore[union-attr]
+    return ()
+
+
+def _introduced(expr: AlgebraExpr, memo: dict[int, frozenset[str]]) -> frozenset[str]:
+    """introduced_vars, computed once per node (memo is keyed by node id)."""
+    found = memo.get(id(expr))
+    if found is None:
+        below = inputs(expr)
+        if len(below) == 1:
+            found = _introduced(below[0], memo)
+        elif below:
+            found = _introduced(below[0], memo) | _introduced(below[1], memo)
+        else:
+            found = frozenset()
+        for v in _binds(expr):
+            if v and v not in found:
+                found = found | {v}
+        memo[id(expr)] = found
+    return found
+
+
+def introduced_vars(expr: AlgebraExpr) -> set[str]:
+    """Variables bound somewhere inside expr, outside selection predicates."""
+    return set(_introduced(expr, {}))
 
 
 def merge_columns(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
@@ -280,13 +301,25 @@ def static_columns(expr: AlgebraExpr, arg_columns: tuple[str, ...] = ()) -> tupl
 
     Inside a selection predicate, Argument leaves start from arg_columns,
     the schema of the rows under test (empty at compile time)."""
-    if isinstance(expr, (Join, Union)):
-        inputs = (static_columns(expr.left, arg_columns), static_columns(expr.right, arg_columns))
-    elif isinstance(expr, (GetVertices, GetEdges, Argument)):
-        inputs = ()
-    else:
-        inputs = (static_columns(expr.input, arg_columns),)
-    return output_columns(expr, inputs, arg_columns)
+    schemas = tuple([static_columns(e, arg_columns) for e in inputs(expr)])
+    return output_columns(expr, schemas, arg_columns)
+
+
+_REFERRERS = {
+    Projection: "projection", Dedup: "dedup", Sort: "sort", PropertyFilter: "property filter",
+}
+
+
+def _referenced(expr: AlgebraExpr) -> tuple[str, ...]:
+    """The variables an operator reads that an input must bind."""
+    tp = type(expr)
+    if tp is Projection or tp is Dedup:
+        return expr.vars  # type: ignore[union-attr]
+    if tp is Sort:
+        return tuple(v for v, _ in expr.keys if v is not None)  # type: ignore[union-attr]
+    if tp is PropertyFilter and expr.anchor is not None:  # type: ignore[union-attr]
+        return (expr.anchor,)  # type: ignore[union-attr]
+    return ()
 
 
 def validate(expr: AlgebraExpr, outer_scope: frozenset[str] = frozenset()) -> list[str]:
@@ -297,33 +330,18 @@ def validate(expr: AlgebraExpr, outer_scope: frozenset[str] = frozenset()) -> li
     predicate's outer row).  An empty list means the tree is well-scoped.
     """
     diags: list[str] = []
+    memo: dict[int, frozenset[str]] = {}
 
     def visit(node: AlgebraExpr, scope: frozenset[str]) -> None:
-        if isinstance(node, (GetVertices, GetEdges, Argument)):
-            return
-        if isinstance(node, (Join, Union)):
-            visit(node.left, scope)
-            visit(node.right, scope)
-            return
-        below = frozenset(introduced_vars(node.input)) | scope
-        if isinstance(node, Projection):
-            for v in node.vars:
-                if v not in below:
-                    diags.append(f"unbound {v} in projection")
-        elif isinstance(node, Dedup):
-            for v in node.vars:
-                if v not in below:
-                    diags.append(f"unbound {v} in dedup")
-        elif isinstance(node, Sort):
-            for v, _ in node.keys:
-                if v is not None and v not in below:
-                    diags.append(f"unbound {v} in sort")
-        elif isinstance(node, Selection):
-            visit(node.predicate, below)
-        elif isinstance(node, PropertyFilter):
-            if node.anchor is not None and node.anchor not in below:
-                diags.append(f"unbound {node.anchor} in property filter")
-        visit(node.input, scope)
+        tp = type(node)
+        refs = _referenced(node)
+        if refs or tp is Selection:
+            below = _introduced(node.input, memo) | scope  # type: ignore[union-attr]
+            diags.extend(f"unbound {v} in {_REFERRERS[tp]}" for v in refs if v not in below)
+            if tp is Selection:
+                visit(node.predicate, below)  # type: ignore[union-attr]
+        for e in inputs(node):
+            visit(e, scope)
 
     visit(expr, outer_scope)
     return diags
@@ -385,20 +403,16 @@ def _ascii_label(expr: AlgebraExpr) -> str:
     if isinstance(expr, Union):
         return "union"
     if isinstance(expr, Aggregate):
-        return f"agg[{expr.fn}]"
+        return "agg[max]"
     if isinstance(expr, Argument):
         return "arg" if expr.var is None else f"arg[{expr.var}]"
     raise TypeError(f"not an algebra expression: {expr!r}")
 
 
 def _children(expr: AlgebraExpr) -> tuple[AlgebraExpr, ...]:
-    if isinstance(expr, (GetVertices, GetEdges, Argument)):
-        return ()
-    if isinstance(expr, (Join, Union)):
-        return (expr.left, expr.right)
     if isinstance(expr, Selection):
         return (expr.predicate, expr.input)
-    return (expr.input,)
+    return inputs(expr)
 
 
 def _render_ascii(expr: AlgebraExpr) -> str:
@@ -480,7 +494,7 @@ def _render_paper(expr: AlgebraExpr) -> str:
         if isinstance(node, Union):
             return f"{walk(node.left)} ⊎ {walk(node.right)}"
         if isinstance(node, Aggregate):
-            return wrap(node.fn, walk(node.input))
+            return wrap("max", walk(node.input))
         raise TypeError(f"not an algebra expression: {node!r}")
 
     return walk(expr)
@@ -533,7 +547,7 @@ def _render_curried(expr: AlgebraExpr) -> str:
         if isinstance(node, Union):
             return f"union({walk(node.left)},{walk(node.right)})"
         if isinstance(node, Aggregate):
-            return f"{node.fn}({walk(node.input)})"
+            return f"max({walk(node.input)})"
         raise TypeError(f"not an algebra expression: {node!r}")
 
     return walk(expr)

@@ -73,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         query = _read_query(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read query file: {exc}", file=sys.stderr)
         return EXIT_QUERY_ERROR
 

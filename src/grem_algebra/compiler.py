@@ -107,22 +107,7 @@ def extract_patterns(match_step: Step) -> list[PatternChain]:
                     "as() in the middle of a match() pattern is unsupported; "
                     "split the pattern at the anchor"
                 )
-            if step.kind in (StepKind.OUT, StepKind.IN):
-                label = str(_literal(step.args[0]).value) if step.args else None
-                direction = alg.OUT if step.kind is StepKind.OUT else alg.IN
-                ops.append(ChainTraverse(direction, label))
-            elif step.kind is StepKind.HAS:
-                key = str(_literal(step.args[0]).value)
-                value = _literal(step.args[1]).value if len(step.args) == 2 else None
-                ops.append(ChainHas(key, value))  # type: ignore[arg-type]
-            elif step.kind is StepKind.HAS_LABEL:
-                ops.append(ChainLabel(str(_literal(step.args[0]).value)))
-            elif step.kind is StepKind.VALUES:
-                ops.append(ChainValues(str(_literal(step.args[0]).value)))
-            else:
-                raise CompileError(
-                    f"step {step.kind.value}() is not supported inside a match() pattern"
-                )
+            ops.append(_chain_op(step))
 
         if not ops and end_var is not None and end_var != start_var:
             raise CompileError("empty pattern between two as() anchors")
@@ -130,55 +115,55 @@ def extract_patterns(match_step: Step) -> list[PatternChain]:
     return chains
 
 
+def _chain_op(step: Step) -> ChainOp:
+    """The chain operator of an out/in/has/hasLabel/values step."""
+    kind = step.kind
+    if kind in (StepKind.OUT, StepKind.IN):
+        label = str(_literal(step.args[0]).value) if step.args else None
+        return ChainTraverse(alg.OUT if kind is StepKind.OUT else alg.IN, label)
+    if kind is StepKind.HAS:
+        value = _literal(step.args[1]).value if len(step.args) == 2 else None
+        return ChainHas(str(_literal(step.args[0]).value), value)  # type: ignore[arg-type]
+    if kind is StepKind.HAS_LABEL:
+        return ChainLabel(str(_literal(step.args[0]).value))
+    if kind is StepKind.VALUES:
+        return ChainValues(str(_literal(step.args[0]).value))
+    raise CompileError(f"step {kind.value}() is not supported inside a match() pattern")
+
+
+def _apply_op(
+    op: ChainOp, expr: AlgebraExpr, anchor: str | None, target: str | None
+) -> AlgebraExpr:
+    """The operator for op on top of expr.  anchor names the variable it
+    starts from (None: the current position), target the variable it binds
+    (None: none)."""
+    if isinstance(op, ChainTraverse):
+        return alg.Traverse(op.direction, op.edge_label, anchor, target, expr)
+    if isinstance(op, ChainValues):
+        if anchor is not None:
+            # bind the anchor the way a has()-first chain does; values()
+            # drops elements lacking the key anyway
+            expr = alg.PropertyFilter(anchor, op.key, None, False, expr)
+        return alg.PropertyFilter(target, op.key, None, True, expr, anchor)
+    if target is not None:
+        step = "has" if isinstance(op, ChainHas) else "hasLabel"
+        raise CompileError(
+            f"as({target!r}) after {step}() would alias the pattern anchor; unsupported"
+        )
+    if isinstance(op, ChainHas):
+        predicate = ("=", op.value) if op.value is not None else None
+        return alg.PropertyFilter(anchor, op.key, predicate, False, expr)
+    return alg.LabelFilter(anchor, op.label, expr)
+
+
 def _apply_chain(chain: PatternChain, expr: AlgebraExpr) -> AlgebraExpr:
     """Stack a chain's operators onto expr; the first operator anchors at the
     chain's start variable, the last binds its end variable."""
-    ops = chain.ops
-    for i, op in enumerate(ops):
-        first = i == 0
-        last = i == len(ops) - 1
-        anchor = chain.start_var if first else None
-        target = chain.end_var if last else None
-        if isinstance(op, ChainTraverse):
-            expr = alg.Traverse(
-                direction=op.direction,
-                edge_label=op.edge_label,
-                from_var=anchor,
-                to_var=target,
-                input=expr,
-            )
-        elif isinstance(op, ChainHas):
-            if target is not None:
-                raise CompileError(
-                    f"as({target!r}) after has() would alias the pattern anchor; unsupported"
-                )
-            predicate = ("=", op.value) if op.value is not None else None
-            expr = alg.PropertyFilter(
-                var=anchor, key=op.key, predicate=predicate, bind_value=False, input=expr
-            )
-        elif isinstance(op, ChainLabel):
-            if target is not None:
-                raise CompileError(
-                    f"as({target!r}) after hasLabel() would alias the pattern anchor; unsupported"
-                )
-            expr = alg.LabelFilter(var=anchor, label=op.label, input=expr)
-        elif isinstance(op, ChainValues):
-            if first:
-                # bind the anchor the way a has()-first chain does; values()
-                # drops elements lacking the key anyway
-                expr = alg.PropertyFilter(
-                    var=anchor, key=op.key, predicate=None, bind_value=False, input=expr
-                )
-            expr = alg.PropertyFilter(
-                var=target,
-                key=op.key,
-                predicate=None,
-                bind_value=True,
-                input=expr,
-                anchor=anchor,
-            )
-        else:  # pragma: no cover
-            raise CompileError(f"unknown chain operator {op!r}")
+    last = len(chain.ops) - 1
+    for i, op in enumerate(chain.ops):
+        anchor = chain.start_var if i == 0 else None
+        target = chain.end_var if i == last else None
+        expr = _apply_op(op, expr, anchor, target)
     return expr
 
 
@@ -253,24 +238,6 @@ def stitch_patterns(
 # -- whole-traversal compilation ----------------------------------------------
 
 
-def _segment_chain_step(expr: AlgebraExpr, step: Step) -> AlgebraExpr:
-    """out/in/has/hasLabel/values applied at the current position of a
-    root-level (non-match) segment."""
-    if step.kind in (StepKind.OUT, StepKind.IN):
-        label = str(_literal(step.args[0]).value) if step.args else None
-        direction = alg.OUT if step.kind is StepKind.OUT else alg.IN
-        return alg.Traverse(direction, label, None, None, expr)
-    if step.kind is StepKind.HAS:
-        key = str(_literal(step.args[0]).value)
-        predicate = ("=", _literal(step.args[1]).value) if len(step.args) == 2 else None
-        return alg.PropertyFilter(None, key, predicate, False, expr)  # type: ignore[arg-type]
-    if step.kind is StepKind.HAS_LABEL:
-        return alg.LabelFilter(None, str(_literal(step.args[0]).value), expr)
-    if step.kind is StepKind.VALUES:
-        return alg.PropertyFilter(None, str(_literal(step.args[0]).value), None, True, expr)
-    raise CompileError(f"unexpected step {step.kind.value}()")  # pragma: no cover
-
-
 def _compile_by(expr: AlgebraExpr, step: Step, eq7_grouping: bool) -> AlgebraExpr:
     arg = _literal(step.args[0])
     if isinstance(expr, alg.Projection):
@@ -313,7 +280,7 @@ def _compile_steps(
         if kind is StepKind.AS:
             expr = _name_head(expr, str(_literal(step.args[0]).value))
         elif kind in (StepKind.OUT, StepKind.IN, StepKind.HAS, StepKind.HAS_LABEL, StepKind.VALUES):
-            expr = _segment_chain_step(expr, step)
+            expr = _apply_op(_chain_op(step), expr, None, None)
         elif kind is StepKind.MATCH:
             chains = extract_patterns(step)
             if seen_match:
@@ -369,7 +336,7 @@ def _compile_steps(
         elif kind is StepKind.MAX:
             if pos != len(steps) - 1:
                 raise CompileError("max() must be the final step of the traversal")
-            expr = alg.Aggregate("max", expr)
+            expr = alg.Aggregate(expr)
         else:  # pragma: no cover
             raise CompileError(f"step {kind.value}() reached the compiler unsupported")
     return expr

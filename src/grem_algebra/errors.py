@@ -34,7 +34,3 @@ class CompileError(GremAlgebraError):
 
 class EvaluationError(GremAlgebraError):
     """Raised for runtime errors during plan evaluation."""
-
-
-class UnboundPatternError(EvaluationError):
-    """A match pattern could not run because its start variable never binds."""

@@ -27,10 +27,9 @@ Join is a hash join, sorting uses stable key passes.  ``evaluate`` converts
 the final rows to dicts and each token to the graph's interned
 ``VertexRef``: results never hold a token.
 
-The module also houses the path algebra (concatenation and concatenative
-join over edge sequences), the traverser-level match/bind semantics that
-mirror the compiled route, and a brute-force pattern-matching oracle used
-to cross-check the engine.
+This is the package's only evaluation engine.  The reference semantics it
+is tested against (the path algebra, the traverser-level match route and
+the brute-force oracle) live with the tests, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -38,22 +37,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
-from typing import Iterable
 
 from . import algebra as alg
 from .algebra import AlgebraExpr
-from .compiler import (
-    ChainHas,
-    ChainLabel,
-    ChainTraverse,
-    ChainValues,
-    PatternChain,
-)
-from .errors import EvaluationError, UnboundPatternError
+from .errors import EvaluationError
 from .property_graph import (
     EdgeRef,
     Graph,
@@ -106,108 +96,9 @@ class BindingSet:
 
     def values(self) -> list[Value]:
         """The single value per row: sole visible column, else the position."""
-        return [_natural_value(row, self.columns) for row in self.rows]
-
-
-def _natural_value(row: Row, columns: tuple[str, ...]) -> Value:
-    visible = [c for c in columns if c in row]
-    if len(visible) == 1:
-        return row[visible[0]]
-    if CUR in row:
-        return row[CUR]
-    if visible:
-        return row[visible[-1]]
-    return None
-
-
-# -- paths ---------------------------------------------------------------------
-
-Edge = tuple  # (source, edge label, target)
-
-
-@dataclass(frozen=True)
-class Path:
-    """A path as a sequence of edges (source, label, target).
-
-    Consecutive edges must be incident: each edge's target is the next
-    edge's source.  The empty path is the identity of concatenation.
-    """
-
-    edges: tuple[Edge, ...] = ()
-
-    def __post_init__(self) -> None:
-        for a, b in zip(self.edges, self.edges[1:]):
-            if a[2] != b[0]:
-                raise EvaluationError(f"non-incident path edges {a!r} and {b!r}")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.edges
-
-    @property
-    def length(self) -> int:
-        """Number of edges in the path."""
-        return len(self.edges)
-
-    def first(self) -> object:
-        """γ⁻: the path's first vertex (non-empty paths only)."""
-        if self.is_empty:
-            raise EvaluationError("empty path has no first element")
-        return self.edges[0][0]
-
-    def last(self) -> object:
-        """γ⁺: the path's last vertex (non-empty paths only)."""
-        if self.is_empty:
-            raise EvaluationError("empty path has no last element")
-        return self.edges[-1][2]
-
-    def flatten(self) -> tuple:
-        """All edge triples spliced end to end, e.g. (v1,e1,v2,v2,e2,v3)."""
-        out: list = []
-        for e in self.edges:
-            out.extend(e)
-        return tuple(out)
-
-    def spliced(self) -> tuple:
-        """Vertex/label alternation with shared vertices merged,
-        e.g. (v1,e1,v2,e2,v3)."""
-        if self.is_empty:
-            return ()
-        out: list = [self.edges[0][0]]
-        for src, label, dst in self.edges:
-            out.extend((label, dst))
-        return tuple(out)
-
-
-EMPTY_PATH = Path()
-
-
-def path_concat(p: Path, r: Path) -> Path:
-    """p ∘ r; defined when either side is empty or p ends where r starts."""
-    if p.is_empty:
-        return r
-    if r.is_empty:
-        return p
-    if p.last() != r.first():
-        raise EvaluationError(
-            f"path endpoint mismatch: {p.last()!r} does not meet {r.first()!r}"
-        )
-    return Path(p.edges + r.edges)
-
-
-def path_join(paths: Iterable[Path], others: Iterable[Path]) -> list[Path]:
-    """Concatenative join ⋈∘ of two path multisets.
-
-    Pairs join when either side is empty or the endpoints meet; the empty
-    path acts as identity.
-    """
-    others = list(others)
-    out: list[Path] = []
-    for p in paths:
-        for r in others:
-            if p.is_empty or r.is_empty or p.last() == r.first():
-                out.append(path_concat(p, r))
-    return out
+        rel = _from_bindings(self)
+        slots = list(range(len(rel.cols)))
+        return [_natural(row, slots) for row in rel.rows]
 
 
 # -- predicate helpers ------------------------------------------------------------
@@ -230,10 +121,6 @@ def _compare(value: Value, cmp: str, const: PropertyValue) -> bool:
     if cmp == ">=":
         return value >= const  # type: ignore[operator]
     raise EvaluationError(f"unknown comparator {cmp!r}")
-
-
-def _is_ref(v: object) -> bool:
-    return isinstance(v, (VertexRef, EdgeRef))
 
 
 # -- keys ---------------------------------------------------------------------------
@@ -334,8 +221,8 @@ class _Rel:
 
 
 def _natural(row: tuple, slots: list) -> Value:
-    """_natural_value over a row: the sole present column among slots,
-    else the current position, else the last present column."""
+    """A row's natural value: the sole present column among slots, else
+    the current position, else the last present column."""
     present = [s for s in slots if s is not None and row[s] is not None]
     if len(present) == 1:
         return row[present[0]]
@@ -777,30 +664,25 @@ def _conform(rel: _Rel, cols: tuple[str, ...], tagged: bool, ntags: int) -> list
 
 
 def _aggregate(expr: alg.Aggregate, inputs, t, arg: _Rel | None) -> _Rel:
-    """max/min/count of a single-column bag; inside a predicate, one per
-    row under test (count: also for rows under test with no input)."""
+    """max of a single-column bag; inside a predicate, one per row under
+    test that has input."""
     (src,) = inputs
     if len(src.cols) > 1:
-        raise EvaluationError(f"{expr.fn}() needs a single-column input")
+        raise EvaluationError("max() needs a single-column input")
     slots = [src.slot(c) for c in src.cols]
     values = [_natural(r, slots) for r in src.rows]
     tags = list(map(itemgetter(0), src.rows)) if src.tagged else [0] * len(values)
-    if expr.fn == "count":
-        counts = Counter(tags)
-        if not src.tagged:
-            return _Rel((), [(counts[0],)])
-        return _Rel((), [(i, counts[i]) for i in range(len(arg.rows))], True)  # type: ignore[union-attr]
     for v in values:
         if not is_numeric(v):
             shown = t.vertex_refs[v[0]] if type(v) is tuple else v  # type: ignore[index]
-            raise EvaluationError(f"{expr.fn}() over non-numeric value {shown!r}")
+            raise EvaluationError(f"max() over non-numeric value {shown!r}")
     groups: dict[int, list] = {}
     for tag, v in zip(tags, values):
         groups.setdefault(tag, []).append(v)
     rows = []
     for tag, bag in groups.items():
         mixed = any(isinstance(v, float) for v in bag) and any(isinstance(v, int) for v in bag)
-        result = max(bag) if expr.fn == "max" else min(bag)
+        result = max(bag)
         if mixed:
             result = float(result)
         rows.append((tag, result) if src.tagged else (result,))
@@ -883,267 +765,6 @@ def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
             f"union schema mismatch: {list(a.columns)} vs {list(b.columns)}"
         )
     return _to_bindings(_union_rels(_from_bindings(a), _from_bindings(b), 0), None)
-
-
-# -- traverser-level match semantics ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class Traverser:
-    """Execution token: current location, labeled path, hidden markers."""
-
-    location: Value
-    labeled_path: dict = field(default_factory=dict)
-    hidden_labels: frozenset[str] = frozenset()
-
-
-def bind(t: Traverser, var: str) -> Traverser | None:
-    """Bind the traverser's location to a path label.
-
-    Unbound label: record the location.  Already bound to the current
-    location: unchanged.  Bound to something else: the traverser dies
-    (None).
-    """
-    bound = t.labeled_path.get(var)
-    if bound is None:
-        return replace(t, labeled_path={**t.labeled_path, var: t.location})
-    if values_equal(bound, t.location):
-        return t
-    return None
-
-
-def _run_chain(chain: PatternChain, g: Graph, t: Traverser) -> list[Traverser]:
-    """Execute one pattern for one traverser; may fork or die."""
-    start = t.labeled_path[chain.start_var]
-    current = [replace(t, location=start)]
-    for op in chain.ops:
-        next_gen: list[Traverser] = []
-        for tr in current:
-            loc = tr.location
-            if isinstance(op, ChainTraverse):
-                if not isinstance(loc, VertexRef):
-                    raise EvaluationError(f"traverse requires a vertex, got {loc!r}")
-                if op.direction == alg.OUT:
-                    pairs = g.out_adjacent(loc.id, op.edge_label)
-                else:
-                    pairs = g.in_adjacent(loc.id, op.edge_label)
-                next_gen.extend(replace(tr, location=VertexRef(v)) for _, v in pairs)
-            elif isinstance(op, ChainLabel):
-                if _is_ref(loc) and g.element_label(loc) == op.label:
-                    next_gen.append(tr)
-            elif isinstance(op, ChainHas):
-                if not _is_ref(loc):
-                    continue
-                value = g.ref_property(loc, op.key)
-                if value is None:
-                    continue
-                if op.value is None or values_equal(value, op.value):
-                    next_gen.append(tr)
-            elif isinstance(op, ChainValues):
-                if not _is_ref(loc):
-                    continue
-                value = g.ref_property(loc, op.key)
-                if value is not None:
-                    next_gen.append(replace(tr, location=value))
-            else:  # pragma: no cover
-                raise EvaluationError(f"unknown chain operator {op!r}")
-        current = next_gen
-    if chain.end_var is not None:
-        bound = (bind(tr, chain.end_var) for tr in current)
-        current = [tr for tr in bound if tr is not None]
-    return current
-
-
-def eval_match(chains: list[PatternChain], g: Graph, t: Traverser) -> BindingSet:
-    """Run match() for a single seeded traverser.
-
-    Repeatedly executes the first pattern (in list order) whose start
-    variable is bound and whose hidden marker is unset, appending the
-    marker afterwards so each pattern runs exactly once per traverser.
-    A traverser with unexecuted patterns and none runnable means a pattern
-    whose start can never bind: an error.
-    """
-    markers = [f"m{i + 1}" for i in range(len(chains))]
-    columns: list[str] = []
-    for chain in chains:
-        for v in chain.vars:
-            if v not in columns:
-                columns.append(v)
-
-    finished: list[Traverser] = []
-    work = [t]
-    while work:
-        tr = work.pop()
-        runnable = next(
-            (
-                i
-                for i, chain in enumerate(chains)
-                if markers[i] not in tr.hidden_labels
-                and chain.start_var in tr.labeled_path
-            ),
-            None,
-        )
-        if runnable is None:
-            if len(tr.hidden_labels) == len(chains):
-                finished.append(tr)
-                continue
-            missing = [
-                chains[i].start_var
-                for i in range(len(chains))
-                if markers[i] not in tr.hidden_labels
-            ]
-            raise UnboundPatternError(
-                f"pattern(s) starting at {missing} can never run: start variable unbound"
-            )
-        produced = _run_chain(chains[runnable], g, tr)
-        marker = markers[runnable]
-        work.extend(
-            replace(p, hidden_labels=p.hidden_labels | {marker}) for p in produced
-        )
-
-    rows = [{v: tr.labeled_path[v] for v in columns} for tr in finished]
-    return BindingSet(tuple(columns), rows)
-
-
-def match_entry_var(chains: list[PatternChain]) -> str:
-    """First start variable from which every pattern becomes runnable."""
-    candidates = []
-    for chain in chains:
-        if chain.start_var not in candidates:
-            candidates.append(chain.start_var)
-    for candidate in candidates:
-        bound = {candidate}
-        done: set[int] = set()
-        progressed = True
-        while progressed:
-            progressed = False
-            for i, chain in enumerate(chains):
-                if i in done or chain.start_var not in bound:
-                    continue
-                done.add(i)
-                bound.update(chain.vars)
-                progressed = True
-        if len(done) == len(chains):
-            return candidate
-    raise UnboundPatternError(
-        "no entry variable reaches every pattern; the match is disconnected"
-    )
-
-
-def match_all(chains: list[PatternChain], g: Graph) -> BindingSet:
-    """Run match() seeded at every vertex (the g.V().match(...) shape)."""
-    entry = match_entry_var(chains)
-    merged: BindingSet | None = None
-    for vid in g.vertex_ids():
-        ref = VertexRef(vid)
-        t = Traverser(location=ref, labeled_path={entry: ref})
-        result = eval_match(chains, g, t)
-        merged = result if merged is None else multiset_union(merged, result)
-    return merged if merged is not None else BindingSet((), [])
-
-
-# -- brute-force oracle -------------------------------------------------------------
-
-MAX_ORACLE_VARS = 6
-
-
-@dataclass(frozen=True)
-class PatternVertex:
-    """A pattern variable with optional label/property constraints."""
-
-    var: str
-    label: str | None = None
-    props: tuple[tuple[str, str, PropertyValue], ...] = ()
-    has_keys: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class PatternEdge:
-    src: str
-    dst: str
-    label: str | None = None
-
-
-@dataclass(frozen=True)
-class OracleGraphPattern:
-    vertices: tuple[PatternVertex, ...]
-    edges: tuple[PatternEdge, ...] = ()
-    # value extractions: (vertex var, property key, value var)
-    values: tuple[tuple[str, str, str], ...] = ()
-
-
-def oracle_match(pattern: OracleGraphPattern, g: Graph) -> BindingSet:
-    """Enumerate every assignment of pattern variables to graph vertices.
-
-    An assignment survives when all vertex constraints hold; its
-    multiplicity is the product over pattern edges of the number of graph
-    edges realizing them (label included).  Value extractions append the
-    property values of assigned vertices, dropping assignments where the
-    key is absent.
-    """
-    if len(pattern.vertices) > MAX_ORACLE_VARS:
-        raise EvaluationError(
-            f"oracle pattern has {len(pattern.vertices)} variables; limit is {MAX_ORACLE_VARS}"
-        )
-    declared = {pv.var for pv in pattern.vertices}
-    for edge in pattern.edges:
-        if edge.src not in declared or edge.dst not in declared:
-            raise EvaluationError(f"pattern edge {edge} references an undeclared variable")
-    for vvar, _key, _tvar in pattern.values:
-        if vvar not in declared:
-            raise EvaluationError(f"value extraction references undeclared variable {vvar!r}")
-
-    columns = [pv.var for pv in pattern.vertices] + [tv for _, _, tv in pattern.values]
-    rows: list[Row] = []
-    vertex_ids = g.vertex_ids()
-    for combo in itertools.product(vertex_ids, repeat=len(pattern.vertices)):
-        assignment = {pv.var: vid for pv, vid in zip(pattern.vertices, combo)}
-        ok = True
-        for pv, vid in zip(pattern.vertices, combo):
-            if pv.label is not None and g.vertex_label(vid) != pv.label:
-                ok = False
-                break
-            for key, cmp, const in pv.props:
-                val = g.element_property(vid, key)
-                if val is None or not _compare(val, cmp, const):
-                    ok = False
-                    break
-            if not ok:
-                break
-            for key in pv.has_keys:
-                if g.element_property(vid, key) is None:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-
-        multiplicity = 1
-        for edge in pattern.edges:
-            src = assignment[edge.src]
-            dst = assignment[edge.dst]
-            count = sum(
-                1 for _eid, target in g.out_adjacent(src, edge.label) if target == dst
-            )
-            multiplicity *= count
-            if multiplicity == 0:
-                break
-        if multiplicity == 0:
-            continue
-
-        row: Row = {v: VertexRef(vid) for v, vid in assignment.items()}
-        dead = False
-        for vvar, key, tvar in pattern.values:
-            val = g.element_property(assignment[vvar], key)
-            if val is None:
-                dead = True
-                break
-            row[tvar] = val
-        if dead:
-            continue
-        rows.extend(dict(row) for _ in range(multiplicity))
-    return BindingSet(tuple(columns), rows)
 
 
 # -- result serialization -------------------------------------------------------------

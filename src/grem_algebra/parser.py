@@ -229,9 +229,6 @@ class TraversalAST:
 
 _STEP_NAMES = {k.value: k for k in StepKind}
 
-# Steps whose arguments are nested anonymous traversals.
-_NESTING_STEPS = {StepKind.MATCH, StepKind.UNION, StepKind.WHERE, StepKind.NOT, StepKind.AND}
-
 
 # -- parser ------------------------------------------------------------------
 

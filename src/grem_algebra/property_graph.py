@@ -100,9 +100,6 @@ def value_key(v: object) -> tuple:
     raise TypeError(f"not a graph value: {v!r}")
 
 
-_TYPE_RANK = {"b": 0, "n": 1, "s": 2, "v": 3, "e": 4}
-
-
 def sort_key(v: object) -> tuple:
     """Deterministic total-order key across value types.
 
@@ -315,12 +312,6 @@ class Graph:
         """All edge ids in ascending lexicographic order."""
         return sorted(self._e_ids)
 
-    def has_vertex(self, vid: str) -> bool:
-        return vid in self._v_index
-
-    def has_edge(self, eid: str) -> bool:
-        return eid in self._e_index
-
     def vertex_label(self, vid: str) -> str:
         return self._v_labels[self._require_vertex(vid)]
 
@@ -378,17 +369,6 @@ class Graph:
         if elem in self._e_index:
             return self._e_props[self._e_index[elem]].get(key)
         raise GraphFormatError(f"unknown element id {elem!r}")
-
-    def ref_property(self, ref: VertexRef | EdgeRef, key: str) -> PropertyValue | None:
-        if isinstance(ref, VertexRef):
-            return self._v_props[self._require_vertex(ref.id)].get(key)
-        return self._e_props[self._require_edge(ref.id)].get(key)
-
-    def vertex_properties(self, vid: str) -> dict[str, PropertyValue]:
-        return dict(self._v_props[self._require_vertex(vid)])
-
-    def edge_properties(self, eid: str) -> dict[str, PropertyValue]:
-        return dict(self._e_props[self._require_edge(eid)])
 
     # -- misc --------------------------------------------------------------
 
@@ -466,18 +446,20 @@ def load_graph(source: Union[str, bytes, IO]) -> Graph:
     Format: {"vertices": [{"id","label","properties"?}...],
              "edges": [{"id","label","outV","inV","properties"?}...]}.
     Unknown keys are rejected; every vertex and edge must carry a label;
-    non-finite numbers (NaN, Infinity) are rejected.
+    non-finite numbers (NaN, Infinity) are rejected.  Bytes must be UTF-8.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    try:
+        data = source.read() if hasattr(source, "read") else source
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise GraphFormatError("invalid JSON: nested too deeply") from None
 
     if not isinstance(doc, dict):
         raise GraphFormatError("top level must be a JSON object")

@@ -14,15 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from grem_algebra import (
-    Graph,
-    OracleGraphPattern,
-    PatternEdge,
-    PatternVertex,
-    load_graph,
-    oracle_match,
-)
+from grem_algebra import Graph, load_graph
 from grem_algebra.property_graph import value_key
+
+from reference import OracleGraphPattern, PatternEdge, PatternVertex, oracle_match
 
 Q_OLDEST_KNOWN_AGE = 'g.V().has("name","marko").out("knows").values("age").max()'
 

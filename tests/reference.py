@@ -1,0 +1,381 @@
+"""Reference semantics the engine is tested against.
+
+None of this is part of the package: it is a second and a third way to
+answer the questions the evaluator answers, kept simple so that tests can
+trust it.
+
+* the path algebra: paths as edge sequences, concatenation and the
+  concatenative join;
+* the traverser route: match() run one traverser at a time, each pattern
+  exactly once per traverser, with the three-case ``bind`` contract;
+* the brute-force oracle: every assignment of pattern variables to
+  vertices, with edge multiplicities.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field, replace
+from typing import Iterable
+
+from grem_algebra import algebra as alg
+from grem_algebra.compiler import ChainHas, ChainLabel, ChainTraverse, ChainValues, PatternChain
+from grem_algebra.errors import EvaluationError
+from grem_algebra.evaluator import BindingSet, Value, _compare, multiset_union
+from grem_algebra.property_graph import EdgeRef, Graph, PropertyValue, VertexRef, values_equal
+
+
+class UnboundPatternError(EvaluationError):
+    """A match pattern could not run because its start variable never binds."""
+
+
+# -- paths ---------------------------------------------------------------------
+
+Edge = tuple  # (source, edge label, target)
+
+
+@dataclass(frozen=True)
+class Path:
+    """A path as a sequence of edges (source, label, target).
+
+    Consecutive edges must be incident: each edge's target is the next
+    edge's source.  The empty path is the identity of concatenation.
+    """
+
+    edges: tuple[Edge, ...] = ()
+
+    def __post_init__(self) -> None:
+        for a, b in zip(self.edges, self.edges[1:]):
+            if a[2] != b[0]:
+                raise EvaluationError(f"non-incident path edges {a!r} and {b!r}")
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.edges
+
+    @property
+    def length(self) -> int:
+        """Number of edges in the path."""
+        return len(self.edges)
+
+    def first(self) -> object:
+        """γ⁻: the path's first vertex (non-empty paths only)."""
+        if self.is_empty:
+            raise EvaluationError("empty path has no first element")
+        return self.edges[0][0]
+
+    def last(self) -> object:
+        """γ⁺: the path's last vertex (non-empty paths only)."""
+        if self.is_empty:
+            raise EvaluationError("empty path has no last element")
+        return self.edges[-1][2]
+
+    def flatten(self) -> tuple:
+        """All edge triples spliced end to end, e.g. (v1,e1,v2,v2,e2,v3)."""
+        out: list = []
+        for e in self.edges:
+            out.extend(e)
+        return tuple(out)
+
+    def spliced(self) -> tuple:
+        """Vertex/label alternation with shared vertices merged,
+        e.g. (v1,e1,v2,e2,v3)."""
+        if self.is_empty:
+            return ()
+        out: list = [self.edges[0][0]]
+        for src, label, dst in self.edges:
+            out.extend((label, dst))
+        return tuple(out)
+
+
+EMPTY_PATH = Path()
+
+
+def path_concat(p: Path, r: Path) -> Path:
+    """p ∘ r; defined when either side is empty or p ends where r starts."""
+    if p.is_empty:
+        return r
+    if r.is_empty:
+        return p
+    if p.last() != r.first():
+        raise EvaluationError(
+            f"path endpoint mismatch: {p.last()!r} does not meet {r.first()!r}"
+        )
+    return Path(p.edges + r.edges)
+
+
+def path_join(paths: Iterable[Path], others: Iterable[Path]) -> list[Path]:
+    """Concatenative join ⋈∘ of two path multisets.
+
+    Pairs join when either side is empty or the endpoints meet; the empty
+    path acts as identity.
+    """
+    others = list(others)
+    out: list[Path] = []
+    for p in paths:
+        for r in others:
+            if p.is_empty or r.is_empty or p.last() == r.first():
+                out.append(path_concat(p, r))
+    return out
+
+
+# -- traverser-level match semantics ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class Traverser:
+    """Execution token: current location, labeled path, hidden markers."""
+
+    location: Value
+    labeled_path: dict = field(default_factory=dict)
+    hidden_labels: frozenset[str] = frozenset()
+
+
+def bind(t: Traverser, var: str) -> Traverser | None:
+    """Bind the traverser's location to a path label.
+
+    Unbound label: record the location.  Already bound to the current
+    location: unchanged.  Bound to something else: the traverser dies
+    (None).
+    """
+    bound = t.labeled_path.get(var)
+    if bound is None:
+        return replace(t, labeled_path={**t.labeled_path, var: t.location})
+    if values_equal(bound, t.location):
+        return t
+    return None
+
+
+def _run_chain(chain: PatternChain, g: Graph, t: Traverser) -> list[Traverser]:
+    """Execute one pattern for one traverser; may fork or die."""
+    start = t.labeled_path[chain.start_var]
+    current = [replace(t, location=start)]
+    for op in chain.ops:
+        next_gen: list[Traverser] = []
+        for tr in current:
+            loc = tr.location
+            is_ref = isinstance(loc, (VertexRef, EdgeRef))
+            if isinstance(op, ChainTraverse):
+                if not isinstance(loc, VertexRef):
+                    raise EvaluationError(f"traverse requires a vertex, got {loc!r}")
+                if op.direction == alg.OUT:
+                    pairs = g.out_adjacent(loc.id, op.edge_label)
+                else:
+                    pairs = g.in_adjacent(loc.id, op.edge_label)
+                next_gen.extend(replace(tr, location=VertexRef(v)) for _, v in pairs)
+            elif isinstance(op, ChainLabel):
+                if is_ref and g.element_label(loc) == op.label:
+                    next_gen.append(tr)
+            elif isinstance(op, ChainHas):
+                if not is_ref:
+                    continue
+                value = g.element_property(loc.id, op.key)
+                if value is None:
+                    continue
+                if op.value is None or values_equal(value, op.value):
+                    next_gen.append(tr)
+            elif isinstance(op, ChainValues):
+                if not is_ref:
+                    continue
+                value = g.element_property(loc.id, op.key)
+                if value is not None:
+                    next_gen.append(replace(tr, location=value))
+            else:  # pragma: no cover
+                raise EvaluationError(f"unknown chain operator {op!r}")
+        current = next_gen
+    if chain.end_var is not None:
+        bound = (bind(tr, chain.end_var) for tr in current)
+        current = [tr for tr in bound if tr is not None]
+    return current
+
+
+def eval_match(chains: list[PatternChain], g: Graph, t: Traverser) -> BindingSet:
+    """Run match() for a single seeded traverser.
+
+    Repeatedly executes the first pattern (in list order) whose start
+    variable is bound and whose hidden marker is unset, appending the
+    marker afterwards so each pattern runs exactly once per traverser.
+    A traverser with unexecuted patterns and none runnable means a pattern
+    whose start can never bind: an error.
+    """
+    markers = [f"m{i + 1}" for i in range(len(chains))]
+    columns: list[str] = []
+    for chain in chains:
+        for v in chain.vars:
+            if v not in columns:
+                columns.append(v)
+
+    finished: list[Traverser] = []
+    work = [t]
+    while work:
+        tr = work.pop()
+        runnable = next(
+            (
+                i
+                for i, chain in enumerate(chains)
+                if markers[i] not in tr.hidden_labels
+                and chain.start_var in tr.labeled_path
+            ),
+            None,
+        )
+        if runnable is None:
+            if len(tr.hidden_labels) == len(chains):
+                finished.append(tr)
+                continue
+            missing = [
+                chains[i].start_var
+                for i in range(len(chains))
+                if markers[i] not in tr.hidden_labels
+            ]
+            raise UnboundPatternError(
+                f"pattern(s) starting at {missing} can never run: start variable unbound"
+            )
+        produced = _run_chain(chains[runnable], g, tr)
+        marker = markers[runnable]
+        work.extend(
+            replace(p, hidden_labels=p.hidden_labels | {marker}) for p in produced
+        )
+
+    rows = [{v: tr.labeled_path[v] for v in columns} for tr in finished]
+    return BindingSet(tuple(columns), rows)
+
+
+def match_entry_var(chains: list[PatternChain]) -> str:
+    """First start variable from which every pattern becomes runnable."""
+    candidates = []
+    for chain in chains:
+        if chain.start_var not in candidates:
+            candidates.append(chain.start_var)
+    for candidate in candidates:
+        bound = {candidate}
+        done: set[int] = set()
+        progressed = True
+        while progressed:
+            progressed = False
+            for i, chain in enumerate(chains):
+                if i in done or chain.start_var not in bound:
+                    continue
+                done.add(i)
+                bound.update(chain.vars)
+                progressed = True
+        if len(done) == len(chains):
+            return candidate
+    raise UnboundPatternError(
+        "no entry variable reaches every pattern; the match is disconnected"
+    )
+
+
+def match_all(chains: list[PatternChain], g: Graph) -> BindingSet:
+    """Run match() seeded at every vertex (the g.V().match(...) shape)."""
+    entry = match_entry_var(chains)
+    merged: BindingSet | None = None
+    for vid in g.vertex_ids():
+        ref = VertexRef(vid)
+        t = Traverser(location=ref, labeled_path={entry: ref})
+        result = eval_match(chains, g, t)
+        merged = result if merged is None else multiset_union(merged, result)
+    return merged if merged is not None else BindingSet((), [])
+
+
+# -- brute-force oracle -------------------------------------------------------------
+
+MAX_ORACLE_VARS = 6
+
+
+@dataclass(frozen=True)
+class PatternVertex:
+    """A pattern variable with optional label/property constraints."""
+
+    var: str
+    label: str | None = None
+    props: tuple[tuple[str, str, PropertyValue], ...] = ()
+    has_keys: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class PatternEdge:
+    src: str
+    dst: str
+    label: str | None = None
+
+
+@dataclass(frozen=True)
+class OracleGraphPattern:
+    vertices: tuple[PatternVertex, ...]
+    edges: tuple[PatternEdge, ...] = ()
+    # value extractions: (vertex var, property key, value var)
+    values: tuple[tuple[str, str, str], ...] = ()
+
+
+def oracle_match(pattern: OracleGraphPattern, g: Graph) -> BindingSet:
+    """Enumerate every assignment of pattern variables to graph vertices.
+
+    An assignment survives when all vertex constraints hold; its
+    multiplicity is the product over pattern edges of the number of graph
+    edges realizing them (label included).  Value extractions append the
+    property values of assigned vertices, dropping assignments where the
+    key is absent.
+    """
+    if len(pattern.vertices) > MAX_ORACLE_VARS:
+        raise EvaluationError(
+            f"oracle pattern has {len(pattern.vertices)} variables; limit is {MAX_ORACLE_VARS}"
+        )
+    declared = {pv.var for pv in pattern.vertices}
+    for edge in pattern.edges:
+        if edge.src not in declared or edge.dst not in declared:
+            raise EvaluationError(f"pattern edge {edge} references an undeclared variable")
+    for vvar, _key, _tvar in pattern.values:
+        if vvar not in declared:
+            raise EvaluationError(f"value extraction references undeclared variable {vvar!r}")
+
+    columns = [pv.var for pv in pattern.vertices] + [tv for _, _, tv in pattern.values]
+    rows: list[dict] = []
+    vertex_ids = g.vertex_ids()
+    for combo in itertools.product(vertex_ids, repeat=len(pattern.vertices)):
+        assignment = {pv.var: vid for pv, vid in zip(pattern.vertices, combo)}
+        ok = True
+        for pv, vid in zip(pattern.vertices, combo):
+            if pv.label is not None and g.vertex_label(vid) != pv.label:
+                ok = False
+                break
+            for key, cmp, const in pv.props:
+                val = g.element_property(vid, key)
+                if val is None or not _compare(val, cmp, const):
+                    ok = False
+                    break
+            if not ok:
+                break
+            for key in pv.has_keys:
+                if g.element_property(vid, key) is None:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+
+        multiplicity = 1
+        for edge in pattern.edges:
+            src = assignment[edge.src]
+            dst = assignment[edge.dst]
+            count = sum(
+                1 for _eid, target in g.out_adjacent(src, edge.label) if target == dst
+            )
+            multiplicity *= count
+            if multiplicity == 0:
+                break
+        if multiplicity == 0:
+            continue
+
+        row: dict = {v: VertexRef(vid) for v, vid in assignment.items()}
+        dead = False
+        for vvar, key, tvar in pattern.values:
+            val = g.element_property(assignment[vvar], key)
+            if val is None:
+                dead = True
+                break
+            row[tvar] = val
+        if dead:
+            continue
+        rows.extend(dict(row) for _ in range(multiplicity))
+    return BindingSet(tuple(columns), rows)

@@ -11,25 +11,19 @@ from collections import Counter
 from grem_algebra import (
     BindingSet,
     ParseError,
-    Path,
-    Traverser,
-    bind,
     compile_traversal,
     evaluate,
     extract_patterns,
-    match_all,
     multiset_union,
     parse_traversal,
-    path_concat,
-    path_join,
     render_plan,
     stitch_patterns,
 )
 from grem_algebra.algebra import Dedup, GetVertices, Projection, Restriction, Traverse, Union
-from grem_algebra.evaluator import EMPTY_PATH
 from grem_algebra.parser import Step, StepKind, TraversalAST
 from grem_algebra.property_graph import VertexRef
 
+from reference import EMPTY_PATH, Path, Traverser, bind, match_all, path_concat, path_join
 from corpus import (
     CORPUS,
     Q_OLDEST_KNOWN_AGE,

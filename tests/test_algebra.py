@@ -146,7 +146,7 @@ def _random_expr(rng, depth=0):
         return rng.choice(
             [
                 Group(rng.choice([None, "name"]), child),
-                Aggregate(rng.choice(["max", "min", "count"]), child),
+                Aggregate(child),
                 Selection(_random_expr(rng, depth + 1), child),
             ]
         )

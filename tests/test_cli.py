@@ -107,6 +107,29 @@ def test_query_file(tmp_path):
     assert proc.stdout == "32\n"
 
 
+def test_query_file_not_utf8_exit_1(tmp_path):
+    path = tmp_path / "query.grem"
+    path.write_bytes(b"g.V().has('name','\xff')")
+    proc = cli("run", "--graph", modern_graph_path(), "--query-file", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot read query file:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_graph_not_utf8_or_nested_too_deeply_exit_2(tmp_path):
+    path = tmp_path / "graph.json"
+    for data, message in [
+        (b'{"vertices": [{"id": "\xff", "label": "person"}], "edges": []}', "not UTF-8"),
+        (b'{"vertices": [' + b"[" * 100_000 + b"]" * 100_000 + b'], "edges": []}',
+         "nested too deeply"),
+    ]:
+        path.write_bytes(data)
+        proc = cli("run", "--graph", str(path), "--query", "g.V()")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("graph error:") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_query_and_query_file_exclusive(tmp_path):
     path = tmp_path / "query.grem"
     path.write_text("g.V()")

@@ -46,7 +46,6 @@ def match_step(text):
 
 def test_oldest_known_age_tree():
     assert compiled(Q_OLDEST_KNOWN_AGE) == Aggregate(
-        "max",
         PropertyFilter(
             None,
             "age",

@@ -7,25 +7,27 @@ import pytest
 
 from grem_algebra import (
     EvaluationError,
+    compile_traversal,
+    evaluate,
+    extract_patterns,
+    parse_traversal,
+    stitch_patterns,
+)
+from grem_algebra.parser import StepKind
+from grem_algebra.property_graph import VertexRef
+
+from reference import (
     OracleGraphPattern,
     PatternEdge,
     PatternVertex,
     Traverser,
     UnboundPatternError,
     bind,
-    compile_traversal,
     eval_match,
-    evaluate,
-    extract_patterns,
     match_all,
+    match_entry_var,
     oracle_match,
-    parse_traversal,
-    stitch_patterns,
 )
-from grem_algebra.evaluator import match_entry_var
-from grem_algebra.parser import StepKind
-from grem_algebra.property_graph import VertexRef
-
 from corpus import Q_COCREATOR_30, Q_COCREATOR_32, random_graph
 
 

@@ -1,6 +1,8 @@
 """Loader, adjacency, and property lookups of the property graph."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -156,6 +158,29 @@ def test_json_error_carries_position():
     with pytest.raises(GraphFormatError) as exc:
         load_graph('{"vertices": [\n  {"id": }], "edges": []}')
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"vertices": [{"id": "\xff", "label": "person"}], "edges": []}',
+        '{"vertices": [], "edges": []}'.encode("utf-16"),
+    ],
+    ids=["invalid-byte", "utf-16"],
+)
+def test_non_utf8_bytes_rejected(data):
+    with pytest.raises(GraphFormatError, match="not UTF-8"):
+        load_graph(data)
+    with pytest.raises(GraphFormatError, match="not UTF-8"):
+        load_graph(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("depth", [100_000, sys.getrecursionlimit() + 10])
+def test_json_nested_past_the_decoder_limit_rejected(depth):
+    text = '{"vertices": [{"id": "1", "label": "person", "properties": {"k": '
+    text += "[" * depth + "]" * depth + "}}], \"edges\": []}"
+    with pytest.raises(GraphFormatError, match="nested too deeply"):
+        load_graph(text)
 
 
 def test_missing_sections_rejected():

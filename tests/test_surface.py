@@ -1,0 +1,80 @@
+"""The package's surface: one engine, every operator reachable, no stale names.
+
+The path algebra, the traverser route and the brute-force oracle are
+reference semantics and live in tests/reference.py; the package itself
+ships only the evaluator they are checked against.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import pathlib
+import pkgutil
+import re
+
+import grem_algebra
+from grem_algebra import algebra as alg
+from grem_algebra import compile_traversal, parse_traversal
+
+import reference
+from corpus import Q_COCREATOR_30
+from test_golden_eval import golden_queries
+from test_vertex_tokens import QUERIES as VERTEX_TOKEN_QUERIES
+
+MOVED = {
+    "Path", "EMPTY_PATH", "path_concat", "path_join",
+    "Traverser", "bind", "_run_chain", "eval_match", "match_entry_var", "match_all",
+    "oracle_match", "PatternVertex", "PatternEdge", "OracleGraphPattern", "MAX_ORACLE_VARS",
+    "UnboundPatternError",
+}
+# Plain words as well: a local variable or a sentence may use them.
+COMMON_WORDS = {"Path", "bind"}
+
+
+def _operator_classes() -> set[type]:
+    return {
+        c for c in vars(alg).values()
+        if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == alg.__name__
+    }
+
+
+def _plan_classes(expr) -> set[type]:
+    found = {type(expr)}
+    if isinstance(expr, alg.Selection):
+        found |= _plan_classes(expr.predicate)
+    for e in alg.inputs(expr):
+        found |= _plan_classes(e)
+    return found
+
+
+def _package_modules() -> list:
+    return [
+        importlib.import_module(f"{grem_algebra.__name__}.{m.name}")
+        for m in pkgutil.iter_modules(grem_algebra.__path__)
+    ] + [grem_algebra]
+
+
+def test_every_operator_is_reached_by_a_tested_query():
+    texts = [text for _, text in golden_queries()] + list(VERTEX_TOKEN_QUERIES)
+    plans = [compile_traversal(parse_traversal(text)) for text in texts]
+    plans.append(compile_traversal(parse_traversal(Q_COCREATOR_30), eq7_grouping=True))
+    reached: set[type] = set()
+    for plan in plans:
+        reached |= _plan_classes(plan)
+    assert _operator_classes() - reached == set()
+
+
+def test_every_exported_name_resolves():
+    assert len(set(grem_algebra.__all__)) == len(grem_algebra.__all__)
+    for name in grem_algebra.__all__:
+        assert getattr(grem_algebra, name) is not None, name
+
+
+def test_reference_semantics_stay_out_of_the_package():
+    assert MOVED <= set(vars(reference))
+    words = re.compile(r"\b(" + "|".join(sorted(MOVED - COMMON_WORDS)) + r")\b")
+    for module in _package_modules():
+        assert MOVED & set(vars(module)) == set(), module.__name__
+        source = pathlib.Path(module.__file__).read_text(encoding="utf-8")
+        assert words.findall(source) == [], module.__name__
