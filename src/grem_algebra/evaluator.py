@@ -12,14 +12,14 @@ grouping preserves its input order.
 Inside the engine a row is a tuple, not a dict: one slot per column, in
 the order of the column rules of ``algebra.output_columns``, then a final
 slot for the current position; None marks an absent binding.  A vertex is
-its token, the 1-tuple ``(rank,)`` of its rank in id order, read through
-lookup tables the graph builds once, on first use (``Graph.tables()``):
+its token, the 1-tuple ``(rank,)`` of its rank in id order.  The operators
+read the graph's own layout, which it builds at load (see ``Graph``):
 tokens, labels and properties by rank, and neighbour tokens per direction
-and label.  A token is interned and is the only tuple a row value can be;
-it orders, dedups and joins as itself.  Rows of tokens and scalars hold
-nothing CPython's cyclic garbage collector must follow, so it stops
-tracking them at their first collection.  An edge is the graph's interned
-``EdgeRef``.  where()/not() run their predicate once over all input rows,
+and label, built on first use.  A token is interned and is the only tuple
+a row value can be; it orders, dedups and joins as itself.  Rows of tokens
+and scalars hold nothing CPython's cyclic garbage collector must follow,
+so it stops tracking them at their first collection.  An edge is the
+graph's interned ``EdgeRef``.  where()/not() run their predicate once over all input rows,
 each tagged with its row's index in a hidden first slot.  Inside the
 predicate, dedup, join, limit and aggregate key on that tag, and sort and
 group are stable, so the batch answers exactly what one run per row would.
@@ -47,7 +47,6 @@ from .errors import EvaluationError
 from .property_graph import (
     EdgeRef,
     Graph,
-    GraphTables,
     PropertyValue,
     VertexRef,
     is_numeric,
@@ -126,7 +125,7 @@ def _compare(value: Value, cmp: str, const: PropertyValue) -> bool:
 # -- keys ---------------------------------------------------------------------------
 #
 # A vertex in an engine row is its interned token (rank,) and an edge the
-# graph's interned EdgeRef (GraphTables).  A token is a 1-tuple of an int:
+# graph's interned EdgeRef (see Graph).  A token is a 1-tuple of an int:
 # it never equals a tagged key such as ("s", "x") or ("missing",).
 
 
@@ -233,10 +232,10 @@ def _natural(row: tuple, slots: list) -> Value:
     return None
 
 
-def _element_reader(t: GraphTables, key: str):
+def _element_reader(g: Graph, key: str):
     """elem -> its property value, or None (absent key or not an element)."""
-    vprops = t.vertex_props
-    eindex, eprops = t.edge_index, t.edge_props
+    vprops = g.vertex_props
+    eindex, eprops = g.edge_index, g.edge_props
 
     def read(elem: object) -> PropertyValue | None:
         tp = type(elem)
@@ -249,11 +248,11 @@ def _element_reader(t: GraphTables, key: str):
     return read
 
 
-def _property_test(t: GraphTables, key: str, predicate: tuple[str, PropertyValue] | None):
+def _property_test(g: Graph, key: str, predicate: tuple[str, PropertyValue] | None):
     """elem -> whether it has the key (and its value passes the predicate).
     has(key, value)'s equality with a string or a number is inlined."""
-    vprops = t.vertex_props
-    read = _element_reader(t, key)
+    vprops = g.vertex_props
+    read = _element_reader(g, key)
     if predicate is None:
         return lambda e: read(e) is not None
     cmp, const = predicate
@@ -276,10 +275,10 @@ def _property_test(t: GraphTables, key: str, predicate: tuple[str, PropertyValue
     return accept
 
 
-def _label_test(t: GraphTables, label: str):
+def _label_test(g: Graph, label: str):
     """elem -> whether it is an element carrying label."""
-    vlabels = t.vertex_labels
-    eindex, elabels = t.edge_index, t.edge_labels
+    vlabels = g.vertex_labels
+    eindex, elabels = g.edge_index, g.edge_labels
 
     def accept(elem: object) -> bool:
         tp = type(elem)
@@ -292,29 +291,29 @@ def _label_test(t: GraphTables, label: str):
     return accept
 
 
-def _run(expr: AlgebraExpr, t: GraphTables, arg: _Rel | None) -> _Rel:
+def _run(expr: AlgebraExpr, g: Graph, arg: _Rel | None) -> _Rel:
     """Evaluate expr; its inputs first, one stack frame per plan level."""
     tp = type(expr)
     op = _OPERATORS.get(tp)
     if op is None:
         raise EvaluationError(f"cannot evaluate {expr!r}")
     if tp is alg.Join or tp is alg.Union:
-        inputs = (_run(expr.left, t, arg), _run(expr.right, t, arg))  # type: ignore[union-attr]
+        inputs = (_run(expr.left, g, arg), _run(expr.right, g, arg))  # type: ignore[union-attr]
     elif tp is alg.GetVertices or tp is alg.GetEdges or tp is alg.Argument:
         inputs = ()
     else:
-        inputs = (_run(expr.input, t, arg),)  # type: ignore[union-attr]
-    return op(expr, inputs, t, arg)
+        inputs = (_run(expr.input, g, arg),)  # type: ignore[union-attr]
+    return op(expr, inputs, g, arg)
 
 
-def _source(expr: alg.GetVertices | alg.GetEdges, inputs, t: GraphTables, arg) -> _Rel:
-    elems = t.vertex_tokens if type(expr) is alg.GetVertices else t.edges_sorted()
+def _source(expr: alg.GetVertices | alg.GetEdges, inputs, g: Graph, arg) -> _Rel:
+    elems = g.vertex_tokens if type(expr) is alg.GetVertices else g.edges_sorted()
     if expr.var:
         return _Rel((expr.var,), [(e, e) for e in elems])
     return _Rel((), [(e,) for e in elems])
 
 
-def _argument(expr: alg.Argument, inputs, t, arg: _Rel | None) -> _Rel:
+def _argument(expr: alg.Argument, inputs, g, arg: _Rel | None) -> _Rel:
     if arg is None:
         raise EvaluationError("predicate argument used outside a selection")
     cols = alg.output_columns(expr, (), arg.cols)
@@ -336,11 +335,11 @@ def _argument(expr: alg.Argument, inputs, t, arg: _Rel | None) -> _Rel:
     return _Rel(cols, rows, True, arg.holes)
 
 
-def _traverse(expr: alg.Traverse, inputs, t: GraphTables, arg) -> _Rel:
+def _traverse(expr: alg.Traverse, inputs, g: Graph, arg) -> _Rel:
     (src,) = inputs
     cols = alg.output_columns(expr, (src.cols,))
     direction, label = expr.direction, expr.edge_label
-    nbrs = t.neighbours(direction, label)
+    nbrs = g.neighbours(direction, label)
     pa = src.slot(expr.from_var)
     bind_from = bool(expr.from_var) and pa is None
     # the destination against the row without its position (the base)
@@ -365,7 +364,7 @@ def _traverse(expr: alg.Traverse, inputs, t: GraphTables, arg) -> _Rel:
             raise EvaluationError(f"traverse requires a vertex, got {anchor!r}")
         ns = nbrs[anchor[0]]
         if ns is None:
-            ns = t.adjacent(direction, label, anchor[0])
+            ns = g.adjacent(direction, label, anchor[0])
         if not ns:
             continue
         if new_to:
@@ -406,18 +405,18 @@ def _element_filter(src: _Rel, var: str | None, accept, cols: tuple[str, ...]) -
     return _Rel(cols, out, src.tagged, src.holes)
 
 
-def _label_filter(expr: alg.LabelFilter, inputs, t: GraphTables, arg) -> _Rel:
+def _label_filter(expr: alg.LabelFilter, inputs, g: Graph, arg) -> _Rel:
     (src,) = inputs
     cols = alg.output_columns(expr, (src.cols,))
-    return _element_filter(src, expr.var, _label_test(t, expr.label), cols)
+    return _element_filter(src, expr.var, _label_test(g, expr.label), cols)
 
 
-def _property_filter(expr: alg.PropertyFilter, inputs, t: GraphTables, arg) -> _Rel:
+def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
     (src,) = inputs
     cols = alg.output_columns(expr, (src.cols,))
     if not expr.bind_value:
-        return _element_filter(src, expr.var, _property_test(t, expr.key, expr.predicate), cols)
-    read = _element_reader(t, expr.key)
+        return _element_filter(src, expr.var, _property_test(g, expr.key, expr.predicate), cols)
+    read = _element_reader(g, expr.key)
     pa = src.slot(expr.anchor)
     var = expr.var
     pv = src.slot(var)
@@ -441,7 +440,7 @@ def _property_filter(expr: alg.PropertyFilter, inputs, t: GraphTables, arg) -> _
     return _Rel(cols, out, src.tagged, src.holes)
 
 
-def _selection(expr: alg.Selection, inputs, t: GraphTables, arg) -> _Rel:
+def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
     """Semi-join (where) or anti-join (not): the predicate runs once over
     all input rows, each tagged with its index; a row survives when some
     predicate row carries its tag (negated: none does)."""
@@ -451,11 +450,11 @@ def _selection(expr: alg.Selection, inputs, t: GraphTables, arg) -> _Rel:
     # inside an enclosing predicate the rows are re-tagged
     under_test = [(i,) + r[src.tagged:] for i, r in enumerate(src.rows)]
     try:
-        hits = _run(expr.predicate, t, _Rel(src.cols, under_test, True, src.holes))
+        hits = _run(expr.predicate, g, _Rel(src.cols, under_test, True, src.holes))
     except EvaluationError:
         # raise what one run per row raises first, in input order
         for row in under_test:
-            _run(expr.predicate, t, _Rel(src.cols, [(0,) + row[1:]], True, src.holes))
+            _run(expr.predicate, g, _Rel(src.cols, [(0,) + row[1:]], True, src.holes))
         raise
     negated = expr.negated
     if hits.tagged:
@@ -466,7 +465,7 @@ def _selection(expr: alg.Selection, inputs, t: GraphTables, arg) -> _Rel:
     return _Rel(src.cols, rows, src.tagged, src.holes)
 
 
-def _projection(expr: alg.Projection, inputs, t: GraphTables, arg) -> _Rel:
+def _projection(expr: alg.Projection, inputs, g: Graph, arg) -> _Rel:
     (src,) = inputs
     slots = [src.slot(v) for v in expr.vars]
     if None in slots:  # a column no input row binds
@@ -479,7 +478,7 @@ def _projection(expr: alg.Projection, inputs, t: GraphTables, arg) -> _Rel:
         else:
             rows = list(map(pick, src.rows))
         return _Rel(expr.vars, rows, src.tagged, src.holes)
-    read = _element_reader(t, expr.value_key)
+    read = _element_reader(g, expr.value_key)
     rows = []
     for r in src.rows:
         values = [read(r[s]) for s in slots]
@@ -488,7 +487,7 @@ def _projection(expr: alg.Projection, inputs, t: GraphTables, arg) -> _Rel:
     return _Rel(expr.vars, rows, src.tagged, src.holes)
 
 
-def _dedup(expr: alg.Dedup, inputs, t, arg) -> _Rel:
+def _dedup(expr: alg.Dedup, inputs, g, arg) -> _Rel:
     """First occurrence per key; inside a predicate, per row under test."""
     (src,) = inputs
     names = expr.vars or src.cols
@@ -503,7 +502,7 @@ def _dedup(expr: alg.Dedup, inputs, t, arg) -> _Rel:
     return _Rel(src.cols, rows, src.tagged, src.holes)
 
 
-def _restriction(expr: alg.Restriction, inputs, t, arg) -> _Rel:
+def _restriction(expr: alg.Restriction, inputs, g, arg) -> _Rel:
     """skip/take in row order; inside a predicate, counted per row under test."""
     (src,) = inputs
     lo, hi = expr.skip, expr.skip + expr.take
@@ -519,7 +518,7 @@ def _restriction(expr: alg.Restriction, inputs, t, arg) -> _Rel:
     return _Rel(src.cols, rows, True, src.holes)
 
 
-def _sort(expr: alg.Sort, inputs, t, arg) -> _Rel:
+def _sort(expr: alg.Sort, inputs, g, arg) -> _Rel:
     """Stable sort: one stable pass per run of keys sharing a direction,
     last run first.  No tag is needed inside a predicate: a stable sort of
     all rows orders each tag's rows as sorting them alone would."""
@@ -541,7 +540,7 @@ def _sort(expr: alg.Sort, inputs, t, arg) -> _Rel:
     return _Rel(src.cols, rows, src.tagged, src.holes)
 
 
-def _group(expr: alg.Group, inputs, t: GraphTables, arg) -> _Rel:
+def _group(expr: alg.Group, inputs, g: Graph, arg) -> _Rel:
     """Flattened (key, member) rows in a stable sort by key.  Inside a
     predicate each row keeps its tag; as for _sort, sorting all rows at
     once orders each tag's rows as grouping them alone would."""
@@ -550,7 +549,7 @@ def _group(expr: alg.Group, inputs, t: GraphTables, arg) -> _Rel:
     pk = src.slot(key)
     all_slots = [src.slot(c) for c in src.cols]
     member_slots = [src.slot(c) for c in src.cols if c != key]
-    read = _element_reader(t, key) if key is not None else None
+    read = _element_reader(g, key) if key is not None else None
     tagged = src.tagged
     keys, members, tags = [], [], []
     for r in src.rows:
@@ -574,7 +573,7 @@ def _group(expr: alg.Group, inputs, t: GraphTables, arg) -> _Rel:
     return _Rel(("key", "member"), rows, tagged, True)
 
 
-def _join(expr: alg.Join, inputs, t, arg) -> _Rel:
+def _join(expr: alg.Join, inputs, g, arg) -> _Rel:
     """Hash join on the shared columns (values_equal), rows in left-major
     order; a shared column takes the right side's value, as does the
     position unless the right row has none.  Inside a predicate the tag is
@@ -631,7 +630,7 @@ def _join_keys(rows: list[tuple], slots: list[int], by_tag: bool) -> list:
     return [None if None in k else k for k in zip(*columns)]
 
 
-def _union(expr: alg.Union, inputs, t, arg: _Rel | None) -> _Rel:
+def _union(expr: alg.Union, inputs, g, arg: _Rel | None) -> _Rel:
     left, right = inputs
     return _union_rels(left, right, len(arg.rows) if arg is not None else 0)
 
@@ -663,7 +662,7 @@ def _conform(rel: _Rel, cols: tuple[str, ...], tagged: bool, ntags: int) -> list
     return rows
 
 
-def _aggregate(expr: alg.Aggregate, inputs, t, arg: _Rel | None) -> _Rel:
+def _aggregate(expr: alg.Aggregate, inputs, g, arg: _Rel | None) -> _Rel:
     """max of a single-column bag; inside a predicate, one per row under
     test that has input."""
     (src,) = inputs
@@ -674,7 +673,7 @@ def _aggregate(expr: alg.Aggregate, inputs, t, arg: _Rel | None) -> _Rel:
     tags = list(map(itemgetter(0), src.rows)) if src.tagged else [0] * len(values)
     for v in values:
         if not is_numeric(v):
-            shown = t.vertex_refs[v[0]] if type(v) is tuple else v  # type: ignore[index]
+            shown = g.vertex_refs[v[0]] if type(v) is tuple else v  # type: ignore[index]
             raise EvaluationError(f"max() over non-numeric value {shown!r}")
     groups: dict[int, list] = {}
     for tag, v in zip(tags, values):
@@ -749,8 +748,7 @@ def evaluate(expr: AlgebraExpr, g: Graph) -> BindingSet:
     diags = alg.validate(expr)
     if diags:
         raise EvaluationError("invalid plan: " + "; ".join(diags))
-    t = g.tables()
-    return _to_bindings(_run(expr, t, None), t.vertex_refs)
+    return _to_bindings(_run(expr, g, None), g.vertex_refs)
 
 
 def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:

@@ -53,6 +53,9 @@ class Token:
     col: int
 
 
+_PUNCTUATION = {".": TokenKind.DOT, "(": TokenKind.LPAREN, ")": TokenKind.RPAREN, ",": TokenKind.COMMA}
+
+
 def _is_digit(ch: str) -> bool:
     # ASCII only: str.isdigit() accepts characters int() rejects (e.g. '¹')
     return "0" <= ch <= "9"
@@ -88,20 +91,9 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             continue
         start, sline, scol = i, line, col
-        if ch == ".":
-            tokens.append(Token(TokenKind.DOT, ".", None, start, sline, scol))
-            i += 1
-            col += 1
-        elif ch == "(":
-            tokens.append(Token(TokenKind.LPAREN, "(", None, start, sline, scol))
-            i += 1
-            col += 1
-        elif ch == ")":
-            tokens.append(Token(TokenKind.RPAREN, ")", None, start, sline, scol))
-            i += 1
-            col += 1
-        elif ch == ",":
-            tokens.append(Token(TokenKind.COMMA, ",", None, start, sline, scol))
+        punctuation = _PUNCTUATION.get(ch)
+        if punctuation is not None:
+            tokens.append(Token(punctuation, ch, None, start, sline, scol))
             i += 1
             col += 1
         elif ch in "'\"":
@@ -155,7 +147,10 @@ def tokenize(text: str) -> list[Token]:
                     while j < n and _is_digit(text[j]):
                         j += 1
             lexeme = text[i:j]
-            value: object = float(lexeme) if is_float else int(lexeme)
+            try:
+                value: object = float(lexeme) if is_float else int(lexeme)
+            except ValueError:  # past the interpreter's int digit limit
+                raise err("integer literal has too many digits", start, sline, scol) from None
             kind = TokenKind.FLOAT if is_float else TokenKind.INT
             tokens.append(Token(kind, lexeme, value, start, sline, scol))
             col += j - i

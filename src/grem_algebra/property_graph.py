@@ -5,12 +5,11 @@ carries exactly one label; vertex labels and edge labels are disjoint sets.
 Properties are partial maps from (element, key) to scalar values; a lookup
 on an absent key returns None rather than a default.
 
-Identifiers are strings in the file format.  At load time they are mapped
-to dense internal integer indexes (file order) that fix edge iteration
-order; all public accessors speak original string ids.
-
-The evaluator reads a graph through ``Graph.tables()``: lookup tables built
-once, on first use, and kept on the graph (see ``GraphTables``).
+Identifiers are strings in the file format.  At load a vertex gets its
+rank in ascending lexicographic id order and an edge its index in file
+order, which fixes the order of adjacency and of edges().  The accessors
+that take ids speak original string ids; the evaluator reads the graph's
+rank-ordered layout directly (see ``Graph``).
 """
 
 from __future__ import annotations
@@ -119,17 +118,19 @@ def sort_key(v: object) -> tuple:
     raise TypeError(f"not a graph value: {v!r}")
 
 
-class GraphTables:
-    """Read-only lookup tables over one graph, for the evaluator.
+class Graph:
+    """Immutable property graph.  Construct via load_graph().
 
-    Inside the evaluator a vertex is a token: the 1-tuple ``(rank,)`` of its
-    rank in ascending lexicographic id order.  There is one token per
-    vertex, so identity, equality, ordering, dedup and join keys are the
-    token itself.  A tuple that holds only scalars and such tokens is not
-    something CPython's cyclic garbage collector must follow, and the
-    collector stops tracking it at its first collection: tokens, neighbour
-    entries and the evaluator's rows then cost full collections nothing.
-    ``VertexRef`` appears only where ``evaluate`` hands rows back.
+    The graph is laid out at load in the order the evaluator reads it.
+    Vertices are stored by rank, their position in ascending lexicographic
+    id order; edges by index, their position in the file.  Inside the
+    evaluator a vertex is its token, the 1-tuple ``(rank,)``.  There is one
+    token per vertex, so identity, equality, ordering, dedup and join keys
+    are the token itself.  A tuple that holds only scalars and such tokens
+    is not something CPython's cyclic garbage collector must follow, and
+    the collector stops tracking it at its first collection: tokens,
+    neighbour entries and the evaluator's rows then cost full collections
+    nothing.  ``VertexRef`` appears only where ``evaluate`` hands rows back.
 
     * ``vertex_tokens``: the tokens, by rank;
     * ``vertex_refs``: one interned ``VertexRef`` per vertex, by rank (the
@@ -139,91 +140,13 @@ class GraphTables:
       along edges of that label (None: any label), one per edge, in file
       order; ``neighbours(direction, label)`` is the list of these entries
       by rank, filled on first use;
-    * ``edge_index``: edge id -> edge index (file order), and edge labels
-      and properties by edge index; ``edges_sorted()``: interned
-      ``EdgeRef``s in ascending id order.
+    * ``edge_index``: edge id -> edge index, and ``edge_labels`` /
+      ``edge_props`` by edge index; ``edges_sorted()``: interned
+      ``EdgeRef``s in ascending id order, built on first use.
 
-    The tables hold the graph's own lists, never the graph itself.  The
-    parts every query needs are built together; edge refs and each vertex's
-    neighbours are built on first use.  Each part is built completely
-    before it is published with a single assignment, so concurrent readers
-    never see a partial table.
+    Each part built on first use is complete before it is published with a
+    single assignment, so concurrent readers never see a partial one.
     """
-
-    __slots__ = (
-        "vertex_tokens",
-        "vertex_refs",
-        "vertex_labels",
-        "vertex_props",
-        "edge_index",
-        "edge_labels",
-        "edge_props",
-        "_order",
-        "_rank",
-        "_edge_ids",
-        "_edge_ends",
-        "_adjacency",
-        "_memo",
-    )
-
-    def __init__(self, g: "Graph"):
-        ids = g._v_ids
-        order = sorted(range(len(ids)), key=ids.__getitem__)  # rank -> vertex index
-        rank = [0] * len(order)
-        for r, vx in enumerate(order):
-            rank[vx] = r
-        self.vertex_tokens = tuple([(r,) for r in range(len(order))])
-        self.vertex_refs = tuple([VertexRef(ids[vx]) for vx in order])
-        self.vertex_labels = [g._v_labels[vx] for vx in order]
-        self.vertex_props = [g._v_props[vx] for vx in order]
-        self.edge_index = g._e_index
-        self.edge_labels = g._e_labels
-        self.edge_props = g._e_props
-        self._order = order
-        self._rank = rank
-        self._edge_ids = g._e_ids
-        self._edge_ends = {"out": g._e_in, "in": g._e_out}
-        self._adjacency = {"out": g._out_edges, "in": g._in_edges}
-        self._memo: dict = {}
-
-    def edges_sorted(self) -> tuple[EdgeRef, ...]:
-        ordered = self._memo.get("edges_sorted")
-        if ordered is None:
-            ids = self._edge_ids
-            ordered = tuple(EdgeRef(ids[i]) for i in sorted(range(len(ids)), key=ids.__getitem__))
-            self._memo["edges_sorted"] = ordered
-        return ordered
-
-    def neighbours(self, direction: str, label: str | None) -> list:
-        """Per rank, its entry of adjacent(direction, label, rank), or None
-        while that entry has not been built."""
-        key = (direction, label)
-        lists = self._memo.get(key)
-        if lists is None:
-            lists = [None] * len(self.vertex_tokens)
-            self._memo[key] = lists
-        return lists
-
-    def adjacent(self, direction: str, label: str | None, rank: int) -> tuple[tuple[int], ...]:
-        """The tokens adjacent to the vertex of that rank along edges of
-        label (None: any label), one per edge, in file order.  Built on
-        first use, so a query that touches a few vertices builds only their
-        entries."""
-        lists = self.neighbours(direction, label)
-        found = lists[rank]
-        if found is None:
-            tokens, ranks, ends = self.vertex_tokens, self._rank, self._edge_ends[direction]
-            exs = self._adjacency[direction][self._order[rank]]
-            if label is not None:
-                labels = self.edge_labels
-                exs = [ex for ex in exs if labels[ex] == label]
-            found = tuple([tokens[ranks[ends[ex]]] for ex in exs])
-            lists[rank] = found
-        return found
-
-
-class Graph:
-    """Immutable property graph.  Construct via load_graph()."""
 
     def __init__(
         self,
@@ -231,30 +154,29 @@ class Graph:
         edges: list[tuple[str, str, str, str, dict[str, PropertyValue]]],
     ):
         """vertices: (id, label, props); edges: (id, label, outV, inV, props)."""
-        self._v_ids: list[str] = []
-        self._v_index: dict[str, int] = {}
-        self._v_labels: list[str] = []
-        self._v_props: list[dict[str, PropertyValue]] = []
-        for vid, label, props in vertices:
-            if vid in self._v_index:
-                raise GraphFormatError(f"duplicate vertex id {vid!r}")
-            self._v_index[vid] = len(self._v_ids)
-            self._v_ids.append(vid)
-            self._v_labels.append(label)
-            self._v_props.append(dict(props))
+        by_id: dict[str, tuple] = {}
+        for vertex in vertices:
+            if vertex[0] in by_id:
+                raise GraphFormatError(f"duplicate vertex id {vertex[0]!r}")
+            by_id[vertex[0]] = vertex
+        self._v_ids: list[str] = sorted(by_id)  # rank -> id
+        ranked = [by_id[vid] for vid in self._v_ids]
+        self._v_index: dict[str, int] = {vid: r for r, vid in enumerate(self._v_ids)}
+        self.vertex_labels: list[str] = [label for _, label, _ in ranked]
+        self.vertex_props: list[dict[str, PropertyValue]] = [dict(p) for _, _, p in ranked]
 
         self._e_ids: list[str] = []
-        self._e_index: dict[str, int] = {}
-        self._e_labels: list[str] = []
-        self._e_out: list[int] = []
-        self._e_in: list[int] = []
-        self._e_props: list[dict[str, PropertyValue]] = []
+        self.edge_index: dict[str, int] = {}
+        self.edge_labels: list[str] = []
+        self._e_out: list[int] = []  # rank of each edge's source
+        self._e_in: list[int] = []  # rank of each edge's target
+        self.edge_props: list[dict[str, PropertyValue]] = []
         # edge indexes leaving / entering each vertex, in file order
         out_edges: list[list[int]] = [[] for _ in self._v_ids]
         in_edges: list[list[int]] = [[] for _ in self._v_ids]
 
         for eid, label, out_v, in_v, props in edges:
-            if eid in self._e_index:
+            if eid in self.edge_index:
                 raise GraphFormatError(f"duplicate edge id {eid!r}")
             if eid in self._v_index:
                 raise GraphFormatError(f"edge id {eid!r} already used by a vertex")
@@ -263,36 +185,30 @@ class Graph:
             if in_v not in self._v_index:
                 raise GraphFormatError(f"edge {eid!r} references unknown vertex {in_v!r}")
             ex = len(self._e_ids)
-            self._e_index[eid] = ex
+            self.edge_index[eid] = ex
             self._e_ids.append(eid)
-            self._e_labels.append(label)
+            self.edge_labels.append(label)
             src = self._v_index[out_v]
             dst = self._v_index[in_v]
             self._e_out.append(src)
             self._e_in.append(dst)
-            self._e_props.append(dict(props))
+            self.edge_props.append(dict(props))
             out_edges[src].append(ex)
             in_edges[dst].append(ex)
         # tuples of ints, which the garbage collector stops tracking
         self._out_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_edges))
         self._in_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_edges))
 
-        vertex_labels = set(self._v_labels)
-        edge_labels = set(self._e_labels)
-        clash = vertex_labels & edge_labels
+        clash = set(self.vertex_labels) & set(self.edge_labels)
         if clash:
             raise GraphFormatError(
                 f"label(s) used for both vertices and edges: {sorted(clash)}"
             )
-        self._tables: GraphTables | None = None
-
-    def tables(self) -> GraphTables:
-        """The evaluator's lookup tables, built on first use."""
-        tables = self._tables
-        if tables is None:
-            tables = GraphTables(self)
-            self._tables = tables
-        return tables
+        # made last: the collections the loops above trigger need not scan them
+        self.vertex_tokens: tuple[tuple[int], ...] = tuple([(r,) for r in range(len(self._v_ids))])
+        self.vertex_refs: tuple[VertexRef, ...] = tuple(map(VertexRef, self._v_ids))
+        self._neighbours: dict[tuple[str, str | None], list] = {}
+        self._edge_refs: tuple[EdgeRef, ...] | None = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -306,24 +222,32 @@ class Graph:
 
     def vertex_ids(self) -> list[str]:
         """All vertex ids in ascending lexicographic order."""
-        return [ref.id for ref in self.tables().vertex_refs]
+        return list(self._v_ids)
 
     def edge_ids(self) -> list[str]:
         """All edge ids in ascending lexicographic order."""
-        return sorted(self._e_ids)
+        return [ref.id for ref in self.edges_sorted()]
+
+    def edges_sorted(self) -> tuple[EdgeRef, ...]:
+        """One interned EdgeRef per edge, in ascending id order."""
+        refs = self._edge_refs
+        if refs is None:
+            refs = tuple(map(EdgeRef, sorted(self._e_ids)))
+            self._edge_refs = refs
+        return refs
 
     def vertex_label(self, vid: str) -> str:
-        return self._v_labels[self._require_vertex(vid)]
+        return self.vertex_labels[self._require_vertex(vid)]
 
     def edge_label(self, eid: str) -> str:
-        return self._e_labels[self._require_edge(eid)]
+        return self.edge_labels[self._require_edge(eid)]
 
     def edge_record(self, eid: str) -> EdgeRecord:
         ex = self._require_edge(eid)
         return EdgeRecord(
             id=eid,
             out_v=self._v_ids[self._e_out[ex]],
-            label=self._e_labels[ex],
+            label=self.edge_labels[ex],
             in_v=self._v_ids[self._e_in[ex]],
         )
 
@@ -350,12 +274,42 @@ class Graph:
         return self._adjacent(self._in_edges, self._e_out, vid, label)
 
     def _adjacent(self, edges, ends: list[int], vid: str, label: str | None) -> list[tuple[str, str]]:
-        labels = self._e_labels
+        labels = self.edge_labels
         return [
             (self._e_ids[ex], self._v_ids[ends[ex]])
             for ex in edges[self._require_vertex(vid)]
             if label is None or labels[ex] == label
         ]
+
+    def neighbours(self, direction: str, label: str | None) -> list:
+        """Per rank, its entry of adjacent(direction, label, rank), or None
+        while that entry has not been built."""
+        key = (direction, label)
+        lists = self._neighbours.get(key)
+        if lists is None:
+            lists = [None] * len(self._v_ids)
+            self._neighbours[key] = lists
+        return lists
+
+    def adjacent(self, direction: str, label: str | None, rank: int) -> tuple[tuple[int], ...]:
+        """The tokens adjacent to the vertex of that rank along edges of
+        label (None: any label), one per edge, in file order.  Built on
+        first use, so a query that touches a few vertices builds only their
+        entries."""
+        lists = self.neighbours(direction, label)
+        found = lists[rank]
+        if found is None:
+            if direction == "out":
+                exs, ends = self._out_edges[rank], self._e_in
+            else:
+                exs, ends = self._in_edges[rank], self._e_out
+            if label is not None:
+                labels = self.edge_labels
+                exs = [ex for ex in exs if labels[ex] == label]
+            tokens = self.vertex_tokens
+            found = tuple([tokens[ends[ex]] for ex in exs])
+            lists[rank] = found
+        return found
 
     # -- properties ------------------------------------------------------
 
@@ -365,9 +319,9 @@ class Graph:
         elem may be a vertex id or an edge id (ids never collide).
         """
         if elem in self._v_index:
-            return self._v_props[self._v_index[elem]].get(key)
-        if elem in self._e_index:
-            return self._e_props[self._e_index[elem]].get(key)
+            return self.vertex_props[self._v_index[elem]].get(key)
+        if elem in self.edge_index:
+            return self.edge_props[self.edge_index[elem]].get(key)
         raise GraphFormatError(f"unknown element id {elem!r}")
 
     # -- misc --------------------------------------------------------------
@@ -377,13 +331,13 @@ class Graph:
             return NotImplemented
         return (
             self._v_ids == other._v_ids
-            and self._v_labels == other._v_labels
-            and self._v_props == other._v_props
+            and self.vertex_labels == other.vertex_labels
+            and self.vertex_props == other.vertex_props
             and self._e_ids == other._e_ids
-            and self._e_labels == other._e_labels
+            and self.edge_labels == other.edge_labels
             and self._e_out == other._e_out
             and self._e_in == other._e_in
-            and self._e_props == other._e_props
+            and self.edge_props == other.edge_props
         )
 
     def __repr__(self) -> str:
@@ -397,13 +351,14 @@ class Graph:
 
     def _require_edge(self, eid: str) -> int:
         try:
-            return self._e_index[eid]
+            return self.edge_index[eid]
         except KeyError:
             raise GraphFormatError(f"unknown edge id {eid!r}") from None
 
 
 # -- loader ----------------------------------------------------------------
 
+_JSON_TYPES = {list: "array", dict: "object", type(None): "null"}
 _VERTEX_KEYS = {"id", "label", "properties"}
 _EDGE_KEYS = {"id", "label", "outV", "inV", "properties"}
 
@@ -424,8 +379,9 @@ def _check_properties(raw: object, where: str) -> dict[str, PropertyValue]:
                     f"{where}: property {key!r} has non-finite value {val!r}"
                 )
         elif kind is not str and kind is not int and kind is not bool:
+            # the JSON type only: the value itself may be arbitrarily large
             raise GraphFormatError(
-                f"{where}: property {key!r} has non-scalar value {val!r}"
+                f"{where}: property {key!r} has non-scalar value of type {_JSON_TYPES[kind]}"
             )
         props[key] = val
     return props
@@ -460,6 +416,8 @@ def load_graph(source: Union[str, bytes, IO]) -> Graph:
         raise GraphFormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     except RecursionError:
         raise GraphFormatError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer past the interpreter's int digit limit
+        raise GraphFormatError("invalid JSON: integer has too many digits") from None
 
     if not isinstance(doc, dict):
         raise GraphFormatError("top level must be a JSON object")

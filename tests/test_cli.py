@@ -169,6 +169,20 @@ def test_non_finite_graph_value_exit_2(tmp_path):
     assert proc.stdout == ""
 
 
+def test_integer_past_the_digit_limit_no_traceback(tmp_path):
+    proc = cli("parse", "--query", "g.V().limit(" + "9" * 5000 + ")")
+    assert proc.returncode == 1
+    assert proc.stderr == "parse error: integer literal has too many digits at line 1, column 13\n"
+    path = tmp_path / "big.json"
+    path.write_text(
+        '{"vertices": [{"id": "1", "label": "p", "properties": {"n": %s}}], "edges": []}'
+        % ("9" * 5000)
+    )
+    proc = cli("run", "--graph", str(path), "--query", "g.V()")
+    assert proc.returncode == 2
+    assert proc.stderr == "graph error: invalid JSON: integer has too many digits\n"
+    assert proc.stdout == ""
+
 def _long_chain(steps):
     """g.V() then out('knows') steps: `steps` steps in all."""
     return "g.V()" + ".out('knows')" * (steps - 1)

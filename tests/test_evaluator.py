@@ -436,7 +436,8 @@ def test_join_equality_is_numeric_and_type_strict():
 
 
 def test_concurrent_queries_on_one_fresh_graph():
-    """Threads racing to build a graph's lookup tables all answer right."""
+    """Threads racing to build a graph's neighbour entries and edge refs
+    all answer right."""
     import sys
     import threading
 
@@ -447,7 +448,7 @@ def test_concurrent_queries_on_one_fresh_graph():
         "g.E().values('weight').max()",
     ]
     expected = [to_jsonl(run(text, random_graph(50))) for text in texts]
-    g = random_graph(50)  # tables not built yet
+    g = random_graph(50)  # no neighbour entry or edge ref built yet
     results: list[list[str]] = []
 
     def worker():

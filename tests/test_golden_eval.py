@@ -25,7 +25,15 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from grem_algebra import compile_traversal, evaluate, modern_graph, parse_traversal, to_jsonl
+from grem_algebra import (
+    compile_traversal,
+    evaluate,
+    load_graph,
+    modern_graph,
+    modern_graph_path,
+    parse_traversal,
+    to_jsonl,
+)
 
 from corpus import CORPUS, random_graph
 
@@ -156,6 +164,21 @@ def test_golden_predicates_are_not_trivial():
     for name, text in PREDICATE_QUERIES:
         counts = [len(_load(g)[name]["rows"]) for g in GRAPHS]
         assert any(c > 0 for c in counts), name
+
+
+def test_vertex_file_order_is_not_observable():
+    """The graph is laid out by vertex id at load: listing the modern
+    graph's vertices in reverse gives an equal graph and byte-identical
+    output for every golden query.  Edge file order still counts."""
+    doc = json.loads(pathlib.Path(modern_graph_path()).read_text(encoding="utf-8"))
+    doc["vertices"].reverse()
+    reversed_graph = load_graph(json.dumps(doc))
+    assert reversed_graph == modern_graph()
+    golden = _load("modern")
+    for name, text in golden_queries():
+        assert rendered(text, reversed_graph) == "\n".join(golden[name]["rows"]), name
+    doc["edges"].reverse()
+    assert load_graph(json.dumps(doc)) != modern_graph()
 
 
 if __name__ == "__main__":

@@ -50,6 +50,15 @@ def test_number_tokens():
     assert values == [10, 0.5, -3, 1000.0]
 
 
+def test_integer_literal_past_the_digit_limit():
+    """CPython converts integer strings of at most 4300 digits by default;
+    a longer literal is a positioned ParseError, not a ValueError."""
+    assert tokenize("limit(" + "9" * 4300 + ")")[2].value == int("9" * 4300)
+    for literal in ("9" * 5000, "-" + "9" * 5000):
+        with pytest.raises(ParseError, match="integer literal has too many digits") as exc:
+            parse_traversal(f"g.V().limit({literal})")
+        assert (exc.value.pos, exc.value.line, exc.value.col) == (12, 1, 13)
+
 def test_oldest_known_age_ast():
     ast = parse_traversal(Q_OLDEST_KNOWN_AGE)
     assert not ast.anonymous

@@ -154,6 +154,24 @@ def test_non_scalar_property_rejected():
         load_graph(_doc([bad], []))
 
 
+def test_non_scalar_property_error_stays_small():
+    """The message names the JSON type, never the value, whatever its size."""
+    for value, kind in (([0] * 200_000, "array"), ({"k": "v" * 200_000}, "object"), (None, "null")):
+        bad = {"id": "1", "label": "person", "properties": {"tags": value}}
+        with pytest.raises(GraphFormatError, match=f"non-scalar value of type {kind}$") as exc:
+            load_graph(_doc([bad], []))
+        assert len(str(exc.value)) < 200
+
+
+def test_integer_past_the_digit_limit_rejected():
+    """CPython converts integer strings of at most 4300 digits by default;
+    a longer JSON integer is a GraphFormatError, not a ValueError."""
+    doc = '{"vertices": [{"id": "1", "label": "p", "properties": {"n": %s}}], "edges": []}'
+    assert load_graph(doc % ("9" * 4300)).element_property("1", "n") == int("9" * 4300)
+    for literal in ("9" * 5000, "-" + "9" * 5000):
+        with pytest.raises(GraphFormatError, match="invalid JSON: integer has too many digits"):
+            load_graph(doc % literal)
+
 def test_json_error_carries_position():
     with pytest.raises(GraphFormatError) as exc:
         load_graph('{"vertices": [\n  {"id": }], "edges": []}')
@@ -273,37 +291,46 @@ def test_non_finite_edge_property_rejected():
 
 
 def test_tables_built_once_and_shared():
+    """The graph's layout by rank, with neighbour entries built on first
+    use and then kept."""
     modern = modern_graph()  # a graph no query has read yet
-    tables = modern.tables()
-    assert modern.tables() is tables
-    assert [r.id for r in tables.vertex_refs] == modern.vertex_ids()
+    assert [r.id for r in modern.vertex_refs] == modern.vertex_ids()
     # one interned token (rank,) and one interned ref per vertex, by rank
-    rank = {r.id: i for i, r in enumerate(tables.vertex_refs)}
-    assert tables.vertex_tokens == tuple((i,) for i in range(len(rank)))
-    assert tables.vertex_props[rank["1"]]["name"] == "marko"
-    assert tables.vertex_labels[rank["3"]] == "software"
-    knows = tables.neighbours("out", "knows")
-    assert tables.neighbours("out", "knows") is knows
+    rank = {r.id: i for i, r in enumerate(modern.vertex_refs)}
+    assert modern.vertex_tokens == tuple((i,) for i in range(len(rank)))
+    assert modern.vertex_props[rank["1"]]["name"] == "marko"
+    assert modern.vertex_labels[rank["3"]] == "software"
+    knows = modern.neighbours("out", "knows")
+    assert modern.neighbours("out", "knows") is knows
     marko = rank["1"]
     assert knows[marko] is None  # not built before first use
-    found = tables.adjacent("out", "knows", marko)
-    assert [tables.vertex_refs[n[0]].id for n in found] == ["2", "4"]
-    assert knows[marko] is tables.adjacent("out", "knows", marko)
+    found = modern.adjacent("out", "knows", marko)
+    assert [modern.vertex_refs[n[0]].id for n in found] == ["2", "4"]
+    assert knows[marko] is modern.adjacent("out", "knows", marko)
     for direction, adjacent in (("out", modern.out_adjacent), ("in", modern.in_adjacent)):
         for label in (None, "knows", "created"):
             for vid in rank:
-                found = tables.adjacent(direction, label, rank[vid])
+                found = modern.adjacent(direction, label, rank[vid])
                 assert found == tuple((rank[v],) for _, v in adjacent(vid, label))
-                assert all(n is tables.vertex_tokens[n[0]] for n in found)
-    assert [r.id for r in tables.edges_sorted()] == modern.edge_ids()
+                assert all(n is modern.vertex_tokens[n[0]] for n in found)
+    edges = modern.edges_sorted()
+    assert modern.edges_sorted() is edges
+    assert [r.id for r in edges] == modern.edge_ids() == sorted(e.id for e in modern.edges())
 
 
 def test_tables_hold_no_reference_to_the_graph():
+    """With its neighbour entries and edge refs built, the graph is still
+    freed by reference counting alone: nothing it holds refers back to it."""
     import gc
     import weakref
 
-    g = load_graph(json.dumps({"vertices": [{"id": "1", "label": "p"}], "edges": []}))
-    g.tables().adjacent("out", None, 0)
+    g = load_graph(json.dumps({
+        "vertices": [{"id": "1", "label": "p"}, {"id": "0", "label": "p"}],
+        "edges": [{"id": "e", "label": "k", "outV": "1", "inV": "0"}],
+    }))
+    g.adjacent("out", None, 1)
+    g.adjacent("in", "k", 0)
+    g.edges_sorted()
     ref = weakref.ref(g)
     gc.disable()
     try:

@@ -1,4 +1,5 @@
-"""The package's surface: one engine, every operator reachable, no stale names.
+"""The package's surface: one engine, every operator reachable, no stale
+names, and one graph layout that only its own module reads.
 
 The path algebra, the traverser route and the brute-force oracle are
 reference semantics and live in tests/reference.py; the package itself
@@ -15,7 +16,7 @@ import re
 
 import grem_algebra
 from grem_algebra import algebra as alg
-from grem_algebra import compile_traversal, parse_traversal
+from grem_algebra import compile_traversal, modern_graph, parse_traversal
 
 import reference
 from corpus import Q_COCREATOR_30
@@ -78,3 +79,17 @@ def test_reference_semantics_stay_out_of_the_package():
         assert MOVED & set(vars(module)) == set(), module.__name__
         source = pathlib.Path(module.__file__).read_text(encoding="utf-8")
         assert words.findall(source) == [], module.__name__
+
+
+def test_graph_layout_stays_inside_its_module():
+    """No module but property_graph.py reads a Graph's private attributes:
+    the evaluator reads the graph's public layout, and nothing else keeps
+    a second copy of it."""
+    private = sorted(name for name in vars(modern_graph()) if name.startswith("_"))
+    assert "_v_index" in private and "_out_edges" in private
+    attribute = re.compile(r"\.(" + "|".join(map(re.escape, private)) + r")\b")
+    for module in _package_modules():
+        if module.__name__ == f"{grem_algebra.__name__}.property_graph":
+            continue
+        source = pathlib.Path(module.__file__).read_text(encoding="utf-8")
+        assert attribute.findall(source) == [], module.__name__

@@ -133,7 +133,7 @@ def _run(text, g) -> BindingSet:
 
 
 def _assert_interned(result: BindingSet, g) -> None:
-    refs = {r.id: r for r in g.tables().vertex_refs}
+    refs = {r.id: r for r in g.vertex_refs}
     for row in result.rows:
         for v in row.values():
             assert type(v) is not tuple  # no token leaves the engine
@@ -178,21 +178,21 @@ def test_engine_rows_and_graph_tables_are_not_gc_tracked():
         "g.V().match(__.as('a').out('knows').as('b'), __.as('b').out().as('c'))"
         ".select('a','c')"
     ))
-    t = g.tables()
-    rel = evaluator._run(expr, t, None)
-    entries = [e for label in (None, "knows") for e in t.neighbours("out", label) if e is not None]
-    control = (t.vertex_refs[0],)  # a tuple holding a ref stays tracked
+    rel = evaluator._run(expr, g, None)
+    entries = [e for label in (None, "knows") for e in g.neighbours("out", label) if e is not None]
+    control = (g.vertex_refs[0],)  # a tuple holding a ref stays tracked
     gc.collect()
     assert len(rel.rows) > 1000 and len(entries) > 100
     assert not any(map(gc.is_tracked, rel.rows))
     assert not any(map(gc.is_tracked, entries))
-    assert not any(map(gc.is_tracked, t.vertex_tokens))
+    assert not gc.is_tracked(g.vertex_tokens)
+    assert not any(map(gc.is_tracked, g.vertex_tokens))
     for adjacency in (g._out_edges, g._in_edges):
         assert not gc.is_tracked(adjacency)
         assert not any(map(gc.is_tracked, adjacency))
     assert gc.is_tracked(control)
     # and the result rows hold interned refs, never tokens
-    _assert_interned(evaluator._to_bindings(rel, t.vertex_refs), g)
+    _assert_interned(evaluator._to_bindings(rel, g.vertex_refs), g)
 
 
 def test_package_leaves_the_collector_settings_alone():
