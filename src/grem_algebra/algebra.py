@@ -296,13 +296,13 @@ def output_columns(
     raise TypeError(f"not an algebra expression: {expr!r}")
 
 
-def static_columns(expr: AlgebraExpr, arg_columns: tuple[str, ...] = ()) -> tuple[str, ...]:
+def static_columns(expr: AlgebraExpr) -> tuple[str, ...]:
     """Visible column schema of the binding set an expression produces.
 
-    Inside a selection predicate, Argument leaves start from arg_columns,
-    the schema of the rows under test (empty at compile time)."""
-    schemas = tuple([static_columns(e, arg_columns) for e in inputs(expr)])
-    return output_columns(expr, schemas, arg_columns)
+    Inside a selection predicate, Argument leaves start from no columns:
+    the schema of the rows under test is not known before evaluation."""
+    schemas = tuple([static_columns(e) for e in inputs(expr)])
+    return output_columns(expr, schemas)
 
 
 _REFERRERS = {
@@ -322,28 +322,35 @@ def _referenced(expr: AlgebraExpr) -> tuple[str, ...]:
     return ()
 
 
-def validate(expr: AlgebraExpr, outer_scope: frozenset[str] = frozenset()) -> list[str]:
-    """Static variable-scoping check.
+def validate(expr: AlgebraExpr) -> list[str]:
+    """Static check of a plan's shape and variable scoping.
 
     Returns one diagnostic per variable referenced by an operator without
     being introduced beneath it (or inherited from an enclosing selection
-    predicate's outer row).  An empty list means the tree is well-scoped.
+    predicate's outer row), per get-vertices/get-edges leaf inside a
+    selection predicate, and per Argument leaf outside one.  An empty list
+    means the plan is well-scoped and well-shaped, as the evaluator needs.
     """
     diags: list[str] = []
     memo: dict[int, frozenset[str]] = {}
 
-    def visit(node: AlgebraExpr, scope: frozenset[str]) -> None:
+    def visit(node: AlgebraExpr, scope: frozenset[str] | None) -> None:
+        # scope: the variables of the rows under test; None outside every predicate
         tp = type(node)
+        if scope is None and tp is Argument:
+            diags.append(f"{_ascii_label(node)} outside a selection predicate")
+        elif scope is not None and (tp is GetVertices or tp is GetEdges):
+            diags.append(f"{_ascii_label(node)} inside a selection predicate")
         refs = _referenced(node)
         if refs or tp is Selection:
-            below = _introduced(node.input, memo) | scope  # type: ignore[union-attr]
+            below = _introduced(node.input, memo).union(scope or ())  # type: ignore[union-attr]
             diags.extend(f"unbound {v} in {_REFERRERS[tp]}" for v in refs if v not in below)
             if tp is Selection:
                 visit(node.predicate, below)  # type: ignore[union-attr]
         for e in inputs(node):
             visit(e, scope)
 
-    visit(expr, outer_scope)
+    visit(expr, None)
     return diags
 
 

@@ -1,13 +1,15 @@
 """Maps a parsed traversal onto the graph algebra, bottom-up.
 
 The mapping follows a fixed recipe: the g.V()/g.E() source becomes a
-get-vertices/get-edges leaf; out()/in() become traverse operators;
-has()/hasLabel()/values() become property and label filters; match()
-patterns are extracted as anchored chains and stitched into one connected
+get-vertices/get-edges leaf; each out()/in()/has()/hasLabel()/values()
+step becomes its traverse, property filter or label filter operator
+through one function, ``_apply_step``; match() patterns are extracted as
+anchored chains of those steps and stitched into one connected
 expression (threading shared variables, joining disconnected ones);
-where()/not()/and() become selections; select() a projection; dedup(),
-order().by(), group().by(), limit() their namesake operators; union()
-builds a left-deep union tree; a terminal max() an aggregate.
+where()/not()/and() become selections over predicates rooted at the row
+under test (Argument); select() a projection; dedup(), order().by(),
+group().by(), limit() their namesake operators; union() builds a
+left-deep union tree; a terminal max() an aggregate.
 
 ``select(...).by(key)`` is value extraction by default.  With
 ``eq7_grouping=True`` it instead emits a grouping operator above the
@@ -19,51 +21,28 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Union
+from functools import reduce
 
 from . import algebra as alg
 from .algebra import AlgebraExpr, static_columns
 from .errors import CompileError
 from .parser import Literal, Step, StepKind, TraversalAST
-from .property_graph import PropertyValue
 
 
 # -- pattern chains -----------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class ChainTraverse:
-    direction: str
-    edge_label: str | None
-
-
-@dataclass(frozen=True)
-class ChainHas:
-    key: str
-    value: PropertyValue | None  # None = existence check
-
-
-@dataclass(frozen=True)
-class ChainLabel:
-    label: str
-
-
-@dataclass(frozen=True)
-class ChainValues:
-    key: str
-
-
-ChainOp = Union[ChainTraverse, ChainHas, ChainLabel, ChainValues]
+# The steps a match() pattern may hold between its anchors.
+_CHAIN_STEPS = (StepKind.OUT, StepKind.IN, StepKind.HAS, StepKind.HAS_LABEL, StepKind.VALUES)
 
 
 @dataclass(frozen=True)
 class PatternChain:
     """One anonymous traversal inside match(): a start anchor, an optional
-    end anchor, and the single-step operators between them."""
+    end anchor, and the out/in/has/hasLabel/values steps between them."""
 
     start_var: str
     end_var: str | None
-    ops: tuple[ChainOp, ...]
+    ops: tuple[Step, ...]
 
     @property
     def vars(self) -> tuple[str, ...]:
@@ -88,7 +67,7 @@ def extract_patterns(match_step: Step) -> list[PatternChain]:
     for arg in match_step.args:
         if not isinstance(arg, TraversalAST):
             raise CompileError("match() arguments must be anonymous traversals")
-        steps = list(arg.steps)
+        steps = arg.steps
         if not steps or steps[0].kind is not StepKind.AS:
             raise CompileError("match() pattern has no leading as() anchor")
         start_var = str(_literal(steps[0].args[0]).value)
@@ -98,7 +77,6 @@ def extract_patterns(match_step: Step) -> list[PatternChain]:
             end_var = str(_literal(steps[-1].args[0]).value)
             steps = steps[:-1]
 
-        ops: list[ChainOp] = []
         for step in steps:
             if step.kind is StepKind.MATCH:
                 raise CompileError("nested match() inside a pattern is unsupported")
@@ -107,79 +85,68 @@ def extract_patterns(match_step: Step) -> list[PatternChain]:
                     "as() in the middle of a match() pattern is unsupported; "
                     "split the pattern at the anchor"
                 )
-            ops.append(_chain_op(step))
+            if step.kind not in _CHAIN_STEPS:
+                raise CompileError(
+                    f"step {step.kind.value}() is not supported inside a match() pattern"
+                )
 
-        if not ops and end_var is not None and end_var != start_var:
+        if not steps and end_var is not None and end_var != start_var:
             raise CompileError("empty pattern between two as() anchors")
-        chains.append(PatternChain(start_var=start_var, end_var=end_var, ops=tuple(ops)))
+        chains.append(PatternChain(start_var=start_var, end_var=end_var, ops=steps))
     return chains
 
 
-def _chain_op(step: Step) -> ChainOp:
-    """The chain operator of an out/in/has/hasLabel/values step."""
-    kind = step.kind
-    if kind in (StepKind.OUT, StepKind.IN):
-        label = str(_literal(step.args[0]).value) if step.args else None
-        return ChainTraverse(alg.OUT if kind is StepKind.OUT else alg.IN, label)
-    if kind is StepKind.HAS:
-        value = _literal(step.args[1]).value if len(step.args) == 2 else None
-        return ChainHas(str(_literal(step.args[0]).value), value)  # type: ignore[arg-type]
-    if kind is StepKind.HAS_LABEL:
-        return ChainLabel(str(_literal(step.args[0]).value))
-    if kind is StepKind.VALUES:
-        return ChainValues(str(_literal(step.args[0]).value))
-    raise CompileError(f"step {kind.value}() is not supported inside a match() pattern")
-
-
-def _apply_op(
-    op: ChainOp, expr: AlgebraExpr, anchor: str | None, target: str | None
+def _apply_step(
+    step: Step, expr: AlgebraExpr, anchor: str | None, target: str | None
 ) -> AlgebraExpr:
-    """The operator for op on top of expr.  anchor names the variable it
-    starts from (None: the current position), target the variable it binds
-    (None: none)."""
-    if isinstance(op, ChainTraverse):
-        return alg.Traverse(op.direction, op.edge_label, anchor, target, expr)
-    if isinstance(op, ChainValues):
+    """The operator of an out/in/has/hasLabel/values step on top of expr.
+    anchor names the variable it starts from (None: the current position),
+    target the variable it binds (None: none); name is the edge label,
+    property key or vertex label the step names."""
+    kind = step.kind
+    name = str(_literal(step.args[0]).value) if step.args else None
+    if kind is StepKind.OUT or kind is StepKind.IN:
+        return alg.Traverse(alg.OUT if kind is StepKind.OUT else alg.IN, name, anchor, target, expr)
+    if kind is StepKind.VALUES:
         if anchor is not None:
             # bind the anchor the way a has()-first chain does; values()
             # drops elements lacking the key anyway
-            expr = alg.PropertyFilter(anchor, op.key, None, False, expr)
-        return alg.PropertyFilter(target, op.key, None, True, expr, anchor)
+            expr = alg.PropertyFilter(anchor, name, None, False, expr)  # type: ignore[arg-type]
+        return alg.PropertyFilter(target, name, None, True, expr, anchor)  # type: ignore[arg-type]
     if target is not None:
-        step = "has" if isinstance(op, ChainHas) else "hasLabel"
         raise CompileError(
-            f"as({target!r}) after {step}() would alias the pattern anchor; unsupported"
+            f"as({target!r}) after {kind.value}() would alias the pattern anchor; unsupported"
         )
-    if isinstance(op, ChainHas):
-        predicate = ("=", op.value) if op.value is not None else None
-        return alg.PropertyFilter(anchor, op.key, predicate, False, expr)
-    return alg.LabelFilter(anchor, op.label, expr)
+    if kind is StepKind.HAS:
+        predicate = ("=", _literal(step.args[1]).value) if len(step.args) == 2 else None
+        return alg.PropertyFilter(anchor, name, predicate, False, expr)  # type: ignore[arg-type]
+    return alg.LabelFilter(anchor, name, expr)  # type: ignore[arg-type]
 
 
 def _apply_chain(chain: PatternChain, expr: AlgebraExpr) -> AlgebraExpr:
     """Stack a chain's operators onto expr; the first operator anchors at the
     chain's start variable, the last binds its end variable."""
     last = len(chain.ops) - 1
-    for i, op in enumerate(chain.ops):
+    for i, step in enumerate(chain.ops):
         anchor = chain.start_var if i == 0 else None
         target = chain.end_var if i == last else None
-        expr = _apply_op(op, expr, anchor, target)
+        expr = _apply_step(step, expr, anchor, target)
     return expr
+
+
+# The field as() fills on each operator that can produce the current position.
+_NAMED_FIELD = {
+    alg.GetVertices: "var", alg.GetEdges: "var", alg.Traverse: "to_var",
+    alg.PropertyFilter: "var", alg.LabelFilter: "var", alg.Argument: "var",
+}
 
 
 def _name_head(expr: AlgebraExpr, var: str) -> AlgebraExpr:
     """Attach a variable to the operator that produced the current position."""
-    if isinstance(expr, (alg.GetVertices, alg.GetEdges)) and expr.var is None:
-        return dataclasses.replace(expr, var=var)
-    if isinstance(expr, alg.Traverse) and expr.to_var is None:
-        return dataclasses.replace(expr, to_var=var)
-    if isinstance(expr, alg.PropertyFilter) and expr.var is None:
-        return dataclasses.replace(expr, var=var)
-    if isinstance(expr, alg.LabelFilter) and expr.var is None:
-        return dataclasses.replace(expr, var=var)
-    if isinstance(expr, alg.Argument) and expr.var is None:
-        return dataclasses.replace(expr, var=var)
-    raise CompileError(f"as({var!r}) cannot name the preceding step here")
+    field = _NAMED_FIELD.get(type(expr))
+    if field is None or getattr(expr, field) is not None:
+        raise CompileError(f"as({var!r}) cannot name the preceding step here")
+    return dataclasses.replace(expr, **{field: var})
 
 
 def stitch_patterns(
@@ -199,39 +166,26 @@ def stitch_patterns(
     if source is None:
         source = alg.GetVertices()
 
-    acc: AlgebraExpr | None = None
-    bound: set[str] = set()
-    remaining = list(chains)
-
+    first, *remaining = chains
+    if first.ops:
+        acc = _apply_chain(first, source)
+    else:
+        acc = _name_head(source, first.start_var)
+    bound = set(first.vars)
     while remaining:
-        if acc is None:
-            chain = remaining.pop(0)
-            if not chain.ops:
-                acc = _name_head(source, chain.start_var)
-            else:
-                acc = _apply_chain(chain, source)
-            bound.update(chain.vars)
-            continue
-        idx = next(
-            (i for i, c in enumerate(remaining) if c.start_var in bound), None
-        )
+        idx = next((i for i, c in enumerate(remaining) if c.start_var in bound), None)
         if idx is not None:
             chain = remaining.pop(idx)
-            if chain.ops:
-                acc = _apply_chain(chain, acc)
-            bound.update(chain.vars)
-            continue
-        # no chain can thread: evaluate the next one separately and join
-        chain = remaining.pop(0)
-        if not chain.ops:
-            raise CompileError(
-                f"pattern anchored at {chain.start_var!r} is disconnected and empty"
-            )
-        sub = _apply_chain(chain, source)
-        acc = alg.Join(acc, sub)
+            acc = _apply_chain(chain, acc)
+        else:
+            # no chain can thread: evaluate the next one separately and join
+            chain = remaining.pop(0)
+            if not chain.ops:
+                raise CompileError(
+                    f"pattern anchored at {chain.start_var!r} is disconnected and empty"
+                )
+            acc = alg.Join(acc, _apply_chain(chain, source))
         bound.update(chain.vars)
-
-    assert acc is not None
     return acc
 
 
@@ -279,8 +233,8 @@ def _compile_steps(
             raise CompileError(f"{kind.value}() may only start a root traversal")
         if kind is StepKind.AS:
             expr = _name_head(expr, str(_literal(step.args[0]).value))
-        elif kind in (StepKind.OUT, StepKind.IN, StepKind.HAS, StepKind.HAS_LABEL, StepKind.VALUES):
-            expr = _apply_op(_chain_op(step), expr, None, None)
+        elif kind in _CHAIN_STEPS:
+            expr = _apply_step(step, expr, None, None)
         elif kind is StepKind.MATCH:
             chains = extract_patterns(step)
             if seen_match:
@@ -288,34 +242,22 @@ def _compile_steps(
             else:
                 expr = stitch_patterns(chains, expr)
                 seen_match = True
-        elif kind is StepKind.WHERE:
-            pred = _compile_predicate(step.args[0], eq7_grouping)
-            expr = alg.Selection(pred, expr)
-        elif kind is StepKind.NOT:
-            pred = _compile_predicate(step.args[0], eq7_grouping)
-            expr = alg.Selection(pred, expr, negated=True)
-        elif kind is StepKind.AND:
+        elif kind in (StepKind.WHERE, StepKind.NOT, StepKind.AND):
+            # and() joins its predicates, left-deep; where() and not() hold one
             preds = [_compile_predicate(a, eq7_grouping) for a in step.args]
-            combined = preds[0]
-            for p in preds[1:]:
-                combined = alg.Join(combined, p)
-            expr = alg.Selection(combined, expr)
-        elif kind is StepKind.SELECT:
+            expr = alg.Selection(reduce(alg.Join, preds), expr, negated=kind is StepKind.NOT)
+        elif kind is StepKind.SELECT or kind is StepKind.DEDUP:
             vars_ = tuple(str(_literal(a).value) for a in step.args)
             declared = alg.introduced_vars(expr)
             for v in vars_:
                 if v not in declared:
-                    raise CompileError(f"select() references undeclared variable {v!r}")
-            expr = alg.Projection(vars_, None, expr)
+                    raise CompileError(f"{kind.value}() references undeclared variable {v!r}")
+            if kind is StepKind.SELECT:
+                expr = alg.Projection(vars_, None, expr)
+            else:
+                expr = alg.Dedup(vars_, expr)
         elif kind is StepKind.BY:
             expr = _compile_by(expr, step, eq7_grouping)
-        elif kind is StepKind.DEDUP:
-            vars_ = tuple(str(_literal(a).value) for a in step.args)
-            declared = alg.introduced_vars(expr)
-            for v in vars_:
-                if v not in declared:
-                    raise CompileError(f"dedup() references undeclared variable {v!r}")
-            expr = alg.Dedup(vars_, expr)
         elif kind is StepKind.ORDER:
             cols = static_columns(expr)
             keys = tuple((c, alg.ASCENDING) for c in cols) or ((None, alg.ASCENDING),)
@@ -329,10 +271,7 @@ def _compile_steps(
                 _compile_steps(a.steps, expr, expr, eq7_grouping)  # type: ignore[union-attr]
                 for a in step.args
             ]
-            merged = branches[0]
-            for b in branches[1:]:
-                merged = alg.Union(merged, b)
-            expr = merged
+            expr = reduce(alg.Union, branches)  # left-deep
         elif kind is StepKind.MAX:
             if pos != len(steps) - 1:
                 raise CompileError("max() must be the final step of the traversal")

@@ -23,6 +23,9 @@ graph's interned ``EdgeRef``.  where()/not() run their predicate once over all i
 each tagged with its row's index in a hidden first slot.  Inside the
 predicate, dedup, join, limit and aggregate key on that tag, and sort and
 group are stable, so the batch answers exactly what one run per row would.
+``algebra.validate`` admits only plans whose predicate leaves are all the
+row under test (Argument) and whose other leaves are all sources, so inside
+a predicate every relation is tagged and outside one none is.
 Join is a hash join, sorting uses stable key passes.  ``evaluate`` converts
 the final rows to dicts and each token to the graph's interned
 ``VertexRef``: results never hold a token.
@@ -292,17 +295,12 @@ def _label_test(g: Graph, label: str):
 
 
 def _run(expr: AlgebraExpr, g: Graph, arg: _Rel | None) -> _Rel:
-    """Evaluate expr; its inputs first, one stack frame per plan level."""
-    tp = type(expr)
-    op = _OPERATORS.get(tp)
-    if op is None:
-        raise EvaluationError(f"cannot evaluate {expr!r}")
-    if tp is alg.Join or tp is alg.Union:
-        inputs = (_run(expr.left, g, arg), _run(expr.right, g, arg))  # type: ignore[union-attr]
-    elif tp is alg.GetVertices or tp is alg.GetEdges or tp is alg.Argument:
-        inputs = ()
-    else:
-        inputs = (_run(expr.input, g, arg),)  # type: ignore[union-attr]
+    """Evaluate expr; its inputs first, one stack frame per plan level.
+    expr has passed algebra.validate, so every node is an operator."""
+    op = _OPERATORS[type(expr)]
+    inputs = []
+    for e in alg.inputs(expr):  # a loop: a comprehension would add a frame per level
+        inputs.append(_run(e, g, arg))
     return op(expr, inputs, g, arg)
 
 
@@ -313,9 +311,7 @@ def _source(expr: alg.GetVertices | alg.GetEdges, inputs, g: Graph, arg) -> _Rel
     return _Rel((), [(e,) for e in elems])
 
 
-def _argument(expr: alg.Argument, inputs, g, arg: _Rel | None) -> _Rel:
-    if arg is None:
-        raise EvaluationError("predicate argument used outside a selection")
+def _argument(expr: alg.Argument, inputs, g, arg: _Rel) -> _Rel:
     cols = alg.output_columns(expr, (), arg.cols)
     var = expr.var
     if not var:
@@ -456,12 +452,8 @@ def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
         for row in under_test:
             _run(expr.predicate, g, _Rel(src.cols, [(0,) + row[1:]], True, src.holes))
         raise
-    negated = expr.negated
-    if hits.tagged:
-        found = set(map(itemgetter(0), hits.rows))
-        rows = [r for i, r in enumerate(src.rows) if (i in found) != negated]
-    else:  # a predicate that never reads the row under test
-        rows = src.rows if bool(hits.rows) != negated else []
+    found = set(map(itemgetter(0), hits.rows))
+    rows = [r for i, r in enumerate(src.rows) if (i in found) != expr.negated]
     return _Rel(src.cols, rows, src.tagged, src.holes)
 
 
@@ -577,13 +569,13 @@ def _join(expr: alg.Join, inputs, g, arg) -> _Rel:
     """Hash join on the shared columns (values_equal), rows in left-major
     order; a shared column takes the right side's value, as does the
     position unless the right row has none.  Inside a predicate the tag is
-    a join column too."""
+    a join column too: both sides are tagged there."""
     left, right = inputs
     cols = alg.output_columns(expr, (left.cols, right.cols))
-    tagged = left.tagged or right.tagged
+    tagged = left.tagged
     shared = [c for c in dict.fromkeys(left.cols) if c in right.cols]
-    width = len(left.cols) + left.tagged + 1  # right slots follow in l + r
-    picks = [0 if left.tagged else width] if tagged else []
+    width = len(left.cols) + tagged + 1  # right slots follow in l + r
+    picks = [0] if tagged else []
     for c in left.cols:
         picks.append(width + right.slot(c) if c in shared else left.slot(c))
     for c in cols[len(left.cols):]:
@@ -593,14 +585,13 @@ def _join(expr: alg.Join, inputs, g, arg) -> _Rel:
 
     lslots = [left.slot(c) for c in shared]
     rslots = [right.slot(c) for c in shared]
-    both = left.tagged and right.tagged
-    if lslots or both:
+    if lslots or tagged:
         table: dict = {}
-        for r, k in zip(right.rows, _join_keys(right.rows, rslots, both)):
+        for r, k in zip(right.rows, _join_keys(right.rows, rslots, tagged)):
             if k is not None:
                 table.setdefault(k, []).append(r)
         pairs = [
-            (l, table.get(k, ())) for l, k in zip(left.rows, _join_keys(left.rows, lslots, both))
+            (l, table.get(k, ())) for l, k in zip(left.rows, _join_keys(left.rows, lslots, tagged))
         ]
     else:  # cartesian product
         pairs = [(l, right.rows) for l in left.rows]
@@ -630,36 +621,30 @@ def _join_keys(rows: list[tuple], slots: list[int], by_tag: bool) -> list:
     return [None if None in k else k for k in zip(*columns)]
 
 
-def _union(expr: alg.Union, inputs, g, arg: _Rel | None) -> _Rel:
+def _union(expr: alg.Union, inputs, g, arg) -> _Rel:
     left, right = inputs
-    return _union_rels(left, right, len(arg.rows) if arg is not None else 0)
+    return _union_rels(left, right)
 
 
-def _union_rels(left: _Rel, right: _Rel, ntags: int) -> _Rel:
+def _union_rels(left: _Rel, right: _Rel) -> _Rel:
     """Bag union: left rows then right rows, multiplicities add.  The
     schema is merge_columns; a column one side lacks is absent in its rows.
-    Inside a predicate, a side that never reads the row under test holds
-    for every row under test, so its rows are repeated once per tag."""
+    Inside a predicate both sides are tagged and each row keeps its tag."""
     cols = alg.merge_columns(left.cols, right.cols)
-    tagged = left.tagged or right.tagged
     holes = left.holes or right.holes or set(left.cols) != set(right.cols)
-    return _Rel(cols, _conform(left, cols, tagged, ntags) + _conform(right, cols, tagged, ntags),
-                tagged, holes)
+    return _Rel(cols, _conform(left, cols) + _conform(right, cols), left.tagged, holes)
 
 
-def _conform(rel: _Rel, cols: tuple[str, ...], tagged: bool, ntags: int) -> list[tuple]:
-    """rel's rows laid out for cols (absent columns None), tagged if asked."""
-    rows = rel.rows
-    if rel.cols != cols:
-        width = len(rel.cols) + rel.tagged + 1  # slot of the None appended below
-        slots = [rel.slot(c) for c in cols]
-        pick = _picker(
-            ([0] if rel.tagged else []) + [width if s is None else s for s in slots] + [width - 1]
-        )
-        rows = [pick(r + (None,)) for r in rows]
-    if tagged and not rel.tagged:
-        rows = [(i,) + r for i in range(ntags) for r in rows]
-    return rows
+def _conform(rel: _Rel, cols: tuple[str, ...]) -> list[tuple]:
+    """rel's rows laid out for cols (absent columns None)."""
+    if rel.cols == cols:
+        return rel.rows
+    width = len(rel.cols) + rel.tagged + 1  # slot of the None appended below
+    slots = [rel.slot(c) for c in cols]
+    pick = _picker(
+        ([0] if rel.tagged else []) + [width if s is None else s for s in slots] + [width - 1]
+    )
+    return [pick(r + (None,)) for r in rel.rows]
 
 
 def _aggregate(expr: alg.Aggregate, inputs, g, arg: _Rel | None) -> _Rel:
@@ -762,25 +747,18 @@ def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
         raise EvaluationError(
             f"union schema mismatch: {list(a.columns)} vs {list(b.columns)}"
         )
-    return _to_bindings(_union_rels(_from_bindings(a), _from_bindings(b), 0), None)
+    return _to_bindings(_union_rels(_from_bindings(a), _from_bindings(b)), None)
 
 
 # -- result serialization -------------------------------------------------------------
-
-
-def _encode_value(v: Value) -> object:
-    if isinstance(v, VertexRef):
-        return {"vertex": v.id}
-    if isinstance(v, EdgeRef):
-        return {"edge": v.id}
-    return v
 
 
 _dump = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _json_value(v: Value) -> str:
-    """JSON text of one value, as json.dumps writes _encode_value(v)."""
+    """JSON text of one value as json.dumps writes it, an element
+    reference as {"vertex": id} / {"edge": id}."""
     tp = type(v)
     if tp is VertexRef:
         return '{"vertex":' + _json_string(v.id) + "}"  # type: ignore[union-attr]
@@ -816,8 +794,10 @@ def to_jsonl(result: BindingSet) -> str:
     try:
         columns = [list(map(itemgetter(c), result.rows)) for c in cols]
     except KeyError:  # some row lacks a column: each row writes the ones it has
+        keys = {c: _json_string(c) + ":" for c in cols}
         return "\n".join(
-            _dump({c: _encode_value(row[c]) for c in cols if c in row}) for row in result.rows
+            "{" + ",".join(keys[c] + _json_value(row[c]) for c in cols if c in row) + "}"
+            for row in result.rows
         )
     parts = []
     for i, (c, values) in enumerate(zip(cols, columns)):

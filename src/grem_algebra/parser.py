@@ -19,6 +19,7 @@ steps, counting the steps of nested traversals and the source step.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -77,9 +78,6 @@ def tokenize(text: str) -> list[Token]:
     col = 1
     n = len(text)
 
-    def err(msg: str, pos: int, ln: int, cl: int) -> ParseError:
-        return ParseError(msg, pos, ln, cl)
-
     while i < n:
         ch = text[i]
         if ch in " \t\r\n":
@@ -113,7 +111,7 @@ def tokenize(text: str) -> list[Token]:
                         i += 2
                         col += 2
                         continue
-                    raise err(f"unsupported escape '\\{esc}'", i, line, col)
+                    raise ParseError(f"unsupported escape '\\{esc}'", i, line, col)
                 if c == quote:
                     closed = True
                     i += 1
@@ -125,7 +123,7 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
                 col += 1
             if not closed:
-                raise err("unterminated string", start, sline, scol)
+                raise ParseError("unterminated string", start, sline, scol)
             tokens.append(Token(TokenKind.STRING, text[start:i], "".join(buf), start, sline, scol))
         elif _is_digit(ch) or (ch == "-" and i + 1 < n and _is_digit(text[i + 1])):
             j = i + 1 if ch == "-" else i
@@ -150,7 +148,9 @@ def tokenize(text: str) -> list[Token]:
             try:
                 value: object = float(lexeme) if is_float else int(lexeme)
             except ValueError:  # past the interpreter's int digit limit
-                raise err("integer literal has too many digits", start, sline, scol) from None
+                raise ParseError("integer literal has too many digits", start, sline, scol) from None
+            if is_float and math.isinf(value):  # rendered as inf, which does not parse again
+                raise ParseError("float literal out of range", start, sline, scol)
             kind = TokenKind.FLOAT if is_float else TokenKind.INT
             tokens.append(Token(kind, lexeme, value, start, sline, scol))
             col += j - i
@@ -164,7 +164,7 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
         else:
-            raise err(f"illegal character {ch!r}", start, sline, scol)
+            raise ParseError(f"illegal character {ch!r}", start, sline, scol)
 
     tokens.append(Token(TokenKind.EOF, "", None, n, line, col))
     return tokens

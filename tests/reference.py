@@ -18,10 +18,10 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from grem_algebra import algebra as alg
-from grem_algebra.compiler import ChainHas, ChainLabel, ChainTraverse, ChainValues, PatternChain
+from grem_algebra.compiler import PatternChain
 from grem_algebra.errors import EvaluationError
 from grem_algebra.evaluator import BindingSet, Value, _compare, multiset_union
+from grem_algebra.parser import StepKind
 from grem_algebra.property_graph import EdgeRef, Graph, PropertyValue, VertexRef, values_equal
 
 
@@ -150,38 +150,41 @@ def _run_chain(chain: PatternChain, g: Graph, t: Traverser) -> list[Traverser]:
     """Execute one pattern for one traverser; may fork or die."""
     start = t.labeled_path[chain.start_var]
     current = [replace(t, location=start)]
-    for op in chain.ops:
+    for step in chain.ops:
+        kind = step.kind
+        # the edge label, property key or vertex label the step names
+        name = step.args[0].value if step.args else None
         next_gen: list[Traverser] = []
         for tr in current:
             loc = tr.location
             is_ref = isinstance(loc, (VertexRef, EdgeRef))
-            if isinstance(op, ChainTraverse):
+            if kind is StepKind.OUT or kind is StepKind.IN:
                 if not isinstance(loc, VertexRef):
                     raise EvaluationError(f"traverse requires a vertex, got {loc!r}")
-                if op.direction == alg.OUT:
-                    pairs = g.out_adjacent(loc.id, op.edge_label)
+                if kind is StepKind.OUT:
+                    pairs = g.out_adjacent(loc.id, name)
                 else:
-                    pairs = g.in_adjacent(loc.id, op.edge_label)
+                    pairs = g.in_adjacent(loc.id, name)
                 next_gen.extend(replace(tr, location=VertexRef(v)) for _, v in pairs)
-            elif isinstance(op, ChainLabel):
-                if is_ref and g.element_label(loc) == op.label:
+            elif kind is StepKind.HAS_LABEL:
+                if is_ref and g.element_label(loc) == name:
                     next_gen.append(tr)
-            elif isinstance(op, ChainHas):
+            elif kind is StepKind.HAS:
                 if not is_ref:
                     continue
-                value = g.element_property(loc.id, op.key)
+                value = g.element_property(loc.id, name)
                 if value is None:
                     continue
-                if op.value is None or values_equal(value, op.value):
+                if len(step.args) == 1 or values_equal(value, step.args[1].value):
                     next_gen.append(tr)
-            elif isinstance(op, ChainValues):
+            elif kind is StepKind.VALUES:
                 if not is_ref:
                     continue
-                value = g.element_property(loc.id, op.key)
+                value = g.element_property(loc.id, name)
                 if value is not None:
                     next_gen.append(replace(tr, location=value))
             else:  # pragma: no cover
-                raise EvaluationError(f"unknown chain operator {op!r}")
+                raise EvaluationError(f"unknown chain step {kind.value}()")
         current = next_gen
     if chain.end_var is not None:
         bound = (bind(tr, chain.end_var) for tr in current)

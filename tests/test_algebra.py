@@ -1,12 +1,23 @@
 """Algebra tree rendering (three styles) and static validation."""
 
 import random
+import re
 
 import pytest
 
-from grem_algebra import compile_traversal, parse_traversal, render_plan, validate
+from grem_algebra import (
+    CompileError,
+    EvaluationError,
+    compile_traversal,
+    evaluate,
+    modern_graph,
+    parse_traversal,
+    render_plan,
+    validate,
+)
 from grem_algebra.algebra import (
     Aggregate,
+    Argument,
     Dedup,
     GetEdges,
     GetVertices,
@@ -89,6 +100,63 @@ def test_validate_sort_and_dedup():
     assert validate(Sort((("z", "asc"),), base)) == ["unbound z in sort"]
     assert validate(Dedup(("q",), base)) == ["unbound q in dedup"]
     assert validate(Sort((("a", "asc"),), base)) == []
+
+
+def _predicate_holders(leaf):
+    """Plans that hold leaf inside a selection predicate: where, not and
+    and (a join of predicates), under a union, and in a nested predicate."""
+    arg = Argument()
+    pred = Traverse("out", None, None, None, leaf)
+    return [
+        Selection(pred, GetVertices()),
+        Selection(pred, GetVertices(), negated=True),
+        Selection(Join(Traverse("out", None, None, None, arg), pred), GetVertices()),
+        Selection(Union(arg, pred), GetVertices()),
+        Selection(Selection(pred, arg, negated=True), GetVertices("x")),
+        Projection(("x",), None, Selection(Union(Selection(arg, leaf), arg), GetVertices("x"))),
+    ]
+
+
+@pytest.mark.parametrize("leaf", [GetVertices(), GetVertices("x"), GetEdges()])
+def test_validate_rejects_a_source_inside_a_predicate(leaf):
+    label = render_plan(leaf, "ascii")
+    for expr in _predicate_holders(leaf):
+        assert validate(expr) == [f"{label} inside a selection predicate"], expr
+        message = f"invalid plan: {label} inside a selection predicate"
+        with pytest.raises(EvaluationError, match=re.escape(message)):
+            evaluate(expr, modern_graph())
+
+
+def test_validate_rejects_an_argument_outside_a_predicate():
+    for leaf in (Argument(), Argument("a")):
+        label = render_plan(leaf, "ascii")
+        for expr in (leaf, Join(leaf, GetVertices("a")), Join(GetVertices(), leaf)):
+            assert validate(expr) == [f"{label} outside a selection predicate"], expr
+            message = f"invalid plan: {label} outside a selection predicate"
+            with pytest.raises(EvaluationError, match=re.escape(message)):
+                evaluate(expr, modern_graph())
+    # inside a predicate an Argument is the row under test
+    assert validate(Selection(Argument("a"), GetVertices())) == []
+
+
+def test_compiled_plans_have_no_shape_diagnostics():
+    from test_batched_predicates import QUERIES as BATCHED_QUERIES
+    from test_golden_eval import golden_queries
+
+    for _, text in golden_queries():  # the corpus and the golden predicate queries
+        for flag in (False, True):
+            assert validate(compiled(text, eq7_grouping=flag)) == [], text
+    clean = 0
+    for text in BATCHED_QUERIES:
+        try:
+            expr = compiled(text)
+        except CompileError:
+            continue
+        diags = validate(expr)
+        # group() then order() sorts on key/member, which validate reads as unbound
+        assert set(diags) <= {"unbound key in sort", "unbound member in sort"}, text
+        clean += not diags
+    assert clean > 250
 
 
 def test_introduced_vars():

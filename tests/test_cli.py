@@ -183,6 +183,17 @@ def test_integer_past_the_digit_limit_no_traceback(tmp_path):
     assert proc.stderr == "graph error: invalid JSON: integer has too many digits\n"
     assert proc.stdout == ""
 
+def test_float_literal_out_of_range_no_traceback():
+    for literal in ("1e999", "-1e999", "2e308"):
+        proc = cli("parse", "--query", f"g.V().has('age',{literal})")
+        assert proc.returncode == 1
+        assert proc.stderr == "parse error: float literal out of range at line 1, column 17\n"
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    proc = cli("parse", "--query", "g.V().has('age',1e-999)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == 'g.V().has("age",0.0)\n'
+
+
 def _long_chain(steps):
     """g.V() then out('knows') steps: `steps` steps in all."""
     return "g.V()" + ".out('knows')" * (steps - 1)

@@ -31,6 +31,7 @@ from grem_algebra.algebra import (
 )
 from grem_algebra.algebra import validate as alg_validate
 from grem_algebra.compiler import PatternChain, static_columns
+from grem_algebra.parser import Literal, Step, StepKind
 
 from corpus import Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30, Q_AGES_ASC, Q_UNION_CREATORS
 
@@ -103,6 +104,29 @@ def test_extract_patterns_cocreator():
         ("b", "c"),
         ("c", None),
     ]
+
+
+def test_extract_patterns_keeps_the_pattern_steps():
+    (chain,) = extract_patterns(
+        match_step("g.V().match(__.as('a').out('knows').has('age',32).hasLabel('person')"
+                   ".in().values('name').as('b'))")
+    )
+    assert (chain.start_var, chain.end_var) == ("a", "b")
+    assert chain.ops == (
+        Step(StepKind.OUT, (Literal("string", "knows"),)),
+        Step(StepKind.HAS, (Literal("string", "age"), Literal("int", 32))),
+        Step(StepKind.HAS_LABEL, (Literal("string", "person"),)),
+        Step(StepKind.IN, ()),
+        Step(StepKind.VALUES, (Literal("string", "name"),)),
+    )
+
+
+@pytest.mark.parametrize("step", ["dedup()", "order()", "limit(1)", "where(__.out())", "max()"])
+def test_extract_rejects_a_step_no_pattern_holds(step):
+    name = step[:step.index("(")]
+    with pytest.raises(CompileError) as info:
+        extract_patterns(match_step(f"g.V().match(__.as('a').out().{step}.as('b'))"))
+    assert str(info.value) == f"step {name}() is not supported inside a match() pattern"
 
 
 def test_extract_single_chain():

@@ -483,6 +483,14 @@ def test_jsonl_encoding_matches_json_dumps():
     assert to_jsonl(result) == expected
     ragged = BindingSet(("a", "b"), [{"a": 1}, {"b": VertexRef("2")}, {}])
     assert to_jsonl(ragged) == '{"a":1}\n{"b":{"vertex":"2"}}\n{}'
+    # every value, in rows that each miss one column in turn
+    cols = ("a", "b", "c")
+    rows = [{c: v for c in cols if c != gone} for v in values for gone in cols]
+    expected = "\n".join(
+        json.dumps({c: _as_json_object(v) for c, v in r.items()}, separators=(",", ":"))
+        for r in rows
+    )
+    assert to_jsonl(BindingSet(cols, rows)) == expected
     bare = BindingSet((), [{CUR: v} for v in values] + [{}])
     assert to_jsonl(bare).splitlines() == [
         json.dumps({"value": _as_json_object(v)}, separators=(",", ":")) for v in values

@@ -59,6 +59,19 @@ def test_integer_literal_past_the_digit_limit():
             parse_traversal(f"g.V().limit({literal})")
         assert (exc.value.pos, exc.value.line, exc.value.col) == (12, 1, 13)
 
+
+def test_float_literal_past_the_double_range():
+    """A float literal that overflows to +-inf is a positioned ParseError:
+    accepted, it would render as inf, which does not parse again.  One
+    that underflows to 0.0 round-trips and stays accepted."""
+    for literal in ("1e999", "-1e999", "2e308", "1.8e308"):
+        with pytest.raises(ParseError, match="float literal out of range") as exc:
+            parse_traversal(f"g.V().has('age',{literal})")
+        assert (exc.value.pos, exc.value.line, exc.value.col) == (16, 1, 17)
+    assert tokenize("has(1.5e308)")[2].value == 1.5e308
+    assert tokenize("has(1e-999)")[2].value == 0.0
+
+
 def test_oldest_known_age_ast():
     ast = parse_traversal(Q_OLDEST_KNOWN_AGE)
     assert not ast.anonymous
@@ -250,12 +263,15 @@ def _fuzz_inputs(count, seed):
 
 
 def test_fuzz_smoke():
-    for text in _fuzz_inputs(500, seed=11):
+    numbers = [f"g.V().has('age',{n})" for n in ("1e999", "-1e999", "2e308", "1.5e308", "1e-999")]
+    for text in [*_fuzz_inputs(500, seed=11), *numbers]:
         try:
-            parse_traversal(text)
+            ast = parse_traversal(text)
         except ParseError as exc:
             assert exc.pos >= 0
             assert exc.line >= 1
+        else:
+            assert parse_traversal(render_traversal(ast)) == ast, text
 
 
 def test_step_limit_counts_nested_steps():
