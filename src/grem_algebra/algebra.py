@@ -227,6 +227,8 @@ def _binds(expr: AlgebraExpr) -> tuple[str | None, ...]:
         return (expr.from_var, expr.to_var)  # type: ignore[union-attr]
     if type(expr) in (GetVertices, GetEdges, Argument, PropertyFilter, LabelFilter):
         return (expr.var,)  # type: ignore[union-attr]
+    if type(expr) is Group:
+        return ("key", "member")
     return ()
 
 

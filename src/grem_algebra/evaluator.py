@@ -26,9 +26,9 @@ group are stable, so the batch answers exactly what one run per row would.
 ``algebra.validate`` admits only plans whose predicate leaves are all the
 row under test (Argument) and whose other leaves are all sources, so inside
 a predicate every relation is tagged and outside one none is.
-Join is a hash join, sorting uses stable key passes.  ``evaluate`` converts
-the final rows to dicts and each token to the graph's interned
-``VertexRef``: results never hold a token.
+Join is a hash join, sorting uses stable key passes.  ``evaluate`` hands
+the final tuple rows to a ``BindingSet``; a token becomes the graph's
+interned ``VertexRef`` wherever a value leaves the set.
 
 This is the package's only evaluation engine.  The reference semantics it
 is tested against (the path algebra, the traverser-level match route and
@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-from dataclasses import dataclass, field
+import threading
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
 
@@ -59,48 +58,99 @@ from .property_graph import (
 )
 
 CUR = "@"
+_NONE = type(None)
 
 Value = object  # VertexRef (in the engine: its token) | EdgeRef | PropertyValue
 Row = dict
 
 
-@dataclass
 class BindingSet:
     """A bag of rows with an ordered visible schema.
 
-    Rows are dicts from column name to value; the reserved "@" key carries
-    the current position and is not part of `columns`.  Multiplicity is
-    represented by repeated rows.
+    Rows are read-only dicts from column name to value, an absent binding
+    left out; the reserved "@" key carries the current position and is not
+    part of `columns`.  Multiplicity is represented by repeated rows.
+
+    Underneath are tuple rows as in the engine (a repeated column name
+    reads its first slot; in a set ``evaluate`` returns, the graph's refs
+    name the vertex tokens).  Every reading but ``rows`` works on those.
+    ``rows`` is built on its first read and published whole, once.
     """
 
-    columns: tuple[str, ...]
-    rows: list[Row] = field(default_factory=list)
+    __slots__ = ("columns", "_dicts", "_tuples", "_refs")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, columns: tuple[str, ...], rows: list[Row] | None = None):
+        self.columns, self._refs = columns, None
+        self._dicts: list[Row] | None = [] if rows is None else rows
+        self._tuples = [tuple([r.get(c) for c in columns]) + (r.get(CUR),) for r in self._dicts]
+
+    @property
+    def rows(self) -> list[Row]:
+        """The dict rows; a set ``evaluate`` returns builds them here, once."""
+        if self._dicts is None:
+            built = _dict_rows(self)
+            with _PUBLISH:
+                if self._dicts is None:
+                    self._dicts = built
+        return self._dicts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BindingSet):
+            return NotImplemented
+        return (self.columns, self.rows) == (other.columns, other.rows)
+
+    def __repr__(self) -> str:
+        return f"BindingSet(columns={self.columns!r}, {len(self)} rows)"
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._tuples)
+
+    def _column(self, slot: int) -> list:
+        """One slot of every row, each vertex token as its VertexRef."""
+        values = list(map(itemgetter(slot), self._tuples))
+        if self._refs is None or tuple not in set(map(type, values)):
+            return values
+        return [self._refs[v[0]] if type(v) is tuple else v for v in values]  # type: ignore[index]
+
+    def _ref_rows(self) -> list[tuple]:
+        """The tuple rows, each vertex token as its VertexRef."""
+        return list(zip(*map(self._column, range(len(self.columns) + 1))))
 
     def canonical(self) -> list[tuple]:
         """Rows as order-insensitive canonical tuples (for multiset tests)."""
-        out = []
-        for row in self.rows:
-            if self.columns:
-                out.append(
-                    tuple(
-                        (c, value_key(row[c]) if c in row else ("missing",))
-                        for c in sorted(set(self.columns))
-                    )
-                )
-            elif CUR in row:
-                out.append((value_key(row[CUR]),))
-            else:
-                out.append(())
-        return out
+        if not self.columns:
+            return [() if v is None else (value_key(v),) for v in self._column(-1)]
+        index = self.columns.index
+        keyed = [
+            [(c, ("missing",) if v is None else value_key(v)) for v in self._column(index(c))]
+            for c in sorted(set(self.columns))
+        ]
+        return list(zip(*keyed))
 
     def values(self) -> list[Value]:
         """The single value per row: sole visible column, else the position."""
-        rel = _from_bindings(self)
-        slots = list(range(len(rel.cols)))
-        return [_natural(row, slots) for row in rel.rows]
+        slots = list(map(self.columns.index, self.columns))
+        return [_natural(row, slots) for row in self._ref_rows()]
+
+
+_PUBLISH = threading.Lock()  # held only to publish a set's dict rows
+
+
+def _result(rel: _Rel, refs: tuple[VertexRef, ...] | None) -> BindingSet:
+    """A set over an untagged relation's rows; refs name their vertex tokens."""
+    bs = BindingSet(rel.cols)
+    bs._dicts, bs._tuples, bs._refs = None, rel.rows, refs
+    return bs
+
+
+def _dict_rows(bs: BindingSet) -> list[Row]:
+    """The dict rows of a set's tuple rows, absent bindings left out."""
+    names = tuple(dict.fromkeys(bs.columns)) + (CUR,)
+    columns = [bs._column(bs.columns.index(c)) for c in names[:-1]] + [bs._column(-1)]
+    if any(_NONE in set(map(type, c)) for c in columns):
+        return [{k: v for k, v in zip(names, r) if v is not None} for r in zip(*columns)]
+    return list(map(dict, map(zip, itertools.repeat(names), zip(*columns))))
 
 
 # -- predicate helpers ------------------------------------------------------------
@@ -695,45 +745,12 @@ _OPERATORS = {
 # -- the public boundary ---------------------------------------------------------------
 
 
-def _with_refs(values: list, refs: tuple[VertexRef, ...]) -> list:
-    """One column's values with each vertex token replaced by its ref."""
-    types = set(map(type, values))
-    if tuple not in types:
-        return values
-    if len(types) == 1:
-        return [refs[v[0]] for v in values]
-    return [refs[v[0]] if type(v) is tuple else v for v in values]
-
-
-def _to_bindings(rel: _Rel, refs: tuple[VertexRef, ...] | None) -> BindingSet:
-    """Engine rows as dict rows; absent bindings are left out.  refs (by
-    rank) replace vertex tokens; None: the rows hold no tokens."""
-    keys = rel.cols + (CUR,)
-    rows = rel.rows
-    if refs is not None:
-        columns = [list(map(itemgetter(s), rows)) for s in range(len(keys))]
-        converted = [_with_refs(c, refs) for c in columns]
-        if any(c is not d for c, d in zip(columns, converted)):
-            rows = zip(*converted)
-    if rel.holes:
-        rows = [{k: v for k, v in zip(keys, r) if v is not None} for r in rows]
-    else:
-        rows = list(map(dict, map(zip, itertools.repeat(keys), rows)))
-    return BindingSet(rel.cols, rows)
-
-
-def _from_bindings(bs: BindingSet) -> _Rel:
-    cols = tuple(bs.columns)
-    rows = [tuple(row.get(c) for c in cols) + (row.get(CUR),) for row in bs.rows]
-    return _Rel(cols, rows, False, True)
-
-
 def evaluate(expr: AlgebraExpr, g: Graph) -> BindingSet:
     """Evaluate a well-scoped expression over a graph."""
     diags = alg.validate(expr)
     if diags:
         raise EvaluationError("invalid plan: " + "; ".join(diags))
-    return _to_bindings(_run(expr, g, None), g.vertex_refs)
+    return _result(_run(expr, g, None), g.vertex_refs)
 
 
 def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
@@ -747,10 +764,18 @@ def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
         raise EvaluationError(
             f"union schema mismatch: {list(a.columns)} vs {list(b.columns)}"
         )
-    return _to_bindings(_union_rels(_from_bindings(a), _from_bindings(b)), None)
+    refs = a._refs or b._refs
+    sides = [  # a token of another graph's result is resolved to its ref
+        _Rel(tuple(s.columns), s._tuples if s._refs in (None, refs) else s._ref_rows())
+        for s in (a, b)
+    ]
+    return _result(_union_rels(*sides), refs)
 
 
 # -- result serialization -------------------------------------------------------------
+#
+# The renderers read a set's tuple rows column by column.  A value's text
+# is made once per distinct object in a call, a vertex token's from its ref.
 
 
 _dump = json.JSONEncoder(separators=(",", ":")).encode
@@ -764,47 +789,7 @@ def _json_value(v: Value) -> str:
         return '{"vertex":' + _json_string(v.id) + "}"  # type: ignore[union-attr]
     if tp is EdgeRef:
         return '{"edge":' + _json_string(v.id) + "}"  # type: ignore[union-attr]
-    if tp is str:
-        return _json_string(v)
-    if tp is int:
-        return int.__repr__(v)
-    if tp is float and math.isfinite(v):
-        return float.__repr__(v)
-    return _dump(v)
-
-
-def _json_texts(values: list, cache: dict[int, str]) -> list[str]:
-    """JSON text of each value, encoded once per distinct object; cache maps
-    id(object) to its text, and stays valid while the objects are alive."""
-    ids = list(map(id, values))
-    for i, v in dict(zip(ids, values)).items():
-        if i not in cache:
-            cache[i] = _json_value(v)
-    return list(map(cache.__getitem__, ids))
-
-
-def to_jsonl(result: BindingSet) -> str:
-    """One JSON object per row; element references as {"vertex": id} /
-    {"edge": id}; schema-less rows as {"value": ...}."""
-    cache: dict[int, str] = {}  # the rows keep every value alive meanwhile
-    if not result.columns:
-        texts = _json_texts([row.get(CUR) for row in result.rows], cache)
-        return "\n".join(['{"value":' + text + "}" for text in texts])
-    cols = tuple(dict.fromkeys(result.columns))
-    try:
-        columns = [list(map(itemgetter(c), result.rows)) for c in cols]
-    except KeyError:  # some row lacks a column: each row writes the ones it has
-        keys = {c: _json_string(c) + ":" for c in cols}
-        return "\n".join(
-            "{" + ",".join(keys[c] + _json_value(row[c]) for c in cols if c in row) + "}"
-            for row in result.rows
-        )
-    parts = []
-    for i, (c, values) in enumerate(zip(cols, columns)):
-        parts.append(itertools.repeat(("{" if i == 0 else ",") + _json_string(c) + ":"))
-        parts.append(_json_texts(values, cache))
-    parts.append(itertools.repeat("}"))
-    return "\n".join(map("".join, zip(*parts)))
+    return _json_string(v) if tp is str else _dump(v)
 
 
 def _format_cell(v: Value) -> str:
@@ -815,26 +800,62 @@ def _format_cell(v: Value) -> str:
     return str(v)
 
 
+def _texts(values: list, text, refs, cache: dict[int, str], prefix="", suffix="") -> list[str]:
+    """prefix + text(value) + suffix for each value, a vertex token read
+    as its ref in refs; text runs once per distinct object, and cache maps
+    id(object) to its text while the objects are alive."""
+    ids = list(map(id, values))
+    distinct = dict(zip(ids, values))
+    for i, v in distinct.items():
+        if i not in cache:
+            cache[i] = text(refs[v[0]] if type(v) is tuple else v)
+    if prefix or suffix:
+        cache = {i: prefix + cache[i] + suffix for i in distinct}
+    return list(map(cache.__getitem__, ids))
+
+
+def to_jsonl(result: BindingSet) -> str:
+    """One JSON object per row; element references as {"vertex": id} /
+    {"edge": id}; schema-less rows as {"value": ...}."""
+    rows, refs = result._tuples, result._refs
+    cache: dict[int, str] = {}  # the rows keep every value alive meanwhile
+    if not result.columns:
+        values = list(map(itemgetter(-1), rows))
+        return "\n".join(_texts(values, _json_value, refs, cache, '{"value":', "}"))
+    names = dict.fromkeys(result.columns)
+    keys = [_json_string(c) + ":" for c in names]
+    columns = [list(map(itemgetter(result.columns.index(c)), rows)) for c in names]
+    if any(_NONE in set(map(type, vs)) for vs in columns):
+        # each row writes the columns it has
+        texts = [
+            [None if v is None else t for v, t in zip(vs, _texts(vs, _json_value, refs, cache, k))]
+            for k, vs in zip(keys, columns)
+        ]
+        return "\n".join(["{" + ",".join(filter(None, r)) + "}" for r in zip(*texts)])
+    last = len(names) - 1
+    texts = [
+        _texts(vs, _json_value, refs, cache, ("," if i else "{") + k, "}" if i == last else "")
+        for i, (k, vs) in enumerate(zip(keys, columns))
+    ]
+    return "\n".join(map("".join, zip(*texts)) if last else texts[0])
+
+
 def to_table(result: BindingSet) -> str:
     """Aligned text table; schema-less results print one bare value per row.
     Empty results render as the empty string."""
-    if not result.rows:
+    rows, refs = result._tuples, result._refs
+    cache: dict[int, str] = {}  # the rows keep every value alive meanwhile
+    if not rows:
         return ""
     if not result.columns:
-        return "\n".join(_format_cell(row.get(CUR)) for row in result.rows)
-    headers = list(result.columns)
-    cells = [
-        [_format_cell(row[c]) if c in row else "" for c in headers]
-        for row in result.rows
-    ]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in cells)) if cells else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths).rstrip(),
-    ]
-    for r in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines)
+        return "\n".join(_texts(list(map(itemgetter(-1), rows)), _format_cell, refs, cache))
+    padded = []
+    for c in result.columns:
+        values = list(map(itemgetter(result.columns.index(c)), rows))
+        texts = _texts(values, _format_cell, refs, cache)
+        texts = ["" if v is None else t for v, t in zip(values, texts)]
+        width = max(len(c), *map(len, texts))
+        padded.append((c.ljust(width), "-" * width, [t.ljust(width) for t in texts]))
+    headers, rules, cells = zip(*padded)
+    lines = ["  ".join(headers), "  ".join(rules)] + list(map("  ".join, zip(*cells)))
+    return "\n".join([line.rstrip() for line in lines])

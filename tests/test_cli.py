@@ -79,6 +79,13 @@ def test_evaluation_error_exit_3():
     assert "evaluation error" in proc.stderr
 
 
+def test_group_then_order_exit_0():
+    query = "g.V().group().by('lang').order()"
+    proc = cli("run", "--graph", modern_graph_path(), "--query", query)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "key   member\n----  ------\njava  v[3]\njava  v[5]\n"
+
+
 def test_jsonl_format():
     proc = cli(
         "run",

@@ -32,6 +32,7 @@ from grem_algebra.algebra import (
     Union,
 )
 from grem_algebra.evaluator import CUR
+from grem_algebra.property_graph import sort_key
 
 from reference import EMPTY_PATH, Path, path_concat, path_join
 from corpus import Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30, Q_COCREATOR_32, Q_AGES_ASC, random_graph
@@ -287,6 +288,27 @@ def test_group_bare(modern):
     values = PropertyFilter(None, "age", None, True, GetVertices())
     grouped = evaluate(Group(None, values), modern)
     assert [r["key"] for r in grouped.rows] == [27, 29, 32, 35]
+
+
+def test_group_then_order_sorts_by_key_then_member(modern):
+    # group() binds key and member, so a later order() sorts on both
+    text = "g.V().out().group().by('lang')"
+    assert [(r["key"], r["member"].id) for r in run(text, modern).rows] == [
+        ("java", "3"), ("java", "5"), ("java", "3"), ("java", "3"),
+    ]
+    assert [(r["key"], r["member"].id) for r in run(text + ".order()", modern).rows] == [
+        ("java", "3"), ("java", "3"), ("java", "3"), ("java", "5"),
+    ]
+    for seed in (0, 7):
+        g = random_graph(seed)
+        for text in ("g.V().in().group().by('name')", "g.V().union(__.out(), __.values('age')).group()"):
+            rows = [(r["key"], r["member"]) for r in run(text, g).rows]
+            by_key = sorted(rows, key=lambda kv: (sort_key(kv[0]), sort_key(kv[1])))
+            for direction, expected in (("asc", by_key), ("desc", by_key[::-1])):
+                got = run(f"{text}.order().by({direction})", g)
+                assert [(r["key"], r["member"]) for r in got.rows] == expected, text
+                # and it only permutes the grouped rows
+                assert Counter(got.canonical()) == Counter(run(text, g).canonical())
 
 
 def test_join_on_shared_column(modern):

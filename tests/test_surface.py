@@ -36,7 +36,7 @@ COMMON_WORDS = {"Path", "bind"}
 # for these names over the sources and the tests finds nothing.
 DELETED = {"Chain" + kind for kind in ("Op", "Traverse", "Has", "Label", "Values")} | {
     f"_{verb}_op" for verb in ("chain", "apply")
-}
+} | {"_to_" + "bindings", "_with_" + "refs"}
 
 
 def _operator_classes() -> set[type]:

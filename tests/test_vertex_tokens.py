@@ -192,7 +192,7 @@ def test_engine_rows_and_graph_tables_are_not_gc_tracked():
         assert not any(map(gc.is_tracked, adjacency))
     assert gc.is_tracked(control)
     # and the result rows hold interned refs, never tokens
-    _assert_interned(evaluator._to_bindings(rel, g.vertex_refs), g)
+    _assert_interned(evaluate(expr, g), g)
 
 
 def test_package_leaves_the_collector_settings_alone():
