@@ -8,7 +8,9 @@ operator's physical implementation must reproduce these files exactly.
 The query set is every corpus query plus where()/not() predicates whose
 bodies hold bag-level operators (dedup, limit, order, group, max, a
 match(), and(), a nested not()); those are the predicates an evaluation
-that batches all input rows must keep exact.
+that batches all input rows must keep exact.  It also holds every query
+shape of the benchmark, so the shapes the engine is tuned for are pinned
+byte for byte too.
 
 Regenerate (only for a deliberate, documented change of the contract):
 
@@ -115,8 +117,104 @@ PREDICATE_QUERIES = [
 ]
 
 
+_CHAIN_SEGMENT = ".has('age').hasLabel('person').has('name','marko')"
+
+# The query shapes of the benchmark (bench/queries.py), one entry per
+# lookup template and per analytic template and direction/key variant,
+# with constants that select rows on the golden graphs.
+BENCH_QUERIES = [
+    (
+        "bench_hop_values",
+        "g.V().has('name','marko').hasLabel('person').out('knows').values('name')",
+    ),
+    (
+        "bench_match_3",
+        "g.V().match(__.as('a').has('name','marko'), __.as('a').out('knows').as('b'), "
+        "__.as('b').out('created').as('c')).select('b','c').by('name')",
+    ),
+    (
+        "bench_has_where",
+        "g.V().has('name','josh').where(__.out('created').has('lang','java')).values('age')",
+    ),
+    ("bench_neighbour_max", "g.V().has('name','marko').out('knows').values('age').max()"),
+    (
+        "bench_filter_chain",
+        "g.V().hasLabel('person').has('name','marko')" + _CHAIN_SEGMENT * 9
+        + ".out('knows').values('age')",
+    ),
+    (
+        "bench_co_follower_dedup",
+        "g.V().has('name','marko').out('knows').in('knows').dedup().values('name')",
+    ),
+    (
+        "bench_top2_ages",
+        "g.V().has('name','marko').out('knows').values('age').order().by(desc).limit(2)",
+    ),
+    ("bench_created_group", "g.V().has('name','josh').out('created').group().by('lang')"),
+    (
+        "bench_out_union",
+        "g.V().has('name','marko').union(__.out('knows'), __.out('created')).values('name')",
+    ),
+    (
+        "bench_name_pair_join",
+        "g.V().match(__.as('a').has('name','vadas'), __.as('b').has('name','peter'))"
+        ".select('a','b')",
+    ),
+    (
+        "bench_two_hop_dedup",
+        "g.V().match(__.as('a').out('knows').as('b'), __.as('b').out('knows').as('c'))"
+        ".select('a','c').dedup()",
+    ),
+    ("bench_group_by_out_age", "g.V().hasLabel('person').out('knows').group().by('age')"),
+    ("bench_group_by_in_name", "g.V().hasLabel('person').in('knows').group().by('name')"),
+    (
+        "bench_union_out",
+        "g.V().union(__.as('a').out('knows').as('b'), __.as('a').out('created').as('b'))"
+        ".select('a','b')",
+    ),
+    (
+        "bench_union_in",
+        "g.V().union(__.as('a').in('knows').as('b'), __.as('a').in('created').as('b'))"
+        ".select('a','b')",
+    ),
+    (
+        "bench_not_anti_join",
+        "g.V().hasLabel('person').not(__.out('knows').has('age',32)).values('age')",
+    ),
+    (
+        "bench_sort_limit_asc",
+        "g.V().match(__.as('a').hasLabel('person').values('age').as('b'))"
+        ".select('b','a').order().by(asc).limit(3)",
+    ),
+    (
+        "bench_sort_limit_desc",
+        "g.V().match(__.as('a').hasLabel('person').values('age').as('b'))"
+        ".select('b','a').order().by(desc).limit(3)",
+    ),
+    (
+        "bench_where_semi_join",
+        "g.V().hasLabel('person').where(__.out('created').has('lang','java')).values('name')",
+    ),
+    (
+        "bench_disconnected_join",
+        "g.V().match(__.as('a').has('name','marko').out('knows').as('b'), "
+        "__.as('c').has('name','josh').out('created').as('d')).select('a','b','c','d')",
+    ),
+    (
+        "bench_cocreator",
+        "g.V().match(__.as('a').out('created').as('b'), __.as('b').has('name','lop'), "
+        "__.as('b').in('created').as('c'), __.as('c').hasLabel('person'))"
+        ".select('a','c').by('name')",
+    ),
+    (
+        "bench_two_hop_max",
+        "g.V().has('name','anna').out('knows').out('knows').values('age').max()",
+    ),
+]
+
+
 def golden_queries() -> list[tuple[str, str]]:
-    return [(q.name, q.text) for q in CORPUS] + PREDICATE_QUERIES
+    return [(q.name, q.text) for q in CORPUS] + PREDICATE_QUERIES + BENCH_QUERIES
 
 
 GRAPHS = {
@@ -159,9 +257,9 @@ def test_golden_ordered_output(graph_name, name, text):
 
 
 def test_golden_predicates_are_not_trivial():
-    """Each predicate query returns rows on at least one graph, so no
-    golden is vacuous."""
-    for name, text in PREDICATE_QUERIES:
+    """Each predicate and benchmark-shape query returns rows on at least
+    one graph, so no golden is vacuous."""
+    for name, text in PREDICATE_QUERIES + BENCH_QUERIES:
         counts = [len(_load(g)[name]["rows"]) for g in GRAPHS]
         assert any(c > 0 for c in counts), name
 
