@@ -330,7 +330,8 @@ def validate(expr: AlgebraExpr) -> list[str]:
     Returns one diagnostic per variable referenced by an operator without
     being introduced beneath it (or inherited from an enclosing selection
     predicate's outer row), per get-vertices/get-edges leaf inside a
-    selection predicate, and per Argument leaf outside one.  An empty list
+    selection predicate, per Argument leaf outside one, and per property
+    filter whose comparator is not "=" (no query builds one).  An empty list
     means the plan is well-scoped and well-shaped, as the evaluator needs.
     """
     diags: list[str] = []
@@ -343,6 +344,8 @@ def validate(expr: AlgebraExpr) -> list[str]:
             diags.append(f"{_ascii_label(node)} outside a selection predicate")
         elif scope is not None and (tp is GetVertices or tp is GetEdges):
             diags.append(f"{_ascii_label(node)} inside a selection predicate")
+        if tp is PropertyFilter and node.predicate is not None and node.predicate[0] != "=":
+            diags.append(f"comparator {node.predicate[0]!r} in {_ascii_label(node)}")
         refs = _referenced(node)
         if refs or tp is Selection:
             below = _introduced(node.input, memo).union(scope or ())  # type: ignore[union-attr]

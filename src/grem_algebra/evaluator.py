@@ -9,26 +9,34 @@ Row order is deterministic: the vertex/edge sources emit elements in
 ascending lexicographic id order, and every operator except sorting and
 grouping preserves its input order.
 
-Inside the engine a row is a tuple, not a dict: one slot per column, in
-the order of the column rules of ``algebra.output_columns``, then a final
-slot for the current position; None marks an absent binding.  A vertex is
-its token, the 1-tuple ``(rank,)`` of its rank in id order.  The operators
-read the graph's own layout, which it builds at load (see ``Graph``):
-tokens, labels and properties by rank, and neighbour tokens per direction
-and label, built on first use.  A token is interned and is the only tuple
-a row value can be; it orders, dedups and joins as itself.  Rows of tokens
-and scalars hold nothing CPython's cyclic garbage collector must follow,
-so it stops tracking them at their first collection.  An edge is the
-graph's interned ``EdgeRef``.  where()/not() run their predicate once over all input rows,
-each tagged with its row's index in a hidden first slot.  Inside the
-predicate, dedup, join, limit and aggregate key on that tag, and sort and
-group are stable, so the batch answers exactly what one run per row would.
-``algebra.validate`` admits only plans whose predicate leaves are all the
-row under test (Argument) and whose other leaves are all sources, so inside
-a predicate every relation is tagged and outside one none is.
-Join is a hash join, sorting uses stable key passes.  ``evaluate`` hands
-the final tuple rows to a ``BindingSet``; a token becomes the graph's
-interned ``VertexRef`` wherever a value leaves the set.
+Inside the engine a relation is stored column by column: one list per
+visible column, in the order of the column rules of
+``algebra.output_columns``, and one list of current positions; None marks
+an absent binding.  A list is never changed once built, so relations
+share lists freely (``traverse(a->b)`` keeps one list as both ``b`` and
+the position).  A vertex is its token, the 1-tuple ``(rank,)`` of its rank
+in id order.  The operators are passes over whole columns: a traverse
+expands each column by the neighbour counts of its anchors, a filter
+compresses every column by a mask read from the graph's labels or
+property columns by rank (see ``Graph``), dedup, limit, sort, group and
+join gather by an index list and union concatenates.  A column of vertex
+tokens takes these passes through C-level ``map``s over ranks; a column
+holding edges, scalars or None takes a per-value path in the same
+function, chosen by the types the column holds.  A token is interned and
+is the only tuple a column value can be; it orders, dedups and joins as
+itself.  Tokens and scalars hold nothing CPython's cyclic garbage
+collector must follow, so the objects it tracks per relation are its few
+lists, not its rows.  An edge is the graph's interned ``EdgeRef``.
+
+where()/not() run their predicate once over all input rows, each tagged
+with its row's index in a tag list.  Inside the predicate, dedup, join,
+limit and aggregate key on that tag, and sort and group are stable, so
+the batch answers exactly what one run per row would.  ``algebra.validate``
+admits only plans whose predicate leaves are all the row under test
+(Argument) and whose other leaves are all sources, so inside a predicate
+every relation is tagged and outside one none is.  ``evaluate`` hands the
+final columns to a ``BindingSet``; a token becomes the graph's interned
+``VertexRef`` wherever a value leaves the set.
 
 This is the package's only evaluation engine.  The reference semantics it
 is tested against (the path algebra, the traverser-level match route and
@@ -37,11 +45,11 @@ the brute-force oracle) live with the tests, in ``tests/reference.py``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import threading
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import itemgetter
+from operator import eq, is_, is_not, itemgetter, not_, or_
 
 from . import algebra as alg
 from .algebra import AlgebraExpr
@@ -49,7 +57,6 @@ from .errors import EvaluationError
 from .property_graph import (
     EdgeRef,
     Graph,
-    PropertyValue,
     VertexRef,
     is_numeric,
     sort_key,
@@ -63,6 +70,8 @@ _NONE = type(None)
 Value = object  # VertexRef (in the engine: its token) | EdgeRef | PropertyValue
 Row = dict
 
+_RANK = itemgetter(0)  # a vertex token's rank
+
 
 class BindingSet:
     """A bag of rows with an ordered visible schema.
@@ -71,19 +80,21 @@ class BindingSet:
     left out; the reserved "@" key carries the current position and is not
     part of `columns`.  Multiplicity is represented by repeated rows.
 
-    Underneath are tuple rows as in the engine (a repeated column name
-    reads its first slot; in a set ``evaluate`` returns, the graph's refs
-    name the vertex tokens).  Every reading but ``rows`` works on those.
-    ``rows`` is built on its first read and published whole, once.
+    Underneath are the engine's columns: one list per name in `columns`
+    (a repeated name reads its first list) and one of positions; in a set
+    ``evaluate`` returns, the graph's refs name the vertex tokens.  Every
+    reading but ``rows`` works on those.  ``rows`` is built on its first
+    read and published whole, once.
     """
 
-    __slots__ = ("columns", "_dicts", "_tuples", "_refs")
+    __slots__ = ("columns", "_dicts", "_data", "_pos", "_refs")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, columns: tuple[str, ...], rows: list[Row] | None = None):
         self.columns, self._refs = columns, None
         self._dicts: list[Row] | None = [] if rows is None else rows
-        self._tuples = [tuple([r.get(c) for c in columns]) + (r.get(CUR),) for r in self._dicts]
+        self._data = [[r.get(c) for r in self._dicts] for c in columns]
+        self._pos = [r.get(CUR) for r in self._dicts]
 
     @property
     def rows(self) -> list[Row]:
@@ -104,18 +115,20 @@ class BindingSet:
         return f"BindingSet(columns={self.columns!r}, {len(self)} rows)"
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._pos)
 
     def _column(self, slot: int) -> list:
-        """One slot of every row, each vertex token as its VertexRef."""
-        values = list(map(itemgetter(slot), self._tuples))
-        if self._refs is None or tuple not in set(map(type, values)):
+        """One column (-1: the positions), each vertex token as its VertexRef."""
+        values = self._pos if slot == -1 else self._data[slot]
+        refs = self._refs
+        if refs is None:
             return values
-        return [self._refs[v[0]] if type(v) is tuple else v for v in values]  # type: ignore[index]
-
-    def _ref_rows(self) -> list[tuple]:
-        """The tuple rows, each vertex token as its VertexRef."""
-        return list(zip(*map(self._column, range(len(self.columns) + 1))))
+        kinds = set(map(type, values))
+        if tuple not in kinds:
+            return values
+        if len(kinds) == 1:
+            return list(map(refs.__getitem__, map(_RANK, values)))
+        return [refs[v[0]] if type(v) is tuple else v for v in values]  # type: ignore[index]
 
     def canonical(self) -> list[tuple]:
         """Rows as order-insensitive canonical tuples (for multiset tests)."""
@@ -130,56 +143,39 @@ class BindingSet:
 
     def values(self) -> list[Value]:
         """The single value per row: sole visible column, else the position."""
-        slots = list(map(self.columns.index, self.columns))
-        return [_natural(row, slots) for row in self._ref_rows()]
+        columns = [self._column(i) for i in map(self.columns.index, self.columns)]
+        return list(_naturals(columns, self._column(-1)))
 
 
 _PUBLISH = threading.Lock()  # held only to publish a set's dict rows
 
 
 def _result(rel: _Rel, refs: tuple[VertexRef, ...] | None) -> BindingSet:
-    """A set over an untagged relation's rows; refs name their vertex tokens."""
+    """A set over an untagged relation's columns; refs name their vertex tokens."""
     bs = BindingSet(rel.cols)
-    bs._dicts, bs._tuples, bs._refs = None, rel.rows, refs
+    bs._dicts, bs._data, bs._pos, bs._refs = None, rel.data, rel.pos, refs
     return bs
 
 
 def _dict_rows(bs: BindingSet) -> list[Row]:
-    """The dict rows of a set's tuple rows, absent bindings left out."""
+    """The dict rows of a set's columns, absent bindings left out."""
     names = tuple(dict.fromkeys(bs.columns)) + (CUR,)
     columns = [bs._column(bs.columns.index(c)) for c in names[:-1]] + [bs._column(-1)]
-    if any(_NONE in set(map(type, c)) for c in columns):
+    if any(None in c for c in columns):
         return [{k: v for k, v in zip(names, r) if v is not None} for r in zip(*columns)]
-    return list(map(dict, map(zip, itertools.repeat(names), zip(*columns))))
-
-
-# -- predicate helpers ------------------------------------------------------------
-
-
-def _compare(value: Value, cmp: str, const: PropertyValue) -> bool:
-    """Total predicate: rows with incomparable values simply fail the test."""
-    if cmp == "=":
-        return values_equal(value, const)
-    if cmp == "!=":
-        return not values_equal(value, const)
-    if not (is_numeric(value) and is_numeric(const)):
-        return False
-    if cmp == "<":
-        return value < const  # type: ignore[operator]
-    if cmp == "<=":
-        return value <= const  # type: ignore[operator]
-    if cmp == ">":
-        return value > const  # type: ignore[operator]
-    if cmp == ">=":
-        return value >= const  # type: ignore[operator]
-    raise EvaluationError(f"unknown comparator {cmp!r}")
+    return list(map(dict, map(zip, repeat(names), zip(*columns))))
 
 
 # -- keys ---------------------------------------------------------------------------
 #
-# A vertex in an engine row is its interned token (rank,) and an edge the
+# A vertex in an engine column is its interned token (rank,) and an edge the
 # graph's interned EdgeRef (see Graph).  A token is a 1-tuple of an int:
 # it never equals a tagged key such as ("s", "x") or ("missing",).
+
+
+def _only_tokens(values: list) -> bool:
+    """Whether a column holds vertex tokens and nothing else."""
+    return set(map(type, values)) == {tuple}
 
 
 def _identity_keys(values: list) -> list:
@@ -225,123 +221,185 @@ def _join_key(v: object) -> object:
     raise TypeError(f"not a graph value: {v!r}")
 
 
-def _column_keys(rows: list[tuple], slots: list[int], keys_of) -> list:
-    """Per row, the key of the given slots: one key for one slot, else a
-    tuple of keys; keys_of maps one column's values to their keys."""
-    columns = [keys_of(list(map(itemgetter(s), rows))) for s in slots]
-    if len(columns) == 1:
-        return columns[0]
-    return list(zip(*columns))
+def _keys(columns: list[list], keys_of, tags: list | None, n: int) -> list:
+    """Per row, the key of the given columns: one key for one column, else
+    a tuple of keys, the tag first when tags are given; keys_of maps one
+    column's values to their keys.  No column and no tag: one key for all
+    n rows."""
+    parts = [keys_of(c) for c in columns]
+    if tags is not None:
+        parts.insert(0, tags)
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return [()] * n
+    return list(zip(*parts))
 
 
-def _picker(slots: list[int]):
-    """itemgetter over slots that always returns a tuple."""
-    if len(slots) == 1:
-        only = slots[0]
-        return lambda row: (row[only],)
-    return itemgetter(*slots)
+def _join_keys(columns: list[list], tags: list | None) -> list:
+    """Join key per row, None for a row with an absent join column; the
+    tag first when tags are given."""
+    parts = [
+        c if _only_tokens(c) else [None if v is None else _join_key(v) for v in c]
+        for c in columns
+    ]
+    if tags is not None:
+        parts.insert(0, tags)
+    if len(parts) == 1:
+        return parts[0]
+    keys = list(zip(*parts))
+    if any(None in p for p in parts):
+        return [None if None in k else k for k in keys]
+    return keys
+
+
+def _first_rows(keys: list) -> list[int]:
+    """The index of each distinct key's first row, in row order."""
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return sorted(first.values())
 
 
 # -- the engine ----------------------------------------------------------------------
 
 
 class _Rel:
-    """A relation inside the engine.
+    """A relation inside the engine, stored column by column.
 
     cols are the visible columns (a name may repeat after a projection
-    such as select('a','a'); it then reads from its first slot).  A row is
-    a tuple: when the relation is tagged, slot 0 holds the index of the
-    row under test it derives from (see _selection); then one slot per
-    visible column; the last slot is the current position.  None marks an
-    absent binding; holes says whether any row may hold one.
+    such as select('a','a'); it then reads its first list).  data holds
+    one list per visible column and pos the current position of each row.
+    Inside a selection predicate tags holds, per row, the index of the row
+    under test it derives from (see _selection); outside one it is None.
+    None marks an absent binding; holes says whether any column may hold
+    one.  Lists are never changed once built, so relations share them.
     """
 
-    __slots__ = ("cols", "rows", "tagged", "holes")
+    __slots__ = ("cols", "data", "pos", "tags", "holes")
 
-    def __init__(self, cols: tuple[str, ...], rows: list[tuple], tagged: bool = False,
-                 holes: bool = False):
+    def __init__(self, cols: tuple[str, ...], data: list[list], pos: list,
+                 tags: list | None = None, holes: bool = False):
         self.cols = cols
-        self.rows = rows
-        self.tagged = tagged
+        self.data = data
+        self.pos = pos
+        self.tags = tags
         self.holes = holes
 
-    def slot(self, name: str | None) -> int | None:
-        """Row slot of a column, or None when it is not a column."""
+    def column(self, name: str | None) -> list | None:
+        """A column's values, or None when it is not a column."""
         if name is None or name not in self.cols:
             return None
-        return self.cols.index(name) + self.tagged
+        return self.data[self.cols.index(name)]
 
 
-def _natural(row: tuple, slots: list) -> Value:
-    """A row's natural value: the sole present column among slots, else
-    the current position, else the last present column."""
-    present = [s for s in slots if s is not None and row[s] is not None]
-    if len(present) == 1:
-        return row[present[0]]
-    if row[-1] is not None:
-        return row[-1]
-    if present:
-        return row[present[-1]]
-    return None
+def _slot(cols: tuple[str, ...], name: str | None) -> int | None:
+    """Index of a column's list, or None when it is not a column."""
+    return cols.index(name) if name is not None and name in cols else None
 
 
-def _element_reader(g: Graph, key: str):
-    """elem -> its property value, or None (absent key or not an element)."""
-    vprops = g.vertex_props
-    eindex, eprops = g.edge_index, g.edge_props
+def _once(fn):
+    """fn applied at most once per list object, so that lists shared
+    between columns stay shared in the result."""
+    done: dict[int, list] = {}
 
-    def read(elem: object) -> PropertyValue | None:
-        tp = type(elem)
-        if tp is tuple:
-            return vprops[elem[0]].get(key)  # type: ignore[index]
-        if tp is EdgeRef:
-            return eprops[eindex[elem.id]].get(key)  # type: ignore[union-attr]
+    def apply(values: list) -> list:
+        got = done.get(id(values))
+        if got is None:
+            got = done[id(values)] = fn(values)
+        return got
+
+    return apply
+
+
+def _each(rel: _Rel, fn) -> _Rel:
+    """rel with fn applied to every list: the columns, positions and tags."""
+    apply = _once(fn)
+    tags = None if rel.tags is None else apply(rel.tags)
+    return _Rel(rel.cols, list(map(apply, rel.data)), apply(rel.pos), tags, rel.holes)
+
+
+def _keep(rel: _Rel, mask: list) -> _Rel:
+    """The rows whose mask entry is true."""
+    if False not in mask:
+        return _Rel(rel.cols, list(rel.data), rel.pos, rel.tags, rel.holes)
+    return _each(rel, lambda values: list(compress(values, mask)))
+
+
+def _gather(rel: _Rel, index: list[int]) -> _Rel:
+    """The rows at index, in its order."""
+    return _each(rel, lambda values: list(map(values.__getitem__, index)))
+
+
+def _coalesce(values: list, fallback: list) -> list:
+    """values, each None replaced by fallback's value in that row."""
+    if None not in values:
+        return values
+    return [f if v is None else v for v, f in zip(values, fallback)]
+
+
+def _present(columns: list[list]) -> list | None:
+    """Per row, whether every column binds it; None when every row does."""
+    masks = [list(map(is_not, c, repeat(None))) for c in columns if None in c]
+    if not masks:
         return None
+    return masks[0] if len(masks) == 1 else list(map(all, zip(*masks)))
 
-    return read
+
+def _naturals(columns: list[list], pos: list) -> list:
+    """Per row, its natural value: the sole present value among columns,
+    else the position, else the last present value."""
+    if any(None in c for c in columns):
+        return [_natural(vals, p) for vals, p in zip(zip(*columns), pos)]
+    if len(columns) == 1:
+        return columns[0]
+    if not columns:
+        return pos
+    return _coalesce(pos, columns[-1])
 
 
-def _property_test(g: Graph, key: str, predicate: tuple[str, PropertyValue] | None):
-    """elem -> whether it has the key (and its value passes the predicate).
-    has(key, value)'s equality with a string or a number is inlined."""
-    vprops = g.vertex_props
-    read = _element_reader(g, key)
+def _natural(values: tuple, position: Value) -> Value:
+    present = [v for v in values if v is not None]
+    if len(present) == 1:
+        return present[0]
+    if position is not None:
+        return position
+    return present[-1] if present else None
+
+
+def _labels(g: Graph, elems: list) -> list:
+    """Per value, its element's label; None for a value that is not an element."""
+    if _only_tokens(elems):
+        return list(map(g.vertex_labels.__getitem__, map(_RANK, elems)))
+    vlabels, eindex, elabels = g.vertex_labels, g.edge_index, g.edge_labels
+    return [
+        vlabels[e[0]] if type(e) is tuple else elabels[eindex[e.id]] if type(e) is EdgeRef else None
+        for e in elems
+    ]
+
+
+def _properties(g: Graph, key: str, elems: list) -> list:
+    """Per value, its element's property value for key; None where the key
+    is absent or the value is not an element."""
+    if _only_tokens(elems):
+        return list(map(g.property_column(key).__getitem__, map(_RANK, elems)))
+    vprops, eindex, eprops = g.vertex_props, g.edge_index, g.edge_props
+    return [
+        vprops[e[0]].get(key) if type(e) is tuple
+        else eprops[eindex[e.id]].get(key) if type(e) is EdgeRef else None
+        for e in elems
+    ]
+
+
+def _matches(values: list, predicate: tuple[str, object] | None) -> list:
+    """Per property value, whether it is present and, given ("=", const),
+    equals const as values_equal does."""
     if predicate is None:
-        return lambda e: read(e) is not None
-    cmp, const = predicate
-    if cmp == "=" and type(const) in (str, int, float):
-        kinds = (str,) if type(const) is str else (int, float)
-
-        def accept(e: object) -> bool:
-            if type(e) is tuple:
-                value = vprops[e[0]].get(key)  # type: ignore[index]
-            else:
-                value = read(e)
-            return value == const and type(value) in kinds
-
-        return accept
-
-    def accept(e: object) -> bool:
-        value = read(e)
-        return value is not None and _compare(value, cmp, const)
-
-    return accept
-
-
-def _label_test(g: Graph, label: str):
-    """elem -> whether it is an element carrying label."""
-    vlabels = g.vertex_labels
-    eindex, elabels = g.edge_index, g.edge_labels
-
-    def accept(elem: object) -> bool:
-        tp = type(elem)
-        if tp is tuple:
-            return vlabels[elem[0]] == label  # type: ignore[index]
-        if tp is EdgeRef:
-            return elabels[eindex[elem.id]] == label  # type: ignore[union-attr]
-        return False
-
-    return accept
+        return list(map(is_not, values, repeat(None)))
+    const = predicate[1]
+    kinds = set(map(type, values))
+    kinds.add(type(const))
+    if bool in kinds and (int in kinds or float in kinds):  # == would take True for 1
+        return [v is not None and values_equal(v, const) for v in values]
+    return list(map(eq, values, repeat(const)))
 
 
 def _run(expr: AlgebraExpr, g: Graph, arg: _Rel | None) -> _Rel:
@@ -355,135 +413,123 @@ def _run(expr: AlgebraExpr, g: Graph, arg: _Rel | None) -> _Rel:
 
 
 def _source(expr: alg.GetVertices | alg.GetEdges, inputs, g: Graph, arg) -> _Rel:
-    elems = g.vertex_tokens if type(expr) is alg.GetVertices else g.edges_sorted()
+    elems = list(g.vertex_tokens if type(expr) is alg.GetVertices else g.edges_sorted())
     if expr.var:
-        return _Rel((expr.var,), [(e, e) for e in elems])
-    return _Rel((), [(e,) for e in elems])
+        return _Rel((expr.var,), [elems], elems)
+    return _Rel((), [], elems)
 
 
 def _argument(expr: alg.Argument, inputs, g, arg: _Rel) -> _Rel:
+    """The rows under test; with a var, re-anchored at its binding (bound
+    to the position where absent), rows with neither dropped."""
     cols = alg.output_columns(expr, (), arg.cols)
+    data = list(arg.data)
     var = expr.var
     if not var:
-        return _Rel(cols, arg.rows, True, arg.holes)
-    p = arg.slot(var)
-    rows = []
+        return _Rel(cols, data, arg.pos, arg.tags, arg.holes)
+    p = _slot(arg.cols, var)
     if p is None:
-        for r in arg.rows:
-            if r[-1] is not None:
-                rows.append(r[:-1] + (r[-1], r[-1]))
+        pos = arg.pos
+        data.append(pos)
     else:
-        for r in arg.rows:
-            if r[p] is not None:
-                rows.append(r[:-1] + (r[p],))
-            elif r[-1] is not None:
-                rows.append(r[:p] + (r[-1],) + r[p + 1:])
-    return _Rel(cols, rows, True, arg.holes)
+        pos = data[p] = _coalesce(data[p], arg.pos)
+    rel = _Rel(cols, data, pos, arg.tags, arg.holes)
+    return _keep(rel, list(map(is_not, pos, repeat(None)))) if None in pos else rel
 
 
 def _traverse(expr: alg.Traverse, inputs, g: Graph, arg) -> _Rel:
+    """Each row once per edge from its anchor, the neighbour as position."""
     (src,) = inputs
     cols = alg.output_columns(expr, (src.cols,))
-    direction, label = expr.direction, expr.edge_label
-    nbrs = g.neighbours(direction, label)
-    pa = src.slot(expr.from_var)
-    bind_from = bool(expr.from_var) and pa is None
-    # the destination against the row without its position (the base)
-    base_cols = src.cols + ((expr.from_var,) if bind_from else ())
-    to = expr.to_var
-    pt = base_cols.index(to) + src.tagged if to and to in base_cols else None
-    new_to = bool(to) and pt is None
-    out: list[tuple] = []
-    extend = out.extend
-    for row in src.rows:
-        anchor = row[pa] if pa is not None else None
-        base = row[:-1]
-        if anchor is None:
-            anchor = row[-1]
-            if anchor is None:
+    data = list(src.data)
+    pa = _slot(src.cols, expr.from_var)
+    if pa is None:
+        anchors = src.pos
+        if expr.from_var:
+            data.append(anchors)
+    else:
+        anchors = data[pa] = _coalesce(data[pa], src.pos)
+    if not _only_tokens(anchors):
+        for a in anchors:  # the first row that cannot move raises
+            if a is None:
                 raise EvaluationError("traverse from an unbound position")
-            if bind_from:
-                base += (anchor,)
-            elif pa is not None:
-                base = base[:pa] + (anchor,) + base[pa + 1:]
-        if type(anchor) is not tuple:
-            raise EvaluationError(f"traverse requires a vertex, got {anchor!r}")
-        ns = nbrs[anchor[0]]
-        if ns is None:
-            ns = g.adjacent(direction, label, anchor[0])
-        if not ns:
-            continue
-        if new_to:
-            extend([base + (n, n) for n in ns])
-        elif pt is None:
-            extend([base + (n,) for n in ns])
-        else:
-            bound = base[pt]
-            if bound is None:
-                extend([base[:pt] + (n,) + base[pt + 1:] + (n,) for n in ns])
-            else:
-                extend([base + (n,) for n in ns if n is bound])
-    return _Rel(cols, out, src.tagged, src.holes)
+            if type(a) is not tuple:
+                raise EvaluationError(f"traverse requires a vertex, got {a!r}")
+    direction, label = expr.direction, expr.edge_label
+    ranks = list(map(_RANK, anchors))
+    found = list(map(g.neighbours(direction, label).__getitem__, ranks))
+    if None in found:  # entries not built yet
+        found = [
+            g.adjacent(direction, label, r) if ns is None else ns for ns, r in zip(found, ranks)
+        ]
+    counts = list(map(len, found))
+    dest = list(chain.from_iterable(found))
+    expand = _once(lambda values: list(chain.from_iterable(map(repeat, values, counts))))
+    data = list(map(expand, data))
+    tags = None if src.tags is None else expand(src.tags)
+    to = expr.to_var
+    pt = _slot(cols[:len(data)], to)
+    if pt is None:
+        if to:
+            data.append(dest)
+        return _Rel(cols, data, dest, tags, src.holes)
+    # a bound destination keeps the rows that reach it; an absent one binds
+    bound = data[pt]
+    if None in bound:
+        mask = list(map(or_, map(is_, bound, dest), map(is_, bound, repeat(None))))
+    else:
+        mask = list(map(is_, bound, dest))
+    data[pt] = dest
+    return _keep(_Rel(cols, data, dest, tags, src.holes), mask)
 
 
-def _element_filter(src: _Rel, var: str | None, accept, cols: tuple[str, ...]) -> _Rel:
+def _element_filter(src: _Rel, var: str | None, test, cols: tuple[str, ...]) -> _Rel:
     """Keep rows whose element (var's binding, else the position) passes
-    accept; a var that is not bound yet is bound to the element."""
-    p = src.slot(var)
-    bind = bool(var) and p is None
-    out = []
-    append = out.append
-    for row in src.rows:
-        elem = row[p] if p is not None else None
-        if elem is not None:
-            if accept(elem):
-                append(row)
-            continue
-        elem = row[-1]
-        if elem is None or not accept(elem):
-            continue
-        if bind:
-            append(row[:-1] + (elem, elem))
-        elif p is not None:
-            append(row[:p] + (elem,) + row[p + 1:])
-        else:
-            append(row)
-    return _Rel(cols, out, src.tagged, src.holes)
+    test, which maps a list of values to a mask; a var that is not bound
+    yet is bound to the element."""
+    data = list(src.data)
+    p = _slot(src.cols, var)
+    if p is None:
+        elems = src.pos
+        if var:
+            data.append(elems)
+    else:
+        elems = data[p] = _coalesce(data[p], src.pos)
+    return _keep(_Rel(cols, data, src.pos, src.tags, src.holes), test(elems))
 
 
 def _label_filter(expr: alg.LabelFilter, inputs, g: Graph, arg) -> _Rel:
     (src,) = inputs
     cols = alg.output_columns(expr, (src.cols,))
-    return _element_filter(src, expr.var, _label_test(g, expr.label), cols)
+    label = expr.label
+    return _element_filter(
+        src, expr.var, lambda elems: list(map(eq, _labels(g, elems), repeat(label))), cols
+    )
 
 
 def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
     (src,) = inputs
     cols = alg.output_columns(expr, (src.cols,))
+    key = expr.key
     if not expr.bind_value:
-        return _element_filter(src, expr.var, _property_test(g, expr.key, expr.predicate), cols)
-    read = _element_reader(g, expr.key)
-    pa = src.slot(expr.anchor)
+        predicate = expr.predicate
+        return _element_filter(
+            src, expr.var, lambda elems: _matches(_properties(g, key, elems), predicate), cols
+        )
+    pa = _slot(src.cols, expr.anchor)
+    values = _properties(g, key, src.pos if pa is None else _coalesce(src.data[pa], src.pos))
+    data = list(src.data)
     var = expr.var
-    pv = src.slot(var)
-    out = []
-    append = out.append
-    for row in src.rows:
-        elem = row[pa] if pa is not None else None
-        if elem is None:
-            elem = row[-1]
-        value = read(elem)
-        if value is None:
-            continue
-        if not var:
-            append(row[:-1] + (value,))
-        elif pv is None:
-            append(row[:-1] + (value, value))
-        elif row[pv] is None:
-            append(row[:pv] + (value,) + row[pv + 1:-1] + (value,))
-        elif values_equal(row[pv], value):
-            append(row[:-1] + (value,))
-    return _Rel(cols, out, src.tagged, src.holes)
+    pv = _slot(src.cols, var)
+    if pv is None:
+        mask = list(map(is_not, values, repeat(None)))
+        if var:
+            data.append(values)
+    else:  # a bound var keeps the rows whose value equals it
+        bound = data[pv]
+        mask = [v is not None and (b is None or values_equal(b, v)) for b, v in zip(bound, values)]
+        data[pv] = _coalesce(bound, values)
+    return _keep(_Rel(cols, data, values, src.tags, src.holes), mask)
 
 
 def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
@@ -491,73 +537,64 @@ def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
     all input rows, each tagged with its index; a row survives when some
     predicate row carries its tag (negated: none does)."""
     (src,) = inputs
-    if not src.rows:
+    n = len(src.pos)
+    if not n:
         return src
     # inside an enclosing predicate the rows are re-tagged
-    under_test = [(i,) + r[src.tagged:] for i, r in enumerate(src.rows)]
+    under_test = _Rel(src.cols, src.data, src.pos, list(range(n)), src.holes)
     try:
-        hits = _run(expr.predicate, g, _Rel(src.cols, under_test, True, src.holes))
+        hits = _run(expr.predicate, g, under_test)
     except EvaluationError:
         # raise what one run per row raises first, in input order
-        for row in under_test:
-            _run(expr.predicate, g, _Rel(src.cols, [(0,) + row[1:]], True, src.holes))
+        for i in range(n):
+            row = [[values[i]] for values in src.data]
+            _run(expr.predicate, g, _Rel(src.cols, row, [src.pos[i]], [0], src.holes))
         raise
-    found = set(map(itemgetter(0), hits.rows))
-    rows = [r for i, r in enumerate(src.rows) if (i in found) != expr.negated]
-    return _Rel(src.cols, rows, src.tagged, src.holes)
+    found = set(hits.tags)  # type: ignore[arg-type]
+    kept = map(found.__contains__, range(n))
+    return _keep(src, list(map(not_, kept) if expr.negated else kept))
 
 
 def _projection(expr: alg.Projection, inputs, g: Graph, arg) -> _Rel:
     (src,) = inputs
-    slots = [src.slot(v) for v in expr.vars]
-    if None in slots:  # a column no input row binds
-        return _Rel(expr.vars, [], src.tagged, src.holes)
-    head = [0] if src.tagged else []
-    if expr.value_key is None:
-        pick = _picker(head + slots + [-1])
-        if src.holes:
-            rows = [pick(r) for r in src.rows if all(r[s] is not None for s in slots)]
-        else:
-            rows = list(map(pick, src.rows))
-        return _Rel(expr.vars, rows, src.tagged, src.holes)
-    read = _element_reader(g, expr.value_key)
-    rows = []
-    for r in src.rows:
-        values = [read(r[s]) for s in slots]
-        if None not in values:
-            rows.append(tuple(r[h] for h in head) + tuple(values) + (r[-1],))
-    return _Rel(expr.vars, rows, src.tagged, src.holes)
+    picked = list(map(src.column, expr.vars))
+    if any(c is None for c in picked):  # a column no input row binds
+        empty = [[] for _ in expr.vars]
+        return _Rel(expr.vars, empty, [], None if src.tags is None else [], src.holes)
+    if expr.value_key is not None:
+        picked = [_properties(g, expr.value_key, c) for c in picked]
+    elif not src.holes:
+        return _Rel(expr.vars, picked, src.pos, src.tags, src.holes)
+    rel = _Rel(expr.vars, picked, src.pos, src.tags, src.holes)
+    mask = _present(picked)
+    return rel if mask is None else _keep(rel, mask)
 
 
 def _dedup(expr: alg.Dedup, inputs, g, arg) -> _Rel:
     """First occurrence per key; inside a predicate, per row under test."""
     (src,) = inputs
     names = expr.vars or src.cols
-    slots = [src.slot(c) for c in names] if names else [-1]
-    slots = [s for s in slots if s is not None]  # never bound: a constant key part
-    keys = _column_keys(src.rows, slots, _identity_keys) if slots else [()] * len(src.rows)
-    if src.tagged:
-        keys = list(zip(map(itemgetter(0), src.rows), keys))
-    seen: set = set()
-    add = seen.add
-    rows = [r for r, k in zip(src.rows, keys) if not (k in seen or add(k))]
-    return _Rel(src.cols, rows, src.tagged, src.holes)
+    # a var never bound is a constant key part
+    keyed = [c for c in map(src.column, names) if c is not None] if names else [src.pos]
+    n = len(src.pos)
+    first = _first_rows(_keys(keyed, _identity_keys, src.tags, n))
+    return src if len(first) == n else _gather(src, first)
 
 
 def _restriction(expr: alg.Restriction, inputs, g, arg) -> _Rel:
     """skip/take in row order; inside a predicate, counted per row under test."""
     (src,) = inputs
     lo, hi = expr.skip, expr.skip + expr.take
-    if not src.tagged:
-        return _Rel(src.cols, src.rows[lo:hi], False, src.holes)
+    if src.tags is None:
+        return _each(src, itemgetter(slice(lo, hi)))
     counts: dict[int, int] = {}
-    rows = []
-    for r in src.rows:
-        n = counts.get(r[0], 0)
-        counts[r[0]] = n + 1
-        if lo <= n < hi:
-            rows.append(r)
-    return _Rel(src.cols, rows, True, src.holes)
+    index = []
+    for i, tag in enumerate(src.tags):
+        seen = counts.get(tag, 0)
+        counts[tag] = seen + 1
+        if lo <= seen < hi:
+            index.append(i)
+    return _gather(src, index)
 
 
 def _sort(expr: alg.Sort, inputs, g, arg) -> _Rel:
@@ -567,52 +604,50 @@ def _sort(expr: alg.Sort, inputs, g, arg) -> _Rel:
     (src,) = inputs
     runs: list[tuple[str, list]] = []
     for var, direction in expr.keys:
-        slot = src.slot(var) if var is not None else -1
+        values = src.column(var) if var is not None else src.pos
         if not runs or runs[-1][0] != direction:
             runs.append((direction, []))
-        if slot is not None:  # never bound: every row ties
-            runs[-1][1].append(slot)
-    rows = src.rows
-    for direction, slots in reversed(runs):
-        if not slots:
-            continue
-        keys = _column_keys(rows, slots, _order_keys)
-        order = sorted(range(len(rows)), key=keys.__getitem__, reverse=direction != alg.ASCENDING)
-        rows = [rows[i] for i in order]
-    return _Rel(src.cols, rows, src.tagged, src.holes)
+        if values is not None:  # never bound: every row ties
+            runs[-1][1].append(values)
+    n = len(src.pos)
+    index = None
+    for direction, columns in reversed(runs):
+        if columns:
+            keys = _keys(columns, _order_keys, None, n)
+            index = sorted(index or range(n), key=keys.__getitem__,
+                           reverse=direction != alg.ASCENDING)
+    return src if index is None else _gather(src, index)
 
 
 def _group(expr: alg.Group, inputs, g: Graph, arg) -> _Rel:
-    """Flattened (key, member) rows in a stable sort by key.  Inside a
-    predicate each row keeps its tag; as for _sort, sorting all rows at
-    once orders each tag's rows as grouping them alone would."""
+    """Flattened (key, member) rows in a stable sort by key.  A row's key
+    is its key column's binding, else its element's key property (no key:
+    its natural value); a row with no key is dropped.  Inside a predicate
+    each row keeps its tag; as for _sort, sorting all rows at once orders
+    each tag's rows as grouping them alone would."""
     (src,) = inputs
-    key = expr.key
-    pk = src.slot(key)
-    all_slots = [src.slot(c) for c in src.cols]
-    member_slots = [src.slot(c) for c in src.cols if c != key]
-    read = _element_reader(g, key) if key is not None else None
-    tagged = src.tagged
-    keys, members, tags = [], [], []
-    for r in src.rows:
-        if pk is not None and r[pk] is not None:
-            key_val = r[pk]
-            member = _natural(r, member_slots)
+    key, pos = expr.key, src.pos
+    own = src.column(key)
+    if own is not None:
+        members = _naturals([src.column(c) for c in src.cols if c != key], pos)
+    if own is None or None in own:  # a row without its key column reads the position's
+        fallback = _naturals(list(map(src.column, src.cols)), pos)
+        by_position = fallback if key is None else _properties(g, key, pos)
+        if own is None:
+            keys, members = by_position, fallback
         else:
-            key_val = read(r[-1]) if read is not None else _natural(r, all_slots)
-            if key_val is None:
-                continue
-            member = _natural(r, all_slots) if all_slots else r[-1]
-        keys.append(key_val)
-        members.append(key_val if member is None else member)
-        if tagged:
-            tags.append(r[0])
-    ranked = sorted(range(len(keys)), key=_order_keys(keys).__getitem__)
-    if tagged:
-        rows = [(tags[i], keys[i], members[i], None) for i in ranked]
+            members = [m if k is not None else f for k, m, f in zip(own, members, fallback)]
+            keys = _coalesce(own, by_position)
     else:
-        rows = [(keys[i], members[i], None) for i in ranked]
-    return _Rel(("key", "member"), rows, tagged, True)
+        keys = own
+    rel = _Rel(("key", "member"), [keys, members], keys, src.tags, True)
+    if None in keys:
+        rel = _keep(rel, list(map(is_not, keys, repeat(None))))
+    keys = rel.data[0]
+    rel.data[1] = _coalesce(rel.data[1], keys)
+    rel = _gather(rel, sorted(range(len(keys)), key=_order_keys(keys).__getitem__))
+    rel.pos = [None] * len(rel.pos)
+    return rel
 
 
 def _join(expr: alg.Join, inputs, g, arg) -> _Rel:
@@ -622,53 +657,32 @@ def _join(expr: alg.Join, inputs, g, arg) -> _Rel:
     a join column too: both sides are tagged there."""
     left, right = inputs
     cols = alg.output_columns(expr, (left.cols, right.cols))
-    tagged = left.tagged
     shared = [c for c in dict.fromkeys(left.cols) if c in right.cols]
-    width = len(left.cols) + tagged + 1  # right slots follow in l + r
-    picks = [0] if tagged else []
-    for c in left.cols:
-        picks.append(width + right.slot(c) if c in shared else left.slot(c))
-    for c in cols[len(left.cols):]:
-        picks.append(width + right.slot(c))
-    pick = _picker(picks + [width + len(right.cols) + right.tagged])
-    holes = left.holes or right.holes
-
-    lslots = [left.slot(c) for c in shared]
-    rslots = [right.slot(c) for c in shared]
-    if lslots or tagged:
+    nl, nr = len(left.pos), len(right.pos)
+    if shared or left.tags is not None:
         table: dict = {}
-        for r, k in zip(right.rows, _join_keys(right.rows, rslots, tagged)):
+        for i, k in enumerate(_join_keys(list(map(right.column, shared)), right.tags)):
             if k is not None:
-                table.setdefault(k, []).append(r)
-        pairs = [
-            (l, table.get(k, ())) for l, k in zip(left.rows, _join_keys(left.rows, lslots, tagged))
-        ]
+                table.setdefault(k, []).append(i)
+        lkeys = _join_keys(list(map(left.column, shared)), left.tags)
+        matches = list(map(table.get, lkeys, repeat(())))
+        right_index = list(chain.from_iterable(matches))
+        left_index = list(chain.from_iterable(map(repeat, range(nl), map(len, matches))))
     else:  # cartesian product
-        pairs = [(l, right.rows) for l in left.rows]
-    out: list[tuple] = []
-    for l, matches in pairs:
-        if holes:  # a right row without a position keeps the left one
-            out.extend([_keep_position(pick(l + r), l) for r in matches])
-        else:
-            out.extend([pick(l + r) for r in matches])
-    return _Rel(cols, out, tagged, holes)
-
-
-def _keep_position(row: tuple, left: tuple) -> tuple:
-    return row if row[-1] is not None else row[:-1] + (left[-1],)
-
-
-def _join_keys(rows: list[tuple], slots: list[int], by_tag: bool) -> list:
-    """Join key per row, None for a row with an absent join column; by_tag
-    puts the tag (slot 0) first."""
-    columns = [
-        [None if v is None else _join_key(v) for v in map(itemgetter(s), rows)] for s in slots
-    ]
-    if by_tag:
-        columns.insert(0, list(map(itemgetter(0), rows)))
-    if len(columns) == 1:
-        return columns[0]
-    return [None if None in k else k for k in zip(*columns)]
+        right_index = list(range(nr)) * nl
+        left_index = list(chain.from_iterable(map(repeat, range(nl), repeat(nr, nl))))
+    take_left = _once(lambda values: list(map(values.__getitem__, left_index)))
+    take_right = _once(lambda values: list(map(values.__getitem__, right_index)))
+    data = [
+        take_right(right.column(c)) if c in shared else take_left(left.column(c))
+        for c in left.cols
+    ] + [take_right(right.column(c)) for c in cols[len(left.cols):]]
+    holes = left.holes or right.holes
+    pos = take_right(right.pos)
+    if holes:  # a right row without a position keeps the left one
+        pos = _coalesce(pos, take_left(left.pos))
+    tags = None if left.tags is None else take_left(left.tags)
+    return _Rel(cols, data, pos, tags, holes)  # type: ignore[arg-type]
 
 
 def _union(expr: alg.Union, inputs, g, arg) -> _Rel:
@@ -682,19 +696,22 @@ def _union_rels(left: _Rel, right: _Rel) -> _Rel:
     Inside a predicate both sides are tagged and each row keeps its tag."""
     cols = alg.merge_columns(left.cols, right.cols)
     holes = left.holes or right.holes or set(left.cols) != set(right.cols)
-    return _Rel(cols, _conform(left, cols) + _conform(right, cols), left.tagged, holes)
+    absent = {id(left): [None] * len(left.pos), id(right): [None] * len(right.pos)}
+    done: dict[tuple[int, int], list] = {}
 
+    def cat(a: list, b: list) -> list:
+        got = done.get((id(a), id(b)))
+        if got is None:
+            got = done[id(a), id(b)] = a + b
+        return got
 
-def _conform(rel: _Rel, cols: tuple[str, ...]) -> list[tuple]:
-    """rel's rows laid out for cols (absent columns None)."""
-    if rel.cols == cols:
-        return rel.rows
-    width = len(rel.cols) + rel.tagged + 1  # slot of the None appended below
-    slots = [rel.slot(c) for c in cols]
-    pick = _picker(
-        ([0] if rel.tagged else []) + [width if s is None else s for s in slots] + [width - 1]
-    )
-    return [pick(r + (None,)) for r in rel.rows]
+    def column(rel: _Rel, c: str) -> list:
+        values = rel.column(c)
+        return absent[id(rel)] if values is None else values
+
+    data = [cat(column(left, c), column(right, c)) for c in cols]
+    tags = None if left.tags is None else cat(left.tags, right.tags)  # type: ignore[arg-type]
+    return _Rel(cols, data, cat(left.pos, right.pos), tags, holes)
 
 
 def _aggregate(expr: alg.Aggregate, inputs, g, arg: _Rel | None) -> _Rel:
@@ -703,24 +720,23 @@ def _aggregate(expr: alg.Aggregate, inputs, g, arg: _Rel | None) -> _Rel:
     (src,) = inputs
     if len(src.cols) > 1:
         raise EvaluationError("max() needs a single-column input")
-    slots = [src.slot(c) for c in src.cols]
-    values = [_natural(r, slots) for r in src.rows]
-    tags = list(map(itemgetter(0), src.rows)) if src.tagged else [0] * len(values)
-    for v in values:
-        if not is_numeric(v):
-            shown = g.vertex_refs[v[0]] if type(v) is tuple else v  # type: ignore[index]
-            raise EvaluationError(f"max() over non-numeric value {shown!r}")
+    values = _naturals(src.data, src.pos)
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if not is_numeric(v))
+        shown = g.vertex_refs[bad[0]] if type(bad) is tuple else bad  # type: ignore[index]
+        raise EvaluationError(f"max() over non-numeric value {shown!r}")
     groups: dict[int, list] = {}
-    for tag, v in zip(tags, values):
-        groups.setdefault(tag, []).append(v)
-    rows = []
-    for tag, bag in groups.items():
-        mixed = any(isinstance(v, float) for v in bag) and any(isinstance(v, int) for v in bag)
+    if src.tags is None:
+        if values:
+            groups[0] = values
+    else:
+        for tag, v in zip(src.tags, values):
+            groups.setdefault(tag, []).append(v)
+    results = []
+    for bag in groups.values():
         result = max(bag)
-        if mixed:
-            result = float(result)
-        rows.append((tag, result) if src.tagged else (result,))
-    return _Rel((), rows, src.tagged)
+        results.append(float(result) if len(set(map(type, bag))) > 1 else result)
+    return _Rel((), [], results, None if src.tags is None else list(groups))
 
 
 _OPERATORS = {
@@ -766,7 +782,8 @@ def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
         )
     refs = a._refs or b._refs
     sides = [  # a token of another graph's result is resolved to its ref
-        _Rel(tuple(s.columns), s._tuples if s._refs in (None, refs) else s._ref_rows())
+        _Rel(tuple(s.columns), s._data, s._pos) if s._refs in (None, refs)
+        else _Rel(tuple(s.columns), [s._column(i) for i in range(len(s.columns))], s._column(-1))
         for s in (a, b)
     ]
     return _result(_union_rels(*sides), refs)
@@ -774,8 +791,8 @@ def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
 
 # -- result serialization -------------------------------------------------------------
 #
-# The renderers read a set's tuple rows column by column.  A value's text
-# is made once per distinct object in a call, a vertex token's from its ref.
+# The renderers read a set's columns.  A value's text is made once per
+# distinct object in a call, a vertex token's from its ref.
 
 
 _dump = json.JSONEncoder(separators=(",", ":")).encode
@@ -803,7 +820,18 @@ def _format_cell(v: Value) -> str:
 def _texts(values: list, text, refs, cache: dict[int, str], prefix="", suffix="") -> list[str]:
     """prefix + text(value) + suffix for each value, a vertex token read
     as its ref in refs; text runs once per distinct object, and cache maps
-    id(object) to its text while the objects are alive."""
+    id(object) to its text while the objects are alive.  A column of
+    vertex tokens alone is looked up by rank in a table of its ranks."""
+    if refs is not None and _only_tokens(values):
+        ranks = list(map(_RANK, values))
+        table = {}
+        for r in set(ranks):
+            ref = refs[r]
+            t = cache.get(id(ref))
+            if t is None:
+                t = cache[id(ref)] = text(ref)
+            table[r] = prefix + t + suffix
+        return list(map(table.__getitem__, ranks))
     ids = list(map(id, values))
     distinct = dict(zip(ids, values))
     for i, v in distinct.items():
@@ -817,14 +845,13 @@ def _texts(values: list, text, refs, cache: dict[int, str], prefix="", suffix=""
 def to_jsonl(result: BindingSet) -> str:
     """One JSON object per row; element references as {"vertex": id} /
     {"edge": id}; schema-less rows as {"value": ...}."""
-    rows, refs = result._tuples, result._refs
-    cache: dict[int, str] = {}  # the rows keep every value alive meanwhile
+    refs = result._refs
+    cache: dict[int, str] = {}  # the set keeps every value alive meanwhile
     if not result.columns:
-        values = list(map(itemgetter(-1), rows))
-        return "\n".join(_texts(values, _json_value, refs, cache, '{"value":', "}"))
+        return "\n".join(_texts(result._pos, _json_value, refs, cache, '{"value":', "}"))
     names = dict.fromkeys(result.columns)
     keys = [_json_string(c) + ":" for c in names]
-    columns = [list(map(itemgetter(result.columns.index(c)), rows)) for c in names]
+    columns = [result._data[result.columns.index(c)] for c in names]
     if any(_NONE in set(map(type, vs)) for vs in columns):
         # each row writes the columns it has
         texts = [
@@ -843,15 +870,15 @@ def to_jsonl(result: BindingSet) -> str:
 def to_table(result: BindingSet) -> str:
     """Aligned text table; schema-less results print one bare value per row.
     Empty results render as the empty string."""
-    rows, refs = result._tuples, result._refs
-    cache: dict[int, str] = {}  # the rows keep every value alive meanwhile
-    if not rows:
+    refs = result._refs
+    cache: dict[int, str] = {}  # the set keeps every value alive meanwhile
+    if not len(result):
         return ""
     if not result.columns:
-        return "\n".join(_texts(list(map(itemgetter(-1), rows)), _format_cell, refs, cache))
+        return "\n".join(_texts(result._pos, _format_cell, refs, cache))
     padded = []
     for c in result.columns:
-        values = list(map(itemgetter(result.columns.index(c)), rows))
+        values = result._data[result.columns.index(c)]
         texts = _texts(values, _format_cell, refs, cache)
         texts = ["" if v is None else t for v, t in zip(values, texts)]
         width = max(len(c), *map(len, texts))

@@ -136,6 +136,9 @@ class Graph:
     * ``vertex_refs``: one interned ``VertexRef`` per vertex, by rank (the
       ref a result holds for a token);
     * ``vertex_labels`` / ``vertex_props``: by rank;
+    * ``property_column(key)``: every vertex's value for key by rank (None
+      where it has none), built whole on the first use of key, so a query
+      reads a property for a whole column of tokens with one gather;
     * ``adjacent(direction, label, rank)``: the tokens adjacent to a vertex
       along edges of that label (None: any label), one per edge, in file
       order; ``neighbours(direction, label)`` is the list of these entries
@@ -208,6 +211,7 @@ class Graph:
         self.vertex_tokens: tuple[tuple[int], ...] = tuple([(r,) for r in range(len(self._v_ids))])
         self.vertex_refs: tuple[VertexRef, ...] = tuple(map(VertexRef, self._v_ids))
         self._neighbours: dict[tuple[str, str | None], list] = {}
+        self._property_columns: dict[str, list] = {}
         self._edge_refs: tuple[EdgeRef, ...] | None = None
 
     # -- basic accessors -------------------------------------------------
@@ -312,6 +316,15 @@ class Graph:
         return found
 
     # -- properties ------------------------------------------------------
+
+    def property_column(self, key: str) -> list:
+        """Per rank, the vertex's value for key, or None where it has none.
+        Built whole on the first use of key."""
+        column = self._property_columns.get(key)
+        if column is None:
+            column = [props.get(key) for props in self.vertex_props]
+            self._property_columns[key] = column
+        return column
 
     def element_property(self, elem: str, key: str) -> PropertyValue | None:
         """μ(elem, key), or None when the key is absent.

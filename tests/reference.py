@@ -20,7 +20,7 @@ from typing import Iterable
 
 from grem_algebra.compiler import PatternChain
 from grem_algebra.errors import EvaluationError
-from grem_algebra.evaluator import BindingSet, Value, _compare, multiset_union
+from grem_algebra.evaluator import BindingSet, Value, multiset_union
 from grem_algebra.parser import StepKind
 from grem_algebra.property_graph import EdgeRef, Graph, PropertyValue, VertexRef, values_equal
 
@@ -291,7 +291,7 @@ class PatternVertex:
 
     var: str
     label: str | None = None
-    props: tuple[tuple[str, str, PropertyValue], ...] = ()
+    props: tuple[tuple[str, str, PropertyValue], ...] = ()  # (key, "=", value)
     has_keys: tuple[str, ...] = ()
 
 
@@ -343,7 +343,7 @@ def oracle_match(pattern: OracleGraphPattern, g: Graph) -> BindingSet:
                 break
             for key, cmp, const in pv.props:
                 val = g.element_property(vid, key)
-                if val is None or not _compare(val, cmp, const):
+                if val is None or cmp != "=" or not values_equal(val, const):
                     ok = False
                     break
             if not ok:

@@ -27,12 +27,16 @@ def _selection_per_row(expr, inputs, t, arg):
     """Reference Selection: one predicate run per input row."""
     (src,) = inputs
     kept = []
-    for row in src.rows:
-        alone = evaluator._Rel(src.cols, [(0,) + row[src.tagged:]], True, src.holes)
+    for i in range(len(src.pos)):
+        row = [[values[i]] for values in src.data]
+        alone = evaluator._Rel(src.cols, row, [src.pos[i]], [0], src.holes)
         hits = evaluator._run(expr.predicate, t, alone)
-        if bool(hits.rows) != expr.negated:
-            kept.append(row)
-    return evaluator._Rel(src.cols, kept, src.tagged, src.holes)
+        if bool(hits.pos) != expr.negated:
+            kept.append(i)
+    data = [[values[i] for i in kept] for values in src.data]
+    pos = [src.pos[i] for i in kept]
+    tags = None if src.tags is None else [src.tags[i] for i in kept]
+    return evaluator._Rel(src.cols, data, pos, tags, src.holes)
 
 
 def _outcome(text, g):

@@ -176,16 +176,15 @@ def test_filter_cross_type_drops_row(modern):
 
 
 def test_comparator_predicates(modern):
+    """No query builds a property comparator other than "=", so validate
+    rejects such a plan and the evaluator has no code for it."""
     base = GetVertices()
-    older = PropertyFilter(None, "age", (">", 29), False, base)
-    assert {r[CUR].id for r in evaluate(older, modern).rows} == {"4", "6"}
-    le = PropertyFilter(None, "age", ("<=", 29), False, base)
-    assert {r[CUR].id for r in evaluate(le, modern).rows} == {"1", "2"}
-    ne = PropertyFilter(None, "age", ("!=", 29), False, base)
-    assert {r[CUR].id for r in evaluate(ne, modern).rows} == {"2", "4", "6"}
-    # ordering comparators never apply across types
-    crossed = PropertyFilter(None, "name", (">", 3), False, base)
-    assert evaluate(crossed, modern).rows == []
+    for cmp, const in [(">", 29), ("<=", 29), ("!=", 29), ("<", 29), (">=", 29), (">", 3)]:
+        plan = PropertyFilter(None, "age", (cmp, const), False, base)
+        with pytest.raises(EvaluationError, match=f"invalid plan: comparator '{cmp}'"):
+            evaluate(plan, modern)
+    equal = PropertyFilter(None, "age", ("=", 29), False, base)
+    assert {r[CUR].id for r in evaluate(equal, modern).rows} == {"1"}
 
 
 def test_traverse_multiset_per_edge(modern):
@@ -458,8 +457,8 @@ def test_join_equality_is_numeric_and_type_strict():
 
 
 def test_concurrent_queries_on_one_fresh_graph():
-    """Threads racing to build a graph's neighbour entries and edge refs
-    all answer right."""
+    """Threads racing to build a graph's neighbour entries, edge refs and
+    property columns all answer right."""
     import sys
     import threading
 
@@ -468,9 +467,14 @@ def test_concurrent_queries_on_one_fresh_graph():
     texts = [q.text for q in CORPUS] + [
         "g.V().where(__.out().dedup().limit(1).has('lang')).values('name')",
         "g.E().values('weight').max()",
+        "g.V().has('name','anna').values('age')",
+        "g.V().has('age').hasLabel('person').values('name')",
+        "g.V().has('lang','python').in('knows').values('name')",
+        "g.V().as('a').out().as('b').select('a','b').by('name')",
+        "g.V().hasLabel('person').group().by('age')",
     ]
     expected = [to_jsonl(run(text, random_graph(50))) for text in texts]
-    g = random_graph(50)  # no neighbour entry or edge ref built yet
+    g = random_graph(50)  # no neighbour entry, edge ref or property column built yet
     results: list[list[str]] = []
 
     def worker():

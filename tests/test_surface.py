@@ -37,6 +37,14 @@ COMMON_WORDS = {"Path", "bind"}
 DELETED = {"Chain" + kind for kind in ("Op", "Traverse", "Has", "Label", "Values")} | {
     f"_{verb}_op" for verb in ("chain", "apply")
 } | {"_to_" + "bindings", "_with_" + "refs"}
+# The tuple-row engine's helpers: relations are stored column by column.
+DELETED |= {
+    "_" + name for name in (
+        "pic" + "ker", "con" + "form", "keep_" + "position", "column_" + "keys", "ref_" + "rows",
+        "tup" + "les", "com" + "pare", "element_" + "reader", "property_" + "test",
+        "label_" + "test",
+    )
+}
 
 
 def _operator_classes() -> set[type]:

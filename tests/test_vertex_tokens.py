@@ -165,25 +165,42 @@ def test_multiset_union_of_caller_built_rows(graph):
     assert both.rows[2]["a"] is engine.rows[0]["a"]
 
 
-def test_engine_rows_and_graph_tables_are_not_gc_tracked():
+def _random_person_graph(n: int):
     rng = random.Random(11)
-    vertices = [{"id": f"v{i}", "label": "person"} for i in range(300)]
+    vertices = [{"id": f"v{i}", "label": "person"} for i in range(n)]
     edges = [
         {"id": f"e{j}", "label": rng.choice(["knows", "likes"]),
-         "outV": f"v{rng.randrange(300)}", "inV": f"v{rng.randrange(300)}"}
-        for j in range(1500)
+         "outV": f"v{rng.randrange(n)}", "inV": f"v{rng.randrange(n)}"}
+        for j in range(5 * n)
     ]
-    g = load_graph(json.dumps({"vertices": vertices, "edges": edges}))
+    return load_graph(json.dumps({"vertices": vertices, "edges": edges}))
+
+
+def test_engine_rows_and_graph_tables_are_not_gc_tracked():
     expr = compile_traversal(parse_traversal(
         "g.V().match(__.as('a').out('knows').as('b'), __.as('b').out().as('c'))"
         ".select('a','c')"
     ))
-    rel = evaluator._run(expr, g, None)
+    leftovers = {}
+    for n in (300, 600):
+        g = _random_person_graph(n)
+        evaluator._run(expr, g, None)  # builds the graph's neighbour entries
+        rel = None
+        gc.collect()
+        gc.collect()  # untracks tuples whose items the first pass untracked
+        before = len(gc.get_objects())
+        rel = evaluator._run(expr, g, None)
+        gc.collect()
+        # what the collector tracks is the relation's few lists, not its rows
+        leftovers[n] = len(gc.get_objects()) - before
+        assert len(rel.pos) > 3 * n
+        for values in rel.data + [rel.pos]:
+            assert not any(map(gc.is_tracked, values))
+    assert leftovers[600] <= leftovers[300] <= 10, leftovers
     entries = [e for label in (None, "knows") for e in g.neighbours("out", label) if e is not None]
     control = (g.vertex_refs[0],)  # a tuple holding a ref stays tracked
     gc.collect()
-    assert len(rel.rows) > 1000 and len(entries) > 100
-    assert not any(map(gc.is_tracked, rel.rows))
+    assert len(entries) > 100
     assert not any(map(gc.is_tracked, entries))
     assert not gc.is_tracked(g.vertex_tokens)
     assert not any(map(gc.is_tracked, g.vertex_tokens))
