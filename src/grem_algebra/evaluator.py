@@ -49,7 +49,7 @@ import json
 import threading
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import eq, is_, is_not, itemgetter, not_, or_
+from operator import eq, is_, is_not, itemgetter, mul, not_, or_
 
 from . import algebra as alg
 from .algebra import AlgebraExpr
@@ -65,7 +65,6 @@ from .property_graph import (
 )
 
 CUR = "@"
-_NONE = type(None)
 
 Value = object  # VertexRef (in the engine: its token) | EdgeRef | PropertyValue
 Row = dict
@@ -221,14 +220,12 @@ def _join_key(v: object) -> object:
     raise TypeError(f"not a graph value: {v!r}")
 
 
-def _keys(columns: list[list], keys_of, tags: list | None, n: int) -> list:
-    """Per row, the key of the given columns: one key for one column, else
-    a tuple of keys, the tag first when tags are given; keys_of maps one
-    column's values to their keys.  No column and no tag: one key for all
-    n rows."""
-    parts = [keys_of(c) for c in columns]
+def _keys(parts: list[list], tags: list | None, n: int) -> list:
+    """Per row, the key of the given key columns: one column's key alone,
+    else a tuple of keys, the tag first when tags are given.  No column
+    and no tag: one key for all n rows."""
     if tags is not None:
-        parts.insert(0, tags)
+        parts = [tags] + parts
     if len(parts) == 1:
         return parts[0]
     if not parts:
@@ -286,9 +283,8 @@ class _Rel:
 
     def column(self, name: str | None) -> list | None:
         """A column's values, or None when it is not a column."""
-        if name is None or name not in self.cols:
-            return None
-        return self.data[self.cols.index(name)]
+        i = _slot(self.cols, name)
+        return None if i is None else self.data[i]
 
 
 def _slot(cols: tuple[str, ...], name: str | None) -> int | None:
@@ -464,7 +460,8 @@ def _traverse(expr: alg.Traverse, inputs, g: Graph, arg) -> _Rel:
         ]
     counts = list(map(len, found))
     dest = list(chain.from_iterable(found))
-    expand = _once(lambda values: list(chain.from_iterable(map(repeat, values, counts))))
+    # each value once per neighbour: a 1-tuple times the count, chained
+    expand = _once(lambda values: list(chain.from_iterable(map(mul, zip(values), counts))))
     data = list(map(expand, data))
     tags = None if src.tags is None else expand(src.tags)
     to = expr.to_var
@@ -577,7 +574,7 @@ def _dedup(expr: alg.Dedup, inputs, g, arg) -> _Rel:
     # a var never bound is a constant key part
     keyed = [c for c in map(src.column, names) if c is not None] if names else [src.pos]
     n = len(src.pos)
-    first = _first_rows(_keys(keyed, _identity_keys, src.tags, n))
+    first = _first_rows(_keys(list(map(_identity_keys, keyed)), src.tags, n))
     return src if len(first) == n else _gather(src, first)
 
 
@@ -613,7 +610,7 @@ def _sort(expr: alg.Sort, inputs, g, arg) -> _Rel:
     index = None
     for direction, columns in reversed(runs):
         if columns:
-            keys = _keys(columns, _order_keys, None, n)
+            keys = _keys(list(map(_order_keys, columns)), None, n)
             index = sorted(index or range(n), key=keys.__getitem__,
                            reverse=direction != alg.ASCENDING)
     return src if index is None else _gather(src, index)
@@ -791,8 +788,11 @@ def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
 
 # -- result serialization -------------------------------------------------------------
 #
-# The renderers read a set's columns.  A value's text is made once per
-# distinct object in a call, a vertex token's from its ref.
+# The renderers read a set's columns.  A column of one scalar type is
+# written by a C-level text function, a column of vertex tokens through a
+# table of its distinct ranks, and any other column makes each distinct
+# object's text once per call.  A row's texts and the JSON punctuation
+# between them are joined in one pass per row.
 
 
 _dump = json.JSONEncoder(separators=(",", ":")).encode
@@ -817,28 +817,33 @@ def _format_cell(v: Value) -> str:
     return str(v)
 
 
-def _texts(values: list, text, refs, cache: dict[int, str], prefix="", suffix="") -> list[str]:
-    """prefix + text(value) + suffix for each value, a vertex token read
-    as its ref in refs; text runs once per distinct object, and cache maps
-    id(object) to its text while the objects are alive.  A column of
-    vertex tokens alone is looked up by rank in a table of its ranks."""
-    if refs is not None and _only_tokens(values):
-        ranks = list(map(_RANK, values))
-        table = {}
-        for r in set(ranks):
-            ref = refs[r]
-            t = cache.get(id(ref))
-            if t is None:
-                t = cache[id(ref)] = text(ref)
-            table[r] = prefix + t + suffix
-        return list(map(table.__getitem__, ranks))
+# Per scalar type, the C-level function that writes what _json_value or
+# _format_cell writes for a value of exactly that type (a finite float's
+# JSON text is its repr).
+_JSON_TEXT = {str: _json_string, int: int.__repr__, float: float.__repr__}
+_CELL_TEXT = {str: str, int: int.__repr__, float: float.__repr__}
+
+
+def _texts(values: list, text, direct: dict, refs, cache: dict[int, str]) -> list[str]:
+    """text(value) for each value, a vertex token read as its ref in refs.
+    A column of one type that direct maps to a text function is written by
+    it; a column of vertex tokens through a table of its distinct ranks.
+    Otherwise text runs once per distinct object, and cache maps
+    id(object) to its text while the objects are alive."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        (kind,) = kinds
+        if kind is tuple:
+            ranks = list(map(_RANK, values))
+            distinct = list(set(ranks))
+            table = dict(zip(distinct, map(text, map(refs.__getitem__, distinct))))
+            return list(map(table.__getitem__, ranks))
+        if kind in direct:
+            return list(map(direct[kind], values))
     ids = list(map(id, values))
-    distinct = dict(zip(ids, values))
-    for i, v in distinct.items():
+    for i, v in dict(zip(ids, values)).items():
         if i not in cache:
             cache[i] = text(refs[v[0]] if type(v) is tuple else v)
-    if prefix or suffix:
-        cache = {i: prefix + cache[i] + suffix for i in distinct}
     return list(map(cache.__getitem__, ids))
 
 
@@ -848,23 +853,23 @@ def to_jsonl(result: BindingSet) -> str:
     refs = result._refs
     cache: dict[int, str] = {}  # the set keeps every value alive meanwhile
     if not result.columns:
-        return "\n".join(_texts(result._pos, _json_value, refs, cache, '{"value":', "}"))
+        texts = _texts(result._pos, _json_value, _JSON_TEXT, refs, cache)
+        return "\n".join(map("".join, zip(repeat('{"value":'), texts, repeat("}"))))
     names = dict.fromkeys(result.columns)
     keys = [_json_string(c) + ":" for c in names]
     columns = [result._data[result.columns.index(c)] for c in names]
-    if any(_NONE in set(map(type, vs)) for vs in columns):
+    if any(None in vs for vs in columns):
         # each row writes the columns it has
         texts = [
-            [None if v is None else t for v, t in zip(vs, _texts(vs, _json_value, refs, cache, k))]
+            [None if v is None else k + t
+             for v, t in zip(vs, _texts(vs, _json_value, _JSON_TEXT, refs, cache))]
             for k, vs in zip(keys, columns)
         ]
         return "\n".join(["{" + ",".join(filter(None, r)) + "}" for r in zip(*texts)])
-    last = len(names) - 1
-    texts = [
-        _texts(vs, _json_value, refs, cache, ("," if i else "{") + k, "}" if i == last else "")
-        for i, (k, vs) in enumerate(zip(keys, columns))
-    ]
-    return "\n".join(map("".join, zip(*texts)) if last else texts[0])
+    parts: list = []
+    for i, (k, vs) in enumerate(zip(keys, columns)):
+        parts += [repeat(("," if i else "{") + k), _texts(vs, _json_value, _JSON_TEXT, refs, cache)]
+    return "\n".join(map("".join, zip(*parts, repeat("}"))))
 
 
 def to_table(result: BindingSet) -> str:
@@ -875,11 +880,11 @@ def to_table(result: BindingSet) -> str:
     if not len(result):
         return ""
     if not result.columns:
-        return "\n".join(_texts(result._pos, _format_cell, refs, cache))
+        return "\n".join(_texts(result._pos, _format_cell, _CELL_TEXT, refs, cache))
     padded = []
     for c in result.columns:
         values = result._data[result.columns.index(c)]
-        texts = _texts(values, _format_cell, refs, cache)
+        texts = _texts(values, _format_cell, _CELL_TEXT, refs, cache)
         texts = ["" if v is None else t for v, t in zip(values, texts)]
         width = max(len(c), *map(len, texts))
         padded.append((c.ljust(width), "-" * width, [t.ljust(width) for t in texts]))

@@ -521,6 +521,14 @@ def test_jsonl_encoding_matches_json_dumps():
     assert to_jsonl(bare).splitlines() == [
         json.dumps({"value": _as_json_object(v)}, separators=(",", ":")) for v in values
     ] + ['{"value":null}']
+    # columns of a single scalar type each, written by their type's text function
+    for kind in (str, int, float, bool):
+        same = [v for v in values if type(v) is kind]
+        rows = [{"a": v, "b": w} for v in same for w in same[::-1]]
+        expected = "\n".join(json.dumps(r, separators=(",", ":")) for r in rows)
+        assert to_jsonl(BindingSet(("a", "b"), rows)) == expected
+        expected = "\n".join(json.dumps({"value": v}, separators=(",", ":")) for v in same)
+        assert to_jsonl(BindingSet((), [{CUR: v} for v in same])) == expected
 
 
 def _as_json_object(v):
