@@ -119,15 +119,9 @@ class BindingSet:
     def _column(self, slot: int) -> list:
         """One column (-1: the positions), each vertex token as its VertexRef."""
         values = self._pos if slot == -1 else self._data[slot]
-        refs = self._refs
-        if refs is None:
+        if self._refs is None or tuple not in set(map(type, values)):
             return values
-        kinds = set(map(type, values))
-        if tuple not in kinds:
-            return values
-        if len(kinds) == 1:
-            return list(map(refs.__getitem__, map(_RANK, values)))
-        return [refs[v[0]] if type(v) is tuple else v for v in values]  # type: ignore[index]
+        return [self._refs[v[0]] if type(v) is tuple else v for v in values]  # type: ignore[index]
 
     def canonical(self) -> list[tuple]:
         """Rows as order-insensitive canonical tuples (for multiset tests)."""
@@ -240,12 +234,8 @@ def _join_keys(columns: list[list], tags: list | None) -> list:
         c if _only_tokens(c) else [None if v is None else _join_key(v) for v in c]
         for c in columns
     ]
-    if tags is not None:
-        parts.insert(0, tags)
-    if len(parts) == 1:
-        return parts[0]
-    keys = list(zip(*parts))
-    if any(None in p for p in parts):
+    keys = _keys(parts, tags, 0)
+    if len(parts) + (tags is not None) > 1 and any(None in p for p in parts):
         return [None if None in k else k for k in keys]
     return keys
 
@@ -560,10 +550,8 @@ def _projection(expr: alg.Projection, inputs, g: Graph, arg) -> _Rel:
         return _Rel(expr.vars, empty, [], None if src.tags is None else [], src.holes)
     if expr.value_key is not None:
         picked = [_properties(g, expr.value_key, c) for c in picked]
-    elif not src.holes:
-        return _Rel(expr.vars, picked, src.pos, src.tags, src.holes)
     rel = _Rel(expr.vars, picked, src.pos, src.tags, src.holes)
-    mask = _present(picked)
+    mask = _present(picked) if src.holes or expr.value_key is not None else None
     return rel if mask is None else _keep(rel, mask)
 
 
@@ -693,22 +681,14 @@ def _union_rels(left: _Rel, right: _Rel) -> _Rel:
     Inside a predicate both sides are tagged and each row keeps its tag."""
     cols = alg.merge_columns(left.cols, right.cols)
     holes = left.holes or right.holes or set(left.cols) != set(right.cols)
-    absent = {id(left): [None] * len(left.pos), id(right): [None] * len(right.pos)}
-    done: dict[tuple[int, int], list] = {}
-
-    def cat(a: list, b: list) -> list:
-        got = done.get((id(a), id(b)))
-        if got is None:
-            got = done[id(a), id(b)] = a + b
-        return got
 
     def column(rel: _Rel, c: str) -> list:
         values = rel.column(c)
-        return absent[id(rel)] if values is None else values
+        return [None] * len(rel.pos) if values is None else values
 
-    data = [cat(column(left, c), column(right, c)) for c in cols]
-    tags = None if left.tags is None else cat(left.tags, right.tags)  # type: ignore[arg-type]
-    return _Rel(cols, data, cat(left.pos, right.pos), tags, holes)
+    data = [column(left, c) + column(right, c) for c in cols]
+    tags = None if left.tags is None else left.tags + right.tags  # type: ignore[operator]
+    return _Rel(cols, data, left.pos + right.pos, tags, holes)
 
 
 def _aggregate(expr: alg.Aggregate, inputs, g, arg: _Rel | None) -> _Rel:
