@@ -32,7 +32,7 @@ from grem_algebra.algebra import (
     Union,
 )
 from grem_algebra.evaluator import CUR
-from grem_algebra.property_graph import sort_key
+from grem_algebra.property_graph import Graph, sort_key
 
 from reference import EMPTY_PATH, Path, path_concat, path_join
 from corpus import Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30, Q_COCREATOR_32, Q_AGES_ASC, random_graph
@@ -456,6 +456,19 @@ def test_join_equality_is_numeric_and_type_strict():
     ]
 
 
+def _people_graph(n: int):
+    rng = random.Random(n)
+    vertices = [
+        (f"p{i}", "person", {"name": f"n{rng.randrange(50)}", "age": rng.randrange(20, 60)})
+        for i in range(n)
+    ]
+    edges = [
+        (f"k{j}", "knows", f"p{rng.randrange(n)}", f"p{rng.randrange(n)}", {})
+        for j in range(2 * n)
+    ]
+    return Graph(vertices, edges)
+
+
 def test_concurrent_queries_on_one_fresh_graph():
     """Threads racing to build a graph's neighbour entries, edge refs and
     property columns all answer right."""
@@ -464,34 +477,46 @@ def test_concurrent_queries_on_one_fresh_graph():
 
     from corpus import CORPUS
 
-    texts = [q.text for q in CORPUS] + [
-        "g.V().where(__.out().dedup().limit(1).has('lang')).values('name')",
-        "g.E().values('weight').max()",
+    reads = [
         "g.V().has('name','anna').values('age')",
         "g.V().has('age').hasLabel('person').values('name')",
         "g.V().has('lang','python').in('knows').values('name')",
         "g.V().as('a').out().as('b').select('a','b').by('name')",
         "g.V().hasLabel('person').group().by('age')",
     ]
-    expected = [to_jsonl(run(text, random_graph(50))) for text in texts]
-    g = random_graph(50)  # no neighbour entry, edge ref or property column built yet
-    results: list[list[str]] = []
+    texts = [q.text for q in CORPUS] + [
+        "g.V().where(__.out().dedup().limit(1).has('lang')).values('name')",
+        "g.E().values('weight').max()",
+    ] + reads
+    # the small graph runs every query three times; on the larger one a
+    # property column takes long enough to build that other threads reach it
+    first_reads = [
+        "g.V().values('age')",
+        "g.V().has('name','n7').as('a').out('knows').as('b').select('a','b').by('age')",
+    ]
+    cases = [(lambda: random_graph(50), texts, 3), (lambda: _people_graph(20000), first_reads, 1)]
+    for make, queries, reps in cases:
+        expected = [to_jsonl(run(text, make())) for text in queries]
+        g = make()  # no neighbour entry, edge ref or property column built yet
+        results: list[list[str]] = []
+        start = threading.Barrier(8)
 
-    def worker():
-        results.append([to_jsonl(run(text, g)) for _ in range(3) for text in texts])
+        def worker():
+            start.wait(timeout=60)  # all threads reach the fresh graph together
+            results.append([to_jsonl(run(text, g)) for _ in range(reps) for text in queries])
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert results == [expected * 3] * 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [expected * reps] * 8
 
 
 def test_jsonl_encoding_matches_json_dumps():
