@@ -19,14 +19,17 @@ in id order.  The operators are passes over whole columns: a traverse
 expands each column by the neighbour counts of its anchors, a filter
 compresses every column by a mask read from the graph's labels or
 property columns by rank (see ``Graph``), dedup, limit, sort, group and
-join gather by an index list and union concatenates.  A column of vertex
-tokens takes these passes through C-level ``map``s over ranks; a column
-holding edges, scalars or None takes a per-value path in the same
-function, chosen by the types the column holds.  A token is interned and
-is the only tuple a column value can be; it orders, dedups and joins as
-itself.  Tokens and scalars hold nothing CPython's cyclic garbage
-collector must follow, so the objects it tracks per relation are its few
-lists, not its rows.  An edge is the graph's interned ``EdgeRef``.
+join gather by an index list and union concatenates.  A label or value
+filter straight over ``V()``, whose row i is the vertex of rank i, reads
+no per-vertex data: it gathers the ranks the graph's rank index holds for
+its label or value.  A column of vertex tokens takes these passes through
+C-level ``map``s over ranks; a column holding edges, scalars or None takes
+a per-value path in the same function, chosen by the types the column
+holds.  A token is interned and is the only tuple a column value can be;
+it orders, dedups and joins as itself.  Tokens and scalars hold nothing
+CPython's cyclic garbage collector must follow, so the objects it tracks
+per relation are its few lists, not its rows.  An edge is the graph's
+interned ``EdgeRef``.
 
 where()/not() run their predicate once over all input rows, each tagged
 with its row's index in a tag list.  Inside the predicate, dedup, join,
@@ -59,6 +62,7 @@ from .property_graph import (
     Graph,
     VertexRef,
     is_numeric,
+    join_key,
     sort_key,
     value_key,
     values_equal,
@@ -196,24 +200,6 @@ def _order_keys(values: list) -> list:
     ]
 
 
-def _join_key(v: object) -> object:
-    """Key under which two values join: values_equal, so int and float
-    meet numerically while bool, str and elements stay type-strict.  A
-    vertex is keyed by its token; every other value by a tagged tuple."""
-    t = type(v)
-    if t is tuple:
-        return v
-    if t is int or t is float:
-        return ("n", v)
-    if t is bool:
-        return ("b", v)
-    if t is str:
-        return ("s", v)
-    if t is EdgeRef:
-        return ("e", v.id)  # type: ignore[union-attr]
-    raise TypeError(f"not a graph value: {v!r}")
-
-
 def _keys(parts: list[list], tags: list | None, n: int) -> list:
     """Per row, the key of the given key columns: one column's key alone,
     else a tuple of keys, the tag first when tags are given.  No column
@@ -231,7 +217,7 @@ def _join_keys(columns: list[list], tags: list | None) -> list:
     """Join key per row, None for a row with an absent join column; the
     tag first when tags are given."""
     parts = [
-        c if _only_tokens(c) else [None if v is None else _join_key(v) for v in c]
+        c if _only_tokens(c) else [None if v is None else join_key(v) for v in c]
         for c in columns
     ]
     keys = _keys(parts, tags, 0)
@@ -470,10 +456,9 @@ def _traverse(expr: alg.Traverse, inputs, g: Graph, arg) -> _Rel:
     return _keep(_Rel(cols, data, dest, tags, src.holes), mask)
 
 
-def _element_filter(src: _Rel, var: str | None, test, cols: tuple[str, ...]) -> _Rel:
-    """Keep rows whose element (var's binding, else the position) passes
-    test, which maps a list of values to a mask; a var that is not bound
-    yet is bound to the element."""
+def _element(src: _Rel, var: str | None, cols: tuple[str, ...]) -> tuple[_Rel, list]:
+    """src over cols with var bound to the element where it is not bound
+    yet, and per row the element: var's binding, else the position."""
     data = list(src.data)
     p = _slot(src.cols, var)
     if p is None:
@@ -482,16 +467,15 @@ def _element_filter(src: _Rel, var: str | None, test, cols: tuple[str, ...]) -> 
             data.append(elems)
     else:
         elems = data[p] = _coalesce(data[p], src.pos)
-    return _keep(_Rel(cols, data, src.pos, src.tags, src.holes), test(elems))
+    return _Rel(cols, data, src.pos, src.tags, src.holes), elems
 
 
 def _label_filter(expr: alg.LabelFilter, inputs, g: Graph, arg) -> _Rel:
     (src,) = inputs
-    cols = alg.output_columns(expr, (src.cols,))
-    label = expr.label
-    return _element_filter(
-        src, expr.var, lambda elems: list(map(eq, _labels(g, elems), repeat(label))), cols
-    )
+    rel, elems = _element(src, expr.var, alg.output_columns(expr, (src.cols,)))
+    if type(expr.input) is alg.GetVertices:  # row i is the vertex of rank i
+        return _gather(rel, g.ranks_labelled(expr.label))
+    return _keep(rel, list(map(eq, _labels(g, elems), repeat(expr.label))))
 
 
 def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
@@ -500,9 +484,10 @@ def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
     key = expr.key
     if not expr.bind_value:
         predicate = expr.predicate
-        return _element_filter(
-            src, expr.var, lambda elems: _matches(_properties(g, key, elems), predicate), cols
-        )
+        rel, elems = _element(src, expr.var, cols)
+        if predicate is not None and type(expr.input) is alg.GetVertices:  # as above
+            return _gather(rel, g.ranks_with(key, predicate[1]))
+        return _keep(rel, _matches(_properties(g, key, elems), predicate))
     pa = _slot(src.cols, expr.anchor)
     values = _properties(g, key, src.pos if pa is None else _coalesce(src.data[pa], src.pos))
     data = list(src.data)

@@ -78,6 +78,26 @@ def values_equal(a: object, b: object) -> bool:
     return a == b
 
 
+# A scalar's join key is its type's tag and itself (see join_key).
+_JOIN_TAGS = {int: "n", float: "n", bool: "b", str: "s"}
+
+
+def join_key(v: object) -> object:
+    """Hashable key under which two values are equal as values_equal has
+    it: int and float meet numerically (-0.0 meets 0.0) while bool, str and
+    elements stay type-strict.  A vertex token (see Graph) is its own key;
+    every other value is keyed by a tagged tuple."""
+    t = type(v)
+    if t is tuple:
+        return v
+    tag = _JOIN_TAGS.get(t)
+    if tag is not None:
+        return (tag, v)
+    if t is EdgeRef:
+        return ("e", v.id)  # type: ignore[union-attr]
+    raise TypeError(f"not a graph value: {v!r}")
+
+
 def value_key(v: object) -> tuple:
     """Hashable identity key used for dedup and grouping.
 
@@ -139,6 +159,13 @@ class Graph:
     * ``property_column(key)``: every vertex's value for key by rank (None
       where it has none), built whole on the first use of key, so a query
       reads a property for a whole column of tokens with one gather;
+    * ``ranks_labelled(label)``: the ranks of the vertices carrying label,
+      ascending, from a table of every vertex label built whole on first
+      use; ``ranks_with(key, value)``: the ranks of the vertices whose
+      value for key equals value under ``values_equal``, ascending, from a
+      per-key table keyed by ``join_key`` built whole on the first use of
+      key.  A filter straight over all vertices reads these instead of a
+      mask over every vertex;
     * ``adjacent(direction, label, rank)``: the tokens adjacent to a vertex
       along edges of that label (None: any label), one per edge, in file
       order; ``neighbours(direction, label)`` is the list of these entries
@@ -212,6 +239,8 @@ class Graph:
         self.vertex_refs: tuple[VertexRef, ...] = tuple(map(VertexRef, self._v_ids))
         self._neighbours: dict[tuple[str, str | None], list] = {}
         self._property_columns: dict[str, list] = {}
+        self._label_ranks: dict[str, tuple[int, ...]] | None = None
+        self._value_ranks: dict[str, dict[object, tuple[int, ...]]] = {}
         self._edge_refs: tuple[EdgeRef, ...] | None = None
 
     # -- basic accessors -------------------------------------------------
@@ -315,7 +344,16 @@ class Graph:
             lists[rank] = found
         return found
 
-    # -- properties ------------------------------------------------------
+    # -- labels and properties -------------------------------------------
+
+    def ranks_labelled(self, label: str) -> tuple[int, ...]:
+        """The ranks of the vertices carrying label, ascending.  The table of
+        every vertex label is built whole on first use."""
+        table = self._label_ranks
+        if table is None:
+            table = _ranks_by(self.vertex_labels)
+            self._label_ranks = table
+        return table.get(label, ())
 
     def property_column(self, key: str) -> list:
         """Per rank, the vertex's value for key, or None where it has none.
@@ -325,6 +363,19 @@ class Graph:
             column = [props.get(key) for props in self.vertex_props]
             self._property_columns[key] = column
         return column
+
+    def ranks_with(self, key: str, value: PropertyValue) -> tuple[int, ...]:
+        """The ranks of the vertices whose value for key equals value under
+        values_equal, ascending; a vertex without key never matches.  The
+        table for key is built whole on its first use."""
+        table = self._value_ranks.get(key)
+        if table is None:
+            column = self.property_column(key)
+            # each value's join_key by C-level maps, (None, None) where absent
+            table = _ranks_by(zip(map(_JOIN_TAGS.get, map(type, column)), column))
+            table.pop((None, None), None)
+            self._value_ranks[key] = table
+        return table.get(join_key(value), ())
 
     def element_property(self, elem: str, key: str) -> PropertyValue | None:
         """μ(elem, key), or None when the key is absent.
@@ -367,6 +418,14 @@ class Graph:
             return self.edge_index[eid]
         except KeyError:
             raise GraphFormatError(f"unknown edge id {eid!r}") from None
+
+
+def _ranks_by(keys) -> dict:
+    """Per distinct key, the ranks (positions in keys) holding it, ascending."""
+    ranks: dict = {}
+    for rank, k in enumerate(keys):
+        ranks.setdefault(k, []).append(rank)
+    return dict(zip(ranks, map(tuple, ranks.values())))
 
 
 # -- loader ----------------------------------------------------------------

@@ -9,7 +9,9 @@ trust it.
 * the traverser route: match() run one traverser at a time, each pattern
   exactly once per traverser, with the three-case ``bind`` contract;
 * the brute-force oracle: every assignment of pattern variables to
-  vertices, with edge multiplicities.
+  vertices, with edge multiplicities;
+* linear traversals: a chain of steps from every vertex, one row at a
+  time, filters decided by ``values_equal`` and the vertex's own label.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable
 
 from grem_algebra.compiler import PatternChain
 from grem_algebra.errors import EvaluationError
-from grem_algebra.evaluator import BindingSet, Value, multiset_union
+from grem_algebra.evaluator import CUR, BindingSet, Value, multiset_union
 from grem_algebra.parser import StepKind
 from grem_algebra.property_graph import EdgeRef, Graph, PropertyValue, VertexRef, values_equal
 
@@ -382,3 +384,39 @@ def oracle_match(pattern: OracleGraphPattern, g: Graph) -> BindingSet:
             continue
         rows.extend(dict(row) for _ in range(multiplicity))
     return BindingSet(tuple(columns), rows)
+
+
+# -- linear traversals --------------------------------------------------------------
+
+
+def linear_rows(g: Graph, steps: Iterable[tuple]) -> list[dict]:
+    """The rows, in order, of g.V() followed by steps, each a tuple:
+    ("out",), ("as", var), ("has", key, value), ("hasLabel", label),
+    ("values", key) or ("select", var).  A row maps its variables and CUR
+    (the position) to VertexRefs or property values."""
+    rows = [{CUR: VertexRef(vid)} for vid in g.vertex_ids()]
+    for kind, *args in steps:
+        out = []
+        for row in rows:
+            here = row[CUR]
+            if kind == "out":
+                out += [{**row, CUR: VertexRef(dst)} for _, dst in g.out_adjacent(here.id)]
+            elif kind == "as":
+                out.append({**row, args[0]: here})
+            elif kind == "has":
+                value = g.element_property(here.id, args[0])
+                if value is not None and values_equal(value, args[1]):
+                    out.append(row)
+            elif kind == "hasLabel":
+                if g.vertex_label(here.id) == args[0]:
+                    out.append(row)
+            elif kind == "values":
+                value = g.element_property(here.id, args[0])
+                if value is not None:
+                    out.append({**row, CUR: value})
+            elif kind == "select":
+                out.append({args[0]: row[args[0]], CUR: here})
+            else:
+                raise ValueError(f"unknown step {kind!r}")
+        rows = out
+    return rows
