@@ -390,6 +390,9 @@ class _Parser:
             if len(args) != 1:
                 raise fail("as() takes exactly one label")
             literals({"string"})
+            label = args[0].value  # type: ignore[union-attr]
+            if label in ("", "@"):  # "@": the position column of result rows
+                raise fail(f"as() label {label!r} is empty or reserved")
             return
         if kind in (StepKind.OUT, StepKind.IN):
             if len(args) > 1:

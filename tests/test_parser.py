@@ -5,6 +5,7 @@ import random
 import pytest
 
 from grem_algebra import ParseError, parse_traversal, render_traversal, tokenize
+from grem_algebra.evaluator import CUR
 from grem_algebra.parser import Literal, Step, StepKind, TokenKind, TraversalAST
 
 from corpus import CORPUS, Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30
@@ -283,3 +284,15 @@ def test_step_limit_counts_nested_steps():
     with pytest.raises(ParseError, match=f"more than {MAX_STEPS} steps") as info:
         parse_traversal("g.V().where(__" + inner + ".out())")
     assert info.value.col == len("g.V().where(__" + inner + ".") + 1
+
+
+@pytest.mark.parametrize("label", ["", CUR])
+def test_as_rejects_an_empty_or_reserved_label(label):
+    # CUR names the position in result rows: a variable of that name would overwrite it
+    for text, column in (
+        (f"g.V().as('{label}').out().as('b').select('{label}','b')", 7),
+        (f"g.V().match(__.as('a').out().as('{label}')).select('a')", 30),
+    ):
+        with pytest.raises(ParseError, match="is empty or reserved") as exc:
+            parse_traversal(text)
+        assert (exc.value.line, exc.value.col) == (1, column)
