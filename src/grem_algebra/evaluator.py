@@ -485,7 +485,7 @@ def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
     if not expr.bind_value:
         predicate = expr.predicate
         rel, elems = _element(src, expr.var, cols)
-        if predicate is not None and type(expr.input) is alg.GetVertices:  # as above
+        if predicate is not None and type(expr.input) is alg.GetVertices:  # row i: rank i
             return _gather(rel, g.ranks_with(key, predicate[1]))
         return _keep(rel, _matches(_properties(g, key, elems), predicate))
     pa = _slot(src.cols, expr.anchor)
