@@ -346,6 +346,8 @@ def validate(expr: AlgebraExpr) -> list[str]:
             diags.append(f"{_ascii_label(node)} inside a selection predicate")
         if tp is PropertyFilter and node.predicate is not None and node.predicate[0] != "=":
             diags.append(f"comparator {node.predicate[0]!r} in {_ascii_label(node)}")
+        if tp is Sort and len({d for _, d in node.keys}) > 1:
+            diags.append(f"mixed directions in {_ascii_label(node)}")
         refs = _referenced(node)
         if refs or tp is Selection:
             below = _introduced(node.input, memo).union(scope or ())  # type: ignore[union-attr]

@@ -394,33 +394,18 @@ def _source(expr: alg.GetVertices | alg.GetEdges, inputs, g: Graph, arg) -> _Rel
 def _argument(expr: alg.Argument, inputs, g, arg: _Rel) -> _Rel:
     """The rows under test; with a var, re-anchored at its binding (bound
     to the position where absent), rows with neither dropped."""
-    cols = alg.output_columns(expr, (), arg.cols)
-    data = list(arg.data)
-    var = expr.var
-    if not var:
-        return _Rel(cols, data, arg.pos, arg.tags, arg.holes)
-    p = _slot(arg.cols, var)
-    if p is None:
-        pos = arg.pos
-        data.append(pos)
-    else:
-        pos = data[p] = _coalesce(data[p], arg.pos)
-    rel = _Rel(cols, data, pos, arg.tags, arg.holes)
-    return _keep(rel, list(map(is_not, pos, repeat(None)))) if None in pos else rel
+    rel, anchors = _element(arg, expr.var, alg.output_columns(expr, (), arg.cols))
+    rel.pos = anchors
+    if expr.var and None in anchors:
+        return _keep(rel, list(map(is_not, anchors, repeat(None))))
+    return rel
 
 
 def _traverse(expr: alg.Traverse, inputs, g: Graph, arg) -> _Rel:
     """Each row once per edge from its anchor, the neighbour as position."""
     (src,) = inputs
     cols = alg.output_columns(expr, (src.cols,))
-    data = list(src.data)
-    pa = _slot(src.cols, expr.from_var)
-    if pa is None:
-        anchors = src.pos
-        if expr.from_var:
-            data.append(anchors)
-    else:
-        anchors = data[pa] = _coalesce(data[pa], src.pos)
+    rel, anchors = _element(src, expr.from_var, cols)
     if not _only_tokens(anchors):
         for a in anchors:  # the first row that cannot move raises
             if a is None:
@@ -438,7 +423,7 @@ def _traverse(expr: alg.Traverse, inputs, g: Graph, arg) -> _Rel:
     dest = list(chain.from_iterable(found))
     # each value once per neighbour: a 1-tuple times the count, chained
     expand = _once(lambda values: list(chain.from_iterable(map(mul, zip(values), counts))))
-    data = list(map(expand, data))
+    data = list(map(expand, rel.data))
     tags = None if src.tags is None else expand(src.tags)
     to = expr.to_var
     pt = _slot(cols[:len(data)], to)
@@ -568,25 +553,18 @@ def _restriction(expr: alg.Restriction, inputs, g, arg) -> _Rel:
 
 
 def _sort(expr: alg.Sort, inputs, g, arg) -> _Rel:
-    """Stable sort: one stable pass per run of keys sharing a direction,
-    last run first.  No tag is needed inside a predicate: a stable sort of
-    all rows orders each tag's rows as sorting them alone would."""
+    """One stable sort on all keys, which share a direction (validate
+    checks it).  No tag is needed inside a predicate: a stable sort of all
+    rows orders each tag's rows as sorting them alone would."""
     (src,) = inputs
-    runs: list[tuple[str, list]] = []
-    for var, direction in expr.keys:
-        values = src.column(var) if var is not None else src.pos
-        if not runs or runs[-1][0] != direction:
-            runs.append((direction, []))
-        if values is not None:  # never bound: every row ties
-            runs[-1][1].append(values)
+    columns = [src.column(var) if var is not None else src.pos for var, _ in expr.keys]
+    columns = [c for c in columns if c is not None]  # never bound: every row ties
+    if not columns:
+        return src
     n = len(src.pos)
-    index = None
-    for direction, columns in reversed(runs):
-        if columns:
-            keys = _keys(list(map(_order_keys, columns)), None, n)
-            index = sorted(index or range(n), key=keys.__getitem__,
-                           reverse=direction != alg.ASCENDING)
-    return src if index is None else _gather(src, index)
+    keys = _keys(list(map(_order_keys, columns)), None, n)
+    descending = expr.keys[0][1] != alg.ASCENDING
+    return _gather(src, sorted(range(n), key=keys.__getitem__, reverse=descending))
 
 
 def _group(expr: alg.Group, inputs, g: Graph, arg) -> _Rel:

@@ -102,6 +102,17 @@ def test_validate_sort_and_dedup():
     assert validate(Sort((("a", "asc"),), base)) == []
 
 
+def test_validate_rejects_a_sort_of_mixed_directions():
+    """by(asc|desc) sets the direction of every key, so no query builds a
+    sort whose keys mix directions; the evaluator sorts in one pass."""
+    base = Traverse("out", None, "a", "b", GetVertices())
+    assert validate(Sort((("a", "desc"), ("b", "desc")), base)) == []
+    expr = Sort((("a", "asc"), ("b", "desc")), base)
+    assert validate(expr) == ["mixed directions in order[a asc,b desc]"]
+    with pytest.raises(EvaluationError, match=re.escape("invalid plan: mixed directions")):
+        evaluate(expr, modern_graph())
+
+
 def _predicate_holders(leaf):
     """Plans that hold leaf inside a selection predicate: where, not and
     and (a join of predicates), under a union, and in a nested predicate."""

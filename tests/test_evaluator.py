@@ -199,6 +199,18 @@ def test_traverse_from_non_vertex():
         evaluate(expr, g)
 
 
+@pytest.mark.parametrize("query", [
+    "g.V().group().out()",
+    "g.V().group().where(__.out())",
+    "g.V().group().by('lang').not(__.out())",
+])
+def test_traverse_from_group_rows_raises(modern, query):
+    """group() rows have no position; a predicate's rows under test keep
+    them, so a traversal inside where()/not() raises as one outside does."""
+    with pytest.raises(EvaluationError, match="traverse from an unbound position"):
+        run(query, modern)
+
+
 def test_traverse_bound_target_filters(modern):
     # a -created-> b and a -knows-> b simultaneously: no such pair in the fixture
     first = Traverse("out", "created", "a", "b", GetVertices())
