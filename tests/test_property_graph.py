@@ -220,7 +220,8 @@ def test_multigraph_allowed():
 
 
 def test_load_deterministic():
-    data = open(__import__("grem_algebra").modern_graph_path(), "rb").read()
+    with open(__import__("grem_algebra").modern_graph_path(), "rb") as f:
+        data = f.read()
     assert load_graph(data) == load_graph(data)
     assert load_graph(data) == modern_graph()
 
