@@ -186,6 +186,8 @@ def test_golden_covers_accepted_and_rejected_inputs():
     lexical = sum("error" in e and "tokens" not in e for e in entries)
     syntactic = sum("error" in e and "tokens" in e for e in entries)
     assert min(accepted, lexical, syntactic) >= 200, (accepted, lexical, syntactic)
+    inputs = [e["input"] for e in entries]
+    assert [f for f in _EDGE_FORMS if not any(f in text for text in inputs)] == []
 
 
 @pytest.mark.parametrize("chunk", range(10))
