@@ -16,7 +16,6 @@ from .errors import (
 from .evaluator import BindingSet, evaluate, multiset_union, to_jsonl, to_table
 from .parser import TraversalAST, parse_traversal, render_traversal, tokenize
 from .property_graph import (
-    EdgeRecord,
     EdgeRef,
     Graph,
     VertexRef,
@@ -30,7 +29,6 @@ __all__ = [
     "AlgebraExpr",
     "BindingSet",
     "CompileError",
-    "EdgeRecord",
     "EdgeRef",
     "EvaluationError",
     "Graph",

@@ -7,19 +7,22 @@ on an absent key returns None rather than a default.
 
 Identifiers are strings in the file format.  At load a vertex gets its
 rank in ascending lexicographic id order and an edge its index in file
-order, which fixes the order of adjacency and of edges().  The accessors
-that take ids speak original string ids; the evaluator reads the graph's
-rank-ordered layout directly (see ``Graph``).
+order, which fixes the order of adjacency.  The evaluator reads the
+graph's rank-ordered layout directly (see ``Graph``).
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
+import re
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, compress, repeat
+from math import isfinite
+from operator import is_, itemgetter
 from typing import IO, Union
 
 from .errors import GraphFormatError
@@ -46,16 +49,6 @@ class EdgeRef:
 
     def __repr__(self) -> str:
         return f"e[{self.id}]"
-
-
-@dataclass(frozen=True)
-class EdgeRecord:
-    """A directed edge: out_v --label--> in_v."""
-
-    id: str
-    out_v: str
-    label: str
-    in_v: str
 
 
 def is_numeric(v: object) -> bool:
@@ -141,9 +134,17 @@ def sort_key(v: object) -> tuple:
 class Graph:
     """Immutable property graph.  Construct via load_graph().
 
-    The graph is laid out at load in the order the evaluator reads it.
-    Vertices are stored by rank, their position in ascending lexicographic
-    id order; edges by index, their position in the file.  Inside the
+    ``Graph(vertices, edges)`` takes the entries of a graph document as
+    ``json.loads`` builds them: vertex objects ``{"id", "label",
+    "properties"?}`` and edge objects ``{"id", "label", "outV", "inV",
+    "properties"?}``.  It checks them in whole-column passes and, when a
+    pass fails, checks them one entry at a time to raise the first fault
+    in the order load_graph documents.  The checked properties objects
+    become the graph's own, uncopied.
+
+    The graph is laid out in the order the evaluator reads it.  Vertices
+    are stored by rank, their position in ascending lexicographic id
+    order; edges by index, their position in the file.  Inside the
     evaluator a vertex is its token, the 1-tuple ``(rank,)``.  There is one
     token per vertex, so identity, equality, ordering, dedup and join keys
     are the token itself.  A tuple that holds only scalars and such tokens
@@ -168,8 +169,9 @@ class Graph:
       mask over every vertex;
     * ``adjacent(direction, label, rank)``: the tokens adjacent to a vertex
       along edges of that label (None: any label), one per edge, in file
-      order; ``neighbours(direction, label)`` is the list of these entries
-      by rank, filled on first use;
+      order, read from the direction's edge indexes sorted by endpoint
+      rank, built whole on first use; ``neighbours(direction, label)`` is
+      the list of these entries by rank, filled on first use;
     * ``edge_index``: edge id -> edge index, and ``edge_labels`` /
       ``edge_props`` by edge index; ``edges_sorted()``: interned
       ``EdgeRef``s in ascending id order, built on first use.
@@ -178,65 +180,20 @@ class Graph:
     single assignment, so concurrent readers never see a partial one.
     """
 
-    def __init__(
-        self,
-        vertices: list[tuple[str, str, dict[str, PropertyValue]]],
-        edges: list[tuple[str, str, str, str, dict[str, PropertyValue]]],
-    ):
-        """vertices: (id, label, props); edges: (id, label, outV, inV, props)."""
-        by_id: dict[str, tuple] = {}
-        for vertex in vertices:
-            if vertex[0] in by_id:
-                raise GraphFormatError(f"duplicate vertex id {vertex[0]!r}")
-            by_id[vertex[0]] = vertex
-        self._v_ids: list[str] = sorted(by_id)  # rank -> id
-        ranked = [by_id[vid] for vid in self._v_ids]
-        self._v_index: dict[str, int] = {vid: r for r, vid in enumerate(self._v_ids)}
-        self.vertex_labels: list[str] = [label for _, label, _ in ranked]
-        self.vertex_props: list[dict[str, PropertyValue]] = [dict(p) for _, _, p in ranked]
-
-        self._e_ids: list[str] = []
-        self.edge_index: dict[str, int] = {}
-        self.edge_labels: list[str] = []
-        self._e_out: list[int] = []  # rank of each edge's source
-        self._e_in: list[int] = []  # rank of each edge's target
-        self.edge_props: list[dict[str, PropertyValue]] = []
-        # edge indexes leaving / entering each vertex, in file order
-        out_edges: list[list[int]] = [[] for _ in self._v_ids]
-        in_edges: list[list[int]] = [[] for _ in self._v_ids]
-
-        for eid, label, out_v, in_v, props in edges:
-            if eid in self.edge_index:
-                raise GraphFormatError(f"duplicate edge id {eid!r}")
-            if eid in self._v_index:
-                raise GraphFormatError(f"edge id {eid!r} already used by a vertex")
-            if out_v not in self._v_index:
-                raise GraphFormatError(f"edge {eid!r} references unknown vertex {out_v!r}")
-            if in_v not in self._v_index:
-                raise GraphFormatError(f"edge {eid!r} references unknown vertex {in_v!r}")
-            ex = len(self._e_ids)
-            self.edge_index[eid] = ex
-            self._e_ids.append(eid)
-            self.edge_labels.append(label)
-            src = self._v_index[out_v]
-            dst = self._v_index[in_v]
-            self._e_out.append(src)
-            self._e_in.append(dst)
-            self.edge_props.append(dict(props))
-            out_edges[src].append(ex)
-            in_edges[dst].append(ex)
+    def __init__(self, vertices: list, edges: list):
+        columns = _columns(vertices, edges)
+        if columns is None:
+            _check_entries(vertices, edges)
+            raise GraphFormatError("graph entries hold values json.loads never builds")
+        (
+            self._v_ids, self._v_index, self.vertex_labels, self.vertex_props,
+            self._e_ids, self.edge_index, self.edge_labels, self._e_out, self._e_in,
+            self.edge_props,
+        ) = columns
         # tuples of ints, which the garbage collector stops tracking
-        self._out_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_edges))
-        self._in_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_edges))
-
-        clash = set(self.vertex_labels) & set(self.edge_labels)
-        if clash:
-            raise GraphFormatError(
-                f"label(s) used for both vertices and edges: {sorted(clash)}"
-            )
-        # made last: the collections the loops above trigger need not scan them
-        self.vertex_tokens: tuple[tuple[int], ...] = tuple([(r,) for r in range(len(self._v_ids))])
+        self.vertex_tokens: tuple[tuple[int], ...] = tuple(zip(range(len(self._v_ids))))
         self.vertex_refs: tuple[VertexRef, ...] = tuple(map(VertexRef, self._v_ids))
+        self._incidences: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._neighbours: dict[tuple[str, str | None], list] = {}
         self._property_columns: dict[str, list] = {}
         self._label_ranks: dict[str, tuple[int, ...]] | None = None
@@ -257,10 +214,6 @@ class Graph:
         """All vertex ids in ascending lexicographic order."""
         return list(self._v_ids)
 
-    def edge_ids(self) -> list[str]:
-        """All edge ids in ascending lexicographic order."""
-        return [ref.id for ref in self.edges_sorted()]
-
     def edges_sorted(self) -> tuple[EdgeRef, ...]:
         """One interned EdgeRef per edge, in ascending id order."""
         refs = self._edge_refs
@@ -269,50 +222,23 @@ class Graph:
             self._edge_refs = refs
         return refs
 
-    def vertex_label(self, vid: str) -> str:
-        return self.vertex_labels[self._require_vertex(vid)]
-
-    def edge_label(self, eid: str) -> str:
-        return self.edge_labels[self._require_edge(eid)]
-
-    def edge_record(self, eid: str) -> EdgeRecord:
-        ex = self._require_edge(eid)
-        return EdgeRecord(
-            id=eid,
-            out_v=self._v_ids[self._e_out[ex]],
-            label=self.edge_labels[ex],
-            in_v=self._v_ids[self._e_in[ex]],
-        )
-
-    def edges(self) -> list[EdgeRecord]:
-        return [self.edge_record(eid) for eid in self._e_ids]
-
-    def element_label(self, ref: VertexRef | EdgeRef) -> str:
-        if isinstance(ref, VertexRef):
-            return self.vertex_label(ref.id)
-        return self.edge_label(ref.id)
-
     # -- adjacency -------------------------------------------------------
 
-    def out_adjacent(self, vid: str, label: str | None = None) -> list[tuple[str, str]]:
-        """(edge id, target vertex id) pairs for edges leaving vid.
-
-        Filtered to the edge label when given; multiplicity is one pair per
-        matching edge, in file order.
-        """
-        return self._adjacent(self._out_edges, self._e_in, vid, label)
-
-    def in_adjacent(self, vid: str, label: str | None = None) -> list[tuple[str, str]]:
-        """(edge id, source vertex id) pairs for edges arriving at vid."""
-        return self._adjacent(self._in_edges, self._e_out, vid, label)
-
-    def _adjacent(self, edges, ends: list[int], vid: str, label: str | None) -> list[tuple[str, str]]:
-        labels = self.edge_labels
-        return [
-            (self._e_ids[ex], self._v_ids[ends[ex]])
-            for ex in edges[self._require_vertex(vid)]
-            if label is None or labels[ex] == label
-        ]
+    def _incidence(self, direction: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The edge indexes sorted by the rank of the vertex they leave
+        ("out") or enter ("in"), in file order within a vertex, and by rank
+        the offset at which its edges start (one more at the end).  Built
+        whole on first use."""
+        found = self._incidences.get(direction)
+        if found is None:
+            ends = self._e_out if direction == "out" else self._e_in
+            order = sorted(range(len(ends)), key=ends.__getitem__)
+            sorted_ends = list(map(ends.__getitem__, order))
+            starts = map(bisect_left, repeat(sorted_ends), range(len(self._v_ids) + 1))
+            # tuples of ints, which the garbage collector stops tracking
+            found = (tuple(order), tuple(starts))
+            self._incidences[direction] = found
+        return found
 
     def neighbours(self, direction: str, label: str | None) -> list:
         """Per rank, its entry of adjacent(direction, label, rank), or None
@@ -332,10 +258,9 @@ class Graph:
         lists = self.neighbours(direction, label)
         found = lists[rank]
         if found is None:
-            if direction == "out":
-                exs, ends = self._out_edges[rank], self._e_in
-            else:
-                exs, ends = self._in_edges[rank], self._e_out
+            order, starts = self._incidence(direction)
+            exs = order[starts[rank] : starts[rank + 1]]
+            ends = self._e_in if direction == "out" else self._e_out
             if label is not None:
                 labels = self.edge_labels
                 exs = [ex for ex in exs if labels[ex] == label]
@@ -377,17 +302,6 @@ class Graph:
             self._value_ranks[key] = table
         return table.get(join_key(value), ())
 
-    def element_property(self, elem: str, key: str) -> PropertyValue | None:
-        """μ(elem, key), or None when the key is absent.
-
-        elem may be a vertex id or an edge id (ids never collide).
-        """
-        if elem in self._v_index:
-            return self.vertex_props[self._v_index[elem]].get(key)
-        if elem in self.edge_index:
-            return self.edge_props[self.edge_index[elem]].get(key)
-        raise GraphFormatError(f"unknown element id {elem!r}")
-
     # -- misc --------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -407,18 +321,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(|V|={self.vertex_count}, |E|={self.edge_count})"
 
-    def _require_vertex(self, vid: str) -> int:
-        try:
-            return self._v_index[vid]
-        except KeyError:
-            raise GraphFormatError(f"unknown vertex id {vid!r}") from None
-
-    def _require_edge(self, eid: str) -> int:
-        try:
-            return self.edge_index[eid]
-        except KeyError:
-            raise GraphFormatError(f"unknown edge id {eid!r}") from None
-
 
 def _ranks_by(keys) -> dict:
     """Per distinct key, the ranks (positions in keys) holding it, ascending."""
@@ -433,39 +335,143 @@ def _ranks_by(keys) -> dict:
 _JSON_TYPES = {list: "array", dict: "object", type(None): "null"}
 _VERTEX_KEYS = {"id", "label", "properties"}
 _EDGE_KEYS = {"id", "label", "outV", "inV", "properties"}
+_SCALAR_TYPES = {str, int, float, bool}
+# a lone surrogate, the only kind a decoded string holds (json.loads joins a pair)
+_lone_surrogate = re.compile("[\ud800-\udfff]").search
+# a JSON escape of a surrogate, lone or in a pair
+_surrogate_escape = re.compile(r"\\u[dD][89a-fA-F]").search
 
 
-def _check_properties(raw: object, where: str) -> dict[str, PropertyValue]:
+def _columns(vertices: list, edges: list) -> tuple | None:
+    """The checked columns of a graph document's entries, by rank for
+    vertices and by index for edges, or None when some entry breaks a
+    rule.  Each rule is checked over all entries at once; which entry
+    breaks it, and how, is for _check_entries to say."""
+    if not (set(map(type, vertices)) <= {dict} and set(map(type, edges)) <= {dict}):
+        return None
+    if not (_VERTEX_KEYS >= set().union(*vertices) and _EDGE_KEYS >= set().union(*edges)):
+        return None
+    try:
+        ids = list(map(itemgetter("id"), vertices))
+        labels = list(map(itemgetter("label"), vertices))
+        e_ids = list(map(itemgetter("id"), edges))
+        e_labels = list(map(itemgetter("label"), edges))
+        outs = list(map(itemgetter("outV"), edges))
+        ins = list(map(itemgetter("inV"), edges))
+    except KeyError:
+        return None
+    if not set(map(type, chain(ids, labels, e_ids, e_labels, outs, ins))) <= {str}:
+        return None
+
+    props = list(map(dict.get, vertices, repeat("properties")))
+    e_props = list(map(dict.get, edges, repeat("properties")))
+    kinds = set(map(type, chain(props, e_props)))
+    if type(None) in kinds:  # absent or null: no properties
+        kinds.discard(type(None))
+        props = [{} if p is None else p for p in props]
+        e_props = [{} if p is None else p for p in e_props]
+    if not kinds <= {dict}:
+        return None
+    values = list(chain.from_iterable(map(dict.values, filter(None, chain(props, e_props)))))
+    types = list(map(type, values))
+    kinds = set(types)
+    if not kinds <= _SCALAR_TYPES:
+        return None
+    if float in kinds and not all(map(isfinite, compress(values, map(is_, types, repeat(float))))):
+        return None
+
+    order = sorted(range(len(ids)), key=ids.__getitem__)  # rank -> file position
+    v_ids = list(map(ids.__getitem__, order))
+    v_index = dict(zip(v_ids, range(len(v_ids))))
+    e_index = dict(zip(e_ids, range(len(e_ids))))
+    if len(v_index) < len(ids) or len(e_index) < len(e_ids) or not v_index.keys().isdisjoint(e_ids):
+        return None
+    try:
+        e_out = list(map(v_index.__getitem__, outs))
+        e_in = list(map(v_index.__getitem__, ins))
+    except KeyError:
+        return None
+    if not set(labels).isdisjoint(e_labels):
+        return None
+    v_labels = list(map(labels.__getitem__, order))
+    v_props = list(map(props.__getitem__, order))
+    return v_ids, v_index, v_labels, v_props, e_ids, e_index, e_labels, e_out, e_in, e_props
+
+
+def _check_entries(vertices: list, edges: list) -> None:
+    """Raise the first fault of a graph document's entries, checking one
+    entry at a time in the order load_graph documents; return when there
+    is none."""
+    for section, entries, allowed, fields in (
+        ("vertices", vertices, _VERTEX_KEYS, ("id", "label")),
+        ("edges", edges, _EDGE_KEYS, ("id", "label", "outV", "inV")),
+    ):
+        for i, entry in enumerate(entries):
+            where = f"{section}[{i}]"
+            if not isinstance(entry, dict):
+                raise GraphFormatError(f"{where}: must be an object")
+            unknown = set(entry) - allowed
+            if unknown:
+                raise GraphFormatError(f"{where}: unknown key(s): {sorted(unknown)}")
+            for field in fields:
+                _check_string(entry, field, where)
+            _check_properties(entry.get("properties"), where)
+
+    ids = set()
+    for vertex in vertices:
+        if vertex["id"] in ids:
+            raise GraphFormatError(f"duplicate vertex id {vertex['id']!r}")
+        ids.add(vertex["id"])
+    e_ids = set()
+    for edge in edges:
+        eid = edge["id"]
+        if eid in e_ids:
+            raise GraphFormatError(f"duplicate edge id {eid!r}")
+        if eid in ids:
+            raise GraphFormatError(f"edge id {eid!r} already used by a vertex")
+        for end in (edge["outV"], edge["inV"]):
+            if end not in ids:
+                raise GraphFormatError(f"edge {eid!r} references unknown vertex {end!r}")
+        e_ids.add(eid)
+    clash = {v["label"] for v in vertices} & {e["label"] for e in edges}
+    if clash:
+        raise GraphFormatError(f"label(s) used for both vertices and edges: {sorted(clash)}")
+
+
+def _check_properties(raw: object, where: str) -> None:
     if raw is None:
-        return {}
+        return
     if not isinstance(raw, dict):
         raise GraphFormatError(f"{where}: 'properties' must be an object")
-    props: dict[str, PropertyValue] = {}
     for key, val in raw.items():
         if not isinstance(key, str):
             raise GraphFormatError(f"{where}: property key {key!r} is not a string")
+        if _lone_surrogate(key):
+            raise GraphFormatError(f"{where}: property key {key!r} holds a lone surrogate")
         kind = type(val)  # json.loads builds exact types
         if kind is float:
-            if not math.isfinite(val):
+            if not isfinite(val):
                 raise GraphFormatError(
                     f"{where}: property {key!r} has non-finite value {val!r}"
                 )
-        elif kind is not str and kind is not int and kind is not bool:
+        elif kind is str:
+            if _lone_surrogate(val):
+                raise GraphFormatError(f"{where}: property {key!r} holds a lone surrogate")
+        elif kind is not int and kind is not bool:
             # the JSON type only: the value itself may be arbitrarily large
             raise GraphFormatError(
                 f"{where}: property {key!r} has non-scalar value of type {_JSON_TYPES[kind]}"
             )
-        props[key] = val
-    return props
 
 
-def _required_string(entry: dict, field: str, where: str) -> str:
+def _check_string(entry: dict, field: str, where: str) -> None:
     if field not in entry:
         raise GraphFormatError(f"{where}: missing required field {field!r}")
     val = entry[field]
     if not isinstance(val, str):
         raise GraphFormatError(f"{where}: field {field!r} must be a string")
-    return val
+    if _lone_surrogate(val):
+        raise GraphFormatError(f"{where}: field {field!r} holds a lone surrogate")
 
 
 def load_graph(source: Union[str, bytes, IO]) -> Graph:
@@ -473,12 +479,28 @@ def load_graph(source: Union[str, bytes, IO]) -> Graph:
 
     Format: {"vertices": [{"id","label","properties"?}...],
              "edges": [{"id","label","outV","inV","properties"?}...]}.
-    Unknown keys are rejected; every vertex and edge must carry a label;
-    non-finite numbers (NaN, Infinity) are rejected.  Bytes must be UTF-8.
+    Bytes must be UTF-8.  The checks run in this order, and the first
+    fault found is the one raised as a GraphFormatError:
+
+    1. the text is JSON, its top level an object with no key but
+       "vertices" and "edges", and each of the two an array;
+    2. each vertex in file order, then each edge in file order: it is an
+       object with no unknown key; each of id, label (and outV, inV for
+       an edge) is present and a string; properties is absent, null or an
+       object of scalar values, with no NaN or infinity;
+    3. no vertex id repeats, then for each edge in file order: its id is
+       new among edges and unused by a vertex, and outV, then inV, names
+       a vertex;
+    4. no label is used for both vertices and edges.
+
+    No id, label, property key or string value may hold a lone surrogate
+    (a \\ud800-\\udfff code point not in a pair), which no UTF-8 output
+    can print: this is checked in step 2, field by field.
     """
     try:
         data = source.read() if hasattr(source, "read") else source
-        if isinstance(data, bytes):
+        decoded = isinstance(data, bytes)
+        if decoded:
             data = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
@@ -502,33 +524,14 @@ def load_graph(source: Union[str, bytes, IO]) -> Graph:
         if not isinstance(doc[section], list):
             raise GraphFormatError(f"{section!r} must be an array")
 
-    vertices = []
-    for i, entry in enumerate(doc["vertices"]):
-        where = f"vertices[{i}]"
-        if not isinstance(entry, dict):
-            raise GraphFormatError(f"{where}: must be an object")
-        unknown = set(entry) - _VERTEX_KEYS
-        if unknown:
-            raise GraphFormatError(f"{where}: unknown key(s): {sorted(unknown)}")
-        vid = _required_string(entry, "id", where)
-        label = _required_string(entry, "label", where)
-        vertices.append((vid, label, _check_properties(entry.get("properties"), where)))
-
-    edges = []
-    for i, entry in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
-        if not isinstance(entry, dict):
-            raise GraphFormatError(f"{where}: must be an object")
-        unknown = set(entry) - _EDGE_KEYS
-        if unknown:
-            raise GraphFormatError(f"{where}: unknown key(s): {sorted(unknown)}")
-        eid = _required_string(entry, "id", where)
-        label = _required_string(entry, "label", where)
-        out_v = _required_string(entry, "outV", where)
-        in_v = _required_string(entry, "inV", where)
-        edges.append((eid, label, out_v, in_v, _check_properties(entry.get("properties"), where)))
-
-    return Graph(vertices, edges)
+    # A surrogate is spelled as a \uD800-\uDFFF escape or, in a str source,
+    # raw (UTF-8 decoding never yields one).  Only a text that may hold one
+    # pays for checking its entries one at a time.
+    if ("\\" in data and _surrogate_escape(data)) or (
+        not decoded and not data.isascii() and _lone_surrogate(data)
+    ):
+        _check_entries(doc["vertices"], doc["edges"])
+    return Graph(doc["vertices"], doc["edges"])
 
 
 def load_graph_file(path: str) -> Graph:

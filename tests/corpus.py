@@ -17,7 +17,7 @@ from typing import Callable
 from grem_algebra import Graph, load_graph
 from grem_algebra.property_graph import value_key
 
-from reference import OracleGraphPattern, PatternEdge, PatternVertex, oracle_match
+from reference import OracleGraphPattern, PatternEdge, PatternVertex, element_property, oracle_match
 
 Q_OLDEST_KNOWN_AGE = 'g.V().has("name","marko").out("knows").values("age").max()'
 
@@ -70,7 +70,7 @@ def canon_values(values: list) -> Counter:
 
 
 def _prop(g: Graph, ref, key: str):
-    return g.element_property(ref.id, key)
+    return element_property(g, ref.id, key)
 
 
 def _oracle_oldest_known_age(g: Graph) -> Counter:

@@ -11,7 +11,10 @@ trust it.
 * the brute-force oracle: every assignment of pattern variables to
   vertices, with edge multiplicities;
 * linear traversals: a chain of steps from every vertex, one row at a
-  time, filters decided by ``values_equal`` and the vertex's own label.
+  time, filters decided by ``values_equal`` and the vertex's own label;
+* the graph by id: labels, properties, edges and adjacency looked up by
+  original string id, each a plain scan of the graph's rank layout, and
+  a graph built from a document's entries in one plain loop.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from grem_algebra.compiler import PatternChain
-from grem_algebra.errors import EvaluationError
+from grem_algebra.errors import EvaluationError, GraphFormatError
 from grem_algebra.evaluator import CUR, BindingSet, Value, multiset_union
 from grem_algebra.parser import StepKind
 from grem_algebra.property_graph import EdgeRef, Graph, PropertyValue, VertexRef, values_equal
@@ -29,6 +32,122 @@ from grem_algebra.property_graph import EdgeRef, Graph, PropertyValue, VertexRef
 
 class UnboundPatternError(EvaluationError):
     """A match pattern could not run because its start variable never binds."""
+
+
+# -- the graph by id -------------------------------------------------------------
+#
+# The package's Graph is read by rank and edge index.  These functions read
+# it by original string id, scanning its columns, so that they also check
+# the adjacency the graph builds.
+
+
+@dataclass(frozen=True)
+class EdgeRecord:
+    """A directed edge: out_v --label--> in_v."""
+
+    id: str
+    out_v: str
+    label: str
+    in_v: str
+
+
+def _require_vertex(g: Graph, vid: str) -> int:
+    try:
+        return g._v_index[vid]
+    except KeyError:
+        raise GraphFormatError(f"unknown vertex id {vid!r}") from None
+
+
+def _require_edge(g: Graph, eid: str) -> int:
+    try:
+        return g.edge_index[eid]
+    except KeyError:
+        raise GraphFormatError(f"unknown edge id {eid!r}") from None
+
+
+def vertex_label(g: Graph, vid: str) -> str:
+    return g.vertex_labels[_require_vertex(g, vid)]
+
+
+def edge_label(g: Graph, eid: str) -> str:
+    return g.edge_labels[_require_edge(g, eid)]
+
+
+def element_label(g: Graph, ref: VertexRef | EdgeRef) -> str:
+    if isinstance(ref, VertexRef):
+        return vertex_label(g, ref.id)
+    return edge_label(g, ref.id)
+
+
+def element_property(g: Graph, elem: str, key: str) -> PropertyValue | None:
+    """μ(elem, key), or None when the key is absent; elem is a vertex id or
+    an edge id (ids never collide)."""
+    if elem in g._v_index:
+        return g.vertex_props[g._v_index[elem]].get(key)
+    if elem in g.edge_index:
+        return g.edge_props[g.edge_index[elem]].get(key)
+    raise GraphFormatError(f"unknown element id {elem!r}")
+
+
+def edge_record(g: Graph, eid: str) -> EdgeRecord:
+    ex = _require_edge(g, eid)
+    refs = g.vertex_refs
+    return EdgeRecord(eid, refs[g._e_out[ex]].id, g.edge_labels[ex], refs[g._e_in[ex]].id)
+
+
+def edges(g: Graph) -> list[EdgeRecord]:
+    """Every edge, in file order."""
+    return [edge_record(g, eid) for eid in g.edge_index]
+
+
+def edge_ids(g: Graph) -> list[str]:
+    """All edge ids in ascending lexicographic order."""
+    return sorted(g.edge_index)
+
+
+def out_adjacent(g: Graph, vid: str, label: str | None = None) -> list[tuple[str, str]]:
+    """(edge id, target vertex id) pairs for the edges leaving vid, one per
+    edge of that label (None: any label), in file order."""
+    return _adjacent(g, g._e_out, g._e_in, vid, label)
+
+
+def in_adjacent(g: Graph, vid: str, label: str | None = None) -> list[tuple[str, str]]:
+    """(edge id, source vertex id) pairs for the edges arriving at vid."""
+    return _adjacent(g, g._e_in, g._e_out, vid, label)
+
+
+def _adjacent(g: Graph, here: list, there: list, vid: str, label: str | None) -> list:
+    rank = _require_vertex(g, vid)
+    refs, labels = g.vertex_refs, g.edge_labels
+    return [
+        (eid, refs[there[ex]].id)
+        for eid, ex in g.edge_index.items()
+        if here[ex] == rank and (label is None or labels[ex] == label)
+    ]
+
+
+def graph_from_entries(vertices: list[dict], edges: list[dict]) -> Graph:
+    """The graph a valid document's entries make, built one entry at a time:
+    vertices by rank (ascending id), edges in file order, each properties
+    object as is (absent or null: empty)."""
+    by_id = {}
+    for vertex in vertices:
+        by_id[vertex["id"]] = vertex
+    g = Graph.__new__(Graph)
+    g._v_ids = sorted(by_id)
+    rank = {vid: r for r, vid in enumerate(g._v_ids)}
+    g.vertex_labels, g.vertex_props = [], []
+    for vid in g._v_ids:
+        g.vertex_labels.append(by_id[vid]["label"])
+        g.vertex_props.append(by_id[vid].get("properties") or {})
+    g._e_ids, g.edge_labels, g._e_out, g._e_in, g.edge_props = [], [], [], [], []
+    for edge in edges:
+        g._e_ids.append(edge["id"])
+        g.edge_labels.append(edge["label"])
+        g._e_out.append(rank[edge["outV"]])
+        g._e_in.append(rank[edge["inV"]])
+        g.edge_props.append(edge.get("properties") or {})
+    return g
 
 
 # -- paths ---------------------------------------------------------------------
@@ -164,17 +283,17 @@ def _run_chain(chain: PatternChain, g: Graph, t: Traverser) -> list[Traverser]:
                 if not isinstance(loc, VertexRef):
                     raise EvaluationError(f"traverse requires a vertex, got {loc!r}")
                 if kind is StepKind.OUT:
-                    pairs = g.out_adjacent(loc.id, name)
+                    pairs = out_adjacent(g, loc.id, name)
                 else:
-                    pairs = g.in_adjacent(loc.id, name)
+                    pairs = in_adjacent(g, loc.id, name)
                 next_gen.extend(replace(tr, location=VertexRef(v)) for _, v in pairs)
             elif kind is StepKind.HAS_LABEL:
-                if is_ref and g.element_label(loc) == name:
+                if is_ref and element_label(g, loc) == name:
                     next_gen.append(tr)
             elif kind is StepKind.HAS:
                 if not is_ref:
                     continue
-                value = g.element_property(loc.id, name)
+                value = element_property(g, loc.id, name)
                 if value is None:
                     continue
                 if len(step.args) == 1 or values_equal(value, step.args[1].value):
@@ -182,7 +301,7 @@ def _run_chain(chain: PatternChain, g: Graph, t: Traverser) -> list[Traverser]:
             elif kind is StepKind.VALUES:
                 if not is_ref:
                     continue
-                value = g.element_property(loc.id, name)
+                value = element_property(g, loc.id, name)
                 if value is not None:
                     next_gen.append(replace(tr, location=value))
             else:  # pragma: no cover
@@ -340,18 +459,18 @@ def oracle_match(pattern: OracleGraphPattern, g: Graph) -> BindingSet:
         assignment = {pv.var: vid for pv, vid in zip(pattern.vertices, combo)}
         ok = True
         for pv, vid in zip(pattern.vertices, combo):
-            if pv.label is not None and g.vertex_label(vid) != pv.label:
+            if pv.label is not None and vertex_label(g, vid) != pv.label:
                 ok = False
                 break
             for key, cmp, const in pv.props:
-                val = g.element_property(vid, key)
+                val = element_property(g, vid, key)
                 if val is None or cmp != "=" or not values_equal(val, const):
                     ok = False
                     break
             if not ok:
                 break
             for key in pv.has_keys:
-                if g.element_property(vid, key) is None:
+                if element_property(g, vid, key) is None:
                     ok = False
                     break
             if not ok:
@@ -364,7 +483,7 @@ def oracle_match(pattern: OracleGraphPattern, g: Graph) -> BindingSet:
             src = assignment[edge.src]
             dst = assignment[edge.dst]
             count = sum(
-                1 for _eid, target in g.out_adjacent(src, edge.label) if target == dst
+                1 for _eid, target in out_adjacent(g, src, edge.label) if target == dst
             )
             multiplicity *= count
             if multiplicity == 0:
@@ -375,7 +494,7 @@ def oracle_match(pattern: OracleGraphPattern, g: Graph) -> BindingSet:
         row: dict = {v: VertexRef(vid) for v, vid in assignment.items()}
         dead = False
         for vvar, key, tvar in pattern.values:
-            val = g.element_property(assignment[vvar], key)
+            val = element_property(g, assignment[vvar], key)
             if val is None:
                 dead = True
                 break
@@ -400,18 +519,18 @@ def linear_rows(g: Graph, steps: Iterable[tuple]) -> list[dict]:
         for row in rows:
             here = row[CUR]
             if kind == "out":
-                out += [{**row, CUR: VertexRef(dst)} for _, dst in g.out_adjacent(here.id)]
+                out += [{**row, CUR: VertexRef(dst)} for _, dst in out_adjacent(g, here.id)]
             elif kind == "as":
                 out.append({**row, args[0]: here})
             elif kind == "has":
-                value = g.element_property(here.id, args[0])
+                value = element_property(g, here.id, args[0])
                 if value is not None and values_equal(value, args[1]):
                     out.append(row)
             elif kind == "hasLabel":
-                if g.vertex_label(here.id) == args[0]:
+                if vertex_label(g, here.id) == args[0]:
                     out.append(row)
             elif kind == "values":
-                value = g.element_property(here.id, args[0])
+                value = element_property(g, here.id, args[0])
                 if value is not None:
                     out.append({**row, CUR: value})
             elif kind == "select":

@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, exit codes, output determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -69,6 +70,39 @@ def test_bad_graph_exit_2(tmp_path):
     proc = cli("run", "--graph", str(path), "--query", "g.V()")
     assert proc.returncode == 2
     assert "graph error" in proc.stderr
+
+
+def test_lone_surrogate_in_graph_exit_2(tmp_path):
+    """A lone surrogate is valid JSON, but printing it to UTF-8 output
+    fails: the graph is rejected at load, with the entry and field named,
+    before any query runs."""
+    path = tmp_path / "surrogate.json"
+    path.write_text(
+        '{"vertices":[{"id":"\\ud800","label":"person","properties":{"name":"\\udc00x"}}],"edges":[]}'
+    )
+    for query in ("g.V()", "g.V().values('name')"):
+        proc = cli("run", "--graph", str(path), "--format", "table", "--query", query)
+        assert proc.returncode == 2
+        assert proc.stderr == "graph error: vertices[0]: field 'id' holds a lone surrogate\n"
+    path.write_text(
+        '{"vertices":[{"id":"1","label":"person","properties":{"name":"\\ud83d\\ude00\\udc00x"}}],"edges":[]}'
+    )
+    proc = cli("run", "--graph", str(path), "--query", "g.V().values('name')")
+    assert proc.returncode == 2
+    assert proc.stderr == "graph error: vertices[0]: property 'name' holds a lone surrogate\n"
+
+
+def test_surrogate_pair_in_graph_prints(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text('{"vertices":[{"id":"1","label":"p","properties":{"name":"\\ud83d\\ude00"}}],"edges":[]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "grem_algebra.cli", "run", "--graph", str(path),
+         "--query", "g.V().values('name')"],
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.decode("utf-8") == "\U0001f600\n"
 
 
 def test_evaluation_error_exit_3():

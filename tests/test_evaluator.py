@@ -34,7 +34,7 @@ from grem_algebra.algebra import (
 from grem_algebra.evaluator import CUR
 from grem_algebra.property_graph import Graph, sort_key
 
-from reference import EMPTY_PATH, Path, path_concat, path_join
+from reference import EMPTY_PATH, Path, element_property, out_adjacent, path_concat, path_join
 from corpus import Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30, Q_COCREATOR_32, Q_AGES_ASC, random_graph
 
 
@@ -48,8 +48,8 @@ def run(text, g, **kw):
 def test_oldest_known_age_returns_32(modern):
     result = run(Q_OLDEST_KNOWN_AGE, modern)
     # brute force over the fixture: marko knows vadas (27) and josh (32)
-    neighbors = [v for _, v in modern.out_adjacent("1", "knows")]
-    expected = max(modern.element_property(v, "age") for v in neighbors)
+    neighbors = [v for _, v in out_adjacent(modern, "1", "knows")]
+    expected = max(element_property(modern, v, "age") for v in neighbors)
     assert expected == 32
     assert result.values() == [32]
 
@@ -471,11 +471,12 @@ def test_join_equality_is_numeric_and_type_strict():
 def _people_graph(n: int):
     rng = random.Random(n)
     vertices = [
-        (f"p{i}", "person", {"name": f"n{rng.randrange(50)}", "age": rng.randrange(20, 60)})
+        {"id": f"p{i}", "label": "person",
+         "properties": {"name": f"n{rng.randrange(50)}", "age": rng.randrange(20, 60)}}
         for i in range(n)
     ]
     edges = [
-        (f"k{j}", "knows", f"p{rng.randrange(n)}", f"p{rng.randrange(n)}", {})
+        {"id": f"k{j}", "label": "knows", "outV": f"p{rng.randrange(n)}", "inV": f"p{rng.randrange(n)}"}
         for j in range(2 * n)
     ]
     return Graph(vertices, edges)

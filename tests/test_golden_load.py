@@ -80,7 +80,7 @@ def valid_doc(rng: random.Random) -> dict:
     return {"vertices": vertices, "edges": edges}
 
 
-def _objects(doc: dict, section: str | None = None) -> list[dict]:
+def entry_objects(doc: dict, section: str | None = None) -> list[dict]:
     """The entries that are still objects, in one section or in both."""
     sections = [section] if section else ["vertices", "edges"]
     return [
@@ -95,17 +95,17 @@ def _props(entry: dict) -> dict:
 
 
 def _missing_field(rng, doc):
-    entry = rng.choice(_objects(doc))
+    entry = rng.choice(entry_objects(doc))
     entry.pop(rng.choice(EDGE_FIELDS if "outV" in entry else VERTEX_FIELDS), None)
 
 
 def _non_string_field(rng, doc):
-    entry = rng.choice(_objects(doc))
+    entry = rng.choice(entry_objects(doc))
     entry[rng.choice(EDGE_FIELDS if "outV" in entry else VERTEX_FIELDS)] = rng.choice(NOT_STRINGS)
 
 
 def _unknown_key(rng, doc):
-    rng.choice(_objects(doc))[rng.choice(["color", "ID", "props", "outV"])] = "x"
+    rng.choice(entry_objects(doc))[rng.choice(["color", "ID", "props", "outV"])] = "x"
 
 
 def _non_object_entry(rng, doc):
@@ -114,28 +114,28 @@ def _non_object_entry(rng, doc):
 
 
 def _non_finite(rng, doc):
-    _props(rng.choice(_objects(doc)))[rng.choice(["age", "w"])] = rng.choice(
+    _props(rng.choice(entry_objects(doc)))[rng.choice(["age", "w"])] = rng.choice(
         [float("nan"), float("inf"), float("-inf")]
     )
 
 
 def _non_scalar(rng, doc):
-    _props(rng.choice(_objects(doc)))[rng.choice(["name", "tags"])] = rng.choice(
+    _props(rng.choice(entry_objects(doc)))[rng.choice(["name", "tags"])] = rng.choice(
         [None, [], [1], {}, {"k": "v"}]
     )
 
 
 def _properties_not_object(rng, doc):
-    rng.choice(_objects(doc))["properties"] = rng.choice([1, "x", [], [{}], True, 0.5])
+    rng.choice(entry_objects(doc))["properties"] = rng.choice([1, "x", [], [{}], True, 0.5])
 
 
 def _properties_null(rng, doc):
-    rng.choice(_objects(doc))["properties"] = None
+    rng.choice(entry_objects(doc))["properties"] = None
 
 
 def _duplicate_id(rng, doc):
-    section = rng.choice([s for s in ("vertices", "edges") if _objects(doc, s)])
-    entries = _objects(doc, section)
+    section = rng.choice([s for s in ("vertices", "edges") if entry_objects(doc, s)])
+    entries = entry_objects(doc, section)
     if len(entries) == 1:
         doc[section].insert(rng.randint(0, len(doc[section])), dict(entries[0]))
     else:
@@ -144,8 +144,8 @@ def _duplicate_id(rng, doc):
 
 
 def _id_clash(rng, doc):
-    vertex = rng.choice(_objects(doc, "vertices"))
-    edges = _objects(doc, "edges")
+    vertex = rng.choice(entry_objects(doc, "vertices"))
+    edges = entry_objects(doc, "edges")
     if edges:
         rng.choice(edges)["id"] = vertex.get("id")
     else:
@@ -154,13 +154,13 @@ def _id_clash(rng, doc):
 
 
 def _dangling_endpoint(rng, doc):
-    edges = _objects(doc, "edges")
+    edges = entry_objects(doc, "edges")
     if edges:
         rng.choice(edges)[rng.choice(["outV", "inV"])] = rng.choice(["zz", "e0", "", "01"])
 
 
 def _label_clash(rng, doc):
-    vertices, edges = _objects(doc, "vertices"), _objects(doc, "edges")
+    vertices, edges = entry_objects(doc, "vertices"), entry_objects(doc, "edges")
     if edges and rng.random() < 0.5:
         rng.choice(edges)["label"] = rng.choice(vertices)["label"] if vertices else "person"
     else:
@@ -207,7 +207,7 @@ def fuzz_graphs(count: int, seed: int):
             rng.shuffle(faults)
             faults = faults + faults[:1]  # the same fault twice
         for name in faults:
-            if _objects(doc, "vertices") and isinstance(doc.get("edges"), list):
+            if entry_objects(doc, "vertices") and isinstance(doc.get("edges"), list):
                 MUTATIONS[name](rng, doc)
         if rng.random() < 0.03:
             faults = faults + ["top-level"]

@@ -5,11 +5,25 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grem_algebra import GraphFormatError, load_graph, modern_graph
-from grem_algebra.property_graph import value_key, values_equal
+from grem_algebra.property_graph import _check_entries, value_key, values_equal
 
 from corpus import random_graph
+from reference import (
+    edge_ids,
+    edge_label,
+    edge_record,
+    edges,
+    element_property,
+    graph_from_entries,
+    in_adjacent,
+    out_adjacent,
+    vertex_label,
+)
+from test_golden_load import MUTATIONS, entry_objects
 
 NAME_TO_ID = {"marko": "1", "vadas": "2", "lop": "3", "josh": "4", "ripple": "5", "peter": "6"}
 
@@ -18,7 +32,7 @@ def enumerate_out(g, vid, label):
     """Independent adjacency oracle: scan the full edge list."""
     return sorted(
         (e.id, e.in_v)
-        for e in g.edges()
+        for e in edges(g)
         if e.out_v == vid and (label is None or e.label == label)
     )
 
@@ -26,7 +40,7 @@ def enumerate_out(g, vid, label):
 def enumerate_in(g, vid, label):
     return sorted(
         (e.id, e.out_v)
-        for e in g.edges()
+        for e in edges(g)
         if e.in_v == vid and (label is None or e.label == label)
     )
 
@@ -44,59 +58,59 @@ def test_empty_graph():
 
 
 def test_out_adjacent_marko_knows(modern):
-    got = modern.out_adjacent(NAME_TO_ID["marko"], "knows")
+    got = out_adjacent(modern, NAME_TO_ID["marko"], "knows")
     assert sorted(got) == enumerate_out(modern, "1", "knows")
     assert sorted(got) == [("7", "2"), ("8", "4")]
     assert len(got) == 2
 
 
 def test_out_adjacent_vadas_created_empty(modern):
-    assert modern.out_adjacent(NAME_TO_ID["vadas"], "created") == []
+    assert out_adjacent(modern, NAME_TO_ID["vadas"], "created") == []
     assert enumerate_out(modern, "2", "created") == []
 
 
 def test_out_adjacent_unlabeled(modern):
-    got = modern.out_adjacent("1")
+    got = out_adjacent(modern, "1")
     assert sorted(got) == enumerate_out(modern, "1", None)
     assert len(got) == 3
 
 
 def test_in_adjacent_lop_created(modern):
-    got = modern.in_adjacent(NAME_TO_ID["lop"], "created")
+    got = in_adjacent(modern, NAME_TO_ID["lop"], "created")
     assert sorted(got) == enumerate_in(modern, "3", "created")
     assert sorted(v for _, v in got) == ["1", "4", "6"]
 
 
 def test_in_adjacent_empty_cases(modern):
-    assert modern.in_adjacent("1") == []
-    assert modern.in_adjacent(NAME_TO_ID["ripple"], "knows") == []
+    assert in_adjacent(modern, "1") == []
+    assert in_adjacent(modern, NAME_TO_ID["ripple"], "knows") == []
 
 
 def test_unknown_vertex_rejected(modern):
     with pytest.raises(GraphFormatError):
-        modern.out_adjacent("99")
+        out_adjacent(modern, "99")
     with pytest.raises(GraphFormatError):
-        modern.in_adjacent("99", "knows")
+        in_adjacent(modern, "99", "knows")
 
 
 def test_element_property(modern):
-    assert modern.element_property("1", "age") == 29
-    assert modern.element_property("3", "age") is None
-    assert modern.element_property("3", "lang") == "java"
-    assert modern.element_property("7", "weight") == 0.5
+    assert element_property(modern, "1", "age") == 29
+    assert element_property(modern, "3", "age") is None
+    assert element_property(modern, "3", "lang") == "java"
+    assert element_property(modern, "7", "weight") == 0.5
     with pytest.raises(GraphFormatError):
-        modern.element_property("99", "age")
+        element_property(modern, "99", "age")
 
 
 def test_labels(modern):
-    assert modern.vertex_label("1") == "person"
-    assert modern.vertex_label("3") == "software"
-    assert modern.edge_label("7") == "knows"
-    assert modern.edge_label("9") == "created"
+    assert vertex_label(modern, "1") == "person"
+    assert vertex_label(modern, "3") == "software"
+    assert edge_label(modern, "7") == "knows"
+    assert edge_label(modern, "9") == "created"
 
 
 def test_edge_record(modern):
-    rec = modern.edge_record("8")
+    rec = edge_record(modern, "8")
     assert (rec.out_v, rec.label, rec.in_v) == ("1", "knows", "4")
 
 
@@ -167,7 +181,7 @@ def test_integer_past_the_digit_limit_rejected():
     """CPython converts integer strings of at most 4300 digits by default;
     a longer JSON integer is a GraphFormatError, not a ValueError."""
     doc = '{"vertices": [{"id": "1", "label": "p", "properties": {"n": %s}}], "edges": []}'
-    assert load_graph(doc % ("9" * 4300)).element_property("1", "n") == int("9" * 4300)
+    assert element_property(load_graph(doc % ("9" * 4300)), "1", "n") == int("9" * 4300)
     for literal in ("9" * 5000, "-" + "9" * 5000):
         with pytest.raises(GraphFormatError, match="invalid JSON: integer has too many digits"):
             load_graph(doc % literal)
@@ -216,7 +230,7 @@ def test_multigraph_allowed():
             ],
         )
     )
-    assert len(g.out_adjacent("1", "knows")) == 2
+    assert len(out_adjacent(g, "1", "knows")) == 2
 
 
 def test_load_deterministic():
@@ -232,11 +246,11 @@ def test_load_deterministic():
 @pytest.mark.parametrize("seed", range(25))
 def test_adjacency_invariants_random(seed):
     g = random_graph(seed)
-    for rec in g.edges():
-        assert (rec.id, rec.in_v) in g.out_adjacent(rec.out_v, rec.label)
-        assert (rec.id, rec.out_v) in g.in_adjacent(rec.in_v, rec.label)
-    total_out = sum(len(g.out_adjacent(v)) for v in g.vertex_ids())
-    total_in = sum(len(g.in_adjacent(v)) for v in g.vertex_ids())
+    for rec in edges(g):
+        assert (rec.id, rec.in_v) in out_adjacent(g, rec.out_v, rec.label)
+        assert (rec.id, rec.out_v) in in_adjacent(g, rec.in_v, rec.label)
+    total_out = sum(len(out_adjacent(g, v)) for v in g.vertex_ids())
+    total_in = sum(len(in_adjacent(g, v)) for v in g.vertex_ids())
     assert total_out == g.edge_count == total_in
 
 
@@ -263,8 +277,8 @@ def test_shared_property_key_between_vertex_and_edge_accepted():
               "properties": {"weight": 0.5}}],
         )
     )
-    assert g.element_property("1", "weight") == 70
-    assert g.element_property("e", "weight") == 0.5
+    assert element_property(g, "1", "weight") == 70
+    assert element_property(g, "e", "weight") == 0.5
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e999"])
@@ -308,15 +322,15 @@ def test_tables_built_once_and_shared():
     found = modern.adjacent("out", "knows", marko)
     assert [modern.vertex_refs[n[0]].id for n in found] == ["2", "4"]
     assert knows[marko] is modern.adjacent("out", "knows", marko)
-    for direction, adjacent in (("out", modern.out_adjacent), ("in", modern.in_adjacent)):
+    for direction, adjacent in (("out", out_adjacent), ("in", in_adjacent)):
         for label in (None, "knows", "created"):
             for vid in rank:
                 found = modern.adjacent(direction, label, rank[vid])
-                assert found == tuple((rank[v],) for _, v in adjacent(vid, label))
+                assert found == tuple((rank[v],) for _, v in adjacent(modern, vid, label))
                 assert all(n is modern.vertex_tokens[n[0]] for n in found)
-    edges = modern.edges_sorted()
-    assert modern.edges_sorted() is edges
-    assert [r.id for r in edges] == modern.edge_ids() == sorted(e.id for e in modern.edges())
+    refs = modern.edges_sorted()
+    assert modern.edges_sorted() is refs
+    assert [r.id for r in refs] == edge_ids(modern) == sorted(e.id for e in edges(modern))
 
 
 def test_tables_hold_no_reference_to_the_graph():
@@ -345,3 +359,152 @@ def test_vertex_ids_returns_a_fresh_list(modern):
     ids = modern.vertex_ids()
     ids.append("zzz")
     assert modern.vertex_ids() == ["1", "2", "3", "4", "5", "6"]
+
+
+# -- lone surrogates -------------------------------------------------------------
+
+
+def _surrogate_doc(section: str, place: str, lone: str) -> dict:
+    doc = {
+        "vertices": [
+            {"id": "1", "label": "person", "properties": {"name": "x"}},
+            {"id": "2", "label": "person"},
+        ],
+        "edges": [{"id": "e", "label": "knows", "outV": "1", "inV": "2", "properties": {"name": "y"}}],
+    }
+    entry = doc[section][0]
+    if place == "key":
+        entry["properties"][lone] = 1
+    elif place == "value":
+        entry["properties"]["name"] = lone
+    else:
+        entry[place] = lone
+    return doc
+
+
+@pytest.mark.parametrize("lone", ["\ud800", "\udfff", "x\udc00y"], ids=["high", "low", "inside"])
+@pytest.mark.parametrize(
+    "section, place, message",
+    [
+        ("vertices", "id", "field 'id' holds a lone surrogate"),
+        ("vertices", "label", "field 'label' holds a lone surrogate"),
+        ("vertices", "key", "property key {!r} holds a lone surrogate"),
+        ("vertices", "value", "property 'name' holds a lone surrogate"),
+        ("edges", "id", "field 'id' holds a lone surrogate"),
+        ("edges", "label", "field 'label' holds a lone surrogate"),
+        ("edges", "outV", "field 'outV' holds a lone surrogate"),
+        ("edges", "inV", "field 'inV' holds a lone surrogate"),
+        ("edges", "key", "property key {!r} holds a lone surrogate"),
+        ("edges", "value", "property 'name' holds a lone surrogate"),
+    ],
+)
+def test_lone_surrogate_rejected_naming_entry_and_field(section, place, message, lone):
+    """A lone surrogate is valid JSON, but no UTF-8 output can print it:
+    escaped in text or bytes, or raw in a str, it is a load error."""
+    doc = _surrogate_doc(section, place, lone)
+    escaped = json.dumps(doc)
+    for source in (escaped, escaped.encode("utf-8"), json.dumps(doc, ensure_ascii=False)):
+        with pytest.raises(GraphFormatError) as exc:
+            load_graph(source)
+        assert str(exc.value) == f"{section}[0]: " + message.format(lone)
+
+
+def test_surrogate_pairs_and_escaped_backslashes_load():
+    text = (
+        '{"vertices": [{"id": "\\ud83d\\ude00", "label": "p", "properties": {"k": "\\\\ud800"}}],'
+        ' "edges": []}'
+    )
+    for source in (text, text.encode("utf-8"), json.dumps(json.loads(text), ensure_ascii=False)):
+        g = load_graph(source)
+        assert g.vertex_ids() == ["\U0001f600"]
+        assert g.vertex_props == [{"k": "\\ud800"}]
+
+
+def test_lone_surrogate_takes_its_place_in_the_check_order():
+    """Entries are checked in file order, and every entry's own checks come
+    before the checks across entries."""
+    lone = {"id": "\ud800", "label": "p"}
+    with pytest.raises(GraphFormatError, match=r"^vertices\[0\]: missing required field 'label'$"):
+        load_graph(_doc([{"id": "0"}, lone], []))
+    with pytest.raises(GraphFormatError, match=r"^vertices\[2\]: field 'id' holds a lone surrogate$"):
+        load_graph(_doc([V1, V1, lone], []))
+    with pytest.raises(GraphFormatError, match=r"^edges\[1\]: property 'w' holds a lone surrogate$"):
+        load_graph(_doc([V1], [
+            {"id": "e", "label": "person", "outV": "1", "inV": "9"},
+            {"id": "f", "label": "k", "outV": "1", "inV": "1", "properties": {"w": "\udfff"}},
+        ]))
+
+
+# -- whole-column checks against the entry-by-entry ones ---------------------------
+
+SCALARS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _entry(draw, fields: dict) -> dict:
+    how = draw(st.sampled_from(["absent", "null", "object"]))
+    if how != "absent":
+        keys = st.sampled_from(["name", "age", "w", ""])
+        fields["properties"] = None if how == "null" else draw(st.dictionaries(keys, SCALARS, max_size=3))
+    return fields
+
+
+@st.composite
+def documents(draw) -> dict:
+    """A valid graph document with up to six vertices whose ids do not sort
+    in file order, or one with the golden's faults and lone surrogates put
+    in."""
+    vids = draw(st.lists(st.text("ab1é\U0001f600", max_size=3), unique=True, max_size=6))
+    vertices = [
+        draw(_entry({"id": vid, "label": draw(st.sampled_from(["person", "p", ""]))})) for vid in vids
+    ]
+    edges = []
+    for i in range(draw(st.integers(0, 8 if vids else 0))):
+        fields = {"id": f"e{i}", "label": draw(st.sampled_from(["knows", "k"]))}
+        fields["outV"], fields["inV"] = draw(st.sampled_from(vids)), draw(st.sampled_from(vids))
+        edges.append(draw(_entry(fields)))
+    doc = {"vertices": vertices, "edges": edges}
+    rng = draw(st.randoms(use_true_random=False))
+    for name in draw(st.lists(st.sampled_from(sorted(MUTATIONS) + ["lone-surrogate"]), max_size=2)):
+        entries = entry_objects(doc)
+        if not entry_objects(doc, "vertices"):
+            break
+        if name == "lone-surrogate":
+            entry = rng.choice(entries)
+            field = rng.choice([k for k in entry if k != "properties"] or ["id"])
+            entry[field] = rng.choice(["\ud800", "a\udfff", "\udc00\ud800"])
+        else:
+            MUTATIONS[name](rng, doc)
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(documents(), st.sampled_from(["text", "bytes", "raw"]))
+def test_load_graph_agrees_with_the_entry_by_entry_checks(doc, form):
+    """Where the entry-by-entry checks raise, load_graph raises the same
+    message; everywhere else it builds the graph a plain loop builds, with
+    the same adjacency."""
+    text = json.dumps(doc, ensure_ascii=form != "raw")
+    source = text.encode("utf-8") if form == "bytes" else text
+    parsed = json.loads(text)
+    vertices, edges_ = parsed["vertices"], parsed["edges"]
+    try:
+        _check_entries(vertices, edges_)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as got:
+            load_graph(source)
+        assert str(got.value) == str(exc)
+        return
+    g = load_graph(source)
+    assert g == graph_from_entries(vertices, edges_)
+    rank = {vid: r for r, vid in enumerate(g.vertex_ids())}
+    for direction, adjacent in (("out", out_adjacent), ("in", in_adjacent)):
+        for vid, r in rank.items():
+            for label in (None, "k"):
+                expected = tuple((rank[v],) for _, v in adjacent(g, vid, label))
+                assert g.adjacent(direction, label, r) == expected

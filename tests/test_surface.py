@@ -108,7 +108,7 @@ def test_graph_layout_stays_inside_its_module():
     the evaluator reads the graph's public layout, and nothing else keeps
     a second copy of it."""
     private = sorted(name for name in vars(modern_graph()) if name.startswith("_"))
-    assert "_v_index" in private and "_out_edges" in private
+    assert "_v_index" in private and "_incidences" in private
     attribute = re.compile(r"\.(" + "|".join(map(re.escape, private)) + r")\b")
     for module in _package_modules():
         if module.__name__ == f"{grem_algebra.__name__}.property_graph":

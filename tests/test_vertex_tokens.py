@@ -204,9 +204,10 @@ def test_engine_rows_and_graph_tables_are_not_gc_tracked():
     assert not any(map(gc.is_tracked, entries))
     assert not gc.is_tracked(g.vertex_tokens)
     assert not any(map(gc.is_tracked, g.vertex_tokens))
-    for adjacency in (g._out_edges, g._in_edges):
-        assert not gc.is_tracked(adjacency)
-        assert not any(map(gc.is_tracked, adjacency))
+    assert list(g._incidences) == ["out"]  # built whole by the out() steps
+    for incidence in g._incidences.values():
+        assert not gc.is_tracked(incidence)
+        assert not any(map(gc.is_tracked, incidence))
     assert gc.is_tracked(control)
     # and the result rows hold interned refs, never tokens
     _assert_interned(evaluate(expr, g), g)
