@@ -38,7 +38,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ParseError
 
@@ -61,8 +61,7 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     value: object

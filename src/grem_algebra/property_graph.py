@@ -285,7 +285,7 @@ class Graph:
         Built whole on the first use of key."""
         column = self._property_columns.get(key)
         if column is None:
-            column = [props.get(key) for props in self.vertex_props]
+            column = list(map(dict.get, self.vertex_props, repeat(key)))
             self._property_columns[key] = column
         return column
 
