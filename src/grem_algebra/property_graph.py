@@ -226,17 +226,14 @@ class Graph:
 
     def _incidence(self, direction: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The edge indexes sorted by the rank of the vertex they leave
-        ("out") or enter ("in"), in file order within a vertex, and by rank
-        the offset at which its edges start (one more at the end).  Built
-        whole on first use."""
+        ("out") or enter ("in"), in file order within a vertex, and that
+        rank of each.  Built whole on first use."""
         found = self._incidences.get(direction)
         if found is None:
             ends = self._e_out if direction == "out" else self._e_in
             order = sorted(range(len(ends)), key=ends.__getitem__)
-            sorted_ends = list(map(ends.__getitem__, order))
-            starts = map(bisect_left, repeat(sorted_ends), range(len(self._v_ids) + 1))
             # tuples of ints, which the garbage collector stops tracking
-            found = (tuple(order), tuple(starts))
+            found = (tuple(order), tuple(map(ends.__getitem__, order)))
             self._incidences[direction] = found
         return found
 
@@ -258,8 +255,9 @@ class Graph:
         lists = self.neighbours(direction, label)
         found = lists[rank]
         if found is None:
-            order, starts = self._incidence(direction)
-            exs = order[starts[rank] : starts[rank + 1]]
+            order, sorted_ends = self._incidence(direction)
+            start = bisect_left(sorted_ends, rank)
+            exs = order[start : bisect_left(sorted_ends, rank + 1, start)]
             ends = self._e_in if direction == "out" else self._e_out
             if label is not None:
                 labels = self.edge_labels

@@ -456,9 +456,8 @@ def _entry(draw, fields: dict) -> dict:
 
 @st.composite
 def documents(draw) -> dict:
-    """A valid graph document with up to six vertices whose ids do not sort
-    in file order, or one with the golden's faults and lone surrogates put
-    in."""
+    """A valid graph document of up to six vertices, their ids in random
+    order, or one with the golden's faults or lone surrogates put in."""
     vids = draw(st.lists(st.text("ab1é\U0001f600", max_size=3), unique=True, max_size=6))
     vertices = [
         draw(_entry({"id": vid, "label": draw(st.sampled_from(["person", "p", ""]))})) for vid in vids
@@ -471,11 +470,10 @@ def documents(draw) -> dict:
     doc = {"vertices": vertices, "edges": edges}
     rng = draw(st.randoms(use_true_random=False))
     for name in draw(st.lists(st.sampled_from(sorted(MUTATIONS) + ["lone-surrogate"]), max_size=2)):
-        entries = entry_objects(doc)
         if not entry_objects(doc, "vertices"):
             break
         if name == "lone-surrogate":
-            entry = rng.choice(entries)
+            entry = rng.choice(entry_objects(doc))
             field = rng.choice([k for k in entry if k != "properties"] or ["id"])
             entry[field] = rng.choice(["\ud800", "a\udfff", "\udc00\ud800"])
         else:
