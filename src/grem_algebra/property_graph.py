@@ -183,7 +183,8 @@ class Graph:
     def __init__(self, vertices: list, edges: list):
         columns = _columns(vertices, edges)
         if columns is None:
-            _check_entries(vertices, edges)
+            _check_entries(vertices, edges)  # raises the first fault
+            # reached only by entries of types json.loads never builds
             raise GraphFormatError("graph entries hold values json.loads never builds")
         (
             self._v_ids, self._v_index, self.vertex_labels, self.vertex_props,

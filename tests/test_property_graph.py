@@ -3,12 +3,13 @@
 import io
 import json
 import sys
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grem_algebra import GraphFormatError, load_graph, modern_graph
+from grem_algebra import Graph, GraphFormatError, load_graph, modern_graph
 from grem_algebra.property_graph import _check_entries, value_key, values_equal
 
 from corpus import random_graph
@@ -359,6 +360,16 @@ def test_vertex_ids_returns_a_fresh_list(modern):
     ids = modern.vertex_ids()
     ids.append("zzz")
     assert modern.vertex_ids() == ["1", "2", "3", "4", "5", "6"]
+
+
+def test_graph_takes_only_what_json_loads_builds():
+    """Graph() checks entries as json.loads builds them: a dict subclass is
+    an object to the entry-by-entry checks but not to the column passes."""
+    assert Graph([{"id": "1", "label": "p"}], []).vertex_ids() == ["1"]
+    with pytest.raises(GraphFormatError, match="^vertices\\[0\\]: missing required field 'label'$"):
+        Graph([{"id": "1"}], [])
+    with pytest.raises(GraphFormatError, match="^graph entries hold values json.loads never builds$"):
+        Graph([OrderedDict(id="1", label="p")], [])
 
 
 # -- lone surrogates -------------------------------------------------------------
