@@ -1,9 +1,18 @@
-"""Graph-algebra expression tree and its plan renderers.
+"""Graph-algebra expression tree, its operator table and plan renderers.
 
 Operator inventory (arity in parentheses): get-vertices/get-edges (0),
 traverse, property filter, label filter, selection, projection, dedup,
-restriction, sort, group, aggregate (1), join and union (2).  Expressions
-are immutable value trees; structural equality is plain dataclass equality.
+restriction, sort, group, aggregate (1), join and union (2), and the
+argument leaf of a selection predicate (0).  Expressions are immutable
+value trees; structural equality is plain dataclass equality.
+
+Everything the algebra knows of an operator class is its row in
+OPERATORS: the fields holding its inputs and predicates, the variables it
+binds and reads, its column rule, the field as() fills, whether it may
+stand inside a selection predicate, and its three renderings.  inputs,
+introduced_vars, output_columns, static_columns, validate and render_plan
+are walks over that table, each one stack frame per plan level.  The
+evaluator keeps its own table of physical operators.
 
 Three deterministic renderings are provided:
 
@@ -17,7 +26,7 @@ Three deterministic renderings are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Callable, NamedTuple, Union
 
 from .property_graph import PropertyValue
 
@@ -81,17 +90,17 @@ class Traverse:
 class PropertyFilter:
     """has()/values() as an operator.
 
-    With a (comparator, value) predicate it keeps rows whose element
-    satisfies it; with no predicate and bind_value=False it keeps rows
-    where the key exists; with bind_value=True it extracts the property
-    value, binds it to var, and moves the current position onto it.
-    anchor names the element to read when it differs from the current
-    position (only used in bind_value mode).
+    With a value it keeps rows whose element's key property equals it;
+    with no value and bind_value=False it keeps rows where the key exists;
+    with bind_value=True it extracts the property value, binds it to var,
+    and moves the current position onto it.  anchor names the element to
+    read when it differs from the current position (only used in
+    bind_value mode).
     """
 
     var: str | None
     key: str
-    predicate: tuple[str, PropertyValue] | None
+    value: PropertyValue | None
     bind_value: bool
     input: AlgebraExpr
     anchor: str | None = None
@@ -147,10 +156,11 @@ class Restriction:
 
 @dataclass(frozen=True)
 class Sort:
-    """Stable sort by (variable, direction) keys; a None variable sorts by
-    the current position's value."""
+    """Stable sort by the listed columns, all in one direction; empty vars
+    sorts by the current position's value."""
 
-    keys: tuple[tuple[str | None, str], ...]
+    vars: tuple[str, ...]
+    direction: str
     input: AlgebraExpr
 
 
@@ -199,51 +209,207 @@ class Argument:
     var: str | None = None
 
 
-# -- static variable analysis -------------------------------------------------
+# -- the operator table --------------------------------------------------------
 
 
-_UNARY = frozenset([
-    Traverse, PropertyFilter, LabelFilter, Selection, Projection, Dedup, Restriction, Sort,
-    Group, Aggregate,
-])
-
-
-def inputs(expr: AlgebraExpr) -> tuple[AlgebraExpr, ...]:
-    """The operator's inputs: left and right for Join/Union, none for a
-    leaf, else its single input.  A Selection's predicate is not an input."""
-    tp = type(expr)
-    if tp in _UNARY:
-        return (expr.input,)  # type: ignore[union-attr]
-    if tp is Join or tp is Union:
-        return (expr.left, expr.right)  # type: ignore[union-attr]
-    if tp is GetVertices or tp is GetEdges or tp is Argument:
-        return ()
-    raise TypeError(f"not an algebra expression: {expr!r}")
-
-
-def _binds(expr: AlgebraExpr) -> tuple[str | None, ...]:
-    """The variables the operator itself binds (None: no variable)."""
-    if type(expr) is Traverse:
-        return (expr.from_var, expr.to_var)  # type: ignore[union-attr]
-    if type(expr) in (GetVertices, GetEdges, Argument, PropertyFilter, LabelFilter):
-        return (expr.var,)  # type: ignore[union-attr]
-    if type(expr) is Group:
-        return ("key", "member")
+def _nothing(expr: Any) -> tuple[str, ...]:
     return ()
+
+
+def _its_var(expr: Any) -> tuple[str | None]:
+    return (expr.var,)
+
+
+class Operator(NamedTuple):
+    """One operator class's row.  Each function takes the operator; a
+    rendering also takes the texts of its subtrees, predicates first."""
+
+    inputs: tuple[str, ...]  # the fields holding its inputs, in order
+    ascii: Callable[[Any], str]  # its line in an ascii plan
+    paper: Callable[[Any, list[str]], str]
+    curried: Callable[[Any, list[str]], str]
+    binds: Callable[[Any], tuple[str | None, ...]] = _nothing  # None binds nothing
+    named: str | None = None  # the field as() fills
+    reads: Callable[[Any], tuple[str, ...]] = _nothing  # variables an input must bind
+    noun: str = ""  # names the operator in a diagnostic of what it reads
+    schema: Callable[[Any], tuple[str, ...]] | None = None  # columns replacing its inputs'
+    predicates: tuple[str, ...] = ()  # the fields holding selection predicates
+    chained: bool = False  # paper: a glyph written before the chain below it
+    inside: bool | None = None  # a leaf only inside (True) or outside (False) a predicate
+
+
+def _var(v: str | None) -> str:
+    return v if v is not None else "_"
+
+
+def _sup(v: str | None) -> str:
+    return f"^{v}" if v else ""
+
+
+def _label(label: str | None) -> str:
+    return f"[{label}]" if label is not None else ""
+
+
+def _equals(value: PropertyValue | None) -> str:
+    """A filter's "=value" annotation, the value bare: =lop, =30, =0.5, =true."""
+    if value is None:
+        return ""
+    return "=" + (str(value).lower() if isinstance(value, bool) else str(value))
+
+
+def _wrap(head: str, inner: str) -> str:
+    """A paper operator applied to its input."""
+    return f"{head}( {inner} )" if " " in inner else f"{head}({inner})"
+
+
+def _chain(atom: Callable[[Any], str]) -> Callable[[Any, list[str]], str]:
+    """The paper rendering of a traverse or filter: its glyph, then the
+    chain of glyphs below it, or its input in parentheses."""
+
+    def paper(e: Any, t: list[str]) -> str:
+        if OPERATORS[type(e.input)].chained:
+            return f"{atom(e)} {t[0]}"
+        return f"{atom(e)}({t[0]})"
+
+    return paper
+
+
+def _property_label(e: PropertyFilter) -> str:
+    if e.bind_value:
+        anchor = f"{e.anchor}." if e.anchor is not None else ""
+        return f"filter[{_var(e.var)}=values {anchor}{e.key}]"
+    return f"filter[{_var(e.var)}.{e.key}{_equals(e.value)}]"
+
+
+OPERATORS: dict[type, Operator] = {
+    GetVertices: Operator(
+        (), lambda e: "V" if e.var is None else f"V[{e.var}]",
+        lambda e, t: "V_g", lambda e, t: "V_g",
+        binds=_its_var, named="var", inside=False,
+    ),
+    GetEdges: Operator(
+        (), lambda e: "E" if e.var is None else f"E[{e.var}]",
+        lambda e, t: "E_g", lambda e, t: "E_g",
+        binds=_its_var, named="var", inside=False,
+    ),
+    Argument: Operator(
+        (),
+        lambda e: "arg" if e.var is None else f"arg[{e.var}]",
+        lambda e, t: "•" if e.var is None else f"•_{e.var}",
+        lambda e, t: "__" if e.var is None else f"__[{e.var}]",
+        binds=_its_var, named="var", inside=True,
+    ),
+    Traverse: Operator(
+        ("input",),
+        lambda e: f"traverse-{e.direction}{_label(e.edge_label)}"
+        f"({_var(e.from_var)}->{_var(e.to_var)})",
+        _chain(lambda e: ("↑" if e.direction == OUT else "↓")
+               + (f"_{e.from_var}" if e.from_var else "") + _sup(e.to_var) + _label(e.edge_label)),
+        lambda e, t: f"{e.direction}{'' if e.edge_label is None else '_' + e.edge_label}({t[0]})",
+        binds=lambda e: (e.from_var, e.to_var), named="to_var", chained=True,
+    ),
+    PropertyFilter: Operator(
+        ("input",),
+        _property_label,
+        _chain(lambda e: f"σ{_sup(e.var)}_{{{e.key}{_equals(e.value)}}}"),
+        lambda e, t: (f"values_{e.key}" if e.bind_value else f"has_{e.key}{_equals(e.value)}")
+        + f"({t[0]})",
+        binds=_its_var, named="var", chained=True,
+        reads=lambda e: () if e.anchor is None else (e.anchor,), noun="property filter",
+    ),
+    LabelFilter: Operator(
+        ("input",),
+        lambda e: f"filter[{_var(e.var)}.label={e.label}]",
+        _chain(lambda e: f"σ{_sup(e.var)}_{{label={e.label}}}"),
+        lambda e, t: f"hasLabel_{e.label}({t[0]})",
+        binds=_its_var, named="var", chained=True,
+    ),
+    Selection: Operator(
+        ("input",),
+        lambda e: "select-where[not]" if e.negated else "select-where",
+        lambda e, t: _wrap(("¬∃" if e.negated else "∃") + f"{{{t[0]}}}", t[1]),
+        lambda e, t: ("not" if e.negated else "where") + f"({t[0]},{t[1]})",
+        predicates=("predicate",),
+    ),
+    Projection: Operator(
+        ("input",),
+        lambda e: f"project[{','.join(e.vars)}]"
+        + ("" if e.value_key is None else f"/values[{e.value_key}]"),
+        lambda e, t: _wrap(f"Π_{{{','.join(e.vars)}}}", t[0]),
+        lambda e, t: f"select_{','.join(e.vars)}({t[0]})" if e.value_key is None
+        else f"by_{e.value_key}(select_{','.join(e.vars)}({t[0]}))",
+        reads=lambda e: e.vars, noun="projection", schema=lambda e: e.vars,
+    ),
+    Dedup: Operator(
+        ("input",),
+        lambda e: f"dedup[{','.join(e.vars)}]" if e.vars else "dedup",
+        lambda e, t: _wrap(f"δ_{{{','.join(e.vars)}}}" if e.vars else "δ", t[0]),
+        lambda e, t: (f"dedup_{','.join(e.vars)}" if e.vars else "dedup") + f"({t[0]})",
+        reads=lambda e: e.vars, noun="dedup",
+    ),
+    Restriction: Operator(
+        ("input",),
+        lambda e: f"limit[skip={e.skip},take={e.take}]",
+        lambda e, t: _wrap(f"λ_{{{e.skip}}}^{{{e.take}}}", t[0]),
+        lambda e, t: f"limit_{e.skip},{e.take}({t[0]})",
+    ),
+    Sort: Operator(
+        ("input",),
+        lambda e: "order[" + ",".join(f"{v} {e.direction}" for v in e.vars or ("_",)) + "]",
+        lambda e, t: _wrap("ℜ_{" + ",".join(
+            ("⇑" if e.direction == ASCENDING else "⇓") + v for v in e.vars or ("",)) + "}", t[0]),
+        lambda e, t: "order_" + (",".join(f"{v}:{e.direction}" for v in e.vars) or e.direction)
+        + f"({t[0]})",
+        reads=lambda e: e.vars, noun="sort",
+    ),
+    Group: Operator(
+        ("input",),
+        lambda e: "group" if e.key is None else f"group[{e.key}]",
+        lambda e, t: _wrap("†" if e.key is None else f"†_{{{e.key}}}", t[0]),
+        lambda e, t: ("group" if e.key is None else f"group_{e.key}") + f"({t[0]})",
+        binds=lambda e: ("key", "member"), schema=_nothing,
+    ),
+    Join: Operator(
+        ("left", "right"),
+        lambda e: "join", lambda e, t: f"{t[0]} ⋈∘ {t[1]}", lambda e, t: f"join({t[0]},{t[1]})",
+    ),
+    Union: Operator(
+        ("left", "right"),
+        lambda e: "union", lambda e, t: f"{t[0]} ⊎ {t[1]}", lambda e, t: f"union({t[0]},{t[1]})",
+    ),
+    Aggregate: Operator(
+        ("input",),
+        lambda e: "agg[max]", lambda e, t: _wrap("max", t[0]), lambda e, t: f"max({t[0]})",
+        schema=_nothing,
+    ),
+}
+
+
+# -- static analysis: walks over the table ------------------------------------------
+
+
+def inputs(expr: AlgebraExpr) -> list[AlgebraExpr]:
+    """The operator's inputs, in order; a Selection's predicate is not one."""
+    found = []
+    for field in OPERATORS[type(expr)].inputs:  # a loop: a comprehension is a call of its own
+        found.append(getattr(expr, field))
+    return found
+
+
+def _subtrees(expr: AlgebraExpr) -> list[AlgebraExpr]:
+    """The operator's predicates, then its inputs."""
+    op = OPERATORS[type(expr)]
+    return [getattr(expr, f) for f in op.predicates + op.inputs]
 
 
 def _introduced(expr: AlgebraExpr, memo: dict[int, frozenset[str]]) -> frozenset[str]:
     """introduced_vars, computed once per node (memo is keyed by node id)."""
     found = memo.get(id(expr))
     if found is None:
-        below = inputs(expr)
-        if len(below) == 1:
-            found = _introduced(below[0], memo)
-        elif below:
-            found = _introduced(below[0], memo) | _introduced(below[1], memo)
-        else:
-            found = frozenset()
-        for v in _binds(expr):
+        found = frozenset()
+        for e in inputs(expr):
+            found = found | _introduced(e, memo)
+        for v in OPERATORS[type(expr)].binds(expr):
             if v and v not in found:
                 found = found | {v}
         memo[id(expr)] = found
@@ -261,41 +427,27 @@ def merge_columns(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, .
     return left + tuple(c for c in right if c not in left)
 
 
-def _with_vars(columns: tuple[str, ...], *names: str | None) -> tuple[str, ...]:
-    for v in names:
-        if v and v not in columns:
-            columns = columns + (v,)
-    return columns
-
-
 def output_columns(
     expr: AlgebraExpr,
     inputs: tuple[tuple[str, ...], ...],
     arg_columns: tuple[str, ...] = (),
 ) -> tuple[str, ...]:
     """The column rule of one operator: its visible schema, given the
-    schemas of its inputs (left and right for Join/Union, else the single
-    input; a Selection's predicate is not an input) and, for Argument, the
-    schema of the rows under test."""
-    if isinstance(expr, (GetVertices, GetEdges)):
-        return (expr.var,) if expr.var else ()
-    if isinstance(expr, Argument):
-        return _with_vars(arg_columns, expr.var)
-    if isinstance(expr, Traverse):
-        return _with_vars(inputs[0], expr.from_var, expr.to_var)
-    if isinstance(expr, (PropertyFilter, LabelFilter)):
-        return _with_vars(inputs[0], expr.var)
-    if isinstance(expr, (Selection, Dedup, Restriction, Sort)):
-        return inputs[0]
-    if isinstance(expr, Projection):
-        return expr.vars
-    if isinstance(expr, Group):
-        return ("key", "member")
-    if isinstance(expr, (Join, Union)):
-        return merge_columns(inputs[0], inputs[1])
-    if isinstance(expr, Aggregate):
-        return ()
-    raise TypeError(f"not an algebra expression: {expr!r}")
+    schemas of its inputs and, for Argument, of the rows under test.  It
+    is the operator's own schema if it has one, else its inputs' merged
+    schemas (a leaf: arg_columns), then each variable it binds that is
+    not a column yet."""
+    op = OPERATORS[type(expr)]
+    if op.schema is not None:
+        columns = op.schema(expr)
+    elif len(inputs) == 1:
+        columns = inputs[0]
+    else:
+        columns = merge_columns(*inputs) if inputs else arg_columns
+    for v in op.binds(expr):
+        if v and v not in columns:
+            columns = columns + (v,)
+    return columns
 
 
 def static_columns(expr: AlgebraExpr) -> tuple[str, ...]:
@@ -303,25 +455,10 @@ def static_columns(expr: AlgebraExpr) -> tuple[str, ...]:
 
     Inside a selection predicate, Argument leaves start from no columns:
     the schema of the rows under test is not known before evaluation."""
-    schemas = tuple([static_columns(e) for e in inputs(expr)])
-    return output_columns(expr, schemas)
-
-
-_REFERRERS = {
-    Projection: "projection", Dedup: "dedup", Sort: "sort", PropertyFilter: "property filter",
-}
-
-
-def _referenced(expr: AlgebraExpr) -> tuple[str, ...]:
-    """The variables an operator reads that an input must bind."""
-    tp = type(expr)
-    if tp is Projection or tp is Dedup:
-        return expr.vars  # type: ignore[union-attr]
-    if tp is Sort:
-        return tuple(v for v, _ in expr.keys if v is not None)  # type: ignore[union-attr]
-    if tp is PropertyFilter and expr.anchor is not None:  # type: ignore[union-attr]
-        return (expr.anchor,)  # type: ignore[union-attr]
-    return ()
+    schemas = []
+    for e in inputs(expr):  # a loop: a comprehension would add a frame per level
+        schemas.append(static_columns(e))
+    return output_columns(expr, tuple(schemas))
 
 
 def validate(expr: AlgebraExpr) -> list[str]:
@@ -330,8 +467,7 @@ def validate(expr: AlgebraExpr) -> list[str]:
     Returns one diagnostic per variable referenced by an operator without
     being introduced beneath it (or inherited from an enclosing selection
     predicate's outer row), per get-vertices/get-edges leaf inside a
-    selection predicate, per Argument leaf outside one, and per property
-    filter whose comparator is not "=" (no query builds one).  An empty list
+    selection predicate, and per Argument leaf outside one.  An empty list
     means the plan is well-scoped and well-shaped, as the evaluator needs.
     """
     diags: list[str] = []
@@ -339,232 +475,47 @@ def validate(expr: AlgebraExpr) -> list[str]:
 
     def visit(node: AlgebraExpr, scope: frozenset[str] | None) -> None:
         # scope: the variables of the rows under test; None outside every predicate
-        tp = type(node)
-        if scope is None and tp is Argument:
-            diags.append(f"{_ascii_label(node)} outside a selection predicate")
-        elif scope is not None and (tp is GetVertices or tp is GetEdges):
-            diags.append(f"{_ascii_label(node)} inside a selection predicate")
-        if tp is PropertyFilter and node.predicate is not None and node.predicate[0] != "=":
-            diags.append(f"comparator {node.predicate[0]!r} in {_ascii_label(node)}")
-        if tp is Sort and len({d for _, d in node.keys}) > 1:
-            diags.append(f"mixed directions in {_ascii_label(node)}")
-        refs = _referenced(node)
-        if refs or tp is Selection:
-            below = _introduced(node.input, memo).union(scope or ())  # type: ignore[union-attr]
-            diags.extend(f"unbound {v} in {_REFERRERS[tp]}" for v in refs if v not in below)
-            if tp is Selection:
-                visit(node.predicate, below)  # type: ignore[union-attr]
-        for e in inputs(node):
+        op = OPERATORS[type(node)]
+        if op.inside is not None and op.inside == (scope is None):
+            where = "outside" if op.inside else "inside"
+            diags.append(f"{op.ascii(node)} {where} a selection predicate")
+        below = inputs(node)
+        refs = op.reads(node)
+        if refs or op.predicates:
+            bound = frozenset(scope or ())
+            for e in below:
+                bound = bound | _introduced(e, memo)
+            diags.extend(f"unbound {v} in {op.noun}" for v in refs if v not in bound)
+            for field in op.predicates:
+                visit(getattr(node, field), bound)
+        for e in below:
             visit(e, scope)
 
     visit(expr, None)
     return diags
 
 
-# -- value rendering ----------------------------------------------------------
-
-
-def render_value(v: PropertyValue) -> str:
-    """Bare literal form used inside operator annotations: lop, 30, 0.5, true."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
-
-
-# -- ascii style ---------------------------------------------------------------
-
-
-def _var(v: str | None) -> str:
-    return v if v is not None else "_"
-
-
-def _ascii_label(expr: AlgebraExpr) -> str:
-    if isinstance(expr, GetVertices):
-        return "V" if expr.var is None else f"V[{expr.var}]"
-    if isinstance(expr, GetEdges):
-        return "E" if expr.var is None else f"E[{expr.var}]"
-    if isinstance(expr, Traverse):
-        label = f"[{expr.edge_label}]" if expr.edge_label is not None else ""
-        return f"traverse-{expr.direction}{label}({_var(expr.from_var)}->{_var(expr.to_var)})"
-    if isinstance(expr, PropertyFilter):
-        if expr.bind_value:
-            anchor = f"{expr.anchor}." if expr.anchor is not None else ""
-            return f"filter[{_var(expr.var)}=values {anchor}{expr.key}]"
-        if expr.predicate is None:
-            return f"filter[{_var(expr.var)}.{expr.key}]"
-        cmp, val = expr.predicate
-        return f"filter[{_var(expr.var)}.{expr.key}{cmp}{render_value(val)}]"
-    if isinstance(expr, LabelFilter):
-        return f"filter[{_var(expr.var)}.label={expr.label}]"
-    if isinstance(expr, Selection):
-        return "select-where[not]" if expr.negated else "select-where"
-    if isinstance(expr, Projection):
-        head = f"project[{','.join(expr.vars)}]"
-        if expr.value_key is not None:
-            head += f"/values[{expr.value_key}]"
-        return head
-    if isinstance(expr, Dedup):
-        return f"dedup[{','.join(expr.vars)}]" if expr.vars else "dedup"
-    if isinstance(expr, Restriction):
-        return f"limit[skip={expr.skip},take={expr.take}]"
-    if isinstance(expr, Sort):
-        keys = ",".join(f"{_var(v)} {d}" for v, d in expr.keys)
-        return f"order[{keys}]"
-    if isinstance(expr, Group):
-        return f"group[{expr.key}]" if expr.key is not None else "group"
-    if isinstance(expr, Join):
-        return "join"
-    if isinstance(expr, Union):
-        return "union"
-    if isinstance(expr, Aggregate):
-        return "agg[max]"
-    if isinstance(expr, Argument):
-        return "arg" if expr.var is None else f"arg[{expr.var}]"
-    raise TypeError(f"not an algebra expression: {expr!r}")
-
-
-def _children(expr: AlgebraExpr) -> tuple[AlgebraExpr, ...]:
-    if isinstance(expr, Selection):
-        return (expr.predicate, expr.input)
-    return inputs(expr)
+# -- rendering ------------------------------------------------------------------------
 
 
 def _render_ascii(expr: AlgebraExpr) -> str:
     lines: list[str] = []
 
     def walk(node: AlgebraExpr, depth: int) -> None:
-        lines.append("  " * depth + _ascii_label(node))
-        for child in _children(node):
+        lines.append("  " * depth + OPERATORS[type(node)].ascii(node))
+        for child in _subtrees(node):
             walk(child, depth + 1)
 
     walk(expr, 0)
     return "\n".join(lines)
 
 
-# -- paper style ---------------------------------------------------------------
-
-_CHAIN_OPS = (Traverse, PropertyFilter, LabelFilter)
-
-
-def _paper_atom(expr: AlgebraExpr) -> str:
-    """One chain element (traverse or filter) as a glyph with annotations."""
-    if isinstance(expr, Traverse):
-        arrow = "↑" if expr.direction == OUT else "↓"
-        sub = f"_{expr.from_var}" if expr.from_var else ""
-        sup = f"^{expr.to_var}" if expr.to_var else ""
-        label = f"[{expr.edge_label}]" if expr.edge_label is not None else ""
-        return f"{arrow}{sub}{sup}{label}"
-    if isinstance(expr, PropertyFilter):
-        sup = f"^{expr.var}" if expr.var else ""
-        if expr.predicate is None:
-            return f"σ{sup}_{{{expr.key}}}"
-        cmp, val = expr.predicate
-        return f"σ{sup}_{{{expr.key}{cmp}{render_value(val)}}}"
-    if isinstance(expr, LabelFilter):
-        sup = f"^{expr.var}" if expr.var else ""
-        return f"σ{sup}_{{label={expr.label}}}"
-    raise TypeError(f"not a chain operator: {expr!r}")
-
-
-def _render_paper(expr: AlgebraExpr) -> str:
-    def wrap(head: str, inner: str) -> str:
-        if " " in inner:
-            return f"{head}( {inner} )"
-        return f"{head}({inner})"
-
-    def walk(node: AlgebraExpr) -> str:
-        if isinstance(node, GetVertices):
-            return "V_g"
-        if isinstance(node, GetEdges):
-            return "E_g"
-        if isinstance(node, Argument):
-            return "•" if node.var is None else f"•_{node.var}"
-        if isinstance(node, _CHAIN_OPS):
-            atoms = []
-            cur: AlgebraExpr = node
-            while isinstance(cur, _CHAIN_OPS):
-                atoms.append(_paper_atom(cur))
-                cur = cur.input
-            source = f"({walk(cur)})"
-            return " ".join(atoms[:-1] + [atoms[-1] + source])
-        if isinstance(node, Selection):
-            head = "¬∃" if node.negated else "∃"
-            return wrap(f"{head}{{{walk(node.predicate)}}}", walk(node.input))
-        if isinstance(node, Projection):
-            return wrap(f"Π_{{{','.join(node.vars)}}}", walk(node.input))
-        if isinstance(node, Dedup):
-            head = f"δ_{{{','.join(node.vars)}}}" if node.vars else "δ"
-            return wrap(head, walk(node.input))
-        if isinstance(node, Restriction):
-            return wrap(f"λ_{{{node.skip}}}^{{{node.take}}}", walk(node.input))
-        if isinstance(node, Sort):
-            keys = ",".join(("⇑" if d == ASCENDING else "⇓") + (v or "") for v, d in node.keys)
-            return wrap(f"ℜ_{{{keys}}}", walk(node.input))
-        if isinstance(node, Group):
-            head = f"†_{{{node.key}}}" if node.key is not None else "†"
-            return wrap(head, walk(node.input))
-        if isinstance(node, Join):
-            return f"{walk(node.left)} ⋈∘ {walk(node.right)}"
-        if isinstance(node, Union):
-            return f"{walk(node.left)} ⊎ {walk(node.right)}"
-        if isinstance(node, Aggregate):
-            return wrap("max", walk(node.input))
-        raise TypeError(f"not an algebra expression: {node!r}")
-
-    return walk(expr)
-
-
-# -- curried style ---------------------------------------------------------------
-
-
-def _render_curried(expr: AlgebraExpr) -> str:
-    def walk(node: AlgebraExpr) -> str:
-        if isinstance(node, GetVertices):
-            return "V_g"
-        if isinstance(node, GetEdges):
-            return "E_g"
-        if isinstance(node, Argument):
-            return "__" if node.var is None else f"__[{node.var}]"
-        if isinstance(node, Traverse):
-            label = f"_{node.edge_label}" if node.edge_label is not None else ""
-            return f"{node.direction}{label}({walk(node.input)})"
-        if isinstance(node, PropertyFilter):
-            if node.bind_value:
-                return f"values_{node.key}({walk(node.input)})"
-            if node.predicate is None:
-                return f"has_{node.key}({walk(node.input)})"
-            cmp, val = node.predicate
-            return f"has_{node.key}{cmp}{render_value(val)}({walk(node.input)})"
-        if isinstance(node, LabelFilter):
-            return f"hasLabel_{node.label}({walk(node.input)})"
-        if isinstance(node, Selection):
-            head = "not" if node.negated else "where"
-            return f"{head}({walk(node.predicate)},{walk(node.input)})"
-        if isinstance(node, Projection):
-            inner = f"select_{','.join(node.vars)}({walk(node.input)})"
-            if node.value_key is not None:
-                return f"by_{node.value_key}({inner})"
-            return inner
-        if isinstance(node, Dedup):
-            head = f"dedup_{','.join(node.vars)}" if node.vars else "dedup"
-            return f"{head}({walk(node.input)})"
-        if isinstance(node, Restriction):
-            return f"limit_{node.skip},{node.take}({walk(node.input)})"
-        if isinstance(node, Sort):
-            keys = ",".join(f"{v}:{d}" if v is not None else d for v, d in node.keys)
-            return f"order_{keys}({walk(node.input)})"
-        if isinstance(node, Group):
-            head = f"group_{node.key}" if node.key is not None else "group"
-            return f"{head}({walk(node.input)})"
-        if isinstance(node, Join):
-            return f"join({walk(node.left)},{walk(node.right)})"
-        if isinstance(node, Union):
-            return f"union({walk(node.left)},{walk(node.right)})"
-        if isinstance(node, Aggregate):
-            return f"max({walk(node.input)})"
-        raise TypeError(f"not an algebra expression: {node!r}")
-
-    return walk(expr)
+def _render(expr: AlgebraExpr, style: str) -> str:
+    """The paper or curried text of expr, from those of its subtrees."""
+    texts = []
+    for child in _subtrees(expr):  # a loop: a comprehension would add a frame per level
+        texts.append(_render(child, style))
+    return getattr(OPERATORS[type(expr)], style)(expr, texts)
 
 
 PLAN_STYLES = ("paper", "ascii", "curried")
@@ -572,10 +523,6 @@ PLAN_STYLES = ("paper", "ascii", "curried")
 
 def render_plan(expr: AlgebraExpr, style: str = "ascii") -> str:
     """Render a plan in one of the three notations (no trailing newline)."""
-    if style == "ascii":
-        return _render_ascii(expr)
-    if style == "paper":
-        return _render_paper(expr)
-    if style == "curried":
-        return _render_curried(expr)
-    raise ValueError(f"unknown plan style {style!r}; expected one of {PLAN_STYLES}")
+    if style not in PLAN_STYLES:
+        raise ValueError(f"unknown plan style {style!r}; expected one of {PLAN_STYLES}")
+    return _render_ascii(expr) if style == "ascii" else _render(expr, style)

@@ -118,8 +118,8 @@ def _apply_step(
             f"as({target!r}) after {kind.value}() would alias the pattern anchor; unsupported"
         )
     if kind is StepKind.HAS:
-        predicate = ("=", _literal(step.args[1]).value) if len(step.args) == 2 else None
-        return alg.PropertyFilter(anchor, name, predicate, False, expr)  # type: ignore[arg-type]
+        value = _literal(step.args[1]).value if len(step.args) == 2 else None
+        return alg.PropertyFilter(anchor, name, value, False, expr)  # type: ignore[arg-type]
     return alg.LabelFilter(anchor, name, expr)  # type: ignore[arg-type]
 
 
@@ -134,16 +134,9 @@ def _apply_chain(chain: PatternChain, expr: AlgebraExpr) -> AlgebraExpr:
     return expr
 
 
-# The field as() fills on each operator that can produce the current position.
-_NAMED_FIELD = {
-    alg.GetVertices: "var", alg.GetEdges: "var", alg.Traverse: "to_var",
-    alg.PropertyFilter: "var", alg.LabelFilter: "var", alg.Argument: "var",
-}
-
-
 def _name_head(expr: AlgebraExpr, var: str) -> AlgebraExpr:
     """Attach a variable to the operator that produced the current position."""
-    field = _NAMED_FIELD.get(type(expr))
+    field = alg.OPERATORS[type(expr)].named
     if field is None or getattr(expr, field) is not None:
         raise CompileError(f"as({var!r}) cannot name the preceding step here")
     return dataclasses.replace(expr, **{field: var})
@@ -209,8 +202,7 @@ def _compile_by(expr: AlgebraExpr, step: Step, eq7_grouping: bool) -> AlgebraExp
                 "by() after order() takes asc or desc; sorting by a property key "
                 "is unsupported (bind it with values(...).as(...) first)"
             )
-        keys = tuple((v, str(arg.value)) for v, _ in expr.keys)
-        return dataclasses.replace(expr, keys=keys)
+        return dataclasses.replace(expr, direction=str(arg.value))
     if isinstance(expr, alg.Group):
         if arg.kind != "string":
             raise CompileError("by() after group() takes a property key")
@@ -259,9 +251,7 @@ def _compile_steps(
         elif kind is StepKind.BY:
             expr = _compile_by(expr, step, eq7_grouping)
         elif kind is StepKind.ORDER:
-            cols = static_columns(expr)
-            keys = tuple((c, alg.ASCENDING) for c in cols) or ((None, alg.ASCENDING),)
-            expr = alg.Sort(keys, expr)
+            expr = alg.Sort(static_columns(expr), alg.ASCENDING, expr)
         elif kind is StepKind.GROUP:
             expr = alg.Group(None, expr)
         elif kind is StepKind.LIMIT:

@@ -361,12 +361,11 @@ def _properties(g: Graph, key: str, elems: list) -> list:
     ]
 
 
-def _matches(values: list, predicate: tuple[str, object] | None) -> list:
-    """Per property value, whether it is present and, given ("=", const),
-    equals const as values_equal does."""
-    if predicate is None:
+def _matches(values: list, const: object) -> list:
+    """Per property value, whether it is present and, given a const, equals
+    it as values_equal does."""
+    if const is None:
         return list(map(is_not, values, repeat(None)))
-    const = predicate[1]
     kinds = set(map(type, values))
     kinds.add(type(const))
     if bool in kinds and (int in kinds or float in kinds):  # == would take True for 1
@@ -386,9 +385,8 @@ def _run(expr: AlgebraExpr, g: Graph, arg: _Rel | None) -> _Rel:
 
 def _source(expr: alg.GetVertices | alg.GetEdges, inputs, g: Graph, arg) -> _Rel:
     elems = list(g.vertex_tokens if type(expr) is alg.GetVertices else g.edges_sorted())
-    if expr.var:
-        return _Rel((expr.var,), [elems], elems)
-    return _Rel((), [], elems)
+    cols = alg.output_columns(expr, ())
+    return _Rel(cols, [elems] if cols else [], elems)
 
 
 def _argument(expr: alg.Argument, inputs, g, arg: _Rel) -> _Rel:
@@ -468,11 +466,11 @@ def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
     cols = alg.output_columns(expr, (src.cols,))
     key = expr.key
     if not expr.bind_value:
-        predicate = expr.predicate
+        value = expr.value
         rel, elems = _element(src, expr.var, cols)
-        if predicate is not None and type(expr.input) is alg.GetVertices:  # row i: rank i
-            return _gather(rel, g.ranks_with(key, predicate[1]))
-        return _keep(rel, _matches(_properties(g, key, elems), predicate))
+        if value is not None and type(expr.input) is alg.GetVertices:  # row i: rank i
+            return _gather(rel, g.ranks_with(key, value))
+        return _keep(rel, _matches(_properties(g, key, elems), value))
     pa = _slot(src.cols, expr.anchor)
     values = _properties(g, key, src.pos if pa is None else _coalesce(src.data[pa], src.pos))
     data = list(src.data)
@@ -514,13 +512,14 @@ def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
 
 def _projection(expr: alg.Projection, inputs, g: Graph, arg) -> _Rel:
     (src,) = inputs
+    cols = alg.output_columns(expr, (src.cols,))
     picked = list(map(src.column, expr.vars))
     if any(c is None for c in picked):  # a column no input row binds
-        empty = [[] for _ in expr.vars]
-        return _Rel(expr.vars, empty, [], None if src.tags is None else [], src.holes)
+        empty = [[] for _ in cols]
+        return _Rel(cols, empty, [], None if src.tags is None else [], src.holes)
     if expr.value_key is not None:
         picked = [_properties(g, expr.value_key, c) for c in picked]
-    rel = _Rel(expr.vars, picked, src.pos, src.tags, src.holes)
+    rel = _Rel(cols, picked, src.pos, src.tags, src.holes)
     mask = _present(picked) if src.holes or expr.value_key is not None else None
     return rel if mask is None else _keep(rel, mask)
 
@@ -553,17 +552,17 @@ def _restriction(expr: alg.Restriction, inputs, g, arg) -> _Rel:
 
 
 def _sort(expr: alg.Sort, inputs, g, arg) -> _Rel:
-    """One stable sort on all keys, which share a direction (validate
-    checks it).  No tag is needed inside a predicate: a stable sort of all
-    rows orders each tag's rows as sorting them alone would."""
+    """One stable sort on all keys.  No tag is needed inside a predicate: a
+    stable sort of all rows orders each tag's rows as sorting them alone
+    would."""
     (src,) = inputs
-    columns = [src.column(var) if var is not None else src.pos for var, _ in expr.keys]
+    columns = list(map(src.column, expr.vars)) if expr.vars else [src.pos]
     columns = [c for c in columns if c is not None]  # never bound: every row ties
     if not columns:
         return src
     n = len(src.pos)
     keys = _keys(list(map(_order_keys, columns)), None, n)
-    descending = expr.keys[0][1] != alg.ASCENDING
+    descending = expr.direction != alg.ASCENDING
     return _gather(src, sorted(range(n), key=keys.__getitem__, reverse=descending))
 
 
@@ -588,7 +587,7 @@ def _group(expr: alg.Group, inputs, g: Graph, arg) -> _Rel:
             keys = _coalesce(own, by_position)
     else:
         keys = own
-    rel = _Rel(("key", "member"), [keys, members], keys, src.tags, True)
+    rel = _Rel(alg.output_columns(expr, (src.cols,)), [keys, members], keys, src.tags, True)
     if None in keys:
         rel = _keep(rel, list(map(is_not, keys, repeat(None))))
     keys = rel.data[0]
@@ -634,8 +633,7 @@ def _join(expr: alg.Join, inputs, g, arg) -> _Rel:
 
 
 def _union(expr: alg.Union, inputs, g, arg) -> _Rel:
-    left, right = inputs
-    return _union_rels(left, right)
+    return _union_rels(*inputs)
 
 
 def _union_rels(left: _Rel, right: _Rel) -> _Rel:
@@ -676,7 +674,8 @@ def _aggregate(expr: alg.Aggregate, inputs, g, arg: _Rel | None) -> _Rel:
     for bag in groups.values():
         result = max(bag)
         results.append(float(result) if len(set(map(type, bag))) > 1 else result)
-    return _Rel((), [], results, None if src.tags is None else list(groups))
+    cols = alg.output_columns(expr, (src.cols,))
+    return _Rel(cols, [], results, None if src.tags is None else list(groups))
 
 
 _OPERATORS = {

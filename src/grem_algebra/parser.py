@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import ParseError
+from .property_graph import _lone_surrogate
 
 MAX_NESTING_DEPTH = 64
 MAX_STEPS = 256
@@ -76,7 +77,8 @@ _PUNCTUATION = {".": TokenKind.DOT, "(": TokenKind.LPAREN, ")": TokenKind.RPAREN
 # order.  Digits are ASCII only: int() rejects some characters str.isdigit()
 # accepts (e.g. '¹').  \w also matches Unicode numerals such as '²', which a
 # name may not hold; tokenize checks non-ASCII names exactly.  A string
-# holds no newline and escapes only a backslash or a quote.
+# holds no newline and escapes only a backslash or a quote; tokenize
+# rejects one holding a lone surrogate, which no output can encode.
 _BODY = {q: rf"[^{q}\\\n]*(?:\\[\\'\"][^{q}\\\n]*)*" for q in "'\""}
 _LEXICON = re.compile(
     r"(?P<NAME>[^\W0-9]\w*)"
@@ -112,6 +114,10 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(_PUNCTUATION[lexeme], lexeme, None, start, line, col))
         elif group == "STRING":
             body = lexeme[1:-1]
+            bad = _lone_surrogate(body)
+            if bad:
+                k = 1 + bad.start()
+                raise ParseError(f"illegal character {bad.group()!r}", start + k, line, col + k)
             value = _ESCAPE.sub(r"\1", body) if "\\" in body else body
             tokens.append(Token(TokenKind.STRING, lexeme, value, start, line, col))
         elif group == "NUMBER":

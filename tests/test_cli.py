@@ -92,6 +92,21 @@ def test_lone_surrogate_in_graph_exit_2(tmp_path):
     assert proc.stderr == "graph error: vertices[0]: property 'name' holds a lone surrogate\n"
 
 
+def test_lone_surrogate_in_query_exit_1():
+    """A query byte that is not UTF-8 reaches the program as a lone
+    surrogate: a parse error at its position, not a crash on printing."""
+    query = "g.V().has('name','a\udcff')"
+    for args in (("parse",), ("plan",), ("run", "--graph", modern_graph_path())):
+        proc = subprocess.run(
+            [sys.executable, "-m", "grem_algebra.cli", *args, "--query", query],
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == b"parse error: illegal character '\\udcff' at line 1, column 20\n"
+        assert proc.stdout == b""
+
+
 def test_surrogate_pair_in_graph_prints(tmp_path):
     path = tmp_path / "pair.json"
     path.write_text('{"vertices":[{"id":"1","label":"p","properties":{"name":"\\ud83d\\ude00"}}],"edges":[]}')

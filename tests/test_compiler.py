@@ -57,7 +57,7 @@ def test_oldest_known_age_tree():
                 "knows",
                 None,
                 None,
-                PropertyFilter(None, "name", ("=", "marko"), False, GetVertices()),
+                PropertyFilter(None, "name", "marko", False, GetVertices()),
             ),
         ),
     )
@@ -65,9 +65,9 @@ def test_oldest_known_age_tree():
 
 def test_cocreator_tree_with_grouping():
     inner = Traverse("out", "created", "a", "b", GetVertices())
-    inner = PropertyFilter("b", "name", ("=", "lop"), False, inner)
+    inner = PropertyFilter("b", "name", "lop", False, inner)
     inner = Traverse("in", "created", "b", "c", inner)
-    inner = PropertyFilter("c", "age", ("=", 30), False, inner)
+    inner = PropertyFilter("c", "age", 30, False, inner)
     expected = Group("name", Projection(("a", "c"), None, inner))
     assert compiled(Q_COCREATOR_30, eq7_grouping=True) == expected
 
@@ -82,7 +82,7 @@ def test_cocreator_tree_default_projection():
 def test_ages_asc_tree():
     inner = LabelFilter("a", "person", GetVertices())
     inner = PropertyFilter("b", "age", None, True, inner)
-    expected = Sort((("b", "asc"),), Projection(("b",), None, inner))
+    expected = Sort(("b",), "asc", Projection(("b",), None, inner))
     assert compiled(Q_AGES_ASC) == expected
 
 

@@ -45,6 +45,15 @@ DELETED |= {
         "label_" + "test",
     )
 }
+# The per-function dispatch on operator type: each operator is one row of
+# algebra.OPERATORS, and every walk over a plan reads that row.
+DELETED |= {
+    "_" + name for name in (
+        "NAMED_" + "FIELD", "UN" + "ARY", "CHAIN_" + "OPS", "REFER" + "RERS", "bi" + "nds",
+        "refer" + "enced", "ascii_" + "label", "paper_" + "atom", "render_" + "paper",
+        "render_" + "curried",
+    )
+}
 
 
 def _operator_classes() -> set[type]:
@@ -78,6 +87,15 @@ def test_every_operator_is_reached_by_a_tested_query():
     for plan in plans:
         reached |= _plan_classes(plan)
     assert _operator_classes() - reached == set()
+
+
+def test_the_operator_table_covers_every_operator():
+    """One row per operator class in the algebra's table, one physical
+    operator per class in the evaluator's."""
+    from grem_algebra import evaluator
+
+    assert set(alg.OPERATORS) == _operator_classes() == set(evaluator._OPERATORS)
+    assert len(_operator_classes()) == 15
 
 
 def test_every_exported_name_resolves():
