@@ -409,9 +409,7 @@ def _introduced(expr: AlgebraExpr, memo: dict[int, frozenset[str]]) -> frozenset
         found = frozenset()
         for e in inputs(expr):
             found = found | _introduced(e, memo)
-        for v in OPERATORS[type(expr)].binds(expr):
-            if v and v not in found:
-                found = found | {v}
+        found = found.union(filter(None, OPERATORS[type(expr)].binds(expr)))
         memo[id(expr)] = found
     return found
 

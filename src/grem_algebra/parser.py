@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import ParseError
-from .property_graph import _lone_surrogate
 
 MAX_NESTING_DEPTH = 64
 MAX_STEPS = 256
@@ -77,9 +76,9 @@ _PUNCTUATION = {".": TokenKind.DOT, "(": TokenKind.LPAREN, ")": TokenKind.RPAREN
 # order.  Digits are ASCII only: int() rejects some characters str.isdigit()
 # accepts (e.g. '¹').  \w also matches Unicode numerals such as '²', which a
 # name may not hold; tokenize checks non-ASCII names exactly.  A string
-# holds no newline and escapes only a backslash or a quote; tokenize
-# rejects one holding a lone surrogate, which no output can encode.
-_BODY = {q: rf"[^{q}\\\n]*(?:\\[\\'\"][^{q}\\\n]*)*" for q in "'\""}
+# holds no newline and no lone surrogate, which no output can encode, and
+# escapes only a backslash or a quote.
+_BODY = {q: rf"[^{q}\\\n\ud800-\udfff]*(?:\\[\\'\"][^{q}\\\n\ud800-\udfff]*)*" for q in "'\""}
 _LEXICON = re.compile(
     r"(?P<NAME>[^\W0-9]\w*)"
     r"|(?P<SPACE>[ \t\r\n]+)"
@@ -114,10 +113,6 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(_PUNCTUATION[lexeme], lexeme, None, start, line, col))
         elif group == "STRING":
             body = lexeme[1:-1]
-            bad = _lone_surrogate(body)
-            if bad:
-                k = 1 + bad.start()
-                raise ParseError(f"illegal character {bad.group()!r}", start + k, line, col + k)
             value = _ESCAPE.sub(r"\1", body) if "\\" in body else body
             tokens.append(Token(TokenKind.STRING, lexeme, value, start, line, col))
         elif group == "NUMBER":
@@ -133,6 +128,8 @@ def tokenize(text: str) -> list[Token]:
             j = _STRING_BODY[lexeme].match(text, start + 1).end()
             if text.startswith("\\", j) and j + 1 < len(text):
                 raise ParseError(f"unsupported escape '\\{text[j + 1]}'", j, line, col + j - start)
+            if "\ud800" <= text[j:j + 1] <= "\udfff":
+                raise ParseError(f"illegal character {text[j]!r}", j, line, col + j - start)
             raise ParseError("unterminated string", start, line, col)
         else:
             raise ParseError(f"illegal character {lexeme!r}", start, line, col)
