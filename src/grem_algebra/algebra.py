@@ -262,16 +262,10 @@ def _wrap(head: str, inner: str) -> str:
     return f"{head}( {inner} )" if " " in inner else f"{head}({inner})"
 
 
-def _chain(atom: Callable[[Any], str]) -> Callable[[Any, list[str]], str]:
-    """The paper rendering of a traverse or filter: its glyph, then the
-    chain of glyphs below it, or its input in parentheses."""
-
-    def paper(e: Any, t: list[str]) -> str:
-        if OPERATORS[type(e.input)].chained:
-            return f"{atom(e)} {t[0]}"
-        return f"{atom(e)}({t[0]})"
-
-    return paper
+def _chain(atom: str, e: Any, t: list[str]) -> str:
+    """The paper text of a traverse or filter: its glyph, then the chain of
+    glyphs below it, or its input in parentheses."""
+    return f"{atom} {t[0]}" if OPERATORS[type(e.input)].chained else f"{atom}({t[0]})"
 
 
 def _property_label(e: PropertyFilter) -> str:
@@ -303,15 +297,16 @@ OPERATORS: dict[type, Operator] = {
         ("input",),
         lambda e: f"traverse-{e.direction}{_label(e.edge_label)}"
         f"({_var(e.from_var)}->{_var(e.to_var)})",
-        _chain(lambda e: ("↑" if e.direction == OUT else "↓")
-               + (f"_{e.from_var}" if e.from_var else "") + _sup(e.to_var) + _label(e.edge_label)),
+        lambda e, t: _chain(("↑" if e.direction == OUT else "↓")
+                            + (f"_{e.from_var}" if e.from_var else "") + _sup(e.to_var)
+                            + _label(e.edge_label), e, t),
         lambda e, t: f"{e.direction}{'' if e.edge_label is None else '_' + e.edge_label}({t[0]})",
         binds=lambda e: (e.from_var, e.to_var), named="to_var", chained=True,
     ),
     PropertyFilter: Operator(
         ("input",),
         _property_label,
-        _chain(lambda e: f"σ{_sup(e.var)}_{{{e.key}{_equals(e.value)}}}"),
+        lambda e, t: _chain(f"σ{_sup(e.var)}_{{{e.key}{_equals(e.value)}}}", e, t),
         lambda e, t: (f"values_{e.key}" if e.bind_value else f"has_{e.key}{_equals(e.value)}")
         + f"({t[0]})",
         binds=_its_var, named="var", chained=True,
@@ -320,7 +315,7 @@ OPERATORS: dict[type, Operator] = {
     LabelFilter: Operator(
         ("input",),
         lambda e: f"filter[{_var(e.var)}.label={e.label}]",
-        _chain(lambda e: f"σ{_sup(e.var)}_{{label={e.label}}}"),
+        lambda e, t: _chain(f"σ{_sup(e.var)}_{{label={e.label}}}", e, t),
         lambda e, t: f"hasLabel_{e.label}({t[0]})",
         binds=_its_var, named="var", chained=True,
     ),

@@ -17,6 +17,7 @@ from grem_algebra import (
     validate,
 )
 from grem_algebra.algebra import (
+    PLAN_STYLES,
     Aggregate,
     Argument,
     Dedup,
@@ -32,7 +33,6 @@ from grem_algebra.algebra import (
     Sort,
     Traverse,
     Union,
-    PLAN_STYLES,
     introduced_vars,
 )
 from grem_algebra.parser import MAX_NESTING_DEPTH, MAX_STEPS
