@@ -92,10 +92,10 @@ class PropertyFilter:
 
     With a value it keeps rows whose element's key property equals it;
     with no value and bind_value=False it keeps rows where the key exists;
-    with bind_value=True it extracts the property value, binds it to var,
-    and moves the current position onto it.  anchor names the element to
-    read when it differs from the current position (only used in
-    bind_value mode).
+    with bind_value=True, which validate admits only with no value, it
+    extracts the property value, binds it to var, and moves the current
+    position onto it.  anchor names the element to read when it differs
+    from the current position (only used in bind_value mode).
     """
 
     var: str | None
@@ -460,7 +460,8 @@ def validate(expr: AlgebraExpr) -> list[str]:
     Returns one diagnostic per variable referenced by an operator without
     being introduced beneath it (or inherited from an enclosing selection
     predicate's outer row), per get-vertices/get-edges leaf inside a
-    selection predicate, and per Argument leaf outside one.  An empty list
+    selection predicate, per Argument leaf outside one, and per property
+    filter that extracts a value and also holds one to test.  An empty list
     means the plan is well-scoped and well-shaped, as the evaluator needs.
     """
     diags: list[str] = []
@@ -472,6 +473,8 @@ def validate(expr: AlgebraExpr) -> list[str]:
         if op.inside is not None and op.inside == (scope is None):
             where = "outside" if op.inside else "inside"
             diags.append(f"{op.ascii(node)} {where} a selection predicate")
+        if type(node) is PropertyFilter and node.bind_value and node.value is not None:
+            diags.append(f"{op.ascii(node)} cannot also test {node.key}{_equals(node.value)}")
         below = inputs(node)
         refs = op.reads(node)
         if refs or op.predicates:

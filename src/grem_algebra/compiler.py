@@ -240,7 +240,7 @@ def _compile_steps(
             expr = alg.Selection(reduce(alg.Join, preds), expr, negated=kind is StepKind.NOT)
         elif kind is StepKind.SELECT or kind is StepKind.DEDUP:
             vars_ = tuple(str(_literal(a).value) for a in step.args)
-            declared = alg.introduced_vars(expr)
+            declared = static_columns(expr)
             for v in vars_:
                 if v not in declared:
                     raise CompileError(f"{kind.value}() references undeclared variable {v!r}")

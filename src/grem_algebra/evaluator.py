@@ -22,10 +22,11 @@ property columns by rank (see ``Graph``), dedup, limit, sort, group and
 join gather by an index list and union concatenates.  A label or value
 filter straight over ``V()``, whose row i is the vertex of rank i, reads
 no per-vertex data: it gathers the ranks the graph's rank index holds for
-its label or value.  A column of vertex tokens takes these passes through
-C-level ``map``s over ranks; a column holding edges, scalars or None takes
-a per-value path in the same function, chosen by the types the column
-holds.  A token is interned and is the only tuple a column value can be;
+its label or value; over such filters, whose rows are distinct vertices
+in ascending rank, it intersects those ranks with the rows'.  A column of
+vertex tokens takes these passes through C-level ``map``s over ranks; a
+column holding edges, scalars or None takes a per-value path in the same
+function, chosen by the types the column holds.  A token is interned and is the only tuple a column value can be;
 it orders, dedups and joins as itself.  Tokens and scalars hold nothing
 CPython's cyclic garbage collector must follow, so the objects it tracks
 per relation are its few lists, not its rows.  An edge is the graph's
@@ -34,7 +35,14 @@ interned ``EdgeRef``.
 where()/not() run their predicate once over all input rows, each tagged
 with its row's index in a tag list.  Inside the predicate, dedup, join,
 limit and aggregate key on that tag, and sort and group are stable, so
-the batch answers exactly what one run per row would.  ``algebra.validate``
+the batch answers exactly what one run per row would.  A predicate that
+is a chain of traverses and label or value filters, binding nothing and
+ending in a seekable filter, may instead be answered backward, as a
+semi-join reduction from its selective end: the filter's vertices from
+the rank index, then each traverse walked in reverse, give the set of
+anchor vertices that have a witness.  The choice is made per selection
+from exact counts (see ``_selection``); either way the rows under test
+keep their order.  ``algebra.validate``
 admits only plans whose predicate leaves are all the row under test
 (Argument) and whose other leaves are all sources, so inside a predicate
 every relation is tagged and outside one none is.  ``evaluate`` hands the
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import json
 import threading
+from bisect import bisect_left
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import eq, is_, is_not, itemgetter, mul, not_, or_
@@ -410,13 +419,7 @@ def _traverse(expr: alg.Traverse, inputs, g: Graph, arg) -> _Rel:
                 raise EvaluationError("traverse from an unbound position")
             if type(a) is not tuple:
                 raise EvaluationError(f"traverse requires a vertex, got {a!r}")
-    direction, label = expr.direction, expr.edge_label
-    ranks = list(map(_RANK, anchors))
-    found = list(map(g.neighbours(direction, label).__getitem__, ranks))
-    if None in found:  # entries not built yet
-        found = [
-            g.adjacent(direction, label, r) if ns is None else ns for ns, r in zip(found, ranks)
-        ]
+    found = _entries(g, expr.direction, expr.edge_label, list(map(_RANK, anchors)))
     counts = list(map(len, found))
     dest = list(chain.from_iterable(found))
     # each value once per neighbour: a 1-tuple times the count, chained
@@ -439,6 +442,16 @@ def _traverse(expr: alg.Traverse, inputs, g: Graph, arg) -> _Rel:
     return _keep(_Rel(cols, data, dest, tags, src.holes), mask)
 
 
+def _entries(g: Graph, direction: str, label: str | None, ranks: list[int]) -> list:
+    """Per rank, its adjacent(direction, label, rank) entry, built where missing."""
+    found = list(map(g.neighbours(direction, label).__getitem__, ranks))
+    if None in found:
+        found = [
+            g.adjacent(direction, label, r) if ns is None else ns for ns, r in zip(found, ranks)
+        ]
+    return found
+
+
 def _element(src: _Rel, var: str | None, cols: tuple[str, ...]) -> tuple[_Rel, list]:
     """src over cols with var bound to the element where it is not bound
     yet, and per row the element: var's binding, else the position."""
@@ -453,24 +466,68 @@ def _element(src: _Rel, var: str | None, cols: tuple[str, ...]) -> tuple[_Rel, l
     return _Rel(cols, data, src.pos, src.tags, src.holes), elems
 
 
-def _label_filter(expr: alg.LabelFilter, inputs, g: Graph, arg) -> _Rel:
+def _seekable(expr: AlgebraExpr) -> bool:
+    """Whether expr is a filter a rank index answers: hasLabel, or has with a
+    value (validate admits a value only on an equality filter)."""
+    kind = type(expr)
+    return kind is alg.LabelFilter or (kind is alg.PropertyFilter and expr.value is not None)
+
+
+def _seek(g: Graph, expr: alg.LabelFilter | alg.PropertyFilter) -> tuple[int, ...]:
+    """The ranks of the vertices a seekable filter keeps, ascending."""
+    if type(expr) is alg.LabelFilter:
+        return g.ranks_labelled(expr.label)
+    return g.ranks_with(expr.key, expr.value)  # type: ignore[arg-type]
+
+
+def _seeks(expr: AlgebraExpr) -> bool:
+    """Whether expr's rows are distinct vertices in ascending rank: V()
+    under seekable filters only."""
+    while _seekable(expr):
+        expr = expr.input  # type: ignore[union-attr]
+    return type(expr) is alg.GetVertices
+
+
+def _intersect(have: list[int], ranks: tuple[int, ...]) -> list[int]:
+    """The indexes into have of the ranks ranks holds too; both are
+    ascending and distinct.  Each rank of the shorter one is looked up in
+    the longer."""
+    if len(ranks) < len(have):
+        at = map(bisect_left, repeat(have), ranks)
+        return [i for i, r in zip(at, ranks) if i < len(have) and have[i] == r]
+    at = map(bisect_left, repeat(ranks), have)
+    return [i for i, (j, r) in enumerate(zip(at, have)) if j < len(ranks) and ranks[j] == r]
+
+
+def _passes(g: Graph, expr: alg.LabelFilter | alg.PropertyFilter, elems: list) -> list:
+    """Per element, whether the label or value filter expr keeps it."""
+    if type(expr) is alg.LabelFilter:
+        return list(map(eq, _labels(g, elems), repeat(expr.label)))
+    return _matches(_properties(g, expr.key, elems), expr.value)
+
+
+def _filter(expr: alg.LabelFilter | alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
+    """The rows whose element passes a label, value or key filter.  Over a
+    seek, whose rows are distinct vertices in ascending rank, a seekable
+    filter reads no per-vertex data: straight over V(), row i is the vertex
+    of rank i and it gathers its ranks; over seeking filters, it intersects
+    its ranks with the rows' ranks."""
     (src,) = inputs
     rel, elems = _element(src, expr.var, alg.output_columns(expr, (src.cols,)))
-    if type(expr.input) is alg.GetVertices:  # row i is the vertex of rank i
-        return _gather(rel, g.ranks_labelled(expr.label))
-    return _keep(rel, list(map(eq, _labels(g, elems), repeat(expr.label))))
+    if _seekable(expr):
+        if type(expr.input) is alg.GetVertices:
+            return _gather(rel, _seek(g, expr))
+        if _seeks(expr.input):
+            return _gather(rel, _intersect(list(map(_RANK, elems)), _seek(g, expr)))
+    return _keep(rel, _passes(g, expr, elems))
 
 
 def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
+    if not expr.bind_value:
+        return _filter(expr, inputs, g, arg)
     (src,) = inputs
     cols = alg.output_columns(expr, (src.cols,))
     key = expr.key
-    if not expr.bind_value:
-        value = expr.value
-        rel, elems = _element(src, expr.var, cols)
-        if value is not None and type(expr.input) is alg.GetVertices:  # row i: rank i
-            return _gather(rel, g.ranks_with(key, value))
-        return _keep(rel, _matches(_properties(g, key, elems), value))
     pa = _slot(src.cols, expr.anchor)
     values = _properties(g, key, src.pos if pa is None else _coalesce(src.data[pa], src.pos))
     data = list(src.data)
@@ -488,26 +545,109 @@ def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
 
 
 def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
-    """Semi-join (where) or anti-join (not): the predicate runs once over
-    all input rows, each tagged with its index; a row survives when some
-    predicate row carries its tag (negated: none does)."""
+    """Semi-join (where) or anti-join (not): a row survives when the
+    predicate has a witness for it (negated: none).  Either way the input
+    rows keep their order and tags; two physical runs answer the test.
+
+    Forward, the predicate runs once over all input rows, each tagged with
+    its index; a row has a witness when some predicate row carries its tag.
+
+    Backward (see _backward), a predicate that is a chain from its anchor
+    through traverses and label or value filters, binding nothing and
+    ending in a seekable filter, is answered from that end: seek the
+    filter's vertices, then walk the chain down against each traverse's
+    direction to the set of anchors that have a witness.  It needs every
+    anchor (arg[var]'s binding, else the position) to be a vertex: forward
+    alone raises on, or skips, any other value.
+
+    The choice is made at run time from exact counts, with no statistics
+    gathered at load.  Forward's first hop reads F rows: the input rows
+    plus their anchors' degrees along the traverse nearest them.  Backward
+    runs only when F is at least the number of vertices, since its seek
+    may build a rank table over all of them, and only while it has touched
+    at most F rows: the seek's vertices, then each reverse hop's
+    neighbours.  Past F it stops, and forward runs."""
     (src,) = inputs
     n = len(src.pos)
     if not n:
         return src
-    # inside an enclosing predicate the rows are re-tagged
-    under_test = _Rel(src.cols, src.data, src.pos, list(range(n)), src.holes)
-    try:
-        hits = _run(expr.predicate, g, under_test)
-    except EvaluationError:
-        # raise what one run per row raises first, in input order
-        for i in range(n):
-            row = [[values[i]] for values in src.data]
-            _run(expr.predicate, g, _Rel(src.cols, row, [src.pos[i]], [0], src.holes))
-        raise
-    found = set(hits.tags)  # type: ignore[arg-type]
-    kept = map(found.__contains__, range(n))
-    return _keep(src, list(map(not_, kept) if expr.negated else kept))
+    kept = _backward(expr.predicate, src, g)
+    if kept is None:
+        # inside an enclosing predicate the rows are re-tagged
+        under_test = _Rel(src.cols, src.data, src.pos, list(range(n)), src.holes)
+        try:
+            hits = _run(expr.predicate, g, under_test)
+        except EvaluationError:
+            # raise what one run per row raises first, in input order
+            for i in range(n):
+                row = [[values[i]] for values in src.data]
+                _run(expr.predicate, g, _Rel(src.cols, row, [src.pos[i]], [0], src.holes))
+            raise
+        kept = list(map(set(hits.tags).__contains__, range(n)))  # type: ignore[arg-type]
+    return _keep(src, list(map(not_, kept)) if expr.negated else kept)
+
+
+_REVERSE = {alg.OUT: alg.IN, alg.IN: alg.OUT}
+
+
+def _backward(predicate: AlgebraExpr, src: _Rel, g: Graph) -> list[bool] | None:
+    """Per row under test, whether the predicate has a witness for it,
+    answered from its selective end; None when the predicate or its
+    anchors do not qualify, or when forward is the cheaper run (see
+    _selection)."""
+    if not _seekable(predicate):
+        return None
+    steps = []  # the chain top-down, the seekable filter first
+    node = predicate
+    while type(node) is not alg.Argument:
+        if type(node) is alg.Traverse:
+            if node.from_var or node.to_var:
+                return None
+        elif not _seekable(node) or node.var:  # type: ignore[union-attr]
+            return None
+        steps.append(node)
+        node = node.input  # type: ignore[union-attr]
+    # as arg[var] anchors: the var's binding, else the position
+    p = _slot(src.cols, node.var)  # type: ignore[union-attr]
+    anchors = src.pos if p is None else _coalesce(src.data[p], src.pos)
+    if not _only_tokens(anchors):  # forward raises or skips as it always has
+        return None
+    ranks = list(map(_RANK, anchors))
+    budget = _forward_rows(steps, ranks, g)
+    if budget < g.vertex_count:
+        return None
+    found = _witnesses(steps, g, budget)
+    return None if found is None else list(map(found.__contains__, ranks))
+
+
+def _forward_rows(steps: list, ranks: list[int], g: Graph) -> int:
+    """The rows a forward run reads in its first hop from anchors of these
+    ranks: one per anchor, plus its degree along the traverse nearest the
+    anchors, if there is one."""
+    first = next((s for s in reversed(steps) if type(s) is alg.Traverse), None)
+    if first is None:
+        return len(ranks)
+    return len(ranks) + sum(map(len, _entries(g, first.direction, first.edge_label, ranks)))
+
+
+def _witnesses(steps: list, g: Graph, budget: int) -> set[int] | None:
+    """The ranks of the vertices from which steps (top-down) reach their
+    seekable filter's vertices, or None once the walk has touched more
+    than budget rows."""
+    top, *below = steps
+    found = list(map(g.vertex_tokens.__getitem__, _seek(g, top)))
+    touched = len(found)
+    for step in below:
+        if touched > budget:
+            return None
+        if type(step) is alg.Traverse:
+            direction = _REVERSE[step.direction]
+            ends = _entries(g, direction, step.edge_label, list(map(_RANK, found)))
+            touched += sum(map(len, ends))
+            found = list(set(chain.from_iterable(ends)))
+        else:
+            found = list(compress(found, _passes(g, step, found)))
+    return set(map(_RANK, found)) if touched <= budget else None
 
 
 def _projection(expr: alg.Projection, inputs, g: Graph, arg) -> _Rel:
@@ -683,7 +823,7 @@ _OPERATORS = {
     alg.GetEdges: _source,
     alg.Argument: _argument,
     alg.Traverse: _traverse,
-    alg.LabelFilter: _label_filter,
+    alg.LabelFilter: _filter,
     alg.PropertyFilter: _property_filter,
     alg.Selection: _selection,
     alg.Projection: _projection,

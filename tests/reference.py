@@ -10,8 +10,9 @@ trust it.
   exactly once per traverser, with the three-case ``bind`` contract;
 * the brute-force oracle: every assignment of pattern variables to
   vertices, with edge multiplicities;
-* linear traversals: a chain of steps from every vertex, one row at a
-  time, filters decided by ``values_equal`` and the vertex's own label;
+* linear traversals: a chain of steps from every vertex or edge, one row
+  at a time, filters decided by ``values_equal`` and the element's own
+  label, a where()/not() predicate run from each row alone;
 * the graph by id: labels, properties, edges and adjacency looked up by
   original string id, each a plain scan of the graph's rank layout, and
   a graph built from a document's entries in one plain loop.
@@ -508,33 +509,64 @@ def oracle_match(pattern: OracleGraphPattern, g: Graph) -> BindingSet:
 # -- linear traversals --------------------------------------------------------------
 
 
-def linear_rows(g: Graph, steps: Iterable[tuple]) -> list[dict]:
-    """The rows, in order, of g.V() followed by steps, each a tuple:
-    ("out",), ("as", var), ("has", key, value), ("hasLabel", label),
-    ("values", key) or ("select", var).  A row maps its variables and CUR
-    (the position) to VertexRefs or property values."""
-    rows = [{CUR: VertexRef(vid)} for vid in g.vertex_ids()]
+def linear_rows(g: Graph, steps: Iterable[tuple], source: str = "V") -> list[dict]:
+    """The rows, in order, of g.V() (source "E": g.E()) followed by steps,
+    each a tuple: ("out", label?), ("in", label?), ("as", var),
+    ("has", key, value), ("hasLabel", label), ("values", key),
+    ("select", var), ("where", var, steps), ("not", var, steps) or
+    ("union", steps, steps).  A row maps its variables and CUR (the
+    position) to VertexRefs, EdgeRefs or property values.
+
+    where keeps a row when steps run from that row alone yield a row, not
+    when they yield none; with a var they start at its binding, bound to
+    the position where absent.  union gives the first branch's rows for all
+    input rows, then the second's.  out and in raise from anything but a
+    vertex, as the engine does; a filter or values() on a value that is
+    not an element keeps nothing."""
+    if source == "V":
+        rows = [{CUR: VertexRef(vid)} for vid in g.vertex_ids()]
+    else:
+        rows = [{CUR: EdgeRef(eid)} for eid in edge_ids(g)]
+    return _linear(g, rows, steps)
+
+
+def _linear(g: Graph, rows: list[dict], steps: Iterable[tuple]) -> list[dict]:
     for kind, *args in steps:
+        if kind == "union":
+            rows = _linear(g, rows, args[0]) + _linear(g, rows, args[1])
+            continue
         out = []
         for row in rows:
             here = row[CUR]
-            if kind == "out":
-                out += [{**row, CUR: VertexRef(dst)} for _, dst in out_adjacent(g, here.id)]
+            element = isinstance(here, (VertexRef, EdgeRef))
+            if kind in ("out", "in"):
+                if not isinstance(here, VertexRef):
+                    raise EvaluationError(f"traverse requires a vertex, got {here!r}")
+                adjacent = out_adjacent if kind == "out" else in_adjacent
+                out += [{**row, CUR: VertexRef(end)} for _, end in adjacent(g, here.id, *args)]
             elif kind == "as":
                 out.append({**row, args[0]: here})
             elif kind == "has":
-                value = element_property(g, here.id, args[0])
+                value = element_property(g, here.id, args[0]) if element else None
                 if value is not None and values_equal(value, args[1]):
                     out.append(row)
             elif kind == "hasLabel":
-                if vertex_label(g, here.id) == args[0]:
+                if element and element_label(g, here) == args[0]:
                     out.append(row)
             elif kind == "values":
-                value = element_property(g, here.id, args[0])
+                value = element_property(g, here.id, args[0]) if element else None
                 if value is not None:
                     out.append({**row, CUR: value})
             elif kind == "select":
                 out.append({args[0]: row[args[0]], CUR: here})
+            elif kind in ("where", "not"):
+                var, predicate = args
+                start = row
+                if var is not None:
+                    anchor = row.get(var, here)
+                    start = {**row, var: anchor, CUR: anchor}
+                if bool(_linear(g, [start], predicate)) == (kind == "where"):
+                    out.append(row)
             else:
                 raise ValueError(f"unknown step {kind!r}")
         rows = out

@@ -111,6 +111,16 @@ def test_validate_accepts_a_sort_of_several_keys():
     assert validate(Sort(("a", "b"), "desc", base)) == []
 
 
+def test_validate_rejects_a_value_on_a_value_extraction():
+    """bind_value=True extracts a property; a value would be a test it never makes."""
+    expr = PropertyFilter(None, "age", 30, True, GetVertices())
+    assert validate(expr) == ["filter[_=values age] cannot also test age=30"]
+    with pytest.raises(EvaluationError, match="invalid plan: filter"):
+        evaluate(expr, modern_graph())
+    assert validate(PropertyFilter(None, "age", None, True, GetVertices())) == []
+    assert validate(PropertyFilter(None, "age", 30, False, GetVertices())) == []
+
+
 def _predicate_holders(leaf):
     """Plans that hold leaf inside a selection predicate: where, not and
     and (a join of predicates), under a union, and in a nested predicate."""

@@ -227,6 +227,14 @@ def test_dedup_undeclared_variable():
         compiled('g.V().match(__.as("a").out().as("b")).select("b").dedup("z")')
 
 
+@pytest.mark.parametrize("tail", ["select('b')", "dedup('b')"])
+def test_a_variable_a_projection_dropped_is_undeclared(tail):
+    # b is bound below select('a'), which drops its column
+    text = f"g.V().as('a').out().as('b').select('a').{tail}"
+    with pytest.raises(CompileError, match="undeclared variable 'b'"):
+        compiled(text)
+
+
 def test_order_by_property_key_rejected():
     with pytest.raises(CompileError, match="asc or desc"):
         compiled("g.V().as('a').select('a').order().by('name')")

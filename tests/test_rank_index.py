@@ -113,6 +113,9 @@ def test_a_filter_over_v_reads_no_per_vertex_data():
         "g.V().has('age',true)",
         "g.V().hasLabel('software').as('s').in().select('s')",
         "g.V().hasLabel('knows')",
+        # a seekable filter over seeks intersects rank tuples
+        "g.V().hasLabel('person').has('name','josh')",
+        "g.V().as('a').has('lang','java').hasLabel('software').has('name','lop').select('a')",
     ]
     scans = ["g.V().out().has('name','lop')", "g.V().out().hasLabel('software')"]
     g = modern_graph()
@@ -121,7 +124,7 @@ def test_a_filter_over_v_reads_no_per_vertex_data():
         return evaluate(compile_traversal(parse_traversal(text)), g).rows
 
     first = list(map(run, seeks))
-    assert [len(rows) for rows in first] == [1, 2, 4, 0, 4, 0]
+    assert [len(rows) for rows in first] == [1, 2, 4, 0, 4, 0, 1, 1]
     assert all(map(run, scans))
     g.vertex_labels = _Unreadable()
     g.property_column = _Unreadable()
