@@ -10,9 +10,11 @@ Everything the algebra knows of an operator class is its row in
 OPERATORS: the fields holding its inputs and predicates, the variables it
 binds and reads, its column rule, the field as() fills, whether it may
 stand inside a selection predicate, and its three renderings.  inputs,
-introduced_vars, output_columns, static_columns, validate and render_plan
-are walks over that table, each one stack frame per plan level.  The
-evaluator keeps its own table of physical operators.
+static_columns, validate and render_plan are walks over that table, each
+one stack frame per plan level.  One column rule, output_columns, gives
+every schema: a plan's, the columns an operator may read (validate) and
+each relation's in the evaluator, which keeps its own table of physical
+operators.
 
 Three deterministic renderings are provided:
 
@@ -397,23 +399,6 @@ def _subtrees(expr: AlgebraExpr) -> list[AlgebraExpr]:
     return [getattr(expr, f) for f in op.predicates + op.inputs]
 
 
-def _introduced(expr: AlgebraExpr, memo: dict[int, frozenset[str]]) -> frozenset[str]:
-    """introduced_vars, computed once per node (memo is keyed by node id)."""
-    found = memo.get(id(expr))
-    if found is None:
-        found = frozenset()
-        for e in inputs(expr):
-            found = found | _introduced(e, memo)
-        found = found.union(filter(None, OPERATORS[type(expr)].binds(expr)))
-        memo[id(expr)] = found
-    return found
-
-
-def introduced_vars(expr: AlgebraExpr) -> set[str]:
-    """Variables bound somewhere inside expr, outside selection predicates."""
-    return set(_introduced(expr, {}))
-
-
 def merge_columns(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
     """Schema of a join or union: the left columns, then the right ones the
     left lacks."""
@@ -443,32 +428,44 @@ def output_columns(
     return columns
 
 
+def _schema(
+    expr: AlgebraExpr, memo: dict[int, tuple[str, ...]], arg_columns: tuple[str, ...] = ()
+) -> tuple[str, ...]:
+    """output_columns over a whole plan, once per node (memo is keyed by
+    node id); an Argument leaf takes arg_columns, the columns of the rows
+    under test."""
+    found = memo.get(id(expr))
+    if found is None:
+        schemas = []
+        for e in inputs(expr):  # a loop: a comprehension would add a frame per level
+            schemas.append(_schema(e, memo, arg_columns))
+        found = memo[id(expr)] = output_columns(expr, tuple(schemas), arg_columns)
+    return found
+
+
 def static_columns(expr: AlgebraExpr) -> tuple[str, ...]:
     """Visible column schema of the binding set an expression produces.
 
     Inside a selection predicate, Argument leaves start from no columns:
     the schema of the rows under test is not known before evaluation."""
-    schemas = []
-    for e in inputs(expr):  # a loop: a comprehension would add a frame per level
-        schemas.append(static_columns(e))
-    return output_columns(expr, tuple(schemas))
+    return _schema(expr, {})
 
 
 def validate(expr: AlgebraExpr) -> list[str]:
     """Static check of a plan's shape and variable scoping.
 
-    Returns one diagnostic per variable referenced by an operator without
-    being introduced beneath it (or inherited from an enclosing selection
-    predicate's outer row), per get-vertices/get-edges leaf inside a
-    selection predicate, per Argument leaf outside one, and per property
-    filter that extracts a value and also holds one to test.  An empty list
-    means the plan is well-scoped and well-shaped, as the evaluator needs.
+    Returns one diagnostic per variable an operator reads that is not a
+    column of its input (inside a selection predicate, an Argument leaf
+    carries the columns of the rows under test), per get-vertices/get-edges
+    leaf inside a selection predicate, per Argument leaf outside one, and
+    per property filter that extracts a value and also holds one to test.
+    An empty list means the plan is well-scoped and well-shaped, as the
+    evaluator needs.
     """
     diags: list[str] = []
-    memo: dict[int, frozenset[str]] = {}
 
-    def visit(node: AlgebraExpr, scope: frozenset[str] | None) -> None:
-        # scope: the variables of the rows under test; None outside every predicate
+    def visit(node: AlgebraExpr, scope: tuple[str, ...] | None, memo: dict) -> None:
+        # scope: the columns of the rows under test; None outside every predicate
         op = OPERATORS[type(node)]
         if op.inside is not None and op.inside == (scope is None):
             where = "outside" if op.inside else "inside"
@@ -478,16 +475,16 @@ def validate(expr: AlgebraExpr) -> list[str]:
         below = inputs(node)
         refs = op.reads(node)
         if refs or op.predicates:
-            bound = frozenset(scope or ())
+            columns: tuple[str, ...] = ()
             for e in below:
-                bound = bound | _introduced(e, memo)
-            diags.extend(f"unbound {v} in {op.noun}" for v in refs if v not in bound)
+                columns = merge_columns(columns, _schema(e, memo, scope or ()))
+            diags.extend(f"unbound {v} in {op.noun}" for v in refs if v not in columns)
             for field in op.predicates:
-                visit(getattr(node, field), bound)
+                visit(getattr(node, field), columns, {})
         for e in below:
-            visit(e, scope)
+            visit(e, scope, memo)
 
-    visit(expr, None)
+    visit(expr, None, {})
     return diags
 
 

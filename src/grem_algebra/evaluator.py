@@ -42,10 +42,11 @@ semi-join reduction from its selective end: the filter's vertices from
 the rank index, then each traverse walked in reverse, give the set of
 anchor vertices that have a witness.  The choice is made per selection
 from exact counts (see ``_selection``); either way the rows under test
-keep their order.  ``algebra.validate``
-admits only plans whose predicate leaves are all the row under test
-(Argument) and whose other leaves are all sources, so inside a predicate
-every relation is tagged and outside one none is.  ``evaluate`` hands the
+keep their order.  ``algebra.validate`` admits only plans whose predicate
+leaves are all the row under test (Argument), whose other leaves are all
+sources and whose reads are all columns of their inputs, so inside a
+predicate every relation is tagged, outside one none is, and every column
+an operator names is there.  ``evaluate`` hands the
 final columns to a ``BindingSet``; a token becomes the graph's interned
 ``VertexRef`` wherever a value leaves the set.
 
@@ -209,16 +210,13 @@ def _order_keys(values: list) -> list:
     ]
 
 
-def _keys(parts: list[list], tags: list | None, n: int) -> list:
+def _keys(parts: list[list], tags: list | None) -> list:
     """Per row, the key of the given key columns: one column's key alone,
-    else a tuple of keys, the tag first when tags are given.  No column
-    and no tag: one key for all n rows."""
+    else a tuple of keys, the tag first when tags are given."""
     if tags is not None:
         parts = [tags] + parts
     if len(parts) == 1:
         return parts[0]
-    if not parts:
-        return [()] * n
     return list(zip(*parts))
 
 
@@ -229,7 +227,7 @@ def _join_keys(columns: list[list], tags: list | None) -> list:
         c if _only_tokens(c) else [None if v is None else join_key(v) for v in c]
         for c in columns
     ]
-    keys = _keys(parts, tags, 0)
+    keys = _keys(parts, tags)
     if len(parts) + (tags is not None) > 1 and any(None in p for p in parts):
         return [None if None in k else k for k in keys]
     return keys
@@ -654,12 +652,11 @@ def _projection(expr: alg.Projection, inputs, g: Graph, arg) -> _Rel:
     (src,) = inputs
     cols = alg.output_columns(expr, (src.cols,))
     picked = list(map(src.column, expr.vars))
-    if any(c is None for c in picked):  # a column no input row binds
-        empty = [[] for _ in cols]
-        return _Rel(cols, empty, [], None if src.tags is None else [], src.holes)
     if expr.value_key is not None:
         picked = [_properties(g, expr.value_key, c) for c in picked]
-    rel = _Rel(cols, picked, src.pos, src.tags, src.holes)
+    # select() of one variable moves the position onto its value
+    pos = picked[0] if len(picked) == 1 else src.pos
+    rel = _Rel(cols, picked, pos, src.tags, src.holes)
     mask = _present(picked) if src.holes or expr.value_key is not None else None
     return rel if mask is None else _keep(rel, mask)
 
@@ -668,11 +665,9 @@ def _dedup(expr: alg.Dedup, inputs, g, arg) -> _Rel:
     """First occurrence per key; inside a predicate, per row under test."""
     (src,) = inputs
     names = expr.vars or src.cols
-    # a var never bound is a constant key part
-    keyed = [c for c in map(src.column, names) if c is not None] if names else [src.pos]
-    n = len(src.pos)
-    first = _first_rows(_keys(list(map(_identity_keys, keyed)), src.tags, n))
-    return src if len(first) == n else _gather(src, first)
+    keyed = list(map(src.column, names)) if names else [src.pos]
+    first = _first_rows(_keys(list(map(_identity_keys, keyed)), src.tags))
+    return src if len(first) == len(src.pos) else _gather(src, first)
 
 
 def _restriction(expr: alg.Restriction, inputs, g, arg) -> _Rel:
@@ -697,13 +692,9 @@ def _sort(expr: alg.Sort, inputs, g, arg) -> _Rel:
     would."""
     (src,) = inputs
     columns = list(map(src.column, expr.vars)) if expr.vars else [src.pos]
-    columns = [c for c in columns if c is not None]  # never bound: every row ties
-    if not columns:
-        return src
-    n = len(src.pos)
-    keys = _keys(list(map(_order_keys, columns)), None, n)
+    keys = _keys(list(map(_order_keys, columns)), None)
     descending = expr.direction != alg.ASCENDING
-    return _gather(src, sorted(range(n), key=keys.__getitem__, reverse=descending))
+    return _gather(src, sorted(range(len(keys)), key=keys.__getitem__, reverse=descending))
 
 
 def _group(expr: alg.Group, inputs, g: Graph, arg) -> _Rel:

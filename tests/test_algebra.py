@@ -33,7 +33,7 @@ from grem_algebra.algebra import (
     Sort,
     Traverse,
     Union,
-    introduced_vars,
+    static_columns,
 )
 from grem_algebra.parser import MAX_NESTING_DEPTH, MAX_STEPS
 
@@ -177,10 +177,50 @@ def test_compiled_plans_have_no_shape_diagnostics():
     assert clean > 250
 
 
-def test_introduced_vars():
-    expr = compiled(Q_COCREATOR_30)
-    assert introduced_vars(expr) == {"a", "c"} or introduced_vars(expr) >= {"a", "c"}
-    assert introduced_vars(GetVertices("x")) == {"x"}
+def test_validate_reads_only_the_columns_the_input_carries():
+    """A variable a projection or a group dropped is no column: reading it
+    is unbound, though an operator below bound it."""
+    hop = Traverse("out", None, None, "b", GetVertices("a"))
+    only_a = Projection(("a",), None, hop)
+    for expr, diag in [
+        (Sort(("b",), "asc", only_a), "unbound b in sort"),
+        (Dedup(("b",), only_a), "unbound b in dedup"),
+        (Projection(("b",), None, only_a), "unbound b in projection"),
+        (Projection(("a",), None, Group(None, GetVertices("a"))), "unbound a in projection"),
+        (PropertyFilter("x", "age", None, True, only_a, "b"), "unbound b in property filter"),
+        (Selection(Projection(("b",), None, Argument()), only_a), "unbound b in projection"),
+    ]:
+        assert validate(expr) == [diag], expr
+        with pytest.raises(EvaluationError, match=re.escape(f"invalid plan: {diag}")):
+            evaluate(expr, modern_graph())
+    # a predicate reads the columns of the rows under test, the outer ones too
+    assert validate(Selection(Projection(("a",), None, Argument()), only_a)) == []
+    assert validate(Selection(Dedup(("b",), Argument()), hop)) == []
+    nested = Selection(
+        Sort(("b",), "asc", Argument()), Traverse("out", None, None, None, Argument())
+    )
+    assert validate(Selection(nested, hop)) == []
+    # a nested predicate's rows under test are its selection's input rows
+    dropped = Selection(nested.predicate, Projection(("a",), None, Argument()))
+    assert validate(Selection(dropped, hop)) == ["unbound b in sort"]
+
+
+def test_evaluated_columns_are_the_static_columns():
+    from test_batched_predicates import QUERIES as BATCHED_QUERIES
+    from test_golden_eval import golden_queries
+
+    g = modern_graph()
+    checked = 0
+    for text in [text for _, text in golden_queries()] + BATCHED_QUERIES:
+        for flag in (False, True):
+            try:
+                expr = compiled(text, eq7_grouping=flag)
+                columns = evaluate(expr, g).columns
+            except (CompileError, EvaluationError):
+                continue
+            assert columns == static_columns(expr), text
+            checked += 1
+    assert checked > 400
 
 
 def test_compile_is_structural_equality_friendly():
@@ -297,7 +337,7 @@ def test_deepest_plans_need_about_one_frame_per_level(text):
         assert validate(expr) == []
         for style in PLAN_STYLES:
             assert render_plan(expr, style)
-        assert introduced_vars(expr) == set()
+        assert static_columns(expr) == ()
         evaluate(expr, modern_graph())
     finally:
         sys.setrecursionlimit(limit)

@@ -141,6 +141,25 @@ def test_the_rule_walks_backward_and_stops_past_the_forward_rows():
         assert walks == [{0, 3, 5}, None]
 
 
+def test_a_walk_past_the_forward_rows_stops_between_hops():
+    """Forward reads 6 rows and 1 x edge; the walk seeks z, and its first
+    reverse hop reads z's 8 y edges in: 9 rows, past 7, so it stops before
+    the second hop and forward answers."""
+    vertices = [{"id": "a", "label": "n", "properties": {}},
+                {"id": "z", "label": "n", "properties": {"name": "z"}}]
+    edges = [{"id": "x0", "label": "x", "outV": "a", "inV": "s0"}]
+    for i in range(4):
+        vertices.append({"id": f"s{i}", "label": "n", "properties": {}})
+        edges += [{"id": f"y{i}{j}", "label": "y", "outV": f"s{i}", "inV": "z"} for j in range(2)]
+    g = load_graph(json.dumps({"vertices": vertices, "edges": edges}))
+    chain = [("out", "x"), ("out", "y"), ("has", "name", "z")]
+    walks: list = []
+    with _walks(walks):
+        rows = _rows("g.V().where(__.out('x').out('y').has('name','z'))", g)
+    assert walks == [None]
+    assert rows == linear_rows(g, [("where", None, chain)]) != []
+
+
 def test_a_handful_of_rows_builds_no_table_and_no_reverse_entry():
     """The has-where shape on a fresh graph: 3 persons of one name, each
     with one created edge, test their software's lang forward."""

@@ -232,6 +232,31 @@ def test_projection_value_key_absent_drops(modern):
     assert Counter(r["b"] for r in named.rows) == Counter({"lop": 3, "ripple": 1})
 
 
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        # marko created lop, once; from marko again, knows reaches vadas and josh
+        ("g.V().has('name','marko').as('a').out('created').select('a').out('knows')",
+         ['{"a":{"vertex":"1"}}'] * 2),
+        ("g.V().has('name','marko').as('a').out('created').select('a').has('name','marko')",
+         ['{"a":{"vertex":"1"}}']),
+        # josh created ripple and lop; from josh again, each row reaches lop
+        ("g.V().has('name','josh').as('a').out('created').select('a')"
+         ".where(__.out('created').has('name','lop'))",
+         ['{"a":{"vertex":"4"}}'] * 2),
+    ],
+)
+def test_select_of_one_variable_moves_the_position(modern, text, expected):
+    assert to_jsonl(run(text, modern)).splitlines() == expected
+
+
+def test_select_of_one_variable_by_key_moves_the_position_to_the_values(modern):
+    result = run("g.V().has('name','josh').as('a').out('created').select('a').by('age')", modern)
+    assert result.rows == [{"a": 32, CUR: 32}, {"a": 32, CUR: 32}]
+    both = run("g.V().has('name','josh').as('a').out('created').as('b').select('a','b')", modern)
+    assert [r[CUR].id for r in both.rows] == ["5", "3"]  # two columns keep the position
+
+
 def test_dedup_first_occurrence(modern):
     inner = Traverse("out", "created", "a", "b", GetVertices())
     deduped = evaluate(Dedup(("b",), inner), modern)
@@ -462,6 +487,30 @@ def test_join_equality_is_numeric_and_type_strict():
         '{"a":{"vertex":"2"},"b":{"vertex":"2"},"v":1.0}',
         '{"a":{"vertex":"3"},"b":{"vertex":"3"},"v":true}',
     ]
+
+
+def test_a_value_bound_twice_must_agree():
+    """values(k).as(x) with x already bound keeps the rows whose value
+    equals x's by values_equal: 29 equals 29.0, true is not 1, and a
+    vertex without the key has no value to agree."""
+    vertices = [
+        {"id": "1", "label": "n", "properties": {"age": 29}},
+        {"id": "2", "label": "n", "properties": {"age": 29.0}},
+        {"id": "3", "label": "n", "properties": {"age": True}},
+        {"id": "4", "label": "n", "properties": {"age": 1}},
+        {"id": "5", "label": "n", "properties": {}},
+    ]
+    edges = [
+        {"id": "e1", "label": "knows", "outV": "1", "inV": "2"},
+        {"id": "e2", "label": "knows", "outV": "3", "inV": "4"},
+        {"id": "e3", "label": "knows", "outV": "1", "inV": "5"},
+    ]
+    g = load_graph(json.dumps({"vertices": vertices, "edges": edges}))
+    text = (
+        "g.V().match(__.as('a').out('knows').as('b'), __.as('a').values('age').as('x'), "
+        "__.as('b').values('age').as('x')).select('a','b')"
+    )
+    assert to_jsonl(run(text, g)).splitlines() == ['{"a":{"vertex":"1"},"b":{"vertex":"2"}}']
 
 
 def _people_graph(n: int):

@@ -54,6 +54,9 @@ DELETED |= {
         "render_" + "curried",
     )
 }
+# The second scope rule: every variable bound below a node, a dropped one
+# too.  A read is checked against the columns output_columns gives.
+DELETED |= {"introduced" + "_vars", "_intro" + "duced"}
 
 
 def _operator_classes() -> set[type]:
