@@ -93,11 +93,11 @@ class PropertyFilter:
     """has()/values() as an operator.
 
     With a value it keeps rows whose element's key property equals it;
-    with no value and bind_value=False it keeps rows where the key exists;
-    with bind_value=True, which validate admits only with no value, it
-    extracts the property value, binds it to var, and moves the current
-    position onto it.  anchor names the element to read when it differs
-    from the current position (only used in bind_value mode).
+    with no value and bind_value=False it keeps rows where the key exists.
+    Its element, var's binding (else the position, bound to var), becomes
+    the position.  With bind_value=True (and no value) it reads anchor's
+    element alike, moves the position onto its key property and binds that
+    to var as a traverse binds to_var; validate admits an anchor only there.
     """
 
     var: str | None
@@ -168,8 +168,8 @@ class Sort:
 
 @dataclass(frozen=True)
 class Group:
-    """Groups rows by a key column (or a property of the current element)
-    into a flattened two-column (key, member) result."""
+    """Groups rows by their position's key property (no key: by the member,
+    the row's natural value) into flattened two-column (key, member) rows."""
 
     key: str | None
     input: AlgebraExpr
@@ -311,8 +311,7 @@ OPERATORS: dict[type, Operator] = {
         lambda e, t: _chain(f"σ{_sup(e.var)}_{{{e.key}{_equals(e.value)}}}", e, t),
         lambda e, t: (f"values_{e.key}" if e.bind_value else f"has_{e.key}{_equals(e.value)}")
         + f"({t[0]})",
-        binds=_its_var, named="var", chained=True,
-        reads=lambda e: () if e.anchor is None else (e.anchor,), noun="property filter",
+        binds=lambda e: (e.anchor, e.var), named="var", chained=True,
     ),
     LabelFilter: Operator(
         ("input",),
@@ -443,12 +442,12 @@ def _schema(
     return found
 
 
-def static_columns(expr: AlgebraExpr) -> tuple[str, ...]:
+def static_columns(expr: AlgebraExpr, arg_columns: tuple[str, ...] = ()) -> tuple[str, ...]:
     """Visible column schema of the binding set an expression produces.
 
-    Inside a selection predicate, Argument leaves start from no columns:
-    the schema of the rows under test is not known before evaluation."""
-    return _schema(expr, {})
+    Inside a selection predicate, Argument leaves start from arg_columns,
+    the columns of the rows under test (by default none)."""
+    return _schema(expr, {}, arg_columns)
 
 
 def validate(expr: AlgebraExpr) -> list[str]:
@@ -457,8 +456,9 @@ def validate(expr: AlgebraExpr) -> list[str]:
     Returns one diagnostic per variable an operator reads that is not a
     column of its input (inside a selection predicate, an Argument leaf
     carries the columns of the rows under test), per get-vertices/get-edges
-    leaf inside a selection predicate, per Argument leaf outside one, and
-    per property filter that extracts a value and also holds one to test.
+    leaf inside a selection predicate, per Argument leaf outside one, per
+    property filter that extracts a value and also holds one to test, and
+    per property filter that holds an anchor but extracts no value.
     An empty list means the plan is well-scoped and well-shaped, as the
     evaluator needs.
     """
@@ -472,6 +472,8 @@ def validate(expr: AlgebraExpr) -> list[str]:
             diags.append(f"{op.ascii(node)} {where} a selection predicate")
         if type(node) is PropertyFilter and node.bind_value and node.value is not None:
             diags.append(f"{op.ascii(node)} cannot also test {node.key}{_equals(node.value)}")
+        if type(node) is PropertyFilter and not node.bind_value and node.anchor is not None:
+            diags.append(f"{op.ascii(node)} cannot read anchor {node.anchor}: it extracts no value")
         below = inputs(node)
         refs = op.reads(node)
         if refs or op.predicates:

@@ -108,10 +108,6 @@ def _apply_step(
     if kind is StepKind.OUT or kind is StepKind.IN:
         return alg.Traverse(alg.OUT if kind is StepKind.OUT else alg.IN, name, anchor, target, expr)
     if kind is StepKind.VALUES:
-        if anchor is not None:
-            # bind the anchor the way a has()-first chain does; values()
-            # drops elements lacking the key anyway
-            expr = alg.PropertyFilter(anchor, name, None, False, expr)  # type: ignore[arg-type]
         return alg.PropertyFilter(target, name, None, True, expr, anchor)  # type: ignore[arg-type]
     if target is not None:
         raise CompileError(
@@ -217,6 +213,7 @@ def _compile_steps(
     expr: AlgebraExpr,
     source: AlgebraExpr,
     eq7_grouping: bool,
+    scope: tuple[str, ...] = (),  # inside a predicate: the columns of the rows under test
 ) -> AlgebraExpr:
     seen_match = False
     for pos, step in enumerate(steps):
@@ -236,11 +233,12 @@ def _compile_steps(
                 seen_match = True
         elif kind in (StepKind.WHERE, StepKind.NOT, StepKind.AND):
             # and() joins its predicates, left-deep; where() and not() hold one
-            preds = [_compile_predicate(a, eq7_grouping) for a in step.args]
+            under_test = static_columns(expr, scope)
+            preds = [_compile_predicate(a, eq7_grouping, under_test) for a in step.args]
             expr = alg.Selection(reduce(alg.Join, preds), expr, negated=kind is StepKind.NOT)
         elif kind is StepKind.SELECT or kind is StepKind.DEDUP:
             vars_ = tuple(str(_literal(a).value) for a in step.args)
-            declared = static_columns(expr)
+            declared = static_columns(expr, scope)
             for v in vars_:
                 if v not in declared:
                     raise CompileError(f"{kind.value}() references undeclared variable {v!r}")
@@ -251,6 +249,7 @@ def _compile_steps(
         elif kind is StepKind.BY:
             expr = _compile_by(expr, step, eq7_grouping)
         elif kind is StepKind.ORDER:
+            # inside a predicate it sorts by the columns the predicate binds
             expr = alg.Sort(static_columns(expr), alg.ASCENDING, expr)
         elif kind is StepKind.GROUP:
             expr = alg.Group(None, expr)
@@ -258,7 +257,7 @@ def _compile_steps(
             expr = alg.Restriction(0, int(_literal(step.args[0]).value), expr)  # type: ignore[arg-type]
         elif kind is StepKind.UNION:
             branches = [
-                _compile_steps(a.steps, expr, expr, eq7_grouping)  # type: ignore[union-attr]
+                _compile_steps(a.steps, expr, expr, eq7_grouping, scope)  # type: ignore[union-attr]
                 for a in step.args
             ]
             expr = reduce(alg.Union, branches)  # left-deep
@@ -271,11 +270,11 @@ def _compile_steps(
     return expr
 
 
-def _compile_predicate(ast: object, eq7_grouping: bool) -> AlgebraExpr:
+def _compile_predicate(ast: object, eq7_grouping: bool, scope: tuple[str, ...]) -> AlgebraExpr:
     if not isinstance(ast, TraversalAST):
         raise CompileError("predicate must be an anonymous traversal")
     leaf = alg.Argument()
-    return _compile_steps(ast.steps, leaf, leaf, eq7_grouping)
+    return _compile_steps(ast.steps, leaf, leaf, eq7_grouping, scope)
 
 
 def compile_traversal(ast: TraversalAST, eq7_grouping: bool = False) -> AlgebraExpr:

@@ -26,11 +26,18 @@ its label or value; over such filters, whose rows are distinct vertices
 in ascending rank, it intersects those ranks with the rows'.  A column of
 vertex tokens takes these passes through C-level ``map``s over ranks; a
 column holding edges, scalars or None takes a per-value path in the same
-function, chosen by the types the column holds.  A token is interned and is the only tuple a column value can be;
-it orders, dedups and joins as itself.  Tokens and scalars hold nothing
-CPython's cyclic garbage collector must follow, so the objects it tracks
-per relation are its few lists, not its rows.  An edge is the graph's
-interned ``EdgeRef``.
+function, chosen by the types the column holds.  A token is interned and
+is the only tuple a column value can be; it orders, dedups and joins as
+itself.  Tokens and scalars hold nothing CPython's cyclic garbage
+collector must follow, so the objects it tracks per relation are its few
+lists, not its rows.  An edge is the graph's interned ``EdgeRef``.
+
+Every operator that reads an element (an argument, traverse, filter or
+values()) finds it one way, ``_element``: its anchor variable's binding,
+else the position; the anchor is bound to it where absent, and it becomes
+the position.  Every step binds its output one way, ``_bind``: a new
+variable is appended, one already bound keeps the rows that agree with
+it.  Group keys by a property of the position and max() reduces it.
 
 where()/not() run their predicate once over all input rows, each tagged
 with its row's index in a tag list.  Inside the predicate, dedup, join,
@@ -46,9 +53,9 @@ keep their order.  ``algebra.validate`` admits only plans whose predicate
 leaves are all the row under test (Argument), whose other leaves are all
 sources and whose reads are all columns of their inputs, so inside a
 predicate every relation is tagged, outside one none is, and every column
-an operator names is there.  ``evaluate`` hands the
-final columns to a ``BindingSet``; a token becomes the graph's interned
-``VertexRef`` wherever a value leaves the set.
+an operator names is there.  ``evaluate`` hands the final columns to a
+``BindingSet``; a token becomes the graph's interned ``VertexRef``
+wherever a value leaves the set.
 
 This is the package's only evaluation engine.  The reference semantics it
 is tested against (the path algebra, the traverser-level match route and
@@ -62,7 +69,7 @@ import threading
 from bisect import bisect_left
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import eq, is_, is_not, itemgetter, mul, not_, or_
+from operator import eq, is_, is_not, itemgetter, mul, not_
 
 from . import algebra as alg
 from .algebra import AlgebraExpr
@@ -399,45 +406,29 @@ def _source(expr: alg.GetVertices | alg.GetEdges, inputs, g: Graph, arg) -> _Rel
 def _argument(expr: alg.Argument, inputs, g, arg: _Rel) -> _Rel:
     """The rows under test; with a var, re-anchored at its binding (bound
     to the position where absent), rows with neither dropped."""
-    rel, anchors = _element(arg, expr.var, alg.output_columns(expr, (), arg.cols))
-    rel.pos = anchors
-    if expr.var and None in anchors:
-        return _keep(rel, list(map(is_not, anchors, repeat(None))))
+    rel = _element(arg, expr.var, alg.output_columns(expr, (), arg.cols))
+    if expr.var and None in rel.pos:
+        return _keep(rel, list(map(is_not, rel.pos, repeat(None))))
     return rel
 
 
 def _traverse(expr: alg.Traverse, inputs, g: Graph, arg) -> _Rel:
     """Each row once per edge from its anchor, the neighbour as position."""
     (src,) = inputs
-    cols = alg.output_columns(expr, (src.cols,))
-    rel, anchors = _element(src, expr.from_var, cols)
-    if not _only_tokens(anchors):
-        for a in anchors:  # the first row that cannot move raises
+    rel = _element(src, expr.from_var, alg.output_columns(expr, (src.cols,)))
+    if not _only_tokens(rel.pos):
+        for a in rel.pos:  # the first row that cannot move raises
             if a is None:
                 raise EvaluationError("traverse from an unbound position")
             if type(a) is not tuple:
                 raise EvaluationError(f"traverse requires a vertex, got {a!r}")
-    found = _entries(g, expr.direction, expr.edge_label, list(map(_RANK, anchors)))
+    found = _entries(g, expr.direction, expr.edge_label, list(map(_RANK, rel.pos)))
     counts = list(map(len, found))
     dest = list(chain.from_iterable(found))
     # each value once per neighbour: a 1-tuple times the count, chained
     expand = _once(lambda values: list(chain.from_iterable(map(mul, zip(values), counts))))
-    data = list(map(expand, rel.data))
     tags = None if src.tags is None else expand(src.tags)
-    to = expr.to_var
-    pt = _slot(cols[:len(data)], to)
-    if pt is None:
-        if to:
-            data.append(dest)
-        return _Rel(cols, data, dest, tags, src.holes)
-    # a bound destination keeps the rows that reach it; an absent one binds
-    bound = data[pt]
-    if None in bound:
-        mask = list(map(or_, map(is_, bound, dest), map(is_, bound, repeat(None))))
-    else:
-        mask = list(map(is_, bound, dest))
-    data[pt] = dest
-    return _keep(_Rel(cols, data, dest, tags, src.holes), mask)
+    return _bind(_Rel(rel.cols, list(map(expand, rel.data)), dest, tags, src.holes), expr.to_var)
 
 
 def _entries(g: Graph, direction: str, label: str | None, ranks: list[int]) -> list:
@@ -450,18 +441,32 @@ def _entries(g: Graph, direction: str, label: str | None, ranks: list[int]) -> l
     return found
 
 
-def _element(src: _Rel, var: str | None, cols: tuple[str, ...]) -> tuple[_Rel, list]:
-    """src over cols with var bound to the element where it is not bound
-    yet, and per row the element: var's binding, else the position."""
-    data = list(src.data)
+def _element(src: _Rel, var: str | None, cols: tuple[str, ...]) -> _Rel:
+    """src over cols positioned at the element an operator anchored at var
+    reads, the one way an operator finds it: var's binding, else the
+    position, which var is then bound to."""
     p = _slot(src.cols, var)
+    elems = src.pos if p is None else _coalesce(src.data[p], src.pos)
+    return _bind(_Rel(cols, list(src.data), elems, src.tags, src.holes), var)
+
+
+def _bind(rel: _Rel, var: str | None) -> _Rel:
+    """rel with its positions bound to var, the one way a step binds a
+    variable.  A var with no list in rel.data yet is appended; a bound one
+    keeps the rows whose binding is absent, and takes the position there,
+    or equals the position (values_equal)."""
+    p = _slot(rel.cols[:len(rel.data)], var)
     if p is None:
-        elems = src.pos
         if var:
-            data.append(elems)
-    else:
-        elems = data[p] = _coalesce(data[p], src.pos)
-    return _Rel(cols, data, src.pos, src.tags, src.holes), elems
+            rel.data.append(rel.pos)
+        return rel
+    bound, pos = rel.data[p], rel.pos
+    if bound is pos:  # an anchor every row binds, read by _element
+        return rel
+    rel.data[p] = _coalesce(bound, pos)
+    if None in bound or not _only_tokens(pos):
+        return _keep(rel, [b is None or values_equal(b, v) for b, v in zip(bound, pos)])
+    return _keep(rel, list(map(is_, bound, pos)))  # a vertex is its interned token
 
 
 def _seekable(expr: AlgebraExpr) -> bool:
@@ -505,41 +510,30 @@ def _passes(g: Graph, expr: alg.LabelFilter | alg.PropertyFilter, elems: list) -
 
 
 def _filter(expr: alg.LabelFilter | alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
-    """The rows whose element passes a label, value or key filter.  Over a
-    seek, whose rows are distinct vertices in ascending rank, a seekable
-    filter reads no per-vertex data: straight over V(), row i is the vertex
-    of rank i and it gathers its ranks; over seeking filters, it intersects
-    its ranks with the rows' ranks."""
+    """The rows whose element passes a label, value or key filter, each
+    positioned at its element.  Over a seek, whose rows are distinct
+    vertices in ascending rank, a seekable filter reads no per-vertex data:
+    straight over V(), row i is the vertex of rank i and it gathers its
+    ranks; over seeking filters, it intersects its ranks with the rows'."""
     (src,) = inputs
-    rel, elems = _element(src, expr.var, alg.output_columns(expr, (src.cols,)))
+    rel = _element(src, expr.var, alg.output_columns(expr, (src.cols,)))
     if _seekable(expr):
         if type(expr.input) is alg.GetVertices:
             return _gather(rel, _seek(g, expr))
         if _seeks(expr.input):
-            return _gather(rel, _intersect(list(map(_RANK, elems)), _seek(g, expr)))
-    return _keep(rel, _passes(g, expr, elems))
+            return _gather(rel, _intersect(list(map(_RANK, rel.pos)), _seek(g, expr)))
+    return _keep(rel, _passes(g, expr, rel.pos))
 
 
 def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
+    """A has() filter, or values(): its anchor's element's key property
+    becomes the position and is bound to var; rows without it are dropped."""
     if not expr.bind_value:
         return _filter(expr, inputs, g, arg)
     (src,) = inputs
-    cols = alg.output_columns(expr, (src.cols,))
-    key = expr.key
-    pa = _slot(src.cols, expr.anchor)
-    values = _properties(g, key, src.pos if pa is None else _coalesce(src.data[pa], src.pos))
-    data = list(src.data)
-    var = expr.var
-    pv = _slot(src.cols, var)
-    if pv is None:
-        mask = list(map(is_not, values, repeat(None)))
-        if var:
-            data.append(values)
-    else:  # a bound var keeps the rows whose value equals it
-        bound = data[pv]
-        mask = [v is not None and (b is None or values_equal(b, v)) for b, v in zip(bound, values)]
-        data[pv] = _coalesce(bound, values)
-    return _keep(_Rel(cols, data, values, src.tags, src.holes), mask)
+    rel = _element(src, expr.anchor, alg.output_columns(expr, (src.cols,)))
+    rel.pos = _properties(g, expr.key, rel.pos)
+    return _bind(_keep(rel, list(map(is_not, rel.pos, repeat(None)))), expr.var)
 
 
 def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
@@ -605,9 +599,7 @@ def _backward(predicate: AlgebraExpr, src: _Rel, g: Graph) -> list[bool] | None:
             return None
         steps.append(node)
         node = node.input  # type: ignore[union-attr]
-    # as arg[var] anchors: the var's binding, else the position
-    p = _slot(src.cols, node.var)  # type: ignore[union-attr]
-    anchors = src.pos if p is None else _coalesce(src.data[p], src.pos)
+    anchors = _element(src, node.var, src.cols).pos  # type: ignore[union-attr]
     if not _only_tokens(anchors):  # forward raises or skips as it always has
         return None
     ranks = list(map(_RANK, anchors))
@@ -698,31 +690,18 @@ def _sort(expr: alg.Sort, inputs, g, arg) -> _Rel:
 
 
 def _group(expr: alg.Group, inputs, g: Graph, arg) -> _Rel:
-    """Flattened (key, member) rows in a stable sort by key.  A row's key
-    is its key column's binding, else its element's key property (no key:
-    its natural value); a row with no key is dropped.  Inside a predicate
-    each row keeps its tag; as for _sort, sorting all rows at once orders
-    each tag's rows as grouping them alone would."""
+    """Flattened (key, member) rows in a stable sort by key.  A row's
+    member is its natural value and its key the key property of its
+    position (no key: the member); a row with no key is dropped.  Inside a
+    predicate each row keeps its tag; as for _sort, sorting all rows at
+    once orders each tag's rows as grouping them alone would."""
     (src,) = inputs
-    key, pos = expr.key, src.pos
-    own = src.column(key)
-    if own is not None:
-        members = _naturals([src.column(c) for c in src.cols if c != key], pos)
-    if own is None or None in own:  # a row without its key column reads the position's
-        fallback = _naturals(list(map(src.column, src.cols)), pos)
-        by_position = fallback if key is None else _properties(g, key, pos)
-        if own is None:
-            keys, members = by_position, fallback
-        else:
-            members = [m if k is not None else f for k, m, f in zip(own, members, fallback)]
-            keys = _coalesce(own, by_position)
-    else:
-        keys = own
+    members = _naturals(list(map(src.column, src.cols)), src.pos)
+    keys = members if expr.key is None else _properties(g, expr.key, src.pos)
     rel = _Rel(alg.output_columns(expr, (src.cols,)), [keys, members], keys, src.tags, True)
     if None in keys:
         rel = _keep(rel, list(map(is_not, keys, repeat(None))))
     keys = rel.data[0]
-    rel.data[1] = _coalesce(rel.data[1], keys)
     rel = _gather(rel, sorted(range(len(keys)), key=_order_keys(keys).__getitem__))
     rel.pos = [None] * len(rel.pos)
     return rel
@@ -784,12 +763,12 @@ def _union_rels(left: _Rel, right: _Rel) -> _Rel:
 
 
 def _aggregate(expr: alg.Aggregate, inputs, g, arg: _Rel | None) -> _Rel:
-    """max of a single-column bag; inside a predicate, one per row under
-    test that has input."""
+    """max of the positions of an input of at most one column; inside a
+    predicate, one per row under test that has input."""
     (src,) = inputs
     if len(src.cols) > 1:
         raise EvaluationError("max() needs a single-column input")
-    values = _naturals(src.data, src.pos)
+    values = src.pos
     if not set(map(type, values)) <= {int, float}:
         bad = next(v for v in values if not is_numeric(v))
         shown = g.vertex_refs[bad[0]] if type(bad) is tuple else bad  # type: ignore[index]

@@ -121,6 +121,36 @@ def test_validate_rejects_a_value_on_a_value_extraction():
     assert validate(PropertyFilter(None, "age", 30, False, GetVertices())) == []
 
 
+def test_validate_rejects_an_anchor_on_a_filter():
+    """Only an extraction reads an anchor.  A has() filter would ignore it,
+    and each rendering would equal that of the same filter without it."""
+    bare = PropertyFilter(None, "age", 30, False, GetVertices("a"))
+    anchored = PropertyFilter(None, "age", 30, False, GetVertices("a"), "a")
+    for style in PLAN_STYLES:
+        assert render_plan(anchored, style) == render_plan(bare, style)
+    assert validate(anchored) == ["filter[_.age=30] cannot read anchor a: it extracts no value"]
+    with pytest.raises(EvaluationError, match="invalid plan: filter"):
+        evaluate(anchored, modern_graph())
+    assert validate(bare) == []
+    assert validate(PropertyFilter(None, "age", None, True, GetVertices("a"), "a")) == []
+
+
+def test_an_extraction_binds_its_absent_anchor():
+    """An extraction anchored at a variable its input lacks binds it to the
+    position and reads it there, as a traverse's from_var does."""
+    only_a = Projection(("a",), None, Traverse("out", None, None, "b", GetVertices("a")))
+    expr = PropertyFilter("x", "age", None, True, only_a, "b")
+    assert validate(expr) == []
+    assert static_columns(expr) == ("a", "b", "x")
+    assert static_columns(Traverse("out", None, "b", None, only_a)) == ("a", "b")
+    # select('a') moved the position onto a, so b is bound to a
+    rows = evaluate(expr, modern_graph()).rows
+    assert [(r["a"].id, r["b"].id, r["x"]) for r in rows] == [
+        ("1", "1", 29), ("1", "1", 29), ("1", "1", 29), ("4", "4", 32), ("4", "4", 32),
+        ("6", "6", 35),
+    ]
+
+
 def _predicate_holders(leaf):
     """Plans that hold leaf inside a selection predicate: where, not and
     and (a join of predicates), under a union, and in a nested predicate."""
@@ -187,7 +217,6 @@ def test_validate_reads_only_the_columns_the_input_carries():
         (Dedup(("b",), only_a), "unbound b in dedup"),
         (Projection(("b",), None, only_a), "unbound b in projection"),
         (Projection(("a",), None, Group(None, GetVertices("a"))), "unbound a in projection"),
-        (PropertyFilter("x", "age", None, True, only_a, "b"), "unbound b in property filter"),
         (Selection(Projection(("b",), None, Argument()), only_a), "unbound b in projection"),
     ]:
         assert validate(expr) == [diag], expr

@@ -13,9 +13,11 @@ from grem_algebra import (
     load_graph,
     parse_traversal,
     stitch_patterns,
+    to_jsonl,
 )
 from grem_algebra.algebra import (
     Aggregate,
+    Argument,
     GetEdges,
     GetVertices,
     Group,
@@ -235,6 +237,32 @@ def test_a_variable_a_projection_dropped_is_undeclared(tail):
         compiled(text)
 
 
+def test_select_inside_a_predicate_reads_the_rows_under_test(modern):
+    text = "g.V().as('a').out('knows').where(__.select('a').has('name','marko'))"
+    by_hand = Selection(
+        PropertyFilter(None, "name", "marko", False, Projection(("a",), None, Argument())),
+        Traverse("out", "knows", None, None, GetVertices("a")),
+    )
+    assert compiled(text) == by_hand
+    assert to_jsonl(evaluate(by_hand, modern)).splitlines() == ['{"a":{"vertex":"1"}}'] * 2
+    # a nested predicate's rows under test carry the enclosing one's columns
+    compiled("g.V().as('a').where(__.out().as('b').where(__.select('a','b').dedup('a')))")
+    for text in (
+        "g.V().as('a').where(__.select('z'))",
+        "g.V().as('a').where(__.dedup('z'))",
+        "g.V().as('a').out().as('b').select('a').where(__.select('b'))",
+        "g.V().as('a').where(__.out().as('b').select('b').where(__.select('a')))",
+    ):
+        with pytest.raises(CompileError, match="undeclared variable"):
+            compiled(text)
+
+
+def test_order_inside_a_predicate_sorts_by_what_the_predicate_binds():
+    expr = compiled("g.V().as('a').where(__.out().as('b').order())")
+    assert expr.predicate.vars == ("b",)
+    assert compiled("g.V().as('a').where(__.out().order())").predicate.vars == ()
+
+
 def test_order_by_property_key_rejected():
     with pytest.raises(CompileError, match="asc or desc"):
         compiled("g.V().as('a').select('a').order().by('name')")
@@ -383,6 +411,8 @@ def test_values_first_pattern_binds_its_anchor(modern):
     assert [(r["a"].id, r["x"]) for r in got.rows] == [("1", 29), ("2", 27), ("4", 32), ("6", 35)]
     # without select(): a valid plan binding both variables
     bare = compiled("g.V().match(__.as('a').values('age').as('x'))")
+    # one extraction, which binds its anchor itself
+    assert bare == PropertyFilter("x", "age", None, True, GetVertices(), "a")
     assert alg_validate(bare) == []
     assert static_columns(bare) == ("a", "x")
 

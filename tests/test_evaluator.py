@@ -310,10 +310,24 @@ def test_group_by_property(modern):
     ]
 
 
-def test_group_by_column(modern):
-    inner = Projection(("b",), "name", Traverse("out", "created", "a", "b", GetVertices()))
-    grouped = evaluate(Group("b", inner), modern)
-    assert [r["key"] for r in grouped.rows] == ["lop", "lop", "lop", "ripple"]
+def test_group_key_names_a_property_not_a_column(modern):
+    # by('name') reads the position's name, not the vertex as('name') bound
+    grouped = run("g.V().as('name').group().by('name')", modern)
+    assert [(r["key"], r["member"].id) for r in grouped.rows] == [
+        ("josh", "4"), ("lop", "3"), ("marko", "1"), ("peter", "6"), ("ripple", "5"),
+        ("vadas", "2"),
+    ]
+
+
+def test_max_reduces_the_position(modern):
+    # the sole column a is not what max() reads
+    assert run("g.V().as('a').out().values('age').max()", modern).values() == [32]
+    kept = run("g.V().as('a').where(__.out().values('age').max())", modern)
+    assert [r["a"].id for r in kept.rows] == ["1"]
+    with pytest.raises(EvaluationError, match="single-column"):
+        run("g.V().group().by('lang').max()", modern)
+    with pytest.raises(EvaluationError, match=r"non-numeric value v\[1\]"):
+        run("g.V().as('a').max()", modern)
 
 
 def test_group_bare(modern):

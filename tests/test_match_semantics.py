@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grem_algebra import (
     EvaluationError,
@@ -17,6 +19,7 @@ from grem_algebra.parser import StepKind
 from grem_algebra.property_graph import VertexRef
 
 from reference import (
+    MAX_ORACLE_VARS,
     OracleGraphPattern,
     PatternEdge,
     PatternVertex,
@@ -30,6 +33,7 @@ from reference import (
     out_adjacent,
 )
 from corpus import Q_COCREATOR_30, Q_COCREATOR_32, random_graph
+from test_rank_index import _literal
 
 
 def chains_of(text):
@@ -236,3 +240,72 @@ def test_cyclic_pattern_three_routes_agree(seed):
     want = Counter(oracle_match(pattern, g).canonical())
     assert compiled == want
     assert traversers == want
+
+
+# -- compiled route against the traverser route on generated patterns -------------
+
+_VERTEX_VARS = ("a", "b", "c", "d", "e", "f")
+_VALUE_VARS = ("x", "y")
+_KEYS = ("name", "age", "lang", "weight")
+_HOPS = st.tuples(st.sampled_from(["out", "in"]), st.sampled_from([None, "knows", "created"]))
+_FILTERS = st.one_of(
+    st.tuples(st.just("has"), st.sampled_from(_KEYS)),
+    st.tuples(
+        st.just("has"), st.sampled_from(["name", "age"]),
+        st.sampled_from(["marko", "lop", 30, 32.0, True]),
+    ),
+    st.tuples(st.just("hasLabel"), st.sampled_from(["person", "software", "knows"])),
+)
+
+
+@st.composite
+def patterns(draw):
+    """1-4 connected match() patterns over at most MAX_ORACLE_VARS
+    variables, in a drawn order: each starts at a vertex variable an
+    earlier one bound, takes out/in/has/hasLabel steps and may end in
+    values(), so a values() alone is anchored at the start variable.  A
+    trailing as() follows a hop (a vertex variable) or values() (a value
+    variable, which no pattern starts from)."""
+    vertex_vars, value_vars, chains = ["a"], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        steps = draw(st.lists(st.one_of(_HOPS, _FILTERS), max_size=2))
+        if draw(st.booleans()) or not steps:
+            steps.append(("values", draw(st.sampled_from(_KEYS))))
+        steps = [step[:1] if step[1] is None else step for step in steps]
+        hop = steps[-1][0] in ("out", "in")
+        names, pool = (vertex_vars, _VERTEX_VARS) if hop else (value_vars, _VALUE_VARS)
+        ends = [None] + names
+        if len(names) < len(pool) and len(vertex_vars) + len(value_vars) < MAX_ORACLE_VARS:
+            ends.append(pool[len(names)])
+        end = None if steps[-1][0] in ("has", "hasLabel") else draw(st.sampled_from(ends))
+        chains.append((draw(st.sampled_from(vertex_vars)), steps, end))
+        if end is not None and end not in names:
+            names.append(end)
+    order = draw(st.permutations(range(len(chains))))
+    return [chains[i] for i in order]
+
+
+def _pattern_text(start, steps, end) -> str:
+    body = "".join(f".{kind}({','.join(map(_literal, args))})" for kind, *args in steps)
+    return f"__.as('{start}'){body}" + ("" if end is None else f".as('{end}')")
+
+
+def test_a_filter_first_pattern_walks_on_from_its_anchor(modern):
+    # the second pattern's has() reads a and becomes the position, so out()
+    # walks on from a, not from b where the first pattern left the position
+    text = (
+        "g.V().match(__.as('a').out('knows').as('b'),"
+        " __.as('a').has('name').out('created').as('c'))"
+    )
+    got = evaluate(compile_traversal(parse_traversal(text)), modern)
+    assert [(r["a"].id, r["b"].id, r["c"].id) for r in got.rows] == [("1", "2", "3"), ("1", "4", "3")]
+    assert Counter(got.canonical()) == Counter(match_all(chains_of(text), modern).canonical())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 200), patterns())
+def test_generated_patterns_compiled_and_traverser_routes_agree(seed, chains):
+    text = "g.V().match(" + ", ".join(_pattern_text(*c) for c in chains) + ")"
+    g = random_graph(seed)
+    compiled = evaluate(compile_traversal(parse_traversal(text)), g)
+    assert Counter(compiled.canonical()) == Counter(match_all(chains_of(text), g).canonical()), text
