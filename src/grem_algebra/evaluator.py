@@ -53,9 +53,10 @@ keep their order.  ``algebra.validate`` admits only plans whose predicate
 leaves are all the row under test (Argument), whose other leaves are all
 sources and whose reads are all columns of their inputs, so inside a
 predicate every relation is tagged, outside one none is, and every column
-an operator names is there.  ``evaluate`` hands the final columns to a
-``BindingSet``; a token becomes the graph's interned ``VertexRef``
-wherever a value leaves the set.
+an operator names is there.  ``evaluate`` hands the final columns and the
+graph to a ``BindingSet``; a token becomes the graph's interned
+``VertexRef`` wherever a value leaves the set, and ``to_jsonl`` prints it
+from the graph's table of vertex texts.
 
 This is the package's only evaluation engine.  The reference semantics it
 is tested against (the path algebra, the traverser-level match route and
@@ -69,7 +70,7 @@ import threading
 from bisect import bisect_left
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import eq, is_, is_not, itemgetter, mul, not_
+from operator import add, eq, is_, is_not, itemgetter, mul, not_
 
 from . import algebra as alg
 from .algebra import AlgebraExpr
@@ -83,6 +84,7 @@ from .property_graph import (
     sort_key,
     value_key,
     values_equal,
+    vertex_json,
 )
 
 CUR = "@"
@@ -101,17 +103,17 @@ class BindingSet:
     part of `columns`.  Multiplicity is represented by repeated rows.
 
     Underneath are the engine's columns: one list per name in `columns`
-    (a repeated name reads its first list) and one of positions; in a set
-    ``evaluate`` returns, the graph's refs name the vertex tokens.  Every
-    reading but ``rows`` works on those.  ``rows`` is built on its first
-    read and published whole, once.
+    (a repeated name reads its first list) and one of positions; a set
+    ``evaluate`` returns holds its graph, whose refs and texts name the
+    vertex tokens.  Every reading but ``rows`` works on those.  ``rows`` is
+    built on its first read and published whole, once.
     """
 
-    __slots__ = ("columns", "_dicts", "_data", "_pos", "_refs")
+    __slots__ = ("columns", "_dicts", "_data", "_pos", "_graph")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, columns: tuple[str, ...], rows: list[Row] | None = None):
-        self.columns, self._refs = columns, None
+        self.columns, self._graph = columns, None
         self._dicts: list[Row] | None = [] if rows is None else rows
         self._data = [[r.get(c) for r in self._dicts] for c in columns]
         self._pos = [r.get(CUR) for r in self._dicts]
@@ -140,9 +142,10 @@ class BindingSet:
     def _column(self, slot: int) -> list:
         """One column (-1: the positions), each vertex token as its VertexRef."""
         values = self._pos if slot == -1 else self._data[slot]
-        if self._refs is None or tuple not in set(map(type, values)):
+        if self._graph is None or tuple not in set(map(type, values)):
             return values
-        return [self._refs[v[0]] if type(v) is tuple else v for v in values]  # type: ignore[index]
+        refs = self._graph.vertex_refs
+        return [refs[v[0]] if type(v) is tuple else v for v in values]
 
     def canonical(self) -> list[tuple]:
         """Rows as order-insensitive canonical tuples (for multiset tests)."""
@@ -164,10 +167,10 @@ class BindingSet:
 _PUBLISH = threading.Lock()  # held only to publish a set's dict rows
 
 
-def _result(rel: _Rel, refs: tuple[VertexRef, ...] | None) -> BindingSet:
-    """A set over an untagged relation's columns; refs name their vertex tokens."""
+def _result(rel: _Rel, g: Graph | None) -> BindingSet:
+    """A set over an untagged relation's columns; g names their vertex tokens."""
     bs = BindingSet(rel.cols)
-    bs._dicts, bs._data, bs._pos, bs._refs = None, rel.data, rel.pos, refs
+    bs._dicts, bs._data, bs._pos, bs._graph = None, rel.data, rel.pos, g
     return bs
 
 
@@ -238,6 +241,18 @@ def _join_keys(columns: list[list], tags: list | None) -> list:
     if len(parts) + (tags is not None) > 1 and any(None in p for p in parts):
         return [None if None in k else k for k in keys]
     return keys
+
+
+def _rank_keys(columns: list[list], tags: list | None, base: int) -> list[int]:
+    """Per row, one int key of columns that hold only vertex tokens: their
+    ranks are its digits in base (the vertex count), the first column's
+    the most significant, and the tag, when tags are given, is the top
+    digit."""
+    keys = tags
+    for values in columns:
+        ranks = map(_RANK, values)
+        keys = list(ranks) if keys is None else list(map(add, map(mul, keys, repeat(base)), ranks))
+    return keys  # type: ignore[return-value]
 
 
 def _first_rows(keys: list) -> list[int]:
@@ -558,7 +573,8 @@ def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
     runs only when F is at least the number of vertices, since its seek
     may build a rank table over all of them, and only while it has touched
     at most F rows: the seek's vertices, then each reverse hop's
-    neighbours.  Past F it stops, and forward runs."""
+    neighbours.  Past F it stops, and forward runs.  F is summed only as
+    far as these tests need."""
     (src,) = inputs
     n = len(src.pos)
     if not n:
@@ -603,32 +619,49 @@ def _backward(predicate: AlgebraExpr, src: _Rel, g: Graph) -> list[bool] | None:
     if not _only_tokens(anchors):  # forward raises or skips as it always has
         return None
     ranks = list(map(_RANK, anchors))
-    budget = _forward_rows(steps, ranks, g)
-    if budget < g.vertex_count:
+    affords = _forward_rows(steps, ranks, g)
+    if not affords(g.vertex_count):
         return None
-    found = _witnesses(steps, g, budget)
+    found = _witnesses(steps, g, affords)
     return None if found is None else list(map(found.__contains__, ranks))
 
 
-def _forward_rows(steps: list, ranks: list[int], g: Graph) -> int:
-    """The rows a forward run reads in its first hop from anchors of these
-    ranks: one per anchor, plus its degree along the traverse nearest the
-    anchors, if there is one."""
+_CHUNK = 512  # anchors whose degrees _forward_rows sums at a time
+
+
+def _forward_rows(steps: list, ranks: list[int], g: Graph):
+    """A test of whether F, the rows a forward run reads in its first hop
+    from anchors of these ranks, is at least n: one row per anchor, plus
+    its degree along the traverse nearest the anchors, if there is one.
+    The degrees are summed a chunk of anchors at a time, only as far as
+    the tests asked so far need."""
     first = next((s for s in reversed(steps) if type(s) is alg.Traverse), None)
     if first is None:
-        return len(ranks)
-    return len(ranks) + sum(map(len, _entries(g, first.direction, first.edge_label, ranks)))
+        return len(ranks).__ge__
+    starts = iter(range(0, len(ranks), _CHUNK))
+    summed = len(ranks)
+
+    def at_least(n: int) -> bool:
+        nonlocal summed
+        while summed < n:
+            i = next(starts, None)
+            if i is None:
+                return False
+            summed += sum(map(len, _entries(g, first.direction, first.edge_label, ranks[i:i + _CHUNK])))
+        return True
+
+    return at_least
 
 
-def _witnesses(steps: list, g: Graph, budget: int) -> set[int] | None:
+def _witnesses(steps: list, g: Graph, affords) -> set[int] | None:
     """The ranks of the vertices from which steps (top-down) reach their
     seekable filter's vertices, or None once the walk has touched more
-    than budget rows."""
+    rows than affords (see _forward_rows) admits."""
     top, *below = steps
     found = list(map(g.vertex_tokens.__getitem__, _seek(g, top)))
     touched = len(found)
     for step in below:
-        if touched > budget:
+        if not affords(touched):
             return None
         if type(step) is alg.Traverse:
             direction = _REVERSE[step.direction]
@@ -637,7 +670,7 @@ def _witnesses(steps: list, g: Graph, budget: int) -> set[int] | None:
             found = list(set(chain.from_iterable(ends)))
         else:
             found = list(compress(found, _passes(g, step, found)))
-    return set(map(_RANK, found)) if touched <= budget else None
+    return set(map(_RANK, found)) if affords(touched) else None
 
 
 def _projection(expr: alg.Projection, inputs, g: Graph, arg) -> _Rel:
@@ -653,12 +686,19 @@ def _projection(expr: alg.Projection, inputs, g: Graph, arg) -> _Rel:
     return rel if mask is None else _keep(rel, mask)
 
 
-def _dedup(expr: alg.Dedup, inputs, g, arg) -> _Rel:
-    """First occurrence per key; inside a predicate, per row under test."""
+def _dedup(expr: alg.Dedup, inputs, g: Graph, arg) -> _Rel:
+    """First occurrence per key; inside a predicate, per row under test.
+    Key columns that hold only vertex tokens key a row by one int of their
+    ranks (see _rank_keys); any other column keeps its identity keys, so a
+    token never meets an int."""
     (src,) = inputs
     names = expr.vars or src.cols
     keyed = list(map(src.column, names)) if names else [src.pos]
-    first = _first_rows(_keys(list(map(_identity_keys, keyed)), src.tags))
+    if all(map(_only_tokens, keyed)):
+        keys = _rank_keys(keyed, src.tags, g.vertex_count)
+    else:
+        keys = _keys(list(map(_identity_keys, keyed)), src.tags)
+    first = _first_rows(keys)
     return src if len(first) == len(src.pos) else _gather(src, first)
 
 
@@ -815,7 +855,7 @@ def evaluate(expr: AlgebraExpr, g: Graph) -> BindingSet:
     diags = alg.validate(expr)
     if diags:
         raise EvaluationError("invalid plan: " + "; ".join(diags))
-    return _result(_run(expr, g, None), g.vertex_refs)
+    return _result(_run(expr, g, None), g)
 
 
 def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
@@ -829,22 +869,23 @@ def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
         raise EvaluationError(
             f"union schema mismatch: {list(a.columns)} vs {list(b.columns)}"
         )
-    refs = a._refs or b._refs
+    g = a._graph or b._graph
     sides = [  # a token of another graph's result is resolved to its ref
-        _Rel(tuple(s.columns), s._data, s._pos) if s._refs in (None, refs)
+        _Rel(tuple(s.columns), s._data, s._pos) if s._graph is None or s._graph is g
         else _Rel(tuple(s.columns), [s._column(i) for i in range(len(s.columns))], s._column(-1))
         for s in (a, b)
     ]
-    return _result(_union_rels(*sides), refs)
+    return _result(_union_rels(*sides), g)
 
 
 # -- result serialization -------------------------------------------------------------
 #
 # The renderers read a set's columns.  A column of one scalar type is
-# written by a C-level text function, a column of vertex tokens through a
-# table of its distinct ranks, and any other column makes each distinct
-# object's text once per call.  A row's texts and the JSON punctuation
-# between them are joined in one pass per row.
+# written by a C-level text function, a column of vertex tokens by a
+# gather of texts by rank, and any other column makes each distinct
+# object's text once per call.  to_jsonl writes no string per row: it
+# fills one flat list of pieces a column at a time, a key prefix and the
+# column's texts in every row's slots, and joins that list once.
 
 
 _dump = json.JSONEncoder(separators=(",", ":")).encode
@@ -855,7 +896,7 @@ def _json_value(v: Value) -> str:
     reference as {"vertex": id} / {"edge": id}."""
     tp = type(v)
     if tp is VertexRef:
-        return '{"vertex":' + _json_string(v.id) + "}"  # type: ignore[union-attr]
+        return vertex_json(v.id)  # type: ignore[union-attr]
     if tp is EdgeRef:
         return '{"edge":' + _json_string(v.id) + "}"  # type: ignore[union-attr]
     return _json_string(v) if tp is str else _dump(v)
@@ -869,74 +910,95 @@ def _format_cell(v: Value) -> str:
     return str(v)
 
 
-# Per scalar type, the C-level function that writes what _json_value or
-# _format_cell writes for a value of exactly that type (a finite float's
-# JSON text is its repr).
-_JSON_TEXT = {str: _json_string, int: int.__repr__, float: float.__repr__}
-_CELL_TEXT = {str: str, int: int.__repr__, float: float.__repr__}
+def _cell_texts(g: Graph, ranks: list[int]) -> list[str]:
+    """Per rank, its vertex's table cell, made once per distinct rank."""
+    distinct = list(set(ranks))
+    table = dict(zip(distinct, map(_format_cell, map(g.vertex_refs.__getitem__, distinct))))
+    return list(map(table.__getitem__, ranks))
 
 
-def _texts(values: list, text, direct: dict, refs, cache: dict[int, str]) -> list[str]:
-    """text(value) for each value, a vertex token read as its ref in refs.
-    A column of one type that direct maps to a text function is written by
-    it; a column of vertex tokens through a table of its distinct ranks.
-    Otherwise text runs once per distinct object, and cache maps
-    id(object) to its text while the objects are alive."""
-    kinds = set(map(type, values))
+# Per format: the text of one value; per scalar type, the C-level function
+# that writes that text for a value of exactly that type (a finite float's
+# JSON text is its repr); and the texts of vertex tokens by rank, from the
+# graph's table (JSON) or made per call (cells).
+_JSON = (_json_value, {str: _json_string, int: int.__repr__, float: float.__repr__}, Graph.vertex_texts)
+_CELL = (_format_cell, {str: str, int: int.__repr__, float: float.__repr__}, _cell_texts)
+
+
+def _texts(values: list, kinds: set, form: tuple, g: Graph | None, cache: dict[int, str]) -> list[str]:
+    """The texts of a column's values, whose types are kinds, in a format;
+    a vertex token is read as its vertex of g.  A column of one type the
+    format maps to a text function is written by it; a column of vertex
+    tokens by the format's texts by rank.  Otherwise the value text runs
+    once per distinct object, and cache maps id(object) to its text while
+    the objects are alive."""
+    text, direct, tokens = form
     if len(kinds) == 1:
         (kind,) = kinds
         if kind is tuple:
-            ranks = list(map(_RANK, values))
-            distinct = list(set(ranks))
-            table = dict(zip(distinct, map(text, map(refs.__getitem__, distinct))))
-            return list(map(table.__getitem__, ranks))
+            return tokens(g, list(map(_RANK, values)))
         if kind in direct:
             return list(map(direct[kind], values))
     ids = list(map(id, values))
     for i, v in dict(zip(ids, values)).items():
         if i not in cache:
-            cache[i] = text(refs[v[0]] if type(v) is tuple else v)
+            cache[i] = text(g.vertex_refs[v[0]] if type(v) is tuple else v)  # type: ignore[union-attr]
     return list(map(cache.__getitem__, ids))
+
+
+def _lines(prefixes: list[str], texts: list[list[str]]) -> str:
+    """JSON lines, one per row: each column's prefix and text in turn, then
+    "}".  One join over a flat list of pieces, filled a column at a time by
+    strided slice assignment; every row's end slot holds "}\n", the last
+    row's "}"."""
+    n = len(texts[0])
+    if not n:
+        return ""
+    stride = 2 * len(prefixes) + 1
+    pieces = ["}\n"] * (n * stride)
+    for j, (prefix, column) in enumerate(zip(prefixes, texts)):
+        pieces[2 * j::stride] = [prefix] * n
+        pieces[2 * j + 1::stride] = column
+    pieces[-1] = "}"
+    return "".join(pieces)
 
 
 def to_jsonl(result: BindingSet) -> str:
     """One JSON object per row; element references as {"vertex": id} /
     {"edge": id}; schema-less rows as {"value": ...}."""
-    refs = result._refs
+    g = result._graph
     cache: dict[int, str] = {}  # the set keeps every value alive meanwhile
     if not result.columns:
-        texts = _texts(result._pos, _json_value, _JSON_TEXT, refs, cache)
-        return "\n".join(map("".join, zip(repeat('{"value":'), texts, repeat("}"))))
+        pos = result._pos
+        return _lines(['{"value":'], [_texts(pos, set(map(type, pos)), _JSON, g, cache)])
     names = dict.fromkeys(result.columns)
     keys = [_json_string(c) + ":" for c in names]
     columns = [result._data[result.columns.index(c)] for c in names]
-    if any(None in vs for vs in columns):
+    kinds = [set(map(type, vs)) for vs in columns]
+    texts = list(map(_texts, columns, kinds, repeat(_JSON), repeat(g), repeat(cache)))
+    if any(type(None) in k for k in kinds):
         # each row writes the columns it has
         texts = [
-            [None if v is None else k + t
-             for v, t in zip(vs, _texts(vs, _json_value, _JSON_TEXT, refs, cache))]
-            for k, vs in zip(keys, columns)
+            [None if v is None else k + t for v, t in zip(vs, ts)]
+            for k, vs, ts in zip(keys, columns, texts)
         ]
         return "\n".join(["{" + ",".join(filter(None, r)) + "}" for r in zip(*texts)])
-    parts: list = []
-    for i, (k, vs) in enumerate(zip(keys, columns)):
-        parts += [repeat(("," if i else "{") + k), _texts(vs, _json_value, _JSON_TEXT, refs, cache)]
-    return "\n".join(map("".join, zip(*parts, repeat("}"))))
+    return _lines([("," if i else "{") + k for i, k in enumerate(keys)], texts)
 
 
 def to_table(result: BindingSet) -> str:
     """Aligned text table; schema-less results print one bare value per row.
     Empty results render as the empty string."""
-    refs = result._refs
+    g = result._graph
     cache: dict[int, str] = {}  # the set keeps every value alive meanwhile
     if not len(result):
         return ""
     if not result.columns:
-        return "\n".join(_texts(result._pos, _format_cell, _CELL_TEXT, refs, cache))
+        return "\n".join(_texts(result._pos, set(map(type, result._pos)), _CELL, g, cache))
     padded = []
     for c in result.columns:
         values = result._data[result.columns.index(c)]
-        texts = _texts(values, _format_cell, _CELL_TEXT, refs, cache)
+        texts = _texts(values, set(map(type, values)), _CELL, g, cache)
         texts = ["" if v is None else t for v, t in zip(values, texts)]
         width = max(len(c), *map(len, texts))
         padded.append((c.ljust(width), "-" * width, [t.ljust(width) for t in texts]))

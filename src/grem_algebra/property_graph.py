@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii as _json_string
 from math import isfinite
 from operator import is_, itemgetter
 from typing import IO, Union
@@ -49,6 +50,12 @@ class EdgeRef:
 
     def __repr__(self) -> str:
         return f"e[{self.id}]"
+
+
+def vertex_json(vid: str) -> str:
+    """The JSON text of a reference to the vertex vid, {"vertex":"<id>"},
+    as json.dumps writes it."""
+    return '{"vertex":' + _json_string(vid) + "}"
 
 
 def is_numeric(v: object) -> bool:
@@ -172,6 +179,9 @@ class Graph:
       order, read from the direction's edge indexes sorted by endpoint
       rank, built whole on first use; ``neighbours(direction, label)`` is
       the list of these entries by rank, filled on first use;
+    * ``vertex_texts(ranks)``: per rank, the vertex's JSON text
+      ``{"vertex":"<id>"}``, from a table by rank filled only for the ranks
+      a render asks for, so a render of a few rows makes only their texts;
     * ``edge_index``: edge id -> edge index, and ``edge_labels`` /
       ``edge_props`` by edge index; ``edges_sorted()``: interned
       ``EdgeRef``s in ascending id order, built on first use.
@@ -196,6 +206,7 @@ class Graph:
         self.vertex_refs: tuple[VertexRef, ...] = tuple(map(VertexRef, self._v_ids))
         self._incidences: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._neighbours: dict[tuple[str, str | None], list] = {}
+        self._vertex_texts: list[str | None] = [None] * len(self._v_ids)
         self._property_columns: dict[str, list] = {}
         self._label_ranks: dict[str, tuple[int, ...]] | None = None
         self._value_ranks: dict[str, dict[object, tuple[int, ...]]] = {}
@@ -267,6 +278,20 @@ class Graph:
             found = tuple([tokens[ends[ex]] for ex in exs])
             lists[rank] = found
         return found
+
+    # -- rendering ---------------------------------------------------------
+
+    def vertex_texts(self, ranks: list[int]) -> list[str]:
+        """Per rank, its vertex's vertex_json text.  Built where missing:
+        each text is made once, on the first render that needs it."""
+        table = self._vertex_texts
+        texts = list(map(table.__getitem__, ranks))
+        if not all(texts):  # a text is never empty; None marks one not made yet
+            ids = self._v_ids
+            for rank in set(compress(ranks, map(is_, texts, repeat(None)))):
+                table[rank] = vertex_json(ids[rank])
+            texts = list(map(table.__getitem__, ranks))
+        return texts
 
     # -- labels and properties -------------------------------------------
 

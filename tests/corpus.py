@@ -236,10 +236,11 @@ _NAME_POOL = ["marko", "vadas", "lop", "josh", "ripple", "peter", "anna", "kai"]
 _AGE_POOL = [25, 27, 29, 30, 30, 32, 32, 35, 40]
 
 
-def random_graph(seed: int) -> Graph:
+def random_graph(seed: int, name=str) -> Graph:
     """Seeded random property graph: <=8 vertices, <=16 edges, labels from
     {person, software} x {knows, created}; self-loops and parallel edges
-    permitted."""
+    permitted.  Vertex n (from 1) and edge 100 + j have the ids name(n) and
+    name(100 + j), which must be distinct."""
     rng = random.Random(seed)
     nv = rng.randint(1, 8)
     vertices = []
@@ -253,15 +254,15 @@ def random_graph(seed: int) -> Graph:
                 props["age"] = rng.choice(_AGE_POOL)
         elif rng.random() < 0.7:
             props["lang"] = rng.choice(["java", "python"])
-        vertices.append({"id": str(i + 1), "label": label, "properties": props})
+        vertices.append({"id": name(i + 1), "label": label, "properties": props})
     ne = rng.randint(0, 16)
     edges = []
     for j in range(ne):
         entry = {
-            "id": str(100 + j),
+            "id": name(100 + j),
             "label": rng.choice(["knows", "created"]),
-            "outV": str(rng.randint(1, nv)),
-            "inV": str(rng.randint(1, nv)),
+            "outV": name(rng.randint(1, nv)),
+            "inV": name(rng.randint(1, nv)),
         }
         if rng.random() < 0.8:
             entry["properties"] = {"weight": round(rng.random(), 2)}

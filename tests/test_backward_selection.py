@@ -4,6 +4,7 @@ backward: from that filter's vertices, against each traverse's direction.
 Forward, backward and the row-at-a-time reference must give the same rows
 in the same order, or raise the same error."""
 
+import contextlib
 import json
 import sys
 from unittest import mock
@@ -19,6 +20,7 @@ from grem_algebra import (
     modern_graph,
     parse_traversal,
 )
+from grem_algebra import algebra as alg
 from grem_algebra import evaluator
 
 from reference import linear_rows
@@ -80,7 +82,7 @@ def _walks(returned: list):
 def _forward_rows_of(budget):
     """Every selection reads its forward cost as budget: -1 forces forward,
     a huge one backward wherever the predicate and its anchors qualify."""
-    return mock.patch.object(evaluator, "_forward_rows", lambda steps, ranks, g: budget)
+    return mock.patch.object(evaluator, "_forward_rows", lambda steps, ranks, g: budget.__ge__)
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,3 +177,49 @@ def test_a_handful_of_rows_builds_no_table_and_no_reverse_entry():
     assert [r["@"] for r in _rows(text, g)] == [21, 25, 29]
     assert "lang" not in g._value_ranks
     assert ("in", "created") not in g._neighbours
+
+
+def _whole_sum(steps, ranks, g):
+    """The rule as it was before the degrees were summed in chunks: F is
+    every anchor's degree along the nearest traverse, summed whole."""
+    first = next((s for s in reversed(steps) if type(s) is alg.Traverse), None)
+    degrees = 0 if first is None else sum(
+        len(g.adjacent(first.direction, first.edge_label, r)) for r in ranks
+    )
+    return (len(ranks) + degrees).__ge__
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=graphs(),
+    head=st.sampled_from(sorted(HEADS)),
+    var=st.sampled_from([None, "x"]),
+    chain=chains(),
+    form=st.sampled_from(["where", "not", "not-where", "where-not"]),
+    chunk=st.integers(1, 3),
+)
+def test_the_chunked_sum_picks_the_branch_the_whole_sum_picks(g, head, var, chain, form, chunk):
+    """Each selection takes the same branch, backward or forward, whether F
+    is summed whole or a few anchors at a time, and answers the same."""
+    predicate = "__" + (f".as('{var}')" if var else "") + _steps_text(chain)
+    outer, _, inner = form.partition("-")
+    if inner:
+        predicate = f"__.{inner}({predicate})"
+    plan = compile_traversal(parse_traversal(HEADS[head][0] + f".{outer}({predicate})"))
+    real = evaluator._backward
+    runs = {}
+    for rule in ("whole", "chunked"):
+        branches: list = []
+
+        def backward(*args):
+            kept = real(*args)
+            branches.append("forward" if kept is None else "backward")
+            return kept
+
+        with contextlib.ExitStack() as patches:
+            patches.enter_context(mock.patch.object(evaluator, "_backward", backward))
+            patches.enter_context(mock.patch.object(evaluator, "_CHUNK", chunk))
+            if rule == "whole":
+                patches.enter_context(mock.patch.object(evaluator, "_forward_rows", _whole_sum))
+            runs[rule] = (branches, _outcome(lambda: evaluate(plan, g).rows))
+    assert runs["chunked"] == runs["whole"]

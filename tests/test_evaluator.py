@@ -543,7 +543,7 @@ def _people_graph(n: int):
 
 def test_concurrent_queries_on_one_fresh_graph():
     """Threads racing to build a graph's neighbour entries, edge refs,
-    property columns and rank indexes all answer right."""
+    property columns, rank indexes and vertex texts all answer right."""
     import sys
     import threading
 
@@ -567,11 +567,13 @@ def test_concurrent_queries_on_one_fresh_graph():
         "g.V().has('name','n7').as('a').out('knows').as('b').select('a','b').by('age')",
         "g.V().hasLabel('person').values('age')",
         "g.V().has('age',41.0).values('name')",
+        "g.V().has('name','n7').as('a').out('knows').as('b').select('a','b')",
     ]
     cases = [(lambda: random_graph(50), texts, 3), (lambda: _people_graph(20000), first_reads, 1)]
     for make, queries, reps in cases:
         expected = [to_jsonl(run(text, make())) for text in queries]
         g = make()  # no neighbour entry, edge ref, property column or rank index built yet
+        assert set(g._vertex_texts) == {None}  # nor any vertex text
         results: list[list[str]] = []
         start = threading.Barrier(8)
 

@@ -29,6 +29,8 @@ from grem_algebra import (
 from grem_algebra import evaluator
 from grem_algebra.property_graph import EdgeRef, VertexRef
 
+import corpus
+
 ID_ORDER_GRAPH = {
     "vertices": [
         {"id": "b", "label": "person", "properties": {"name": "bob", "age": 30}},
@@ -217,3 +219,43 @@ def test_package_leaves_the_collector_settings_alone():
     package = pathlib.Path(evaluator.__file__).parent
     for path in package.glob("*.py"):
         assert "gc." not in path.read_text(encoding="utf-8"), path.name
+
+
+DEDUP_QUERIES = [
+    "g.V().as('a').out().as('b').out().as('c').select('a','c').dedup()",
+    "g.V().as('a').out().as('b').select('b','a','b').dedup()",
+    "g.V().as('a').out().as('b').select('a','b').dedup('b')",
+    "g.V().as('a').out().as('b').select('a','b').dedup('b','a')",
+    "g.V().out().out().dedup()",
+    # inside a predicate the tag is the top digit of the key
+    "g.V().where(__.as('a').out().as('b').select('a','b').dedup('b').limit(1).has('lang')).values('name')",
+    "g.V().where(__.out().out().dedup().limit(1)).values('name')",
+    # mixed columns keep their identity keys
+    "g.V().union(__.out(), __.values('age')).dedup()",
+    "g.V().union(__.as('a').out(), __.as('b')).dedup('a')",
+]
+
+
+def _identity_keyed(columns, tags, base):
+    """Dedup keys as they were before token columns were keyed by ranks."""
+    return evaluator._keys(list(map(evaluator._identity_keys, columns)), tags)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_keyed_dedup_keeps_the_rows_identity_keys_keep(seed, monkeypatch):
+    g = corpus.random_graph(seed)
+    plans = [compile_traversal(parse_traversal(text)) for text in DEDUP_QUERIES]
+    got = [evaluate(plan, g).rows for plan in plans]
+    monkeypatch.setattr(evaluator, "_rank_keys", _identity_keyed)
+    assert got == [evaluate(plan, g).rows for plan in plans]
+
+
+def test_a_token_never_meets_an_int_in_dedup():
+    # vertex 'a' has rank 3, and the integer 3 is a value in the same column
+    doc = {
+        "vertices": [{"id": v, "label": "n", "properties": {"k": 3}} for v in ("0", "1", "2", "a")],
+        "edges": [{"id": "e", "label": "x", "outV": "0", "inV": "a"}],
+    }
+    g = load_graph(json.dumps(doc))
+    rows = evaluate(compile_traversal(parse_traversal("g.V().union(__.out(), __.values('k')).dedup()")), g).rows
+    assert [r["@"] for r in rows] == [VertexRef("a"), 3]
