@@ -39,8 +39,10 @@ QUERIES = SHAPES + [
     "g.V().out().out()",
 ]
 
-# characters json.dumps escapes, or writes as \\u escapes
-DECORATIONS = st.text(st.sampled_from(['"', "\\", "/", "'", "é", "☃", "😀", " ", "\x00", "\t", "a"]), max_size=3)
+# characters json.dumps escapes, or writes as \uXXXX escapes
+DECORATIONS = st.text(
+    st.sampled_from(['"', "\\", "/", "'", "é", "☃", "😀", "\u2028", "\x00", "\t", "a"]), max_size=3
+)
 
 
 def _plan(text: str):
