@@ -169,7 +169,7 @@ class Sort:
 @dataclass(frozen=True)
 class Group:
     """Groups rows by their position's key property (no key: by the member,
-    the row's natural value) into flattened two-column (key, member) rows."""
+    the row's position) into flattened two-column (key, member) rows."""
 
     key: str | None
     input: AlgebraExpr

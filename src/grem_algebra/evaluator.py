@@ -11,11 +11,23 @@ grouping preserves its input order.
 
 Inside the engine a relation is stored column by column: one list per
 visible column, in the order of the column rules of
-``algebra.output_columns``, and one list of current positions; None marks
-an absent binding.  A list is never changed once built, so relations
-share lists freely (``traverse(a->b)`` keeps one list as both ``b`` and
-the position).  A vertex is its token, the 1-tuple ``(rank,)`` of its rank
-in id order.  The operators are passes over whole columns: a traverse
+``algebra.output_columns``, and one list of current positions.  A list is
+never changed once built, so relations share lists freely
+(``traverse(a->b)`` keeps one list as both ``b`` and the position).  Each
+list has one of two kinds, fixed where the list is built and carried next
+to it, never read off its contents:
+
+* a rank column holds vertices and nothing else, each as its bare rank in
+  id order, the graph's own int object (see ``Graph``);
+* a value column holds anything: a vertex as the graph's token, the
+  1-tuple ``(rank,)``, an edge as the graph's interned ``EdgeRef``, a
+  scalar as itself, and None for an absent binding.
+
+A token is the only tuple a value column can be, so it never equals an
+int; it orders, dedups and joins as itself.  A rank column becomes a value
+column only where the two kinds meet (union, join, a binding that is
+tested or filled in, a column one union side lacks), through
+``_as_values``.  The operators are passes over whole columns: a traverse
 expands each column by the neighbour counts of its anchors, a filter
 compresses every column by a mask read from the graph's labels or
 property columns by rank (see ``Graph``), dedup, limit, sort, group and
@@ -23,21 +35,19 @@ join gather by an index list and union concatenates.  A label or value
 filter straight over ``V()``, whose row i is the vertex of rank i, reads
 no per-vertex data: it gathers the ranks the graph's rank index holds for
 its label or value; over such filters, whose rows are distinct vertices
-in ascending rank, it intersects those ranks with the rows'.  A column of
-vertex tokens takes these passes through C-level ``map``s over ranks; a
-column holding edges, scalars or None takes a per-value path in the same
-function, chosen by the types the column holds.  A token is interned and
-is the only tuple a column value can be; it orders, dedups and joins as
-itself.  Tokens and scalars hold nothing CPython's cyclic garbage
-collector must follow, so the objects it tracks per relation are its few
-lists, not its rows.  An edge is the graph's interned ``EdgeRef``.
+in ascending rank, it intersects those ranks with the rows'.  A rank
+column takes these passes through C-level ``map``s; a value column takes
+a per-value path in the same function.  Ints and tuples of ints hold
+nothing CPython's cyclic garbage collector must follow, so the objects it
+tracks per relation are its few lists, not its rows.
 
 Every operator that reads an element (an argument, traverse, filter or
 values()) finds it one way, ``_element``: its anchor variable's binding,
 else the position; the anchor is bound to it where absent, and it becomes
 the position.  Every step binds its output one way, ``_bind``: a new
 variable is appended, one already bound keeps the rows that agree with
-it.  Group keys by a property of the position and max() reduces it.
+it.  Group keys the position by a property of it, the position is the
+member, and max() reduces it.
 
 where()/not() run their predicate once over all input rows, each tagged
 with its row's index in a tag list.  Inside the predicate, dedup, join,
@@ -53,10 +63,10 @@ keep their order.  ``algebra.validate`` admits only plans whose predicate
 leaves are all the row under test (Argument), whose other leaves are all
 sources and whose reads are all columns of their inputs, so inside a
 predicate every relation is tagged, outside one none is, and every column
-an operator names is there.  ``evaluate`` hands the final columns and the
-graph to a ``BindingSet``; a token becomes the graph's interned
-``VertexRef`` wherever a value leaves the set, and ``to_jsonl`` prints it
-from the graph's table of vertex texts.
+an operator names is there.  ``evaluate`` hands the final columns, their
+kinds and the graph to a ``BindingSet``; a rank or a token becomes the
+graph's interned ``VertexRef`` wherever a value leaves the set, and
+``to_jsonl`` prints a rank column from the graph's table of vertex texts.
 
 This is the package's only evaluation engine.  The reference semantics it
 is tested against (the path algebra, the traverser-level match route and
@@ -70,7 +80,7 @@ import threading
 from bisect import bisect_left
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import add, eq, is_, is_not, itemgetter, mul, not_
+from operator import add, eq, is_not, itemgetter, mul, not_
 
 from . import algebra as alg
 from .algebra import AlgebraExpr
@@ -89,10 +99,12 @@ from .property_graph import (
 
 CUR = "@"
 
-Value = object  # VertexRef (in the engine: its token) | EdgeRef | PropertyValue
+Value = object  # VertexRef (in the engine: its rank or token) | EdgeRef | PropertyValue
 Row = dict
 
-_RANK = itemgetter(0)  # a vertex token's rank
+# The two kinds of an engine column (see the module docstring).
+RANKS = True  # vertices only, each its bare rank
+VALUES = False  # anything: a vertex as its token, None where absent
 
 
 class BindingSet:
@@ -103,20 +115,22 @@ class BindingSet:
     part of `columns`.  Multiplicity is represented by repeated rows.
 
     Underneath are the engine's columns: one list per name in `columns`
-    (a repeated name reads its first list) and one of positions; a set
-    ``evaluate`` returns holds its graph, whose refs and texts name the
-    vertex tokens.  Every reading but ``rows`` works on those.  ``rows`` is
-    built on its first read and published whole, once.
+    (a repeated name reads its first list) and one of positions, each with
+    its kind; a set ``evaluate`` returns holds its graph, whose refs and
+    texts name the ranks and tokens.  A set built from dict rows holds
+    value columns only.  Every reading but ``rows`` works on the columns.
+    ``rows`` is built on its first read and published whole, once.
     """
 
-    __slots__ = ("columns", "_dicts", "_data", "_pos", "_graph")
+    __slots__ = ("columns", "_dicts", "_data", "_kinds", "_pos", "_pos_kind", "_graph")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, columns: tuple[str, ...], rows: list[Row] | None = None):
         self.columns, self._graph = columns, None
         self._dicts: list[Row] | None = [] if rows is None else rows
         self._data = [[r.get(c) for r in self._dicts] for c in columns]
-        self._pos = [r.get(CUR) for r in self._dicts]
+        self._kinds = [VALUES] * len(columns)
+        self._pos, self._pos_kind = [r.get(CUR) for r in self._dicts], VALUES
 
     @property
     def rows(self) -> list[Row]:
@@ -140,8 +154,13 @@ class BindingSet:
         return len(self._pos)
 
     def _column(self, slot: int) -> list:
-        """One column (-1: the positions), each vertex token as its VertexRef."""
-        values = self._pos if slot == -1 else self._data[slot]
+        """One column (-1: the positions), each vertex as its VertexRef."""
+        if slot == -1:
+            values, kind = self._pos, self._pos_kind
+        else:
+            values, kind = self._data[slot], self._kinds[slot]
+        if kind is RANKS:
+            return list(map(self._graph.vertex_refs.__getitem__, values))  # type: ignore[union-attr]
         if self._graph is None or tuple not in set(map(type, values)):
             return values
         refs = self._graph.vertex_refs
@@ -168,9 +187,10 @@ _PUBLISH = threading.Lock()  # held only to publish a set's dict rows
 
 
 def _result(rel: _Rel, g: Graph | None) -> BindingSet:
-    """A set over an untagged relation's columns; g names their vertex tokens."""
+    """A set over an untagged relation's columns; g names their vertices."""
     bs = BindingSet(rel.cols)
-    bs._dicts, bs._data, bs._pos, bs._graph = None, rel.data, rel.pos, g
+    bs._dicts, bs._data, bs._kinds, bs._graph = None, rel.data, rel.kinds, g
+    bs._pos, bs._pos_kind = rel.pos, rel.pos_kind
     return bs
 
 
@@ -183,23 +203,44 @@ def _dict_rows(bs: BindingSet) -> list[Row]:
     return list(map(dict, map(zip, repeat(names), zip(*columns))))
 
 
+def _naturals(columns: list[list], pos: list) -> list:
+    """Per row, its natural value: the sole present value among columns,
+    else the position, else the last present value."""
+    if any(None in c for c in columns):
+        return [_natural(vals, p) for vals, p in zip(zip(*columns), pos)]
+    if len(columns) == 1:
+        return columns[0]
+    if not columns:
+        return pos
+    return [c if p is None else p for p, c in zip(pos, columns[-1])]
+
+
+def _natural(values: tuple, position: Value) -> Value:
+    present = [v for v in values if v is not None]
+    if len(present) == 1:
+        return present[0]
+    if position is not None:
+        return position
+    return present[-1] if present else None
+
+
 # -- keys ---------------------------------------------------------------------------
 #
-# A vertex in an engine column is its interned token (rank,) and an edge the
-# graph's interned EdgeRef (see Graph).  A token is a 1-tuple of an int:
-# it never equals a tagged key such as ("s", "x") or ("missing",).
+# A rank column keys, orders and joins by its ranks.  In a value column a
+# vertex is its token (rank,) and an edge the graph's interned EdgeRef (see
+# Graph); a token is a 1-tuple of an int, so it never equals an int or a
+# tagged key such as ("s", "x") or ("missing",).  A key built from several
+# columns holds each column's key at that column's place, so keys of the
+# two kinds never meet.
 
 
-def _only_tokens(values: list) -> bool:
-    """Whether a column holds vertex tokens and nothing else."""
-    return set(map(type, values)) == {tuple}
-
-
-def _identity_keys(values: list) -> list:
+def _identity_keys(values: list, kind: bool) -> list:
     """Keys under which values of one column are the same row value
-    (dedup): value_key's identity, a vertex token its own, with None
-    (absent) as its own key.  A column of a single type whose values are
-    their own identity keeps them."""
+    (dedup): value_key's identity, a rank or a vertex token its own, with
+    None (absent) as its own key.  A rank column, or a value column of a
+    single type whose values are their own identity, keeps them."""
+    if kind is RANKS:
+        return values
     types = set(map(type, values))
     if types == {tuple} or types == {str} or types == {int} or types == {bool}:
         return values
@@ -208,10 +249,12 @@ def _identity_keys(values: list) -> list:
     ]
 
 
-def _order_keys(values: list) -> list:
+def _order_keys(values: list, kind: bool) -> list:
     """Keys ordering one column's values as sort_key does, an absent value
-    first; vertex tokens (rank order is id order), numbers, strings or
-    bools alone order as they are."""
+    first; ranks and vertex tokens (rank order is id order), numbers,
+    strings or bools alone order as they are."""
+    if kind is RANKS:
+        return values
     types = set(map(type, values))
     if types == {tuple} or types <= {int, float} or types == {str} or types == {bool}:
         return values
@@ -230,28 +273,27 @@ def _keys(parts: list[list], tags: list | None) -> list:
     return list(zip(*parts))
 
 
-def _join_keys(columns: list[list], tags: list | None) -> list:
+def _join_keys(columns: list[list], kinds: list[bool], tags: list | None) -> list:
     """Join key per row, None for a row with an absent join column; the
     tag first when tags are given."""
     parts = [
-        c if _only_tokens(c) else [None if v is None else join_key(v) for v in c]
-        for c in columns
+        c if k is RANKS else [None if v is None else join_key(v) for v in c]
+        for c, k in zip(columns, kinds)
     ]
     keys = _keys(parts, tags)
-    if len(parts) + (tags is not None) > 1 and any(None in p for p in parts):
+    holes = any(k is VALUES and None in p for p, k in zip(parts, kinds))
+    if holes and len(parts) + (tags is not None) > 1:
         return [None if None in k else k for k in keys]
     return keys
 
 
 def _rank_keys(columns: list[list], tags: list | None, base: int) -> list[int]:
-    """Per row, one int key of columns that hold only vertex tokens: their
-    ranks are its digits in base (the vertex count), the first column's
-    the most significant, and the tag, when tags are given, is the top
-    digit."""
+    """Per row, one int key of rank columns: their ranks are its digits in
+    base (the vertex count), the first column's the most significant, and
+    the tag, when tags are given, is the top digit."""
     keys = tags
-    for values in columns:
-        ranks = map(_RANK, values)
-        keys = list(ranks) if keys is None else list(map(add, map(mul, keys, repeat(base)), ranks))
+    for ranks in columns:
+        keys = ranks if keys is None else list(map(add, map(mul, keys, repeat(base)), ranks))
     return keys  # type: ignore[return-value]
 
 
@@ -269,32 +311,64 @@ class _Rel:
 
     cols are the visible columns (a name may repeat after a projection
     such as select('a','a'); it then reads its first list).  data holds
-    one list per visible column and pos the current position of each row.
+    one list per visible column and pos the current position of each row;
+    kinds holds the kind of each list in data, pos_kind that of pos.
     Inside a selection predicate tags holds, per row, the index of the row
     under test it derives from (see _selection); outside one it is None.
-    None marks an absent binding; holes says whether any column may hold
-    one.  Lists are never changed once built, so relations share them.
+    None marks an absent binding, in a value column only; holes says
+    whether any column may hold one.  Lists are never changed once built,
+    so relations share them; data and kinds belong to their relation.
     """
 
-    __slots__ = ("cols", "data", "pos", "tags", "holes")
+    __slots__ = ("cols", "data", "kinds", "pos", "pos_kind", "tags", "holes")
 
-    def __init__(self, cols: tuple[str, ...], data: list[list], pos: list,
-                 tags: list | None = None, holes: bool = False):
+    def __init__(self, cols: tuple[str, ...], data: list[list], kinds: list[bool],
+                 pos: list, pos_kind: bool, tags: list | None = None, holes: bool = False):
         self.cols = cols
         self.data = data
+        self.kinds = kinds
         self.pos = pos
+        self.pos_kind = pos_kind
         self.tags = tags
         self.holes = holes
 
-    def column(self, name: str | None) -> list | None:
-        """A column's values, or None when it is not a column."""
-        i = _slot(self.cols, name)
-        return None if i is None else self.data[i]
+    def get(self, name: str) -> tuple[list, bool]:
+        """A column's values and kind."""
+        i = self.cols.index(name)
+        return self.data[i], self.kinds[i]
+
+    def columns(self, names) -> tuple[list[list], list[bool]]:
+        """The values and the kinds of the named columns."""
+        slots = list(map(self.cols.index, names))
+        return list(map(self.data.__getitem__, slots)), list(map(self.kinds.__getitem__, slots))
 
 
 def _slot(cols: tuple[str, ...], name: str | None) -> int | None:
     """Index of a column's list, or None when it is not a column."""
     return cols.index(name) if name is not None and name in cols else None
+
+
+def _as_values(g: Graph, values: list, kind: bool) -> list:
+    """A column as a value column: a rank column's ranks become the
+    graph's tokens.  The one place a rank column changes its kind."""
+    return list(map(g.vertex_tokens.__getitem__, values)) if kind is RANKS else values
+
+
+def _meet(g: Graph, left: list, left_kind: bool, right: list, right_kind: bool):
+    """Two columns that meet in one (a union or a join column), as one
+    kind: rank columns both, else value columns both."""
+    if left_kind is RANKS and right_kind is RANKS:
+        return left, right, RANKS
+    return _as_values(g, left, left_kind), _as_values(g, right, right_kind), VALUES
+
+
+def _coalesce(g: Graph, values: list, kind: bool, fallback: list, fallback_kind: bool):
+    """values, each None replaced by fallback's value in that row, and the
+    kind of the result."""
+    if kind is RANKS or None not in values:
+        return values, kind
+    fallback = _as_values(g, fallback, fallback_kind)
+    return [f if v is None else v for v, f in zip(values, fallback)], VALUES
 
 
 def _once(fn):
@@ -315,13 +389,15 @@ def _each(rel: _Rel, fn) -> _Rel:
     """rel with fn applied to every list: the columns, positions and tags."""
     apply = _once(fn)
     tags = None if rel.tags is None else apply(rel.tags)
-    return _Rel(rel.cols, list(map(apply, rel.data)), apply(rel.pos), tags, rel.holes)
+    data = list(map(apply, rel.data))
+    return _Rel(rel.cols, data, list(rel.kinds), apply(rel.pos), rel.pos_kind, tags, rel.holes)
 
 
 def _keep(rel: _Rel, mask: list) -> _Rel:
     """The rows whose mask entry is true."""
     if False not in mask:
-        return _Rel(rel.cols, list(rel.data), rel.pos, rel.tags, rel.holes)
+        return _Rel(rel.cols, list(rel.data), list(rel.kinds), rel.pos, rel.pos_kind,
+                    rel.tags, rel.holes)
     return _each(rel, lambda values: list(compress(values, mask)))
 
 
@@ -330,46 +406,21 @@ def _gather(rel: _Rel, index: list[int]) -> _Rel:
     return _each(rel, lambda values: list(map(values.__getitem__, index)))
 
 
-def _coalesce(values: list, fallback: list) -> list:
-    """values, each None replaced by fallback's value in that row."""
-    if None not in values:
-        return values
-    return [f if v is None else v for v, f in zip(values, fallback)]
-
-
-def _present(columns: list[list]) -> list | None:
+def _present(columns: list[list], kinds: list[bool]) -> list | None:
     """Per row, whether every column binds it; None when every row does."""
-    masks = [list(map(is_not, c, repeat(None))) for c in columns if None in c]
+    masks = [
+        list(map(is_not, c, repeat(None))) for c, k in zip(columns, kinds)
+        if k is VALUES and None in c
+    ]
     if not masks:
         return None
     return masks[0] if len(masks) == 1 else list(map(all, zip(*masks)))
 
 
-def _naturals(columns: list[list], pos: list) -> list:
-    """Per row, its natural value: the sole present value among columns,
-    else the position, else the last present value."""
-    if any(None in c for c in columns):
-        return [_natural(vals, p) for vals, p in zip(zip(*columns), pos)]
-    if len(columns) == 1:
-        return columns[0]
-    if not columns:
-        return pos
-    return _coalesce(pos, columns[-1])
-
-
-def _natural(values: tuple, position: Value) -> Value:
-    present = [v for v in values if v is not None]
-    if len(present) == 1:
-        return present[0]
-    if position is not None:
-        return position
-    return present[-1] if present else None
-
-
-def _labels(g: Graph, elems: list) -> list:
+def _labels(g: Graph, elems: list, kind: bool) -> list:
     """Per value, its element's label; None for a value that is not an element."""
-    if _only_tokens(elems):
-        return list(map(g.vertex_labels.__getitem__, map(_RANK, elems)))
+    if kind is RANKS:
+        return list(map(g.vertex_labels.__getitem__, elems))
     vlabels, eindex, elabels = g.vertex_labels, g.edge_index, g.edge_labels
     return [
         vlabels[e[0]] if type(e) is tuple else elabels[eindex[e.id]] if type(e) is EdgeRef else None
@@ -377,11 +428,11 @@ def _labels(g: Graph, elems: list) -> list:
     ]
 
 
-def _properties(g: Graph, key: str, elems: list) -> list:
+def _properties(g: Graph, key: str, elems: list, kind: bool) -> list:
     """Per value, its element's property value for key; None where the key
-    is absent or the value is not an element."""
-    if _only_tokens(elems):
-        return list(map(g.property_column(key).__getitem__, map(_RANK, elems)))
+    is absent or the value is not an element.  A value column."""
+    if kind is RANKS:
+        return list(map(g.property_column(key).__getitem__, elems))
     vprops, eindex, eprops = g.vertex_props, g.edge_index, g.edge_props
     return [
         vprops[e[0]].get(key) if type(e) is tuple
@@ -413,40 +464,50 @@ def _run(expr: AlgebraExpr, g: Graph, arg: _Rel | None) -> _Rel:
 
 
 def _source(expr: alg.GetVertices | alg.GetEdges, inputs, g: Graph, arg) -> _Rel:
-    elems = list(g.vertex_tokens if type(expr) is alg.GetVertices else g.edges_sorted())
     cols = alg.output_columns(expr, ())
-    return _Rel(cols, [elems] if cols else [], elems)
+    if type(expr) is alg.GetVertices:
+        elems, kind = list(g.vertex_ranks), RANKS
+    else:
+        elems, kind = list(g.edges_sorted()), VALUES
+    return _Rel(cols, [elems] if cols else [], [kind] if cols else [], elems, kind)
 
 
-def _argument(expr: alg.Argument, inputs, g, arg: _Rel) -> _Rel:
+def _argument(expr: alg.Argument, inputs, g: Graph, arg: _Rel) -> _Rel:
     """The rows under test; with a var, re-anchored at its binding (bound
     to the position where absent), rows with neither dropped."""
-    rel = _element(arg, expr.var, alg.output_columns(expr, (), arg.cols))
-    if expr.var and None in rel.pos:
+    rel = _element(g, arg, expr.var, alg.output_columns(expr, (), arg.cols))
+    if expr.var and rel.pos_kind is VALUES and None in rel.pos:
         return _keep(rel, list(map(is_not, rel.pos, repeat(None))))
     return rel
+
+
+def _vertex_ranks(values: list) -> list[int]:
+    """The ranks of a value column's vertex tokens; the first value that
+    is not a vertex raises."""
+    for a in values:
+        if a is None:
+            raise EvaluationError("traverse from an unbound position")
+        if type(a) is not tuple:
+            raise EvaluationError(f"traverse requires a vertex, got {a!r}")
+    return [a[0] for a in values]
 
 
 def _traverse(expr: alg.Traverse, inputs, g: Graph, arg) -> _Rel:
     """Each row once per edge from its anchor, the neighbour as position."""
     (src,) = inputs
-    rel = _element(src, expr.from_var, alg.output_columns(expr, (src.cols,)))
-    if not _only_tokens(rel.pos):
-        for a in rel.pos:  # the first row that cannot move raises
-            if a is None:
-                raise EvaluationError("traverse from an unbound position")
-            if type(a) is not tuple:
-                raise EvaluationError(f"traverse requires a vertex, got {a!r}")
-    found = _entries(g, expr.direction, expr.edge_label, list(map(_RANK, rel.pos)))
+    rel = _element(g, src, expr.from_var, alg.output_columns(expr, (src.cols,)))
+    ranks = rel.pos if rel.pos_kind is RANKS else _vertex_ranks(rel.pos)
+    found = _entries(g, expr.direction, expr.edge_label, ranks)
     counts = list(map(len, found))
     dest = list(chain.from_iterable(found))
     # each value once per neighbour: a 1-tuple times the count, chained
     expand = _once(lambda values: list(chain.from_iterable(map(mul, zip(values), counts))))
     tags = None if src.tags is None else expand(src.tags)
-    return _bind(_Rel(rel.cols, list(map(expand, rel.data)), dest, tags, src.holes), expr.to_var)
+    data = list(map(expand, rel.data))
+    return _bind(g, _Rel(rel.cols, data, rel.kinds, dest, RANKS, tags, src.holes), expr.to_var)
 
 
-def _entries(g: Graph, direction: str, label: str | None, ranks: list[int]) -> list:
+def _entries(g: Graph, direction: str, label: str | None, ranks) -> list:
     """Per rank, its adjacent(direction, label, rank) entry, built where missing."""
     found = list(map(g.neighbours(direction, label).__getitem__, ranks))
     if None in found:
@@ -456,16 +517,20 @@ def _entries(g: Graph, direction: str, label: str | None, ranks: list[int]) -> l
     return found
 
 
-def _element(src: _Rel, var: str | None, cols: tuple[str, ...]) -> _Rel:
+def _element(g: Graph, src: _Rel, var: str | None, cols: tuple[str, ...]) -> _Rel:
     """src over cols positioned at the element an operator anchored at var
     reads, the one way an operator finds it: var's binding, else the
     position, which var is then bound to."""
     p = _slot(src.cols, var)
-    elems = src.pos if p is None else _coalesce(src.data[p], src.pos)
-    return _bind(_Rel(cols, list(src.data), elems, src.tags, src.holes), var)
+    if p is None:
+        elems, kind = src.pos, src.pos_kind
+    else:
+        elems, kind = _coalesce(g, src.data[p], src.kinds[p], src.pos, src.pos_kind)
+    rel = _Rel(cols, list(src.data), list(src.kinds), elems, kind, src.tags, src.holes)
+    return _bind(g, rel, var)
 
 
-def _bind(rel: _Rel, var: str | None) -> _Rel:
+def _bind(g: Graph, rel: _Rel, var: str | None) -> _Rel:
     """rel with its positions bound to var, the one way a step binds a
     variable.  A var with no list in rel.data yet is appended; a bound one
     keeps the rows whose binding is absent, and takes the position there,
@@ -474,14 +539,16 @@ def _bind(rel: _Rel, var: str | None) -> _Rel:
     if p is None:
         if var:
             rel.data.append(rel.pos)
+            rel.kinds.append(rel.pos_kind)
         return rel
-    bound, pos = rel.data[p], rel.pos
+    bound, kind, pos = rel.data[p], rel.kinds[p], rel.pos
     if bound is pos:  # an anchor every row binds, read by _element
         return rel
-    rel.data[p] = _coalesce(bound, pos)
-    if None in bound or not _only_tokens(pos):
-        return _keep(rel, [b is None or values_equal(b, v) for b, v in zip(bound, pos)])
-    return _keep(rel, list(map(is_, bound, pos)))  # a vertex is its interned token
+    if kind is RANKS and rel.pos_kind is RANKS:
+        return _keep(rel, list(map(eq, bound, pos)))
+    rel.data[p], rel.kinds[p] = _coalesce(g, bound, kind, pos, rel.pos_kind)
+    bound, pos = _as_values(g, bound, kind), _as_values(g, pos, rel.pos_kind)
+    return _keep(rel, [b is None or values_equal(b, v) for b, v in zip(bound, pos)])
 
 
 def _seekable(expr: AlgebraExpr) -> bool:
@@ -499,8 +566,8 @@ def _seek(g: Graph, expr: alg.LabelFilter | alg.PropertyFilter) -> tuple[int, ..
 
 
 def _seeks(expr: AlgebraExpr) -> bool:
-    """Whether expr's rows are distinct vertices in ascending rank: V()
-    under seekable filters only."""
+    """Whether expr's rows are distinct vertices in ascending rank, a rank
+    position: V() under seekable filters only."""
     while _seekable(expr):
         expr = expr.input  # type: ignore[union-attr]
     return type(expr) is alg.GetVertices
@@ -517,11 +584,11 @@ def _intersect(have: list[int], ranks: tuple[int, ...]) -> list[int]:
     return [i for i, (j, r) in enumerate(zip(at, have)) if j < len(ranks) and ranks[j] == r]
 
 
-def _passes(g: Graph, expr: alg.LabelFilter | alg.PropertyFilter, elems: list) -> list:
+def _passes(g: Graph, expr: alg.LabelFilter | alg.PropertyFilter, elems: list, kind: bool) -> list:
     """Per element, whether the label or value filter expr keeps it."""
     if type(expr) is alg.LabelFilter:
-        return list(map(eq, _labels(g, elems), repeat(expr.label)))
-    return _matches(_properties(g, expr.key, elems), expr.value)
+        return list(map(eq, _labels(g, elems, kind), repeat(expr.label)))
+    return _matches(_properties(g, expr.key, elems, kind), expr.value)
 
 
 def _filter(expr: alg.LabelFilter | alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
@@ -531,13 +598,13 @@ def _filter(expr: alg.LabelFilter | alg.PropertyFilter, inputs, g: Graph, arg) -
     straight over V(), row i is the vertex of rank i and it gathers its
     ranks; over seeking filters, it intersects its ranks with the rows'."""
     (src,) = inputs
-    rel = _element(src, expr.var, alg.output_columns(expr, (src.cols,)))
+    rel = _element(g, src, expr.var, alg.output_columns(expr, (src.cols,)))
     if _seekable(expr):
         if type(expr.input) is alg.GetVertices:
-            return _gather(rel, _seek(g, expr))
+            return _gather(rel, _seek(g, expr))  # type: ignore[arg-type]
         if _seeks(expr.input):
-            return _gather(rel, _intersect(list(map(_RANK, rel.pos)), _seek(g, expr)))
-    return _keep(rel, _passes(g, expr, rel.pos))
+            return _gather(rel, _intersect(rel.pos, _seek(g, expr)))
+    return _keep(rel, _passes(g, expr, rel.pos, rel.pos_kind))
 
 
 def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
@@ -546,9 +613,9 @@ def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
     if not expr.bind_value:
         return _filter(expr, inputs, g, arg)
     (src,) = inputs
-    rel = _element(src, expr.anchor, alg.output_columns(expr, (src.cols,)))
-    rel.pos = _properties(g, expr.key, rel.pos)
-    return _bind(_keep(rel, list(map(is_not, rel.pos, repeat(None)))), expr.var)
+    rel = _element(g, src, expr.anchor, alg.output_columns(expr, (src.cols,)))
+    rel.pos, rel.pos_kind = _properties(g, expr.key, rel.pos, rel.pos_kind), VALUES
+    return _bind(g, _keep(rel, list(map(is_not, rel.pos, repeat(None)))), expr.var)
 
 
 def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
@@ -582,14 +649,16 @@ def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
     kept = _backward(expr.predicate, src, g)
     if kept is None:
         # inside an enclosing predicate the rows are re-tagged
-        under_test = _Rel(src.cols, src.data, src.pos, list(range(n)), src.holes)
+        under_test = _Rel(src.cols, src.data, src.kinds, src.pos, src.pos_kind,
+                          list(range(n)), src.holes)
         try:
             hits = _run(expr.predicate, g, under_test)
         except EvaluationError:
             # raise what one run per row raises first, in input order
             for i in range(n):
                 row = [[values[i]] for values in src.data]
-                _run(expr.predicate, g, _Rel(src.cols, row, [src.pos[i]], [0], src.holes))
+                alone = _Rel(src.cols, row, src.kinds, [src.pos[i]], src.pos_kind, [0], src.holes)
+                _run(expr.predicate, g, alone)
             raise
         kept = list(map(set(hits.tags).__contains__, range(n)))  # type: ignore[arg-type]
     return _keep(src, list(map(not_, kept)) if expr.negated else kept)
@@ -615,10 +684,12 @@ def _backward(predicate: AlgebraExpr, src: _Rel, g: Graph) -> list[bool] | None:
             return None
         steps.append(node)
         node = node.input  # type: ignore[union-attr]
-    anchors = _element(src, node.var, src.cols).pos  # type: ignore[union-attr]
-    if not _only_tokens(anchors):  # forward raises or skips as it always has
-        return None
-    ranks = list(map(_RANK, anchors))
+    anchors = _element(g, src, node.var, src.cols)  # type: ignore[union-attr]
+    ranks = anchors.pos
+    if anchors.pos_kind is VALUES:
+        if set(map(type, ranks)) != {tuple}:  # forward raises or skips as it always has
+            return None
+        ranks = [a[0] for a in ranks]
     affords = _forward_rows(steps, ranks, g)
     if not affords(g.vertex_count):
         return None
@@ -658,46 +729,50 @@ def _witnesses(steps: list, g: Graph, affords) -> set[int] | None:
     seekable filter's vertices, or None once the walk has touched more
     rows than affords (see _forward_rows) admits."""
     top, *below = steps
-    found = list(map(g.vertex_tokens.__getitem__, _seek(g, top)))
+    found = _seek(g, top)
     touched = len(found)
     for step in below:
         if not affords(touched):
             return None
         if type(step) is alg.Traverse:
             direction = _REVERSE[step.direction]
-            ends = _entries(g, direction, step.edge_label, list(map(_RANK, found)))
+            ends = _entries(g, direction, step.edge_label, found)
             touched += sum(map(len, ends))
             found = list(set(chain.from_iterable(ends)))
         else:
-            found = list(compress(found, _passes(g, step, found)))
-    return set(map(_RANK, found)) if affords(touched) else None
+            found = list(compress(found, _passes(g, step, found, RANKS)))
+    return set(found) if affords(touched) else None
 
 
 def _projection(expr: alg.Projection, inputs, g: Graph, arg) -> _Rel:
     (src,) = inputs
     cols = alg.output_columns(expr, (src.cols,))
-    picked = list(map(src.column, expr.vars))
+    picked, kinds = src.columns(expr.vars)
     if expr.value_key is not None:
-        picked = [_properties(g, expr.value_key, c) for c in picked]
+        picked = [_properties(g, expr.value_key, c, k) for c, k in zip(picked, kinds)]
+        kinds = [VALUES] * len(picked)
     # select() of one variable moves the position onto its value
-    pos = picked[0] if len(picked) == 1 else src.pos
-    rel = _Rel(cols, picked, pos, src.tags, src.holes)
-    mask = _present(picked) if src.holes or expr.value_key is not None else None
+    if len(picked) == 1:
+        pos, pos_kind = picked[0], kinds[0]
+    else:
+        pos, pos_kind = src.pos, src.pos_kind
+    rel = _Rel(cols, picked, kinds, pos, pos_kind, src.tags, src.holes)
+    mask = _present(picked, kinds) if src.holes or expr.value_key is not None else None
     return rel if mask is None else _keep(rel, mask)
 
 
 def _dedup(expr: alg.Dedup, inputs, g: Graph, arg) -> _Rel:
     """First occurrence per key; inside a predicate, per row under test.
-    Key columns that hold only vertex tokens key a row by one int of their
-    ranks (see _rank_keys); any other column keeps its identity keys, so a
-    token never meets an int."""
+    Key columns that are all rank columns key a row by one int of their
+    ranks (see _rank_keys); otherwise each column keeps its identity keys
+    at its own place in a tuple key, so a token never meets an int."""
     (src,) = inputs
     names = expr.vars or src.cols
-    keyed = list(map(src.column, names)) if names else [src.pos]
-    if all(map(_only_tokens, keyed)):
+    keyed, kinds = src.columns(names) if names else ([src.pos], [src.pos_kind])
+    if all(kinds):
         keys = _rank_keys(keyed, src.tags, g.vertex_count)
     else:
-        keys = _keys(list(map(_identity_keys, keyed)), src.tags)
+        keys = _keys(list(map(_identity_keys, keyed, kinds)), src.tags)
     first = _first_rows(keys)
     return src if len(first) == len(src.pos) else _gather(src, first)
 
@@ -719,35 +794,42 @@ def _restriction(expr: alg.Restriction, inputs, g, arg) -> _Rel:
 
 
 def _sort(expr: alg.Sort, inputs, g, arg) -> _Rel:
-    """One stable sort on all keys.  No tag is needed inside a predicate: a
-    stable sort of all rows orders each tag's rows as sorting them alone
-    would."""
+    """A stable sort on the key columns in turn, the last first, so that
+    the first key column decides and each later one breaks its ties.  No
+    tag is needed inside a predicate: a stable sort of all rows orders
+    each tag's rows as sorting them alone would."""
     (src,) = inputs
-    columns = list(map(src.column, expr.vars)) if expr.vars else [src.pos]
-    keys = _keys(list(map(_order_keys, columns)), None)
+    columns, kinds = src.columns(expr.vars) if expr.vars else ([src.pos], [src.pos_kind])
     descending = expr.direction != alg.ASCENDING
-    return _gather(src, sorted(range(len(keys)), key=keys.__getitem__, reverse=descending))
+    index = list(range(len(src.pos)))
+    for keys in map(_order_keys, reversed(columns), reversed(kinds)):
+        index.sort(key=keys.__getitem__, reverse=descending)
+    return _gather(src, index)
 
 
 def _group(expr: alg.Group, inputs, g: Graph, arg) -> _Rel:
     """Flattened (key, member) rows in a stable sort by key.  A row's
-    member is its natural value and its key the key property of its
-    position (no key: the member); a row with no key is dropped.  Inside a
+    member is its position and its key the key property of its position
+    (no key: the member); a row with no key is dropped.  Inside a
     predicate each row keeps its tag; as for _sort, sorting all rows at
     once orders each tag's rows as grouping them alone would."""
     (src,) = inputs
-    members = _naturals(list(map(src.column, src.cols)), src.pos)
-    keys = members if expr.key is None else _properties(g, expr.key, src.pos)
-    rel = _Rel(alg.output_columns(expr, (src.cols,)), [keys, members], keys, src.tags, True)
-    if None in keys:
+    members, kind = src.pos, src.pos_kind
+    if expr.key is None:
+        keys, key_kind = members, kind
+    else:
+        keys, key_kind = _properties(g, expr.key, members, kind), VALUES
+    cols = alg.output_columns(expr, (src.cols,))
+    rel = _Rel(cols, [keys, members], [key_kind, kind], keys, key_kind, src.tags, True)
+    if key_kind is VALUES and None in keys:
         rel = _keep(rel, list(map(is_not, keys, repeat(None))))
     keys = rel.data[0]
-    rel = _gather(rel, sorted(range(len(keys)), key=_order_keys(keys).__getitem__))
-    rel.pos = [None] * len(rel.pos)
+    rel = _gather(rel, sorted(range(len(keys)), key=_order_keys(keys, key_kind).__getitem__))
+    rel.pos, rel.pos_kind = [None] * len(rel.pos), VALUES
     return rel
 
 
-def _join(expr: alg.Join, inputs, g, arg) -> _Rel:
+def _join(expr: alg.Join, inputs, g: Graph, arg) -> _Rel:
     """Hash join on the shared columns (values_equal), rows in left-major
     order; a shared column takes the right side's value, as does the
     position unless the right row has none.  Inside a predicate the tag is
@@ -757,11 +839,13 @@ def _join(expr: alg.Join, inputs, g, arg) -> _Rel:
     shared = [c for c in dict.fromkeys(left.cols) if c in right.cols]
     nl, nr = len(left.pos), len(right.pos)
     if shared or left.tags is not None:
+        met = [_meet(g, *left.get(c), *right.get(c)) for c in shared]
+        kinds = [k for _, _, k in met]
         table: dict = {}
-        for i, k in enumerate(_join_keys(list(map(right.column, shared)), right.tags)):
+        for i, k in enumerate(_join_keys([r for _, r, _ in met], kinds, right.tags)):
             if k is not None:
                 table.setdefault(k, []).append(i)
-        lkeys = _join_keys(list(map(left.column, shared)), left.tags)
+        lkeys = _join_keys([lv for lv, _, _ in met], kinds, left.tags)
         matches = list(map(table.get, lkeys, repeat(())))
         right_index = list(chain.from_iterable(matches))
         left_index = list(chain.from_iterable(map(repeat, range(nl), map(len, matches))))
@@ -770,46 +854,58 @@ def _join(expr: alg.Join, inputs, g, arg) -> _Rel:
         left_index = list(chain.from_iterable(map(repeat, range(nl), repeat(nr, nl))))
     take_left = _once(lambda values: list(map(values.__getitem__, left_index)))
     take_right = _once(lambda values: list(map(values.__getitem__, right_index)))
-    data = [
-        take_right(right.column(c)) if c in shared else take_left(left.column(c))
-        for c in left.cols
-    ] + [take_right(right.column(c)) for c in cols[len(left.cols):]]
+    data, kinds = [], []
+    for c in cols:
+        from_right = c in shared or c not in left.cols
+        values, kind = (right if from_right else left).get(c)
+        data.append((take_right if from_right else take_left)(values))
+        kinds.append(kind)
     holes = left.holes or right.holes
-    pos = take_right(right.pos)
+    pos, pos_kind = take_right(right.pos), right.pos_kind
     if holes:  # a right row without a position keeps the left one
-        pos = _coalesce(pos, take_left(left.pos))
+        pos, pos_kind = _coalesce(g, pos, pos_kind, take_left(left.pos), left.pos_kind)
     tags = None if left.tags is None else take_left(left.tags)
-    return _Rel(cols, data, pos, tags, holes)  # type: ignore[arg-type]
+    return _Rel(cols, data, kinds, pos, pos_kind, tags, holes)  # type: ignore[arg-type]
 
 
-def _union(expr: alg.Union, inputs, g, arg) -> _Rel:
-    return _union_rels(*inputs)
+def _union(expr: alg.Union, inputs, g: Graph, arg) -> _Rel:
+    return _union_rels(g, *inputs)
 
 
-def _union_rels(left: _Rel, right: _Rel) -> _Rel:
+def _union_rels(g: Graph | None, left: _Rel, right: _Rel) -> _Rel:
     """Bag union: left rows then right rows, multiplicities add.  The
     schema is merge_columns; a column one side lacks is absent in its rows.
-    Inside a predicate both sides are tagged and each row keeps its tag."""
+    A column is a rank column where both sides' are.  Inside a predicate
+    both sides are tagged and each row keeps its tag."""
     cols = alg.merge_columns(left.cols, right.cols)
     holes = left.holes or right.holes or set(left.cols) != set(right.cols)
 
-    def column(rel: _Rel, c: str) -> list:
-        values = rel.column(c)
-        return [None] * len(rel.pos) if values is None else values
+    def column(rel: _Rel, c: str) -> tuple[list, bool]:
+        if c not in rel.cols:
+            return [None] * len(rel.pos), VALUES
+        return rel.get(c)
 
-    data = [column(left, c) + column(right, c) for c in cols]
+    data, kinds = [], []
+    for c in cols:
+        lv, rv, kind = _meet(g, *column(left, c), *column(right, c))  # type: ignore[arg-type]
+        data.append(lv + rv)
+        kinds.append(kind)
+    lp, rp, pos_kind = _meet(g, left.pos, left.pos_kind, right.pos, right.pos_kind)  # type: ignore[arg-type]
     tags = None if left.tags is None else left.tags + right.tags  # type: ignore[operator]
-    return _Rel(cols, data, left.pos + right.pos, tags, holes)
+    return _Rel(cols, data, kinds, lp + rp, pos_kind, tags, holes)
 
 
-def _aggregate(expr: alg.Aggregate, inputs, g, arg: _Rel | None) -> _Rel:
+def _aggregate(expr: alg.Aggregate, inputs, g: Graph, arg: _Rel | None) -> _Rel:
     """max of the positions of an input of at most one column; inside a
     predicate, one per row under test that has input."""
     (src,) = inputs
     if len(src.cols) > 1:
         raise EvaluationError("max() needs a single-column input")
     values = src.pos
-    if not set(map(type, values)) <= {int, float}:
+    if src.pos_kind is RANKS:
+        if values:
+            raise EvaluationError(f"max() over non-numeric value {g.vertex_refs[values[0]]!r}")
+    elif not set(map(type, values)) <= {int, float}:
         bad = next(v for v in values if not is_numeric(v))
         shown = g.vertex_refs[bad[0]] if type(bad) is tuple else bad  # type: ignore[index]
         raise EvaluationError(f"max() over non-numeric value {shown!r}")
@@ -825,7 +921,7 @@ def _aggregate(expr: alg.Aggregate, inputs, g, arg: _Rel | None) -> _Rel:
         result = max(bag)
         results.append(float(result) if len(set(map(type, bag))) > 1 else result)
     cols = alg.output_columns(expr, (src.cols,))
-    return _Rel(cols, [], results, None if src.tags is None else list(groups))
+    return _Rel(cols, [], [], results, VALUES, None if src.tags is None else list(groups))
 
 
 _OPERATORS = {
@@ -870,22 +966,24 @@ def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
             f"union schema mismatch: {list(a.columns)} vs {list(b.columns)}"
         )
     g = a._graph or b._graph
-    sides = [  # a token of another graph's result is resolved to its ref
-        _Rel(tuple(s.columns), s._data, s._pos) if s._graph is None or s._graph is g
-        else _Rel(tuple(s.columns), [s._column(i) for i in range(len(s.columns))], s._column(-1))
+    sides = [  # the vertices of another graph's result are resolved to their refs
+        _Rel(tuple(s.columns), s._data, s._kinds, s._pos, s._pos_kind)
+        if s._graph is None or s._graph is g
+        else _Rel(tuple(s.columns), [s._column(i) for i in range(len(s.columns))],
+                  [VALUES] * len(s.columns), s._column(-1), VALUES)
         for s in (a, b)
     ]
-    return _result(_union_rels(*sides), g)
+    return _result(_union_rels(g, *sides), g)
 
 
 # -- result serialization -------------------------------------------------------------
 #
-# The renderers read a set's columns.  A column of one scalar type is
-# written by a C-level text function, a column of vertex tokens by a
-# gather of texts by rank, and any other column makes each distinct
-# object's text once per call.  to_jsonl writes no string per row: it
-# fills one flat list of pieces a column at a time, a key prefix and the
-# column's texts in every row's slots, and joins that list once.
+# The renderers read a set's columns.  A rank column is written by a gather
+# of texts by rank, a value column of one scalar type by a C-level text
+# function, and any other value column makes each distinct object's text
+# once per call.  to_jsonl writes no string per row: it fills one flat list
+# of pieces a column at a time, a key prefix and the column's texts in
+# every row's slots, and joins that list once.
 
 
 _dump = json.JSONEncoder(separators=(",", ":")).encode
@@ -919,26 +1017,32 @@ def _cell_texts(g: Graph, ranks: list[int]) -> list[str]:
 
 # Per format: the text of one value; per scalar type, the C-level function
 # that writes that text for a value of exactly that type (a finite float's
-# JSON text is its repr); and the texts of vertex tokens by rank, from the
-# graph's table (JSON) or made per call (cells).
+# JSON text is its repr); and the texts of a rank column, from the graph's
+# table (JSON) or made per call (cells).
 _JSON = (_json_value, {str: _json_string, int: int.__repr__, float: float.__repr__}, Graph.vertex_texts)
 _CELL = (_format_cell, {str: str, int: int.__repr__, float: float.__repr__}, _cell_texts)
 
 
-def _texts(values: list, kinds: set, form: tuple, g: Graph | None, cache: dict[int, str]) -> list[str]:
-    """The texts of a column's values, whose types are kinds, in a format;
-    a vertex token is read as its vertex of g.  A column of one type the
-    format maps to a text function is written by it; a column of vertex
-    tokens by the format's texts by rank.  Otherwise the value text runs
-    once per distinct object, and cache maps id(object) to its text while
-    the objects are alive."""
-    text, direct, tokens = form
-    if len(kinds) == 1:
-        (kind,) = kinds
-        if kind is tuple:
-            return tokens(g, list(map(_RANK, values)))
-        if kind in direct:
-            return list(map(direct[kind], values))
+def _types(values: list, kind: bool) -> set:
+    """The types a value column holds; none are read off a rank column."""
+    return set() if kind is RANKS else set(map(type, values))
+
+
+def _texts(values: list, kind: bool, types: set, form: tuple, g: Graph | None,
+           cache: dict[int, str]) -> list[str]:
+    """The texts of a column's values in a format.  A rank column is
+    written by the format's texts by rank.  A value column whose values
+    are all of one type (types) that the format maps to a text function is
+    written by it; otherwise the value text runs once per distinct object,
+    a vertex token read as its vertex of g, and cache maps id(object) to
+    its text while the objects are alive."""
+    text, direct, ranks = form
+    if kind is RANKS:
+        return ranks(g, values)
+    if len(types) == 1:
+        (tp,) = types
+        if tp in direct:
+            return list(map(direct[tp], values))
     ids = list(map(id, values))
     for i, v in dict(zip(ids, values)).items():
         if i not in cache:
@@ -969,14 +1073,15 @@ def to_jsonl(result: BindingSet) -> str:
     g = result._graph
     cache: dict[int, str] = {}  # the set keeps every value alive meanwhile
     if not result.columns:
-        pos = result._pos
-        return _lines(['{"value":'], [_texts(pos, set(map(type, pos)), _JSON, g, cache)])
-    names = dict.fromkeys(result.columns)
-    keys = [_json_string(c) + ":" for c in names]
-    columns = [result._data[result.columns.index(c)] for c in names]
-    kinds = [set(map(type, vs)) for vs in columns]
-    texts = list(map(_texts, columns, kinds, repeat(_JSON), repeat(g), repeat(cache)))
-    if any(type(None) in k for k in kinds):
+        pos, kind = result._pos, result._pos_kind
+        return _lines(['{"value":'], [_texts(pos, kind, _types(pos, kind), _JSON, g, cache)])
+    slots = list(map(result.columns.index, dict.fromkeys(result.columns)))
+    keys = [_json_string(result.columns[i]) + ":" for i in slots]
+    columns = list(map(result._data.__getitem__, slots))
+    kinds = list(map(result._kinds.__getitem__, slots))
+    types = list(map(_types, columns, kinds))
+    texts = list(map(_texts, columns, kinds, types, repeat(_JSON), repeat(g), repeat(cache)))
+    if any(type(None) in t for t in types):
         # each row writes the columns it has
         texts = [
             [None if v is None else k + t for v, t in zip(vs, ts)]
@@ -994,12 +1099,15 @@ def to_table(result: BindingSet) -> str:
     if not len(result):
         return ""
     if not result.columns:
-        return "\n".join(_texts(result._pos, set(map(type, result._pos)), _CELL, g, cache))
+        pos, kind = result._pos, result._pos_kind
+        return "\n".join(_texts(pos, kind, _types(pos, kind), _CELL, g, cache))
     padded = []
     for c in result.columns:
-        values = result._data[result.columns.index(c)]
-        texts = _texts(values, set(map(type, values)), _CELL, g, cache)
-        texts = ["" if v is None else t for v, t in zip(values, texts)]
+        i = result.columns.index(c)
+        values, kind = result._data[i], result._kinds[i]
+        texts = _texts(values, kind, _types(values, kind), _CELL, g, cache)
+        if kind is VALUES:
+            texts = ["" if v is None else t for v, t in zip(values, texts)]
         width = max(len(c), *map(len, texts))
         padded.append((c.ljust(width), "-" * width, [t.ljust(width) for t in texts]))
     headers, rules, cells = zip(*padded)

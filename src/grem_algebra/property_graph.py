@@ -152,21 +152,23 @@ class Graph:
     The graph is laid out in the order the evaluator reads it.  Vertices
     are stored by rank, their position in ascending lexicographic id
     order; edges by index, their position in the file.  Inside the
-    evaluator a vertex is its token, the 1-tuple ``(rank,)``.  There is one
-    token per vertex, so identity, equality, ordering, dedup and join keys
-    are the token itself.  A tuple that holds only scalars and such tokens
-    is not something CPython's cyclic garbage collector must follow, and
-    the collector stops tracking it at its first collection: tokens,
-    neighbour entries and the evaluator's rows then cost full collections
-    nothing.  ``VertexRef`` appears only where ``evaluate`` hands rows back.
+    evaluator a column of vertices is a list of ranks, and every rank the
+    graph hands out (``vertex_ranks``, neighbour entries, seeks) is the
+    same int object of one per-graph tuple, so no column allocates ints.
+    A vertex among other values is its token, the 1-tuple ``(rank,)``.
+    Ints, and tuples that hold only ints, are not something CPython's
+    cyclic garbage collector must follow: neighbour entries and the
+    evaluator's rows cost full collections nothing.  ``VertexRef``
+    appears only where ``evaluate`` hands rows back.
 
-    * ``vertex_tokens``: the tokens, by rank;
+    * ``vertex_ranks``: the ranks, ``0 .. vertex_count - 1``;
+    * ``vertex_tokens``: the tokens, by rank, built whole on first use;
     * ``vertex_refs``: one interned ``VertexRef`` per vertex, by rank (the
       ref a result holds for a token);
     * ``vertex_labels`` / ``vertex_props``: by rank;
     * ``property_column(key)``: every vertex's value for key by rank (None
       where it has none), built whole on the first use of key, so a query
-      reads a property for a whole column of tokens with one gather;
+      reads a property for a whole column of ranks with one gather;
     * ``ranks_labelled(label)``: the ranks of the vertices carrying label,
       ascending, from a table of every vertex label built whole on first
       use; ``ranks_with(key, value)``: the ranks of the vertices whose
@@ -174,7 +176,7 @@ class Graph:
       per-key table keyed by ``join_key`` built whole on the first use of
       key.  A filter straight over all vertices reads these instead of a
       mask over every vertex;
-    * ``adjacent(direction, label, rank)``: the tokens adjacent to a vertex
+    * ``adjacent(direction, label, rank)``: the ranks adjacent to a vertex
       along edges of that label (None: any label), one per edge, in file
       order, read from the direction's edge indexes sorted by endpoint
       rank, built whole on first use; ``neighbours(direction, label)`` is
@@ -201,8 +203,9 @@ class Graph:
             self._e_ids, self.edge_index, self.edge_labels, self._e_out, self._e_in,
             self.edge_props,
         ) = columns
-        # tuples of ints, which the garbage collector stops tracking
-        self.vertex_tokens: tuple[tuple[int], ...] = tuple(zip(range(len(self._v_ids))))
+        # the rank ints the edge ends already hold, 0 .. n - 1 in insertion order
+        self.vertex_ranks: tuple[int, ...] = tuple(self._v_index.values())
+        self._vertex_tokens: tuple[tuple[int], ...] | None = None
         self.vertex_refs: tuple[VertexRef, ...] = tuple(map(VertexRef, self._v_ids))
         self._incidences: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._neighbours: dict[tuple[str, str | None], list] = {}
@@ -225,6 +228,16 @@ class Graph:
     def vertex_ids(self) -> list[str]:
         """All vertex ids in ascending lexicographic order."""
         return list(self._v_ids)
+
+    @property
+    def vertex_tokens(self) -> tuple[tuple[int], ...]:
+        """One token (rank,) per vertex, by rank.  Built whole on first use."""
+        tokens = self._vertex_tokens
+        if tokens is None:
+            # tuples of ints, which the garbage collector stops tracking
+            tokens = tuple(zip(self.vertex_ranks))
+            self._vertex_tokens = tokens
+        return tokens
 
     def edges_sorted(self) -> tuple[EdgeRef, ...]:
         """One interned EdgeRef per edge, in ascending id order."""
@@ -259,8 +272,8 @@ class Graph:
             self._neighbours[key] = lists
         return lists
 
-    def adjacent(self, direction: str, label: str | None, rank: int) -> tuple[tuple[int], ...]:
-        """The tokens adjacent to the vertex of that rank along edges of
+    def adjacent(self, direction: str, label: str | None, rank: int) -> tuple[int, ...]:
+        """The ranks adjacent to the vertex of that rank along edges of
         label (None: any label), one per edge, in file order.  Built on
         first use, so a query that touches a few vertices builds only their
         entries."""
@@ -274,8 +287,7 @@ class Graph:
             if label is not None:
                 labels = self.edge_labels
                 exs = [ex for ex in exs if labels[ex] == label]
-            tokens = self.vertex_tokens
-            found = tuple([tokens[ends[ex]] for ex in exs])
+            found = tuple(map(ends.__getitem__, exs))
             lists[rank] = found
         return found
 
@@ -300,7 +312,7 @@ class Graph:
         every vertex label is built whole on first use."""
         table = self._label_ranks
         if table is None:
-            table = _ranks_by(self.vertex_labels)
+            table = _ranks_by(self.vertex_ranks, self.vertex_labels)
             self._label_ranks = table
         return table.get(label, ())
 
@@ -321,7 +333,8 @@ class Graph:
         if table is None:
             column = self.property_column(key)
             # each value's join_key by C-level maps, (None, None) where absent
-            table = _ranks_by(zip(map(_JOIN_TAGS.get, map(type, column)), column))
+            keys = zip(map(_JOIN_TAGS.get, map(type, column)), column)
+            table = _ranks_by(self.vertex_ranks, keys)
             table.pop((None, None), None)
             self._value_ranks[key] = table
         return table.get(join_key(value), ())
@@ -346,12 +359,12 @@ class Graph:
         return f"Graph(|V|={self.vertex_count}, |E|={self.edge_count})"
 
 
-def _ranks_by(keys) -> dict:
+def _ranks_by(ranks: tuple[int, ...], keys) -> dict:
     """Per distinct key, the ranks (positions in keys) holding it, ascending."""
-    ranks: dict = {}
-    for rank, k in enumerate(keys):
-        ranks.setdefault(k, []).append(rank)
-    return dict(zip(ranks, map(tuple, ranks.values())))
+    found: dict = {}
+    for rank, k in zip(ranks, keys):
+        found.setdefault(k, []).append(rank)
+    return dict(zip(found, map(tuple, found.values())))
 
 
 # -- loader ----------------------------------------------------------------

@@ -5,6 +5,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grem_algebra import (
     BindingSet,
@@ -31,8 +33,9 @@ from grem_algebra.algebra import (
     Traverse,
     Union,
 )
+from grem_algebra import evaluator
 from grem_algebra.evaluator import CUR
-from grem_algebra.property_graph import Graph, sort_key
+from grem_algebra.property_graph import EdgeRef, Graph, sort_key
 
 from reference import EMPTY_PATH, Path, element_property, out_adjacent, path_concat, path_join
 from corpus import Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30, Q_COCREATOR_32, Q_AGES_ASC, random_graph
@@ -301,6 +304,71 @@ def test_sort_is_permutation(modern):
     assert Counter(plain.canonical()) == Counter(ordered.canonical())
 
 
+def _tuple_sort(expr, inputs, g, arg):
+    """Reference Sort: one stable sort on a tuple of every key column's
+    order keys."""
+    (src,) = inputs
+    columns, kinds = src.columns(expr.vars) if expr.vars else ([src.pos], [src.pos_kind])
+    keys = evaluator._keys(list(map(evaluator._order_keys, columns, kinds)), None)
+    index = sorted(range(len(keys)), key=keys.__getitem__, reverse=expr.direction != "asc")
+    return evaluator._gather(src, index)
+
+
+# mixed types, absent values and few distinct values, so that ties are common
+_MIXED = st.one_of(
+    st.none(), st.integers(-2, 2), st.sampled_from([-0.0, 0.0, 1.0, 2.5]), st.booleans(),
+    st.sampled_from(["", "a", "b"]), st.sampled_from([(0,), (1,), (2,)]),
+    st.sampled_from([EdgeRef("e1"), EdgeRef("e2")]),
+)
+_VALUE_COLUMNS = [_MIXED, st.integers(0, 3), st.sampled_from(["a", "b"]), st.booleans()]
+
+
+@st.composite
+def _sort_inputs(draw):
+    n = draw(st.integers(0, 25))
+    data, kinds = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        ranks = draw(st.booleans())
+        values = st.integers(0, 4) if ranks else draw(st.sampled_from(_VALUE_COLUMNS))
+        data.append(draw(st.lists(values, min_size=n, max_size=n)))
+        kinds.append(evaluator.RANKS if ranks else evaluator.VALUES)
+    return data, kinds, draw(st.sampled_from(["asc", "desc"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_sort_inputs())
+def test_sorting_key_by_key_orders_as_one_tuple_sort(case):
+    data, kinds, direction = case
+    cols = tuple(f"c{i}" for i in range(len(data)))
+    rel = evaluator._Rel(cols, data, kinds, list(range(len(data[0]))), evaluator.VALUES)
+    expr = Sort(cols, direction, GetVertices())
+    got = evaluator._sort(expr, [rel], None, None)
+    assert got.pos == _tuple_sort(expr, [rel], None, None).pos
+
+
+ORDER_QUERIES = [
+    "g.V().as('a').out().as('b').select('b','a').order().by(desc)",
+    "g.V().match(__.as('a').values('age').as('b')).select('b','a').order().by(asc)",
+    "g.V().as('a').union(__.out().as('b'), __.values('age').as('b')).select('b','a').order().by(desc)",
+    "g.V().as('a').union(__.out().as('b'), __.in().as('c')).order().by(asc)",
+    "g.V().out().group().by('name').order().by(desc)",
+    # inside a predicate: no tag is a key
+    "g.V().where(__.as('a').out().as('b').select('b','a').order().by(desc).limit(1).has('lang')).values('name')",
+    "g.V().not(__.as('a').in().as('b').select('a','b').order().by(desc).limit(2).has('age', 29))",
+    "g.V().where(__.as('a').union(__.out().as('b'), __.values('name').as('b')).select('b','a')"
+    ".order().by(asc).limit(1).hasLabel('person'))",
+]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_key_by_key_sort_answers_as_the_tuple_sort(seed, monkeypatch):
+    g = random_graph(seed)
+    plans = [compile_traversal(parse_traversal(text)) for text in ORDER_QUERIES]
+    got = [evaluate(plan, g).rows for plan in plans]
+    monkeypatch.setitem(evaluator._OPERATORS, Sort, _tuple_sort)
+    assert got == [evaluate(plan, g).rows for plan in plans]
+
+
 def test_group_by_property(modern):
     grouped = evaluate(Group("lang", GetVertices()), modern)
     assert grouped.columns == ("key", "member")
@@ -316,6 +384,20 @@ def test_group_key_names_a_property_not_a_column(modern):
     assert [(r["key"], r["member"].id) for r in grouped.rows] == [
         ("josh", "4"), ("lop", "3"), ("marko", "1"), ("peter", "6"), ("ripple", "5"),
         ("vadas", "2"),
+    ]
+
+
+def test_group_members_are_the_positions(modern):
+    # group() holds the grouped elements, as Gremlin does: an as() before
+    # the walk leaves the members alone
+    expected = [("lop", "3"), ("lop", "3"), ("lop", "3"), ("ripple", "5")]
+    for text in ("g.V().out('created').group().by('name')",
+                 "g.V().as('a').out('created').group().by('name')"):
+        grouped = run(text, modern)
+        assert [(r["key"], r["member"].id) for r in grouped.rows] == expected, text
+    grouped = run("g.V().as('a').out('created').group()", modern)
+    assert [(r["key"].id, r["member"].id) for r in grouped.rows] == [
+        ("3", "3"), ("3", "3"), ("3", "3"), ("5", "5"),
     ]
 
 

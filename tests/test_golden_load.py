@@ -162,7 +162,8 @@ def _dangling_endpoint(rng, doc):
 def _label_clash(rng, doc):
     vertices, edges = entry_objects(doc, "vertices"), entry_objects(doc, "edges")
     if edges and rng.random() < 0.5:
-        rng.choice(edges)["label"] = rng.choice(vertices)["label"] if vertices else "person"
+        # an earlier fault may have removed the vertex's label
+        rng.choice(edges)["label"] = rng.choice(vertices).get("label") if vertices else "person"
     else:
         rng.choice(vertices)["label"] = rng.choice(EDGE_LABELS)
 

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 from collections import OrderedDict
+from operator import is_, itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -311,9 +312,12 @@ def test_tables_built_once_and_shared():
     use and then kept."""
     modern = modern_graph()  # a graph no query has read yet
     assert [r.id for r in modern.vertex_refs] == modern.vertex_ids()
-    # one interned token (rank,) and one interned ref per vertex, by rank
+    # one rank int and one interned ref per vertex, by rank
     rank = {r.id: i for i, r in enumerate(modern.vertex_refs)}
+    assert modern.vertex_ranks == tuple(range(len(rank)))
+    assert modern._vertex_tokens is None  # not built before first use
     assert modern.vertex_tokens == tuple((i,) for i in range(len(rank)))
+    assert all(map(is_, map(itemgetter(0), modern.vertex_tokens), modern.vertex_ranks))
     assert modern.vertex_props[rank["1"]]["name"] == "marko"
     assert modern.vertex_labels[rank["3"]] == "software"
     knows = modern.neighbours("out", "knows")
@@ -321,14 +325,15 @@ def test_tables_built_once_and_shared():
     marko = rank["1"]
     assert knows[marko] is None  # not built before first use
     found = modern.adjacent("out", "knows", marko)
-    assert [modern.vertex_refs[n[0]].id for n in found] == ["2", "4"]
+    assert [modern.vertex_refs[n].id for n in found] == ["2", "4"]
     assert knows[marko] is modern.adjacent("out", "knows", marko)
     for direction, adjacent in (("out", out_adjacent), ("in", in_adjacent)):
         for label in (None, "knows", "created"):
             for vid in rank:
                 found = modern.adjacent(direction, label, rank[vid])
-                assert found == tuple((rank[v],) for _, v in adjacent(modern, vid, label))
-                assert all(n is modern.vertex_tokens[n[0]] for n in found)
+                assert found == tuple(rank[v] for _, v in adjacent(modern, vid, label))
+                # the graph's own rank ints, never one made per entry
+                assert all(n is modern.vertex_ranks[n] for n in found)
     refs = modern.edges_sorted()
     assert modern.edges_sorted() is refs
     assert [r.id for r in refs] == edge_ids(modern) == sorted(e.id for e in edges(modern))
@@ -515,5 +520,5 @@ def test_load_graph_agrees_with_the_entry_by_entry_checks(doc, form):
     for direction, adjacent in (("out", out_adjacent), ("in", in_adjacent)):
         for vid, r in rank.items():
             for label in (None, "k"):
-                expected = tuple((rank[v],) for _, v in adjacent(g, vid, label))
+                expected = tuple(rank[v] for _, v in adjacent(g, vid, label))
                 assert g.adjacent(direction, label, r) == expected

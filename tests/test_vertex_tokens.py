@@ -1,11 +1,13 @@
-"""Vertex tokens inside the engine, interned VertexRefs at its boundary.
+"""Vertex ranks and tokens inside the engine, interned VertexRefs at its
+boundary.
 
-Inside the evaluator a vertex is the token (rank,), its rank in
-lexicographic id order; evaluate() hands back the graph's interned
-VertexRefs.  The graph below has ids whose file order (b, 10, 9, a),
-lexicographic order (10, 9, a, b) and numeric order differ, so any
-operator that ordered, deduplicated, grouped or joined by the wrong one
-would show here.  The expected rows were produced by the evaluator that
+Inside the evaluator a vertex is its rank in lexicographic id order: a
+bare int in a column of vertices only, the token (rank,) in a column of
+other values too; evaluate() hands back the graph's interned VertexRefs.
+The graph below has ids whose file order (b, 10, 9, a), lexicographic
+order (10, 9, a, b) and numeric order differ, so any operator that
+ordered, deduplicated, grouped or joined by the wrong one would show
+here.  The expected rows were produced by the evaluator that
 kept VertexRefs in its rows throughout.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import json
+import operator
 import pathlib
 import random
 
@@ -20,11 +23,13 @@ import pytest
 
 from grem_algebra import (
     BindingSet,
+    EvaluationError,
     compile_traversal,
     evaluate,
     load_graph,
     multiset_union,
     parse_traversal,
+    to_jsonl,
 )
 from grem_algebra import evaluator
 from grem_algebra.property_graph import EdgeRef, VertexRef
@@ -196,16 +201,24 @@ def test_engine_rows_and_graph_tables_are_not_gc_tracked():
         # what the collector tracks is the relation's few lists, not its rows
         leftovers[n] = len(gc.get_objects()) - before
         assert len(rel.pos) > 3 * n
-        for values in rel.data + [rel.pos]:
+        for values, kind in zip(rel.data + [rel.pos], rel.kinds + [rel.pos_kind]):
+            assert kind is evaluator.RANKS
             assert not any(map(gc.is_tracked, values))
+            # the graph's own rank ints: no column allocates one
+            assert all(map(operator.is_, values, map(g.vertex_ranks.__getitem__, values)))
     assert leftovers[600] <= leftovers[300] <= 10, leftovers
     entries = [e for label in (None, "knows") for e in g.neighbours("out", label) if e is not None]
+    assert g._vertex_tokens is None  # no column of this query met a value column
+    tokens = g.vertex_tokens
     control = (g.vertex_refs[0],)  # a tuple holding a ref stays tracked
+    gc.collect()
     gc.collect()
     assert len(entries) > 100
     assert not any(map(gc.is_tracked, entries))
-    assert not gc.is_tracked(g.vertex_tokens)
-    assert not any(map(gc.is_tracked, g.vertex_tokens))
+    assert all(r is g.vertex_ranks[r] for e in entries for r in e)
+    assert not gc.is_tracked(g.vertex_ranks)
+    assert not gc.is_tracked(tokens)
+    assert not any(map(gc.is_tracked, tokens))
     assert list(g._incidences) == ["out"]  # built whole by the out() steps
     for incidence in g._incidences.values():
         assert not gc.is_tracked(incidence)
@@ -237,8 +250,9 @@ DEDUP_QUERIES = [
 
 
 def _identity_keyed(columns, tags, base):
-    """Dedup keys as they were before token columns were keyed by ranks."""
-    return evaluator._keys(list(map(evaluator._identity_keys, columns)), tags)
+    """Dedup keys as they were before rank columns were keyed by one int:
+    a tuple of the ranks, the tag first."""
+    return evaluator._keys(list(columns), tags)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -259,3 +273,94 @@ def test_a_token_never_meets_an_int_in_dedup():
     g = load_graph(json.dumps(doc))
     rows = evaluate(compile_traversal(parse_traversal("g.V().union(__.out(), __.values('k')).dedup()")), g).rows
     assert [r["@"] for r in rows] == [VertexRef("a"), 3]
+
+
+# The vertices' ranks (a 0, b 1, c 2, d 3) are also the values of k, so a
+# rank read as an int, or an int read as a rank, would show.  The expected
+# rows, and errors, were produced by the evaluator that kept every vertex
+# as its token.
+RANK_INT_GRAPH = {
+    "vertices": [
+        {"id": "b", "label": "n", "properties": {"k": 0}},
+        {"id": "a", "label": "n", "properties": {"k": 3}},
+        {"id": "c", "label": "n", "properties": {"k": 1}},
+        {"id": "d", "label": "n", "properties": {"k": 2}},
+    ],
+    "edges": [
+        {"id": "e1", "label": "x", "outV": "b", "inV": "c"},
+        {"id": "e2", "label": "x", "outV": "c", "inV": "a"},
+        {"id": "e3", "label": "x", "outV": "a", "inV": "d"},
+        {"id": "e4", "label": "x", "outV": "d", "inV": "d"},
+    ],
+}
+
+RANK_INT_QUERIES = {
+    "g.V().union(__.out(), __.values('k'))":
+        ['v[d]', 'v[c]', 'v[a]', 'v[d]', '3', '0', '1', '2'],
+    "g.V().union(__.out(), __.values('k')).dedup()":
+        ['v[d]', 'v[c]', 'v[a]', '3', '0', '1', '2'],
+    "g.V().as('a').union(__.out().as('b'), __.values('k').as('b')).dedup('b')":
+        ['v[a] v[d]', 'v[b] v[c]', 'v[c] v[a]', 'v[a] 3', 'v[b] 0', 'v[c] 1', 'v[d] 2'],
+    "g.V().as('a').union(__.out().as('b'), __.values('k').as('b')).select('b','a').dedup()":
+        ['v[d] v[a]', 'v[c] v[b]', 'v[a] v[c]', 'v[d] v[d]', '3 v[a]', '0 v[b]', '1 v[c]', '2 v[d]'],
+    "g.V().union(__.out(), __.values('k')).order().by(asc)":
+        ['0', '1', '2', '3', 'v[a]', 'v[c]', 'v[d]', 'v[d]'],
+    "g.V().union(__.out(), __.values('k')).order().by(desc)":
+        ['v[d]', 'v[d]', 'v[c]', 'v[a]', '3', '2', '1', '0'],
+    "g.V().as('a').union(__.out().as('b'), __.values('k').as('b')).select('b','a').order().by(asc)":
+        ['0 v[b]', '1 v[c]', '2 v[d]', '3 v[a]', 'v[a] v[c]', 'v[c] v[b]', 'v[d] v[a]', 'v[d] v[d]'],
+    "g.V().as('a').union(__.out().as('b'), __.values('k').as('b')).select('b','a').order().by(desc)":
+        ['v[d] v[d]', 'v[d] v[a]', 'v[c] v[b]', 'v[a] v[c]', '3 v[a]', '2 v[d]', '1 v[c]', '0 v[b]'],
+    "g.V().union(__.out(), __.values('k')).group()":
+        ['0 0', '1 1', '2 2', '3 3', 'v[a] v[a]', 'v[c] v[c]', 'v[d] v[d]', 'v[d] v[d]'],
+    "g.V().as('a').union(__.out().as('b'), __.values('k').as('b')).select('b').group()":
+        ['0 0', '1 1', '2 2', '3 3', 'v[a] v[a]', 'v[c] v[c]', 'v[d] v[d]', 'v[d] v[d]'],
+    "g.V().as('a').union(__.out().as('b'), __.values('k').as('b')).group().by('k')":
+        ['1 v[c]', '2 v[d]', '2 v[d]', '3 v[a]'],
+    "g.V().match(__.as('a').values('k').as('x'), __.as('a').out().as('x'))":
+        [],
+    "g.V().match(__.as('a').values('k').as('x'), __.as('b').out().as('x')).select('a','b','x')":
+        [],
+    "g.V().match(__.as('a').out().as('b'), __.as('c').values('k').as('b'))":
+        [],
+    "g.V().as('a').values('k').as('a')":
+        [],
+    "g.V().as('a').out().values('k').as('a')":
+        [],
+    "g.V().as('x').out().as('x')":
+        ['v[d]'],
+    "g.V().values('k').max()":
+        ['3'],
+    "g.V().union(__.values('k'), __.out()).max()":
+        'EvaluationError: max() over non-numeric value v[d]',
+    "g.V().as('a').union(__.out().as('b'), __.values('k').as('b')).select('b').max()":
+        'EvaluationError: max() over non-numeric value v[d]',
+    "g.V().where(__.union(__.out(), __.values('k')).dedup().max())":
+        'EvaluationError: max() over non-numeric value v[d]',
+}
+
+
+def _json_objects(result: BindingSet) -> list:
+    """The result's dict rows as to_jsonl's objects, read back by json."""
+    def obj(v):
+        return {"vertex": v.id} if type(v) is VertexRef else {"edge": v.id} if type(v) is EdgeRef else v
+
+    if not result.columns:
+        return [{"value": obj(r["@"])} for r in result.rows]
+    names = dict.fromkeys(result.columns)
+    return [{c: obj(r[c]) for c in names if c in r} for r in result.rows]
+
+
+@pytest.mark.parametrize("text", list(RANK_INT_QUERIES))
+def test_a_vertex_never_meets_an_equal_int(text):
+    g = load_graph(json.dumps(RANK_INT_GRAPH))
+    expected = RANK_INT_QUERIES[text]
+    if isinstance(expected, str):
+        with pytest.raises(EvaluationError) as raised:
+            _run(text, g)
+        assert f"EvaluationError: {raised.value}" == expected
+        return
+    result = _run(text, g)
+    assert _rows(result) == expected
+    _assert_interned(result, g)
+    assert [json.loads(line) for line in to_jsonl(result).splitlines()] == _json_objects(result)
