@@ -1,4 +1,4 @@
-"""Tokenizer and parser for the declarative (match-based) Gremlin subset.
+"""Lexer and parser for the declarative (match-based) Gremlin subset.
 
 The accepted grammar is a fluent method chain:
 
@@ -10,21 +10,13 @@ outside the supported set are rejected with a positioned error, as is any
 arity violation.  The parser is total: any input yields either an AST or a
 ParseError carrying line/column.
 
-Two tables state the grammar; the code around them only reads them.
-
-- The lexical grammar, _LEXICON: one regular expression with a named
-  alternative per token class.  tokenize runs it with re.finditer and
-  takes a token's column as its offset from the last newline.
-- The step signatures, _SIGNATURES: per step, its fewest and most
-  arguments, the argument kinds it allows (Literal kinds, or nested
-  traversals only) and its wrong-count message.  check_step applies the
-  row, then the five rules no row can state: V()/E() only as the first
-  step of a root traversal, by() only after select()/order()/group(),
-  the kinds of has()'s key and value, no empty or reserved as() label,
-  and a non-negative limit().
-
-Literal arguments and the keywords true/false/asc/desc are read from one
-more table, _LITERALS.
+The lexer, _lex, runs the lexical grammar _LEXICON with re.finditer over
+the whole text before parsing, so the first lexical error anywhere wins
+over an earlier syntax error.  It fills three flat lists, per token its
+kind (a TokenKind value), value and start offset, ending with EOF.  The
+parser, _Parser, walks them by index and looks each step up by its name in
+one table, _STEPS.  An offset becomes a line and column only when a
+ParseError is raised; tokenize is a view building Tokens from the lists.
 
 Two size limits keep every later stage (compile, validate, evaluate,
 render) inside Python's recursion limit: nested traversals may be at most
@@ -70,14 +62,13 @@ class Token(NamedTuple):
     col: int
 
 
-_PUNCTUATION = {".": TokenKind.DOT, "(": TokenKind.LPAREN, ")": TokenKind.RPAREN, ",": TokenKind.COMMA}
+_PUNCTUATION = {".": "dot", "(": "lparen", ")": "rparen", ",": "comma"}
 
 # The lexical grammar, one named alternative per token class, tried in
-# order.  Digits are ASCII only: int() rejects some characters str.isdigit()
-# accepts (e.g. '¹').  \w also matches Unicode numerals such as '²', which a
-# name may not hold; tokenize checks non-ASCII names exactly.  A string
-# holds no newline and no lone surrogate, which no output can encode, and
-# escapes only a backslash or a quote.
+# order.  Digits are ASCII only: int() rejects some that str.isdigit() takes
+# ('¹').  \w also matches numerals such as '²', which a name may not hold;
+# _lex checks non-ASCII names exactly.  A string holds no newline and no lone
+# surrogate, which no output can encode, and escapes only a backslash or quote.
 _BODY = {q: rf"[^{q}\\\n\ud800-\udfff]*(?:\\[\\'\"][^{q}\\\n\ud800-\udfff]*)*" for q in "'\""}
 _LEXICON = re.compile(
     r"(?P<NAME>[^\W0-9]\w*)"
@@ -85,55 +76,74 @@ _LEXICON = re.compile(
     r"|(?P<NUMBER>-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
     "|(?P<STRING>" + "|".join(q + body + q for q, body in _BODY.items()) + ")"
     r"|(?P<PUNCTUATION>[.(),])"
-    r"|(?P<OTHER>.)",
+    r"|(?P<OTHER>.)"
+    r"|(?P<EOF>\Z)",  # matched once, at the end of the text
     re.DOTALL,
 )
 _STRING_BODY = {q: re.compile(body) for q, body in _BODY.items()}
 _ESCAPE = re.compile(r"\\(.)")
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split query text into tokens; the list always ends with an EOF token."""
-    tokens: list[Token] = []
-    line, line_start = 1, 0
+def _error(text: str, msg: str, pos: int) -> ParseError:
+    """A ParseError at offset pos of text, its line and column worked out."""
+    return ParseError(msg, pos, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
+def _lex(text: str) -> tuple[list[str], list[object], list[int]]:
+    """The kind, value and start offset of every token, ending with EOF."""
+    kinds: list[str] = []
+    values: list[object] = []
+    starts: list[int] = []
     for m in _LEXICON.finditer(text):
-        group, lexeme, start = m.lastgroup, m.group(), m.start()
-        col = start - line_start + 1
-        if group == "NAME":
+        group, lexeme = m.lastgroup, m.group()
+        if group == "PUNCTUATION":
+            kind, value = _PUNCTUATION[lexeme], None
+        elif group == "NAME":
             if not lexeme.isascii():
                 for k, ch in enumerate(lexeme):
                     if not (ch.isalpha() or ch == "_" or (k and "0" <= ch <= "9")):
-                        raise ParseError(f"illegal character {ch!r}", start + k, line, col + k)
-            tokens.append(Token(TokenKind.NAME, lexeme, lexeme, start, line, col))
-        elif group == "SPACE":
-            if "\n" in lexeme:
-                line += lexeme.count("\n")
-                line_start = start + lexeme.rindex("\n") + 1
-        elif group == "PUNCTUATION":
-            tokens.append(Token(_PUNCTUATION[lexeme], lexeme, None, start, line, col))
+                        raise _error(text, f"illegal character {ch!r}", m.start() + k)
+            kind, value = "name", lexeme
         elif group == "STRING":
             body = lexeme[1:-1]
-            value = _ESCAPE.sub(r"\1", body) if "\\" in body else body
-            tokens.append(Token(TokenKind.STRING, lexeme, value, start, line, col))
+            kind, value = "string", _ESCAPE.sub(r"\1", body) if "\\" in body else body
+        elif group == "SPACE":
+            continue
         elif group == "NUMBER":
-            is_float = "." in lexeme or "e" in lexeme or "E" in lexeme
+            kind = "float" if "." in lexeme or "e" in lexeme or "E" in lexeme else "int"
             try:
-                value = float(lexeme) if is_float else int(lexeme)
+                value = float(lexeme) if kind == "float" else int(lexeme)
             except ValueError:  # past the interpreter's int digit limit
-                raise ParseError("integer literal has too many digits", start, line, col) from None
-            if is_float and math.isinf(value):  # rendered as inf, which does not parse again
-                raise ParseError("float literal out of range", start, line, col)
-            tokens.append(Token(TokenKind.FLOAT if is_float else TokenKind.INT, lexeme, value, start, line, col))
+                raise _error(text, "integer literal has too many digits", m.start()) from None
+            if kind == "float" and math.isinf(value):  # rendered as inf, which does not parse again
+                raise _error(text, "float literal out of range", m.start())
+        elif group == "EOF":
+            kind, value = "eof", None
         elif lexeme in _STRING_BODY:  # a quote opening no complete string
-            j = _STRING_BODY[lexeme].match(text, start + 1).end()
+            j = _STRING_BODY[lexeme].match(text, m.start() + 1).end()
             if text.startswith("\\", j) and j + 1 < len(text):
-                raise ParseError(f"unsupported escape '\\{text[j + 1]}'", j, line, col + j - start)
+                raise _error(text, f"unsupported escape '\\{text[j + 1]}'", j)
             if "\ud800" <= text[j:j + 1] <= "\udfff":
-                raise ParseError(f"illegal character {text[j]!r}", j, line, col + j - start)
-            raise ParseError("unterminated string", start, line, col)
+                raise _error(text, f"illegal character {text[j]!r}", j)
+            raise _error(text, "unterminated string", m.start())
         else:
-            raise ParseError(f"illegal character {lexeme!r}", start, line, col)
-    tokens.append(Token(TokenKind.EOF, "", None, len(text), line, len(text) - line_start + 1))
+            raise _error(text, f"illegal character {lexeme!r}", m.start())
+        kinds.append(kind)
+        values.append(value)
+        starts.append(m.start())
+    return kinds, values, starts
+
+
+def tokenize(text: str) -> list[Token]:
+    """Split query text into tokens, ending with EOF: a view over _lex's lists."""
+    tokens: list[Token] = []
+    line, line_start, seen = 1, 0, 0
+    for kind, value, pos in zip(*_lex(text)):
+        line += text.count("\n", seen, pos)
+        line_start = max(line_start, text.rfind("\n", seen, pos) + 1)
+        seen = pos
+        lexeme = _LEXICON.match(text, pos).group()  # type: ignore[union-attr]
+        tokens.append(Token(TokenKind(kind), lexeme, value, pos, line, pos - line_start + 1))
     return tokens
 
 
@@ -186,176 +196,165 @@ class TraversalAST:
     steps: tuple[Step, ...]
 
 
-_STEP_NAMES = {k.value: k for k in StepKind}
+# -- step table and literal arguments -----------------------------------------
 
-
-# -- literal arguments and step signatures -----------------------------------
-
-# Literal arguments: a literal token by its kind, a keyword by its text.
-# A None value takes the token's own value.
-_LITERALS: dict[object, tuple[str, object]] = {
-    TokenKind.STRING: ("string", None),
-    TokenKind.INT: ("int", None),
-    TokenKind.FLOAT: ("float", None),
-    "true": ("bool", True),
-    "false": ("bool", False),
-    "asc": ("direction", "asc"),
-    "desc": ("direction", "desc"),
-}
+# A literal token's kind is its Literal's kind; a keyword reads as one Literal.
+_KEYWORDS = {"true": Literal("bool", True), "false": Literal("bool", False),
+             "asc": Literal("direction", "asc"), "desc": Literal("direction", "desc")}
 
 _TRAVERSAL = frozenset({"traversal"})  # nested traversals only
 _STRING = frozenset({"string"})
-_MANY = math.inf
 
-# Per step: the fewest and the most arguments, the argument kinds allowed
-# (Literal kinds, or "traversal"; None where check_step's own rules check
-# them or no argument is allowed) and the message for a wrong count.
-_SIGNATURES: dict[StepKind, tuple[int, float, frozenset[str] | None, str]] = {
-    StepKind.SOURCE_V: (0, 0, None, "V() takes no arguments"),
-    StepKind.SOURCE_E: (0, 0, None, "E() takes no arguments"),
-    StepKind.MATCH: (1, _MANY, _TRAVERSAL, "match() needs at least one pattern"),
-    StepKind.AS: (1, 1, _STRING, "as() takes exactly one label"),
-    StepKind.OUT: (0, 1, _STRING, "out() takes at most one edge label"),
-    StepKind.IN: (0, 1, _STRING, "in() takes at most one edge label"),
-    StepKind.HAS: (1, 2, None, "has() takes a key and an optional value"),
-    StepKind.HAS_LABEL: (1, 1, _STRING, "hasLabel() takes exactly one label"),
-    StepKind.VALUES: (1, 1, _STRING, "values() takes exactly one property key"),
-    StepKind.WHERE: (1, 1, _TRAVERSAL, "where() takes exactly one traversal argument"),
-    StepKind.SELECT: (1, _MANY, _STRING, "select() needs at least one variable"),
-    StepKind.BY: (1, 1, frozenset({"string", "direction"}), "by() takes exactly one argument"),
-    StepKind.DEDUP: (0, _MANY, _STRING, ""),
-    StepKind.ORDER: (0, 0, None, "order() takes no arguments"),
-    StepKind.GROUP: (0, 0, None, "group() takes no arguments"),
-    StepKind.LIMIT: (1, 1, None, "limit() takes exactly one integer"),
-    StepKind.UNION: (1, _MANY, _TRAVERSAL, "union() needs at least one branch"),
-    StepKind.NOT: (1, 1, _TRAVERSAL, "not() takes exactly one traversal argument"),
-    StepKind.AND: (1, _MANY, _TRAVERSAL, "and() needs at least one traversal argument"),
-    StepKind.MAX: (0, 0, None, "max() takes no arguments"),
+# Per step name: its kind, the fewest and the most arguments, the argument
+# kinds allowed (Literal kinds, or "traversal"; None where the step's rule
+# checks them or it takes none), its wrong-count message and its rule.
+_STEPS: dict[str, tuple[StepKind, int, float, frozenset[str] | None, str, str | None]] = {
+    row[0].value: row
+    for row in (
+        (StepKind.SOURCE_V, 0, 0, None, "V() takes no arguments", "source"),
+        (StepKind.SOURCE_E, 0, 0, None, "E() takes no arguments", "source"),
+        (StepKind.MATCH, 1, math.inf, _TRAVERSAL, "match() needs at least one pattern", None),
+        (StepKind.AS, 1, 1, _STRING, "as() takes exactly one label", "as"),
+        (StepKind.OUT, 0, 1, _STRING, "out() takes at most one edge label", None),
+        (StepKind.IN, 0, 1, _STRING, "in() takes at most one edge label", None),
+        (StepKind.HAS, 1, 2, None, "has() takes a key and an optional value", "has"),
+        (StepKind.HAS_LABEL, 1, 1, _STRING, "hasLabel() takes exactly one label", None),
+        (StepKind.VALUES, 1, 1, _STRING, "values() takes exactly one property key", None),
+        (StepKind.WHERE, 1, 1, _TRAVERSAL, "where() takes exactly one traversal argument", None),
+        (StepKind.SELECT, 1, math.inf, _STRING, "select() needs at least one variable", None),
+        (StepKind.BY, 1, 1, frozenset({"string", "direction"}), "by() takes exactly one argument", "by"),
+        (StepKind.DEDUP, 0, math.inf, _STRING, "", None),
+        (StepKind.ORDER, 0, 0, None, "order() takes no arguments", None),
+        (StepKind.GROUP, 0, 0, None, "group() takes no arguments", None),
+        (StepKind.LIMIT, 1, 1, None, "limit() takes exactly one integer", "limit"),
+        (StepKind.UNION, 1, math.inf, _TRAVERSAL, "union() needs at least one branch", None),
+        (StepKind.NOT, 1, 1, _TRAVERSAL, "not() takes exactly one traversal argument", None),
+        (StepKind.AND, 1, math.inf, _TRAVERSAL, "and() needs at least one traversal argument", None),
+        (StepKind.MAX, 0, 0, None, "max() takes no arguments", None),
+    )
 }
 
 _SOURCES = (StepKind.SOURCE_V, StepKind.SOURCE_E)
 _BY_FOLLOWS = (StepKind.SELECT, StepKind.ORDER, StepKind.GROUP)
 
 
+def _check_step(row: tuple, args: list[StepArg], starts_root: bool, prev: list[Step]) -> str | None:
+    """The message for a step its table row or its rule rejects, else None."""
+    kind, fewest, most, allowed, wrong_count, rule = row
+    if rule == "source" and not starts_root:
+        return f"{kind.value}() may only start a root traversal"
+    if rule == "by" and (not prev or prev[-1].kind not in _BY_FOLLOWS):
+        return "by() must directly follow select(), order(), or group()"
+    if not fewest <= len(args) <= most:
+        return wrong_count
+    if allowed is not None:
+        for a in args:
+            if (a.kind if type(a) is Literal else "traversal") not in allowed:
+                what = "nested traversals" if allowed is _TRAVERSAL else f"{'/'.join(sorted(allowed))} arguments"
+                return f"{kind.value}() accepts only {what}"
+    if rule == "as" and args[0].value in ("", "@"):  # type: ignore[union-attr]
+        # "@" names the position column of result rows
+        return f"as() label {args[0].value!r} is empty or reserved"  # type: ignore[union-attr]
+    if rule == "has" and (type(args[0]) is not Literal or args[0].kind != "string"):
+        return "has() key must be a string"
+    if rule == "has" and len(args) == 2 and (type(args[1]) is not Literal or args[1].kind == "direction"):
+        return "has() value must be a scalar literal"
+    if rule == "limit" and (type(args[0]) is not Literal or args[0].kind != "int"):
+        return wrong_count
+    if rule == "limit" and args[0].value < 0:  # type: ignore[operator]
+        return "limit() must be non-negative"
+    return None
+
+
 # -- parser ------------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
+    """The grammar over _lex's lists.  Each grammar function takes the index
+    of its first token and returns what it read with the index after it."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.values, self.starts = _lex(text)
         self.steps = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def error(self, msg: str, i: int) -> ParseError:
+        return _error(self.text, msg, self.starts[i])
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind is not TokenKind.EOF:
-            self.i += 1
-        return tok
+    def found(self, i: int) -> str:
+        return _LEXICON.match(self.text, self.starts[i]).group()  # type: ignore[union-attr]
 
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind is not kind:
-            raise self.error(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input", tok)
-        return self.advance()
+    def expected(self, what: str, i: int) -> ParseError:
+        found = self.found(i)
+        return self.error(f"expected {what}, found {found!r}" if found else f"expected {what}, found end of input", i)
 
-    def error(self, msg: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(msg, tok.pos, tok.line, tok.col)
-
-    # grammar ---------------------------------------------------------------
-
-    def parse_root(self) -> TraversalAST:
-        tok = self.advance()
-        if tok.kind is not TokenKind.NAME or tok.value not in ("g", "__"):
-            raise self.error("traversal must start with 'g' or '__'", tok)
-        ast = self.parse_chain(anonymous=tok.value == "__", depth=0)
-        eof = self.peek()
-        if eof.kind is not TokenKind.EOF:
-            raise self.error(f"unexpected trailing input {eof.text!r}", eof)
-        return ast
-
-    def parse_chain(self, anonymous: bool, depth: int) -> TraversalAST:
+    def chain(self, i: int, anonymous: bool, depth: int) -> tuple[TraversalAST, int]:
         if depth > MAX_NESTING_DEPTH:
-            raise self.error("traversal nesting too deep")
+            raise self.error("traversal nesting too deep", i)
+        kinds, values = self.kinds, self.values
+        if kinds[i] != "dot":
+            raise self.expected("'.'", i)
         steps: list[Step] = []
-        while True:
-            self.expect(TokenKind.DOT, "'.'")
-            steps.append(self.parse_step(not steps and not anonymous, depth, prev=steps))
-            if self.peek().kind is not TokenKind.DOT:
-                break
+        while kinds[i] == "dot":
+            name = i + 1
+            if kinds[name] != "name":
+                raise self.expected("step name", name)
+            self.steps += 1
+            if self.steps > MAX_STEPS:
+                raise self.error(f"traversal has more than {MAX_STEPS} steps", name)
+            row = _STEPS.get(values[name])  # type: ignore[arg-type]
+            if row is None:
+                raise self.error(f"unknown step {values[name]!r}", name)
+            if kinds[name + 1] != "lparen":
+                raise self.expected("'('", name + 1)
+            i = name + 2
+            args: list[StepArg] = []
+            if kinds[i] != "rparen":
+                while True:
+                    kind = kinds[i]
+                    arg = Literal(kind, values[i]) if kind in ("string", "int", "float") else _KEYWORDS.get(values[i])  # type: ignore[arg-type]
+                    if arg is not None:
+                        i += 1
+                    elif kind == "name" and values[i] == "__":
+                        arg, i = self.chain(i + 1, True, depth + 1)
+                    else:
+                        raise self.bad_argument(i, row[0])
+                    args.append(arg)
+                    if kinds[i] != "comma":
+                        break
+                    i += 1
+                if kinds[i] != "rparen":
+                    raise self.expected("')'", i)
+            msg = _check_step(row, args, not steps and not anonymous, steps)
+            if msg is not None:
+                raise self.error(msg, name)
+            steps.append(Step(row[0], tuple(args)))
+            i += 1
         if not anonymous and steps[0].kind not in _SOURCES:
-            raise self.error("root traversal must start with V() or E()")
-        return TraversalAST(anonymous=anonymous, steps=tuple(steps))
+            raise self.error("root traversal must start with V() or E()", i)
+        return TraversalAST(anonymous, tuple(steps)), i
 
-    def parse_step(self, starts_root: bool, depth: int, prev: list[Step]) -> Step:
-        name_tok = self.expect(TokenKind.NAME, "step name")
-        self.steps += 1
-        if self.steps > MAX_STEPS:
-            raise self.error(f"traversal has more than {MAX_STEPS} steps", name_tok)
-        kind = _STEP_NAMES.get(name_tok.value)
-        if kind is None:
-            raise self.error(f"unknown step {name_tok.value!r}", name_tok)
-        self.expect(TokenKind.LPAREN, "'('")
-        args: list[StepArg] = []
-        if self.peek().kind is not TokenKind.RPAREN:
-            args.append(self.parse_arg(kind, depth))
-            while self.peek().kind is TokenKind.COMMA:
-                self.advance()
-                args.append(self.parse_arg(kind, depth))
-        self.expect(TokenKind.RPAREN, "')'")
-        self.check_step(kind, args, name_tok, starts_root, prev)
-        return Step(kind=kind, args=tuple(args))
-
-    def parse_arg(self, kind: StepKind, depth: int) -> StepArg:
-        tok = self.advance()
-        literal = _LITERALS.get(tok.value if tok.kind is TokenKind.NAME else tok.kind)
-        if literal is not None:
-            return Literal(literal[0], tok.value if literal[1] is None else literal[1])
-        if tok.kind is not TokenKind.NAME:
-            raise self.error(f"unexpected token {tok.text!r} in arguments", tok)
-        if tok.value == "__":
-            return self.parse_chain(anonymous=True, depth=depth + 1)
-        if tok.value == "g":
-            if kind is StepKind.MATCH:
-                raise self.error("match() patterns must be anonymous traversals (start with '__')", tok)
-            raise self.error("nested traversals must be anonymous (start with '__')", tok)
-        raise self.error(f"unexpected identifier {tok.value!r} in arguments", tok)
-
-    def check_step(self, kind: StepKind, args: list[StepArg], tok: Token, starts_root: bool, prev: list[Step]) -> None:
-        """The step's signature row, then the rules no row can state."""
-        if kind in _SOURCES and not starts_root:
-            raise self.error(f"{kind.value}() may only start a root traversal", tok)
-        if kind is StepKind.BY and (not prev or prev[-1].kind not in _BY_FOLLOWS):
-            raise self.error("by() must directly follow select(), order(), or group()", tok)
-        fewest, most, kinds, wrong_count = _SIGNATURES[kind]
-        if not fewest <= len(args) <= most:
-            raise self.error(wrong_count, tok)
-        if kinds is not None:
-            for a in args:
-                if (a.kind if type(a) is Literal else "traversal") not in kinds:
-                    what = "nested traversals" if kinds is _TRAVERSAL else f"{'/'.join(sorted(kinds))} arguments"
-                    raise self.error(f"{kind.value}() accepts only {what}", tok)
-        if kind is StepKind.AS and args[0].value in ("", "@"):  # type: ignore[union-attr]
-            # "@" names the position column of result rows
-            raise self.error(f"as() label {args[0].value!r} is empty or reserved", tok)  # type: ignore[union-attr]
-        if kind is StepKind.HAS:
-            if type(args[0]) is not Literal or args[0].kind != "string":
-                raise self.error("has() key must be a string", tok)
-            if len(args) == 2 and (type(args[1]) is not Literal or args[1].kind == "direction"):
-                raise self.error("has() value must be a scalar literal", tok)
-        if kind is StepKind.LIMIT:
-            if type(args[0]) is not Literal or args[0].kind != "int":
-                raise self.error(wrong_count, tok)
-            if args[0].value < 0:  # type: ignore[operator]
-                raise self.error("limit() must be non-negative", tok)
+    def bad_argument(self, i: int, kind: StepKind) -> ParseError:
+        """The error for token i, read as an argument of a step of this kind."""
+        value = self.values[i] if self.kinds[i] == "name" else None
+        if value == "g" and kind is StepKind.MATCH:
+            return self.error("match() patterns must be anonymous traversals (start with '__')", i)
+        if value == "g":
+            return self.error("nested traversals must be anonymous (start with '__')", i)
+        what = f"identifier {value!r}" if value else f"token {self.found(i)!r}"
+        return self.error(f"unexpected {what} in arguments", i)
 
 
 def parse_traversal(text: str) -> TraversalAST:
     """Parse query text to a TraversalAST, or raise a positioned ParseError."""
-    return _Parser(tokenize(text)).parse_root()
+    p = _Parser(text)
+    head = p.values[0] if p.kinds[0] == "name" else None
+    if head not in ("g", "__"):
+        raise p.error("traversal must start with 'g' or '__'", 0)
+    ast, i = p.chain(1, head == "__", 0)
+    if p.kinds[i] != "eof":
+        raise p.error(f"unexpected trailing input {p.found(i)!r}", i)
+    return ast
 
 
 # -- canonical rendering -----------------------------------------------------

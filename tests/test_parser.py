@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grem_algebra import ParseError, parse_traversal, render_traversal, tokenize
 from grem_algebra.evaluator import CUR
@@ -296,3 +298,96 @@ def test_as_rejects_an_empty_or_reserved_label(label):
         with pytest.raises(ParseError, match="is empty or reserved") as exc:
             parse_traversal(text)
         assert (exc.value.line, exc.value.col) == (1, column)
+
+
+# -- positions and whitespace ------------------------------------------------------
+
+# Valid queries whose tokens cover every token kind, the keywords and both quotes.
+_VALID = [q.text for q in CORPUS] + [
+    "g.V().has('age',-29.5e-1).as('a').out('knows').values('name').dedup().limit(3)",
+    'g.V().hasLabel("person").has("flag",true).as("x").select("x").order().by(desc)',
+    "g.E().union(__.as('a').in(), __.not(__.has('k', 'it\\'s'))).group().by('lang')",
+]
+_GAPS = ["", " ", "  ", "\t", "\n", "\r\n", " \n\t", "\r", "\n\n"]
+
+
+def _lexemes(text):
+    return [t.text for t in tokenize(text)[:-1]]
+
+
+def _join(lexemes, gaps):
+    return "".join(gap + lexeme for gap, lexeme in zip(gaps, lexemes)) + gaps[-1]
+
+
+@st.composite
+def _spaced(draw):
+    """A valid query with a drawn whitespace run before, between and after its tokens."""
+    lexemes = _lexemes(draw(st.sampled_from(_VALID)))
+    gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=len(lexemes) + 1, max_size=len(lexemes) + 1))
+    return lexemes, _join(lexemes, gaps)
+
+
+@st.composite
+def _mutated(draw):
+    """A spaced valid query with a few tokens inserted, replaced or deleted."""
+    lexemes, _ = draw(_spaced())
+    pieces = st.sampled_from(["g", "__", "V", "out", "frob", ".", "(", ")", ",", "'a'", "7", "-", "#", "'", "é", "²", "\\"])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lexemes)))
+        op = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if op == "insert" or at == len(lexemes):
+            lexemes.insert(at, draw(pieces))
+        elif op == "replace":
+            lexemes[at] = draw(pieces)
+        else:
+            del lexemes[at]
+    gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=len(lexemes) + 1, max_size=len(lexemes) + 1))
+    return _join(lexemes, gaps)
+
+
+def _line_col(text, pos):
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_spaced().map(lambda spaced: spaced[1]), _mutated()))
+def test_every_position_is_the_line_and_column_of_its_offset(text):
+    """A token's and an error's (line, col) are the newlines before its
+    offset plus one and its distance from the last of them."""
+    try:
+        tokens = tokenize(text)
+    except ParseError as exc:
+        assert (exc.line, exc.col) == _line_col(text, exc.pos)
+        return
+    assert [(t.line, t.col) for t in tokens] == [_line_col(text, t.pos) for t in tokens]
+    assert tokens[-1].pos == len(text)
+    try:
+        parse_traversal(text)
+    except ParseError as exc:
+        assert (exc.line, exc.col) == _line_col(text, exc.pos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaced())
+def test_whitespace_between_tokens_changes_nothing(spaced):
+    lexemes, text = spaced
+    plain = parse_traversal("".join(lexemes))
+    assert parse_traversal(text) == plain
+    assert render_traversal(parse_traversal(text)) == render_traversal(plain)
+    assert [(t.kind, t.text, t.value) for t in tokenize(text)] == [(t.kind, t.text, t.value) for t in tokenize("".join(lexemes))]
+
+
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        # each text holds a syntax error before its lexical one
+        ("g.X()#", "illegal character '#'", 1, 6),
+        ("g.V().out(\n  'a'  #", "illegal character '#'", 2, 8),
+        ("g.V()..out('a', 'b\nc')", "unterminated string", 1, 17),
+        ("x.V(1).has(1e999)", "float literal out of range", 1, 12),
+    ],
+)
+def test_a_lexical_error_wins_over_an_earlier_syntax_error(text, message, line, col):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_traversal(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
