@@ -13,7 +13,7 @@ from .errors import (
     GremAlgebraError,
     ParseError,
 )
-from .evaluator import BindingSet, evaluate, multiset_union, to_jsonl, to_table
+from .evaluator import BindingSet, evaluate, to_jsonl, to_table
 from .parser import TraversalAST, parse_traversal, render_traversal, tokenize
 from .property_graph import (
     EdgeRef,
@@ -45,7 +45,6 @@ __all__ = [
     "load_graph_file",
     "modern_graph",
     "modern_graph_path",
-    "multiset_union",
     "parse_traversal",
     "render_plan",
     "render_traversal",

@@ -7,14 +7,16 @@ argument leaf of a selection predicate (0).  Expressions are immutable
 value trees; structural equality is plain dataclass equality.
 
 Everything the algebra knows of an operator class is its row in
-OPERATORS: the fields holding its inputs and predicates, the variables it
+OPERATORS: the fields holding its inputs and predicate, the variables it
 binds and reads, its column rule, the field as() fills, whether it may
-stand inside a selection predicate, and its three renderings.  inputs,
-static_columns, validate and render_plan are walks over that table, each
-one stack frame per plan level.  One column rule, output_columns, gives
-every schema: a plan's, the columns an operator may read (validate) and
-each relation's in the evaluator, which keeps its own table of physical
-operators.
+stand inside a selection predicate, and its three renderings.  program
+flattens a plan, with an explicit stack, into a post-order list of its
+operators and their output columns; validate, static_columns, the paper
+and curried renderers and the evaluator each loop over it, and only a
+selection predicate, a program of its own, takes a frame per nesting
+level.  One column rule, output_columns, gives every schema: a plan's,
+the columns an operator may read (validate) and each relation's in the
+evaluator, which keeps its own table of physical operators.
 
 Three deterministic renderings are provided:
 
@@ -224,7 +226,7 @@ def _its_var(expr: Any) -> tuple[str | None]:
 
 class Operator(NamedTuple):
     """One operator class's row.  Each function takes the operator; a
-    rendering also takes the texts of its subtrees, predicates first."""
+    rendering also takes the texts of its subtrees, its predicate first."""
 
     inputs: tuple[str, ...]  # the fields holding its inputs, in order
     ascii: Callable[[Any], str]  # its line in an ascii plan
@@ -232,10 +234,10 @@ class Operator(NamedTuple):
     curried: Callable[[Any, list[str]], str]
     binds: Callable[[Any], tuple[str | None, ...]] = _nothing  # None binds nothing
     named: str | None = None  # the field as() fills
-    reads: Callable[[Any], tuple[str, ...]] = _nothing  # variables an input must bind
+    reads: Callable[[Any], tuple[str, ...]] | None = None  # variables its one input must bind
     noun: str = ""  # names the operator in a diagnostic of what it reads
     schema: Callable[[Any], tuple[str, ...]] | None = None  # columns replacing its inputs'
-    predicates: tuple[str, ...] = ()  # the fields holding selection predicates
+    predicate: str | None = None  # the field holding a selection predicate over its one input
     chained: bool = False  # paper: a glyph written before the chain below it
     inside: bool | None = None  # a leaf only inside (True) or outside (False) a predicate
 
@@ -325,7 +327,7 @@ OPERATORS: dict[type, Operator] = {
         lambda e: "select-where[not]" if e.negated else "select-where",
         lambda e, t: _wrap(("¬∃" if e.negated else "∃") + f"{{{t[0]}}}", t[1]),
         lambda e, t: ("not" if e.negated else "where") + f"({t[0]},{t[1]})",
-        predicates=("predicate",),
+        predicate="predicate",
     ),
     Projection: Operator(
         ("input",),
@@ -381,27 +383,7 @@ OPERATORS: dict[type, Operator] = {
 }
 
 
-# -- static analysis: walks over the table ------------------------------------------
-
-
-def inputs(expr: AlgebraExpr) -> list[AlgebraExpr]:
-    """The operator's inputs, in order; a Selection's predicate is not one."""
-    found = []
-    for field in OPERATORS[type(expr)].inputs:  # a loop: a comprehension is a call of its own
-        found.append(getattr(expr, field))
-    return found
-
-
-def _subtrees(expr: AlgebraExpr) -> list[AlgebraExpr]:
-    """The operator's predicates, then its inputs."""
-    op = OPERATORS[type(expr)]
-    return [getattr(expr, f) for f in op.predicates + op.inputs]
-
-
-def merge_columns(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
-    """Schema of a join or union: the left columns, then the right ones the
-    left lacks."""
-    return left + tuple(c for c in right if c not in left)
+# -- the plan program: one walk over the table ----------------------------------------
 
 
 def output_columns(
@@ -411,35 +393,72 @@ def output_columns(
 ) -> tuple[str, ...]:
     """The column rule of one operator: its visible schema, given the
     schemas of its inputs and, for Argument, of the rows under test.  It
-    is the operator's own schema if it has one, else its inputs' merged
-    schemas (a leaf: arg_columns), then each variable it binds that is
-    not a column yet."""
+    is the operator's own schema if it has one, else its inputs' (a join
+    or union: the left columns, then the right ones the left lacks; a
+    leaf: arg_columns), then each variable it binds that is not a column
+    yet."""
     op = OPERATORS[type(expr)]
     if op.schema is not None:
         columns = op.schema(expr)
-    elif len(inputs) == 1:
-        columns = inputs[0]
+    elif len(inputs) == 2:
+        left, right = inputs
+        columns = left + tuple(c for c in right if c not in left)
     else:
-        columns = merge_columns(*inputs) if inputs else arg_columns
+        columns = inputs[0] if inputs else arg_columns
     for v in op.binds(expr):
         if v and v not in columns:
             columns = columns + (v,)
     return columns
 
 
-def _schema(
-    expr: AlgebraExpr, memo: dict[int, tuple[str, ...]], arg_columns: tuple[str, ...] = ()
-) -> tuple[str, ...]:
-    """output_columns over a whole plan, once per node (memo is keyed by
-    node id); an Argument leaf takes arg_columns, the columns of the rows
-    under test."""
-    found = memo.get(id(expr))
-    if found is None:
-        schemas = []
-        for e in inputs(expr):  # a loop: a comprehension would add a frame per level
-            schemas.append(_schema(e, memo, arg_columns))
-        found = memo[id(expr)] = output_columns(expr, tuple(schemas), arg_columns)
-    return found
+def program(
+    expr: AlgebraExpr, scope: tuple[str, ...] | None = None, diags: list[str] | None = None
+) -> list[tuple]:
+    """The plan as a post-order program: per operator one entry (the
+    operator, its output columns, its predicate's program or None), its
+    inputs listed before it, first to last.  A Selection's predicate is a
+    program of its own, its scope the Selection's input columns.  scope is
+    the columns of the rows under test inside a predicate, where Argument
+    leaves start from them; None outside every predicate.  diags, given a
+    list, receives validate's diagnostics in program order."""
+    order = []  # each operator before its inputs, the last input first
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        for field in OPERATORS[type(node)].inputs:
+            todo.append(getattr(node, field))
+    arg_columns = scope or ()
+    steps: list[tuple] = []
+    done: list[tuple[str, ...]] = []  # the output columns no operator has read yet
+    for node in reversed(order):
+        op = OPERATORS[type(node)]
+        n = len(op.inputs)  # no operator has more than two
+        if n == 1:
+            below: tuple[tuple[str, ...], ...] = (done.pop(),)
+        elif n == 2:
+            right = done.pop()
+            below = (done.pop(), right)
+        else:
+            below = ()
+        if diags is not None:
+            if op.inside is not None and op.inside == (scope is None):
+                where = "outside" if op.inside else "inside"
+                diags.append(f"{op.ascii(node)} {where} a selection predicate")
+            if type(node) is PropertyFilter:
+                if node.bind_value and node.value is not None:
+                    diags.append(f"{op.ascii(node)} cannot also test {node.key}{_equals(node.value)}")
+                if not node.bind_value and node.anchor is not None:
+                    diags.append(f"{op.ascii(node)} cannot read anchor {node.anchor}: it extracts no value")
+            if op.reads is not None:
+                for v in op.reads(node):
+                    if v not in below[0]:
+                        diags.append(f"unbound {v} in {op.noun}")
+        sub = None if op.predicate is None else program(getattr(node, op.predicate), below[0], diags)
+        columns = output_columns(node, below, arg_columns)
+        done.append(columns)
+        steps.append((node, columns, sub))
+    return steps
 
 
 def static_columns(expr: AlgebraExpr, arg_columns: tuple[str, ...] = ()) -> tuple[str, ...]:
@@ -447,7 +466,7 @@ def static_columns(expr: AlgebraExpr, arg_columns: tuple[str, ...] = ()) -> tupl
 
     Inside a selection predicate, Argument leaves start from arg_columns,
     the columns of the rows under test (by default none)."""
-    return _schema(expr, {}, arg_columns)
+    return program(expr, arg_columns)[-1][1]
 
 
 def validate(expr: AlgebraExpr) -> list[str]:
@@ -461,32 +480,13 @@ def validate(expr: AlgebraExpr) -> list[str]:
     per property filter that holds an anchor but extracts no value.
     An empty list means the plan is well-scoped and well-shaped, as the
     evaluator needs.
+
+    They come in program order: an operator's inputs' first, the first
+    input's before the second's, then its own; a predicate's at its
+    Selection, after those of the Selection's input.
     """
     diags: list[str] = []
-
-    def visit(node: AlgebraExpr, scope: tuple[str, ...] | None, memo: dict) -> None:
-        # scope: the columns of the rows under test; None outside every predicate
-        op = OPERATORS[type(node)]
-        if op.inside is not None and op.inside == (scope is None):
-            where = "outside" if op.inside else "inside"
-            diags.append(f"{op.ascii(node)} {where} a selection predicate")
-        if type(node) is PropertyFilter and node.bind_value and node.value is not None:
-            diags.append(f"{op.ascii(node)} cannot also test {node.key}{_equals(node.value)}")
-        if type(node) is PropertyFilter and not node.bind_value and node.anchor is not None:
-            diags.append(f"{op.ascii(node)} cannot read anchor {node.anchor}: it extracts no value")
-        below = inputs(node)
-        refs = op.reads(node)
-        if refs or op.predicates:
-            columns: tuple[str, ...] = ()
-            for e in below:
-                columns = merge_columns(columns, _schema(e, memo, scope or ()))
-            diags.extend(f"unbound {v} in {op.noun}" for v in refs if v not in columns)
-            for field in op.predicates:
-                visit(getattr(node, field), columns, {})
-        for e in below:
-            visit(e, scope, memo)
-
-    visit(expr, None, {})
+    program(expr, None, diags)
     return diags
 
 
@@ -494,23 +494,33 @@ def validate(expr: AlgebraExpr) -> list[str]:
 
 
 def _render_ascii(expr: AlgebraExpr) -> str:
+    """One line per operator in pre-order, indented by its depth: its
+    predicate, then its inputs, each below it."""
     lines: list[str] = []
-
-    def walk(node: AlgebraExpr, depth: int) -> None:
-        lines.append("  " * depth + OPERATORS[type(node)].ascii(node))
-        for child in _subtrees(node):
-            walk(child, depth + 1)
-
-    walk(expr, 0)
+    todo = [(expr, 0)]
+    while todo:
+        node, depth = todo.pop()
+        op = OPERATORS[type(node)]
+        lines.append("  " * depth + op.ascii(node))
+        fields = op.inputs if op.predicate is None else (op.predicate,) + op.inputs
+        for field in reversed(fields):
+            todo.append((getattr(node, field), depth + 1))
     return "\n".join(lines)
 
 
-def _render(expr: AlgebraExpr, style: str) -> str:
-    """The paper or curried text of expr, from those of its subtrees."""
-    texts = []
-    for child in _subtrees(expr):  # a loop: a comprehension would add a frame per level
-        texts.append(_render(child, style))
-    return getattr(OPERATORS[type(expr)], style)(expr, texts)
+def _render(steps: list[tuple], style: str) -> str:
+    """The paper or curried text of a program's plan: each operator's from
+    those of its predicate and inputs."""
+    texts: list[str] = []
+    for node, _, sub in steps:
+        op = OPERATORS[type(node)]
+        k = len(texts) - len(op.inputs)
+        below = texts[k:]
+        del texts[k:]
+        if sub is not None:
+            below.insert(0, _render(sub, style))
+        texts.append(getattr(op, style)(node, below))
+    return texts[-1]
 
 
 PLAN_STYLES = ("paper", "ascii", "curried")
@@ -520,4 +530,4 @@ def render_plan(expr: AlgebraExpr, style: str = "ascii") -> str:
     """Render a plan in one of the three notations (no trailing newline)."""
     if style not in PLAN_STYLES:
         raise ValueError(f"unknown plan style {style!r}; expected one of {PLAN_STYLES}")
-    return _render_ascii(expr) if style == "ascii" else _render(expr, style)
+    return _render_ascii(expr) if style == "ascii" else _render(program(expr), style)

@@ -110,9 +110,7 @@ def _apply_step(
     if kind is StepKind.VALUES:
         return alg.PropertyFilter(target, name, None, True, expr, anchor)  # type: ignore[arg-type]
     if target is not None:
-        raise CompileError(
-            f"as({target!r}) after {kind.value}() would alias the pattern anchor; unsupported"
-        )
+        raise _aliasing(target, kind)
     if kind is StepKind.HAS:
         value = _literal(step.args[1]).value if len(step.args) == 2 else None
         return alg.PropertyFilter(anchor, name, value, False, expr)  # type: ignore[arg-type]
@@ -130,16 +128,27 @@ def _apply_chain(chain: PatternChain, expr: AlgebraExpr) -> AlgebraExpr:
     return expr
 
 
-def _name_head(expr: AlgebraExpr, var: str) -> AlgebraExpr:
-    """Attach a variable to the operator that produced the current position."""
+def _aliasing(var: str, kind: StepKind) -> CompileError:
+    return CompileError(f"as({var!r}) after {kind.value}() would alias the pattern anchor; unsupported")
+
+
+def _name_head(expr: AlgebraExpr, var: str, scope: tuple[str, ...]) -> AlgebraExpr:
+    """Attach a variable to the operator that produced the current position.
+    A has()/hasLabel() filter's named field is the anchor it tests, so a
+    var bound below it (scope: the columns of the rows under test) is
+    refused: the filter would test that binding instead."""
     field = alg.OPERATORS[type(expr)].named
     if field is None or getattr(expr, field) is not None:
         raise CompileError(f"as({var!r}) cannot name the preceding step here")
+    kind = type(expr)
+    if kind is alg.LabelFilter or (kind is alg.PropertyFilter and not expr.bind_value):
+        if var in static_columns(expr, scope):
+            raise _aliasing(var, StepKind.HAS_LABEL if kind is alg.LabelFilter else StepKind.HAS)
     return dataclasses.replace(expr, **{field: var})
 
 
 def stitch_patterns(
-    chains: list[PatternChain], source: AlgebraExpr | None = None
+    chains: list[PatternChain], source: AlgebraExpr | None = None, scope: tuple[str, ...] = ()
 ) -> AlgebraExpr:
     """Compose pattern chains into one connected expression.
 
@@ -148,7 +157,8 @@ def stitch_patterns(
     at that variable).  A chain that shares no bound variable is evaluated
     as its own subtree over the source and combined with a concatenative
     join, which degenerates to a cartesian product when the subtrees share
-    no variables at all.
+    no variables at all.  Inside a selection predicate, scope holds the
+    columns of the rows under test.
     """
     if not chains:
         raise CompileError("match() needs at least one pattern")
@@ -159,7 +169,7 @@ def stitch_patterns(
     if first.ops:
         acc = _apply_chain(first, source)
     else:
-        acc = _name_head(source, first.start_var)
+        acc = _name_head(source, first.start_var, scope)
     bound = set(first.vars)
     while remaining:
         idx = next((i for i, c in enumerate(remaining) if c.start_var in bound), None)
@@ -221,15 +231,15 @@ def _compile_steps(
         if kind in (StepKind.SOURCE_V, StepKind.SOURCE_E):
             raise CompileError(f"{kind.value}() may only start a root traversal")
         if kind is StepKind.AS:
-            expr = _name_head(expr, str(_literal(step.args[0]).value))
+            expr = _name_head(expr, str(_literal(step.args[0]).value), scope)
         elif kind in _CHAIN_STEPS:
             expr = _apply_step(step, expr, None, None)
         elif kind is StepKind.MATCH:
             chains = extract_patterns(step)
             if seen_match:
-                expr = alg.Join(expr, stitch_patterns(chains, source))
+                expr = alg.Join(expr, stitch_patterns(chains, source, scope))
             else:
-                expr = stitch_patterns(chains, expr)
+                expr = stitch_patterns(chains, expr, scope)
                 seen_match = True
         elif kind in (StepKind.WHERE, StepKind.NOT, StepKind.AND):
             # and() joins its predicates, left-deep; where() and not() hold one

@@ -59,14 +59,18 @@ semi-join reduction from its selective end: the filter's vertices from
 the rank index, then each traverse walked in reverse, give the set of
 anchor vertices that have a witness.  The choice is made per selection
 from exact counts (see ``_selection``); either way the rows under test
-keep their order.  ``algebra.validate`` admits only plans whose predicate
-leaves are all the row under test (Argument), whose other leaves are all
-sources and whose reads are all columns of their inputs, so inside a
-predicate every relation is tagged, outside one none is, and every column
-an operator names is there.  ``evaluate`` hands the final columns, their
-kinds and the graph to a ``BindingSet``; a rank or a token becomes the
-graph's interned ``VertexRef`` wherever a value leaves the set, and
-``to_jsonl`` prints a rank column from the graph's table of vertex texts.
+keep their order.  ``evaluate`` flattens the plan once into the post-order
+program of ``algebra.program``, each operator with its output columns, and
+raises on any diagnostic that walk gathers.  Without one, predicate leaves
+are all the row under test (Argument), other leaves all sources and every
+read a column of its input, so inside a predicate every relation is
+tagged and outside one none is.  ``_run`` is one loop over the program,
+each operator popping its inputs' relations off a stack and pushing its
+own; a predicate's program runs from its selection, two frames per
+nesting level.  ``evaluate`` hands the final columns, their kinds and the
+graph to a ``BindingSet``; a rank or a token becomes the graph's interned
+``VertexRef`` wherever a value leaves the set, and ``to_jsonl`` prints a
+rank column from the graph's table of vertex texts.
 
 This is the package's only evaluation engine.  The reference semantics it
 is tested against (the path algebra, the traverser-level match route and
@@ -184,14 +188,6 @@ class BindingSet:
 
 
 _PUBLISH = threading.Lock()  # held only to publish a set's dict rows
-
-
-def _result(rel: _Rel, g: Graph | None) -> BindingSet:
-    """A set over an untagged relation's columns; g names their vertices."""
-    bs = BindingSet(rel.cols)
-    bs._dicts, bs._data, bs._kinds, bs._graph = None, rel.data, rel.kinds, g
-    bs._pos, bs._pos_kind = rel.pos, rel.pos_kind
-    return bs
 
 
 def _dict_rows(bs: BindingSet) -> list[Row]:
@@ -453,18 +449,17 @@ def _matches(values: list, const: object) -> list:
     return list(map(eq, values, repeat(const)))
 
 
-def _run(expr: AlgebraExpr, g: Graph, arg: _Rel | None) -> _Rel:
-    """Evaluate expr; its inputs first, one stack frame per plan level.
-    expr has passed algebra.validate, so every node is an operator."""
-    op = _OPERATORS[type(expr)]
-    inputs = []
-    for e in alg.inputs(expr):  # a loop: a comprehension would add a frame per level
-        inputs.append(_run(e, g, arg))
-    return op(expr, inputs, g, arg)
+def _run(steps: list[tuple], g: Graph, arg: _Rel | None) -> _Rel:
+    """Run a program of algebra.program: each operator pops its inputs'
+    relations, the last on top, and pushes its own; arg holds the rows
+    under test inside a selection predicate."""
+    stack: list[_Rel] = []
+    for expr, cols, sub in steps:
+        stack.append(_OPERATORS[type(expr)](expr, cols, sub, stack, g, arg))
+    return stack[-1]
 
 
-def _source(expr: alg.GetVertices | alg.GetEdges, inputs, g: Graph, arg) -> _Rel:
-    cols = alg.output_columns(expr, ())
+def _source(expr: alg.GetVertices | alg.GetEdges, cols, sub, stack, g: Graph, arg) -> _Rel:
     if type(expr) is alg.GetVertices:
         elems, kind = list(g.vertex_ranks), RANKS
     else:
@@ -472,10 +467,10 @@ def _source(expr: alg.GetVertices | alg.GetEdges, inputs, g: Graph, arg) -> _Rel
     return _Rel(cols, [elems] if cols else [], [kind] if cols else [], elems, kind)
 
 
-def _argument(expr: alg.Argument, inputs, g: Graph, arg: _Rel) -> _Rel:
+def _argument(expr: alg.Argument, cols, sub, stack, g: Graph, arg: _Rel) -> _Rel:
     """The rows under test; with a var, re-anchored at its binding (bound
     to the position where absent), rows with neither dropped."""
-    rel = _element(g, arg, expr.var, alg.output_columns(expr, (), arg.cols))
+    rel = _element(g, arg, expr.var, cols)
     if expr.var and rel.pos_kind is VALUES and None in rel.pos:
         return _keep(rel, list(map(is_not, rel.pos, repeat(None))))
     return rel
@@ -492,10 +487,10 @@ def _vertex_ranks(values: list) -> list[int]:
     return [a[0] for a in values]
 
 
-def _traverse(expr: alg.Traverse, inputs, g: Graph, arg) -> _Rel:
+def _traverse(expr: alg.Traverse, cols, sub, stack, g: Graph, arg) -> _Rel:
     """Each row once per edge from its anchor, the neighbour as position."""
-    (src,) = inputs
-    rel = _element(g, src, expr.from_var, alg.output_columns(expr, (src.cols,)))
+    src = stack.pop()
+    rel = _element(g, src, expr.from_var, cols)
     ranks = rel.pos if rel.pos_kind is RANKS else _vertex_ranks(rel.pos)
     found = _entries(g, expr.direction, expr.edge_label, ranks)
     counts = list(map(len, found))
@@ -591,14 +586,14 @@ def _passes(g: Graph, expr: alg.LabelFilter | alg.PropertyFilter, elems: list, k
     return _matches(_properties(g, expr.key, elems, kind), expr.value)
 
 
-def _filter(expr: alg.LabelFilter | alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
+def _filter(expr: alg.LabelFilter | alg.PropertyFilter, cols, sub, stack, g: Graph, arg) -> _Rel:
     """The rows whose element passes a label, value or key filter, each
     positioned at its element.  Over a seek, whose rows are distinct
     vertices in ascending rank, a seekable filter reads no per-vertex data:
     straight over V(), row i is the vertex of rank i and it gathers its
     ranks; over seeking filters, it intersects its ranks with the rows'."""
-    (src,) = inputs
-    rel = _element(g, src, expr.var, alg.output_columns(expr, (src.cols,)))
+    src = stack.pop()
+    rel = _element(g, src, expr.var, cols)
     if _seekable(expr):
         if type(expr.input) is alg.GetVertices:
             return _gather(rel, _seek(g, expr))  # type: ignore[arg-type]
@@ -607,24 +602,24 @@ def _filter(expr: alg.LabelFilter | alg.PropertyFilter, inputs, g: Graph, arg) -
     return _keep(rel, _passes(g, expr, rel.pos, rel.pos_kind))
 
 
-def _property_filter(expr: alg.PropertyFilter, inputs, g: Graph, arg) -> _Rel:
+def _property_filter(expr: alg.PropertyFilter, cols, sub, stack, g: Graph, arg) -> _Rel:
     """A has() filter, or values(): its anchor's element's key property
     becomes the position and is bound to var; rows without it are dropped."""
     if not expr.bind_value:
-        return _filter(expr, inputs, g, arg)
-    (src,) = inputs
-    rel = _element(g, src, expr.anchor, alg.output_columns(expr, (src.cols,)))
+        return _filter(expr, cols, sub, stack, g, arg)
+    rel = _element(g, stack.pop(), expr.anchor, cols)
     rel.pos, rel.pos_kind = _properties(g, expr.key, rel.pos, rel.pos_kind), VALUES
     return _bind(g, _keep(rel, list(map(is_not, rel.pos, repeat(None)))), expr.var)
 
 
-def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
+def _selection(expr: alg.Selection, cols, sub, stack, g: Graph, arg) -> _Rel:
     """Semi-join (where) or anti-join (not): a row survives when the
     predicate has a witness for it (negated: none).  Either way the input
     rows keep their order and tags; two physical runs answer the test.
 
-    Forward, the predicate runs once over all input rows, each tagged with
-    its index; a row has a witness when some predicate row carries its tag.
+    Forward, the predicate's program, sub, runs once over all input rows,
+    each tagged with its index; a row has a witness when some predicate
+    row carries its tag.
 
     Backward (see _backward), a predicate that is a chain from its anchor
     through traverses and label or value filters, binding nothing and
@@ -642,7 +637,7 @@ def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
     at most F rows: the seek's vertices, then each reverse hop's
     neighbours.  Past F it stops, and forward runs.  F is summed only as
     far as these tests need."""
-    (src,) = inputs
+    src = stack.pop()
     n = len(src.pos)
     if not n:
         return src
@@ -652,13 +647,13 @@ def _selection(expr: alg.Selection, inputs, g: Graph, arg) -> _Rel:
         under_test = _Rel(src.cols, src.data, src.kinds, src.pos, src.pos_kind,
                           list(range(n)), src.holes)
         try:
-            hits = _run(expr.predicate, g, under_test)
+            hits = _run(sub, g, under_test)
         except EvaluationError:
             # raise what one run per row raises first, in input order
             for i in range(n):
                 row = [[values[i]] for values in src.data]
                 alone = _Rel(src.cols, row, src.kinds, [src.pos[i]], src.pos_kind, [0], src.holes)
-                _run(expr.predicate, g, alone)
+                _run(sub, g, alone)
             raise
         kept = list(map(set(hits.tags).__contains__, range(n)))  # type: ignore[arg-type]
     return _keep(src, list(map(not_, kept)) if expr.negated else kept)
@@ -744,9 +739,8 @@ def _witnesses(steps: list, g: Graph, affords) -> set[int] | None:
     return set(found) if affords(touched) else None
 
 
-def _projection(expr: alg.Projection, inputs, g: Graph, arg) -> _Rel:
-    (src,) = inputs
-    cols = alg.output_columns(expr, (src.cols,))
+def _projection(expr: alg.Projection, cols, sub, stack, g: Graph, arg) -> _Rel:
+    src = stack.pop()
     picked, kinds = src.columns(expr.vars)
     if expr.value_key is not None:
         picked = [_properties(g, expr.value_key, c, k) for c, k in zip(picked, kinds)]
@@ -761,12 +755,12 @@ def _projection(expr: alg.Projection, inputs, g: Graph, arg) -> _Rel:
     return rel if mask is None else _keep(rel, mask)
 
 
-def _dedup(expr: alg.Dedup, inputs, g: Graph, arg) -> _Rel:
+def _dedup(expr: alg.Dedup, cols, sub, stack, g: Graph, arg) -> _Rel:
     """First occurrence per key; inside a predicate, per row under test.
     Key columns that are all rank columns key a row by one int of their
     ranks (see _rank_keys); otherwise each column keeps its identity keys
     at its own place in a tuple key, so a token never meets an int."""
-    (src,) = inputs
+    src = stack.pop()
     names = expr.vars or src.cols
     keyed, kinds = src.columns(names) if names else ([src.pos], [src.pos_kind])
     if all(kinds):
@@ -777,9 +771,9 @@ def _dedup(expr: alg.Dedup, inputs, g: Graph, arg) -> _Rel:
     return src if len(first) == len(src.pos) else _gather(src, first)
 
 
-def _restriction(expr: alg.Restriction, inputs, g, arg) -> _Rel:
+def _restriction(expr: alg.Restriction, cols, sub, stack, g, arg) -> _Rel:
     """skip/take in row order; inside a predicate, counted per row under test."""
-    (src,) = inputs
+    src = stack.pop()
     lo, hi = expr.skip, expr.skip + expr.take
     if src.tags is None:
         return _each(src, itemgetter(slice(lo, hi)))
@@ -793,12 +787,12 @@ def _restriction(expr: alg.Restriction, inputs, g, arg) -> _Rel:
     return _gather(src, index)
 
 
-def _sort(expr: alg.Sort, inputs, g, arg) -> _Rel:
+def _sort(expr: alg.Sort, cols, sub, stack, g, arg) -> _Rel:
     """A stable sort on the key columns in turn, the last first, so that
     the first key column decides and each later one breaks its ties.  No
     tag is needed inside a predicate: a stable sort of all rows orders
     each tag's rows as sorting them alone would."""
-    (src,) = inputs
+    src = stack.pop()
     columns, kinds = src.columns(expr.vars) if expr.vars else ([src.pos], [src.pos_kind])
     descending = expr.direction != alg.ASCENDING
     index = list(range(len(src.pos)))
@@ -807,19 +801,18 @@ def _sort(expr: alg.Sort, inputs, g, arg) -> _Rel:
     return _gather(src, index)
 
 
-def _group(expr: alg.Group, inputs, g: Graph, arg) -> _Rel:
+def _group(expr: alg.Group, cols, sub, stack, g: Graph, arg) -> _Rel:
     """Flattened (key, member) rows in a stable sort by key.  A row's
     member is its position and its key the key property of its position
     (no key: the member); a row with no key is dropped.  Inside a
     predicate each row keeps its tag; as for _sort, sorting all rows at
     once orders each tag's rows as grouping them alone would."""
-    (src,) = inputs
+    src = stack.pop()
     members, kind = src.pos, src.pos_kind
     if expr.key is None:
         keys, key_kind = members, kind
     else:
         keys, key_kind = _properties(g, expr.key, members, kind), VALUES
-    cols = alg.output_columns(expr, (src.cols,))
     rel = _Rel(cols, [keys, members], [key_kind, kind], keys, key_kind, src.tags, True)
     if key_kind is VALUES and None in keys:
         rel = _keep(rel, list(map(is_not, keys, repeat(None))))
@@ -829,13 +822,13 @@ def _group(expr: alg.Group, inputs, g: Graph, arg) -> _Rel:
     return rel
 
 
-def _join(expr: alg.Join, inputs, g: Graph, arg) -> _Rel:
+def _join(expr: alg.Join, cols, sub, stack, g: Graph, arg) -> _Rel:
     """Hash join on the shared columns (values_equal), rows in left-major
     order; a shared column takes the right side's value, as does the
     position unless the right row has none.  Inside a predicate the tag is
     a join column too: both sides are tagged there."""
-    left, right = inputs
-    cols = alg.output_columns(expr, (left.cols, right.cols))
+    right = stack.pop()
+    left = stack.pop()
     shared = [c for c in dict.fromkeys(left.cols) if c in right.cols]
     nl, nr = len(left.pos), len(right.pos)
     if shared or left.tags is not None:
@@ -868,16 +861,13 @@ def _join(expr: alg.Join, inputs, g: Graph, arg) -> _Rel:
     return _Rel(cols, data, kinds, pos, pos_kind, tags, holes)  # type: ignore[arg-type]
 
 
-def _union(expr: alg.Union, inputs, g: Graph, arg) -> _Rel:
-    return _union_rels(g, *inputs)
-
-
-def _union_rels(g: Graph | None, left: _Rel, right: _Rel) -> _Rel:
-    """Bag union: left rows then right rows, multiplicities add.  The
-    schema is merge_columns; a column one side lacks is absent in its rows.
+def _union(expr: alg.Union, cols, sub, stack, g: Graph, arg) -> _Rel:
+    """Bag union: left rows then right rows, multiplicities add.  A column
+    one side lacks is absent in its rows.
     A column is a rank column where both sides' are.  Inside a predicate
     both sides are tagged and each row keeps its tag."""
-    cols = alg.merge_columns(left.cols, right.cols)
+    right = stack.pop()
+    left = stack.pop()
     holes = left.holes or right.holes or set(left.cols) != set(right.cols)
 
     def column(rel: _Rel, c: str) -> tuple[list, bool]:
@@ -887,18 +877,18 @@ def _union_rels(g: Graph | None, left: _Rel, right: _Rel) -> _Rel:
 
     data, kinds = [], []
     for c in cols:
-        lv, rv, kind = _meet(g, *column(left, c), *column(right, c))  # type: ignore[arg-type]
+        lv, rv, kind = _meet(g, *column(left, c), *column(right, c))
         data.append(lv + rv)
         kinds.append(kind)
-    lp, rp, pos_kind = _meet(g, left.pos, left.pos_kind, right.pos, right.pos_kind)  # type: ignore[arg-type]
+    lp, rp, pos_kind = _meet(g, left.pos, left.pos_kind, right.pos, right.pos_kind)
     tags = None if left.tags is None else left.tags + right.tags  # type: ignore[operator]
     return _Rel(cols, data, kinds, lp + rp, pos_kind, tags, holes)
 
 
-def _aggregate(expr: alg.Aggregate, inputs, g: Graph, arg: _Rel | None) -> _Rel:
+def _aggregate(expr: alg.Aggregate, cols, sub, stack, g: Graph, arg) -> _Rel:
     """max of the positions of an input of at most one column; inside a
     predicate, one per row under test that has input."""
-    (src,) = inputs
+    src = stack.pop()
     if len(src.cols) > 1:
         raise EvaluationError("max() needs a single-column input")
     values = src.pos
@@ -920,10 +910,11 @@ def _aggregate(expr: alg.Aggregate, inputs, g: Graph, arg: _Rel | None) -> _Rel:
     for bag in groups.values():
         result = max(bag)
         results.append(float(result) if len(set(map(type, bag))) > 1 else result)
-    cols = alg.output_columns(expr, (src.cols,))
     return _Rel(cols, [], [], results, VALUES, None if src.tags is None else list(groups))
 
 
+# Each takes a program entry (the operator, its output columns, its predicate's
+# program), the stack of relations to pop its inputs off, g and the rows under test.
 _OPERATORS = {
     alg.GetVertices: _source,
     alg.GetEdges: _source,
@@ -947,33 +938,17 @@ _OPERATORS = {
 
 
 def evaluate(expr: AlgebraExpr, g: Graph) -> BindingSet:
-    """Evaluate a well-scoped expression over a graph."""
-    diags = alg.validate(expr)
+    """Evaluate a well-scoped expression over a graph.  The result holds
+    the final relation's columns and g, which names their vertices."""
+    diags: list[str] = []
+    steps = alg.program(expr, None, diags)
     if diags:
         raise EvaluationError("invalid plan: " + "; ".join(diags))
-    return _result(_run(expr, g, None), g)
-
-
-def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
-    """Bag union: concatenates rows, adding multiplicities.
-
-    The two schemas must contain the same columns; otherwise this raises,
-    since rows with absent columns are not representable.  The rows are
-    combined by the evaluator's own union.
-    """
-    if set(a.columns) != set(b.columns):
-        raise EvaluationError(
-            f"union schema mismatch: {list(a.columns)} vs {list(b.columns)}"
-        )
-    g = a._graph or b._graph
-    sides = [  # the vertices of another graph's result are resolved to their refs
-        _Rel(tuple(s.columns), s._data, s._kinds, s._pos, s._pos_kind)
-        if s._graph is None or s._graph is g
-        else _Rel(tuple(s.columns), [s._column(i) for i in range(len(s.columns))],
-                  [VALUES] * len(s.columns), s._column(-1), VALUES)
-        for s in (a, b)
-    ]
-    return _result(_union_rels(g, *sides), g)
+    rel = _run(steps, g, None)
+    bs = BindingSet(rel.cols)
+    bs._dicts, bs._data, bs._kinds, bs._graph = None, rel.data, rel.kinds, g
+    bs._pos, bs._pos_kind = rel.pos, rel.pos_kind
+    return bs
 
 
 # -- result serialization -------------------------------------------------------------

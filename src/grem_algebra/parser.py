@@ -18,10 +18,13 @@ parser, _Parser, walks them by index and looks each step up by its name in
 one table, _STEPS.  An offset becomes a line and column only when a
 ParseError is raised; tokenize is a view building Tokens from the lists.
 
-Two size limits keep every later stage (compile, validate, evaluate,
-render) inside Python's recursion limit: nested traversals may be at most
-MAX_NESTING_DEPTH levels deep, and a query may hold at most MAX_STEPS
-steps, counting the steps of nested traversals and the source step.
+Two size limits bound a query.  Nested traversals may be at most
+MAX_NESTING_DEPTH levels deep: the parser, the compiler and every walk
+over a selection predicate (validate, evaluate, render) recurse a few
+frames per nesting level, and this keeps them inside Python's recursion
+limit.  A query may hold at most MAX_STEPS steps, counting the steps of
+nested traversals and the source step; no walk over a plan recurses per
+step, so this bounds the work per query, not the stack.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ trust it.
   label, a where()/not() predicate run from each row alone;
 * the graph by id: labels, properties, edges and adjacency looked up by
   original string id, each a plain scan of the graph's rank layout, and
-  a graph built from a document's entries in one plain loop.
+  a graph built from a document's entries in one plain loop;
+* the bag union of two binding sets, over their dict rows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable
 
 from grem_algebra.compiler import PatternChain
 from grem_algebra.errors import EvaluationError, GraphFormatError
-from grem_algebra.evaluator import CUR, BindingSet, Value, multiset_union
+from grem_algebra.evaluator import CUR, BindingSet, Value
 from grem_algebra.parser import StepKind
 from grem_algebra.property_graph import EdgeRef, Graph, PropertyValue, VertexRef, values_equal
 
@@ -149,6 +150,20 @@ def graph_from_entries(vertices: list[dict], edges: list[dict]) -> Graph:
         g._e_in.append(rank[edge["inV"]])
         g.edge_props.append(edge.get("properties") or {})
     return g
+
+
+# -- bag union -------------------------------------------------------------------
+
+
+def multiset_union(a: BindingSet, b: BindingSet) -> BindingSet:
+    """Bag union: a's rows then b's, multiplicities add.
+
+    The two schemas must contain the same columns; otherwise this raises,
+    since rows with absent columns are not representable.
+    """
+    if set(a.columns) != set(b.columns):
+        raise EvaluationError(f"union schema mismatch: {list(a.columns)} vs {list(b.columns)}")
+    return BindingSet(a.columns, a.rows + b.rows)
 
 
 # -- paths ---------------------------------------------------------------------

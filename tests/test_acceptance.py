@@ -14,7 +14,6 @@ from grem_algebra import (
     compile_traversal,
     evaluate,
     extract_patterns,
-    multiset_union,
     parse_traversal,
     render_plan,
     stitch_patterns,
@@ -23,7 +22,9 @@ from grem_algebra.algebra import Dedup, GetVertices, Projection, Restriction, Tr
 from grem_algebra.parser import Step, StepKind, TraversalAST
 from grem_algebra.property_graph import VertexRef
 
-from reference import EMPTY_PATH, Path, Traverser, bind, match_all, path_concat, path_join
+from reference import (
+    EMPTY_PATH, Path, Traverser, bind, match_all, multiset_union, path_concat, path_join,
+)
 from corpus import (
     CORPUS,
     Q_OLDEST_KNOWN_AGE,

@@ -188,6 +188,28 @@ def test_validate_rejects_an_argument_outside_a_predicate():
     assert validate(Selection(Argument("a"), GetVertices())) == []
 
 
+def test_diagnostics_come_in_program_order():
+    """An operator's inputs' faults before its own, the first input's
+    before the second's, and a predicate's at its Selection, after the
+    faults of the Selection's input."""
+    expr = Sort(
+        ("z",), "asc",
+        Join(
+            Selection(Traverse("out", None, None, None, GetVertices()), Argument()),
+            PropertyFilter(None, "age", 30, True, GetVertices()),
+        ),
+    )
+    diags = [
+        "arg outside a selection predicate",
+        "V inside a selection predicate",
+        "filter[_=values age] cannot also test age=30",
+        "unbound z in sort",
+    ]
+    assert validate(expr) == diags
+    with pytest.raises(EvaluationError, match=re.escape("invalid plan: " + "; ".join(diags))):
+        evaluate(expr, modern_graph())
+
+
 def test_compiled_plans_have_no_shape_diagnostics():
     from test_batched_predicates import QUERIES as BATCHED_QUERIES
     from test_golden_eval import golden_queries
@@ -337,6 +359,32 @@ def _stack_depth():
     return depth
 
 
+def test_a_long_chain_takes_a_constant_stack_depth():
+    """A chain of 5,000 traverses, built directly and so past MAX_STEPS,
+    validates, gives its columns, renders in every style and evaluates
+    within 40 frames of the caller: no walk over a plan takes a frame per
+    plan level."""
+    levels = 5000
+    assert levels > MAX_STEPS
+    expr = GetVertices()
+    for _ in range(levels):
+        expr = Traverse("out", None, None, None, expr)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        diags = validate(expr)
+        columns = static_columns(expr)
+        texts = [render_plan(expr, style) for style in PLAN_STYLES]
+        rows = len(evaluate(expr, modern_graph()))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (diags, columns, rows) == ([], (), 0)
+    paper, ascii_, curried = texts
+    assert paper == "↑ " * (levels - 1) + "↑(V_g)"
+    assert ascii_.count("\n") == levels and ascii_.endswith("\n" + "  " * levels + "V")
+    assert curried == "out(" * levels + "V_g" + ")" * levels
+
+
 def _nested_where(levels):
     """levels where() steps, each predicate a where() followed by three
     out() steps: a predicate path of four plan levels per where()."""
@@ -345,22 +393,15 @@ def _nested_where(levels):
     return f"__.where({_nested_where(levels - 1)}).out().out().out()"
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "g.V()" + ".out()" * (MAX_STEPS - 1),
-        f"g.V().where({_nested_where(MAX_NESTING_DEPTH - 2)})",
-    ],
-    ids=["longest-chain", "deepest-where"],
-)
-def test_deepest_plans_need_about_one_frame_per_level(text):
-    """The longest chain and about the deepest where() nesting the parser
-    admits (256 and 63 levels, about 250 plan levels each) compile,
-    validate, render in every style and evaluate within 400 frames of the
-    caller: each walk over a plan spends one frame per plan level, not
-    two."""
+def test_the_deepest_where_nesting_takes_a_few_frames_per_level():
+    """About the deepest where() nesting the parser admits (63 levels,
+    about 250 plan levels) parses, compiles, validates, renders in every
+    style and evaluates within 40 frames of the caller plus 3 per nesting
+    level: a predicate is the only plan part that takes stack frames."""
+    levels = MAX_NESTING_DEPTH - 2
+    text = f"g.V().where({_nested_where(levels)})"
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 400)
+    sys.setrecursionlimit(_stack_depth() + 40 + 3 * levels)
     try:
         expr = compiled(text)
         assert validate(expr) == []

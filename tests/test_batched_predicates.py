@@ -23,14 +23,14 @@ from grem_algebra import evaluator
 from corpus import random_graph
 
 
-def _selection_per_row(expr, inputs, t, arg):
-    """Reference Selection: one predicate run per input row."""
-    (src,) = inputs
+def _selection_per_row(expr, cols, predicate, stack, t, arg):
+    """Reference Selection: one run of the predicate's program per input row."""
+    src = stack.pop()
     kept = []
     for i in range(len(src.pos)):
         row = [[values[i]] for values in src.data]
         alone = evaluator._Rel(src.cols, row, src.kinds, [src.pos[i]], src.pos_kind, [0], src.holes)
-        hits = evaluator._run(expr.predicate, t, alone)
+        hits = evaluator._run(predicate, t, alone)
         if bool(hits.pos) != expr.negated:
             kept.append(i)
     data = [[values[i] for i in kept] for values in src.data]

@@ -49,8 +49,8 @@ def checked(monkeypatch):
     ran = []
 
     def wrap(op):
-        def checked_op(expr, inputs, g, arg):
-            rel = op(expr, inputs, g, arg)
+        def checked_op(expr, cols, predicate, stack, g, arg):
+            rel = op(expr, cols, predicate, stack, g, arg)
             _assert_kinds(rel, g)
             ran.append(type(expr))
             return rel

@@ -1,6 +1,7 @@
 """Traversal-to-algebra mapping: step clauses, pattern extraction, stitching."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from grem_algebra import (
     evaluate,
     extract_patterns,
     load_graph,
+    modern_graph,
     parse_traversal,
     stitch_patterns,
     to_jsonl,
@@ -158,6 +160,34 @@ def test_extract_rejects_mid_anchor():
 def test_extract_rejects_alias_after_filter():
     with pytest.raises(CompileError, match="alias"):
         compiled('g.V().match(__.as("a").has("name","lop").as("b"))')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "g.V().as('x').out().hasLabel('person').as('x')",
+        "g.V().as('x').out().has('age').as('x')",
+        "g.V().as('x').out().where(__.out().hasLabel('person').as('x'))",
+        "g.V().as('x').out().has('age').match(__.as('x'))",
+        "g.V().as('x').out().where(__.out().has('age').match(__.as('x')))",
+    ],
+)
+def test_as_after_a_filter_rejects_a_bound_name(text):
+    """A has()/hasLabel() filter's as() fills its anchor, the element it
+    tests; a name its input already binds would make it test that binding
+    instead of the element it walked to (6 and 1 rows on the modern graph,
+    where out().as('x') and where(__.out().as('x')) give none)."""
+    step = "hasLabel" if "hasLabel" in text else "has"
+    message = f"as('x') after {step}() would alias the pattern anchor; unsupported"
+    with pytest.raises(CompileError, match=re.escape(message)):
+        compiled(text)
+
+
+def test_as_after_a_filter_names_an_unbound_element():
+    expr = compiled("g.V().as('y').out().hasLabel('person').as('x').select('x','y')")
+    assert alg_validate(expr) == []
+    rows = evaluate(expr, modern_graph()).rows
+    assert sorted((r["x"].id, r["y"].id) for r in rows) == [("2", "1"), ("4", "1")]
 
 
 def test_extract_rejects_empty_two_anchor_chain():

@@ -14,7 +14,6 @@ from grem_algebra import (
     compile_traversal,
     evaluate,
     load_graph,
-    multiset_union,
     parse_traversal,
     to_jsonl,
     to_table,
@@ -37,7 +36,9 @@ from grem_algebra import evaluator
 from grem_algebra.evaluator import CUR
 from grem_algebra.property_graph import EdgeRef, Graph, sort_key
 
-from reference import EMPTY_PATH, Path, element_property, out_adjacent, path_concat, path_join
+from reference import (
+    EMPTY_PATH, Path, element_property, multiset_union, out_adjacent, path_concat, path_join,
+)
 from corpus import Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30, Q_COCREATOR_32, Q_AGES_ASC, random_graph
 
 
@@ -304,10 +305,10 @@ def test_sort_is_permutation(modern):
     assert Counter(plain.canonical()) == Counter(ordered.canonical())
 
 
-def _tuple_sort(expr, inputs, g, arg):
+def _tuple_sort(expr, cols, predicate, stack, g, arg):
     """Reference Sort: one stable sort on a tuple of every key column's
     order keys."""
-    (src,) = inputs
+    src = stack.pop()
     columns, kinds = src.columns(expr.vars) if expr.vars else ([src.pos], [src.pos_kind])
     keys = evaluator._keys(list(map(evaluator._order_keys, columns, kinds)), None)
     index = sorted(range(len(keys)), key=keys.__getitem__, reverse=expr.direction != "asc")
@@ -342,8 +343,8 @@ def test_sorting_key_by_key_orders_as_one_tuple_sort(case):
     cols = tuple(f"c{i}" for i in range(len(data)))
     rel = evaluator._Rel(cols, data, kinds, list(range(len(data[0]))), evaluator.VALUES)
     expr = Sort(cols, direction, GetVertices())
-    got = evaluator._sort(expr, [rel], None, None)
-    assert got.pos == _tuple_sort(expr, [rel], None, None).pos
+    got = evaluator._sort(expr, cols, None, [rel], None, None)
+    assert got.pos == _tuple_sort(expr, cols, None, [rel], None, None).pos
 
 
 ORDER_QUERIES = [

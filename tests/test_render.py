@@ -19,7 +19,6 @@ from grem_algebra import (
     compile_traversal,
     evaluate,
     modern_graph,
-    multiset_union,
     parse_traversal,
     to_jsonl,
     to_table,
@@ -27,6 +26,7 @@ from grem_algebra import (
 from grem_algebra.evaluator import CUR
 
 from corpus import random_graph
+from reference import multiset_union
 from test_lazy_rows import SHAPES
 
 # SHAPES covers ragged unions (absent bindings), schema-less rows,

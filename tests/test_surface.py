@@ -27,7 +27,7 @@ MOVED = {
     "Path", "EMPTY_PATH", "path_concat", "path_join",
     "Traverser", "bind", "_run_chain", "eval_match", "match_entry_var", "match_all",
     "oracle_match", "PatternVertex", "PatternEdge", "OracleGraphPattern", "MAX_ORACLE_VARS",
-    "UnboundPatternError",
+    "UnboundPatternError", "multiset_union",
 }
 # Plain words as well: a local variable or a sentence may use them.
 COMMON_WORDS = {"Path", "bind"}
@@ -57,6 +57,9 @@ DELETED |= {
 # The second scope rule: every variable bound below a node, a dropped one
 # too.  A read is checked against the columns output_columns gives.
 DELETED |= {"introduced" + "_vars", "_intro" + "duced"}
+# The recursive plan walks: every walk is a loop over algebra.program, and
+# the bag union of two results is a reference helper over their rows.
+DELETED |= {"_sche" + "ma", "_sub" + "trees", "_union_" + "rels"}
 
 
 def _operator_classes() -> set[type]:
@@ -67,11 +70,13 @@ def _operator_classes() -> set[type]:
 
 
 def _plan_classes(expr) -> set[type]:
-    found = {type(expr)}
-    if isinstance(expr, alg.Selection):
-        found |= _plan_classes(expr.predicate)
-    for e in alg.inputs(expr):
-        found |= _plan_classes(e)
+    found = set()
+    programs = [alg.program(expr)]
+    while programs:
+        for node, _, predicate in programs.pop():
+            found.add(type(node))
+            if predicate is not None:
+                programs.append(predicate)
     return found
 
 

@@ -27,14 +27,15 @@ from grem_algebra import (
     compile_traversal,
     evaluate,
     load_graph,
-    multiset_union,
     parse_traversal,
     to_jsonl,
 )
 from grem_algebra import evaluator
+from grem_algebra.algebra import program
 from grem_algebra.property_graph import EdgeRef, VertexRef
 
 import corpus
+from reference import multiset_union
 
 ID_ORDER_GRAPH = {
     "vertices": [
@@ -188,15 +189,16 @@ def test_engine_rows_and_graph_tables_are_not_gc_tracked():
         "g.V().match(__.as('a').out('knows').as('b'), __.as('b').out().as('c'))"
         ".select('a','c')"
     ))
+    steps = program(expr)
     leftovers = {}
     for n in (300, 600):
         g = _random_person_graph(n)
-        evaluator._run(expr, g, None)  # builds the graph's neighbour entries
+        evaluator._run(steps, g, None)  # builds the graph's neighbour entries
         rel = None
         gc.collect()
         gc.collect()  # untracks tuples whose items the first pass untracked
         before = len(gc.get_objects())
-        rel = evaluator._run(expr, g, None)
+        rel = evaluator._run(steps, g, None)
         gc.collect()
         # what the collector tracks is the relation's few lists, not its rows
         leftovers[n] = len(gc.get_objects()) - before
