@@ -14,9 +14,9 @@ flattens a plan, with an explicit stack, into a post-order list of its
 operators and their output columns; validate, static_columns, the paper
 and curried renderers and the evaluator each loop over it, and only a
 selection predicate, a program of its own, takes a frame per nesting
-level.  One column rule, output_columns, gives every schema: a plan's,
-the columns an operator may read (validate) and each relation's in the
-evaluator, which keeps its own table of physical operators.
+level.  program holds the one column rule, which gives every schema: a
+plan's, the columns an operator may read (validate) and each relation's
+in the evaluator, which keeps its own table of physical operators.
 
 Three deterministic renderings are provided:
 
@@ -386,31 +386,6 @@ OPERATORS: dict[type, Operator] = {
 # -- the plan program: one walk over the table ----------------------------------------
 
 
-def output_columns(
-    expr: AlgebraExpr,
-    inputs: tuple[tuple[str, ...], ...],
-    arg_columns: tuple[str, ...] = (),
-) -> tuple[str, ...]:
-    """The column rule of one operator: its visible schema, given the
-    schemas of its inputs and, for Argument, of the rows under test.  It
-    is the operator's own schema if it has one, else its inputs' (a join
-    or union: the left columns, then the right ones the left lacks; a
-    leaf: arg_columns), then each variable it binds that is not a column
-    yet."""
-    op = OPERATORS[type(expr)]
-    if op.schema is not None:
-        columns = op.schema(expr)
-    elif len(inputs) == 2:
-        left, right = inputs
-        columns = left + tuple(c for c in right if c not in left)
-    else:
-        columns = inputs[0] if inputs else arg_columns
-    for v in op.binds(expr):
-        if v and v not in columns:
-            columns = columns + (v,)
-    return columns
-
-
 def program(
     expr: AlgebraExpr, scope: tuple[str, ...] | None = None, diags: list[str] | None = None
 ) -> list[tuple]:
@@ -420,7 +395,12 @@ def program(
     program of its own, its scope the Selection's input columns.  scope is
     the columns of the rows under test inside a predicate, where Argument
     leaves start from them; None outside every predicate.  diags, given a
-    list, receives validate's diagnostics in program order."""
+    list, receives validate's diagnostics in program order.
+
+    This is the one column rule: an operator's output columns are its own
+    schema if it has one, else its input's (a join or union: the left
+    columns, then the right ones the left lacks; a leaf: scope's), then
+    each variable it binds that is not a column yet."""
     order = []  # each operator before its inputs, the last input first
     todo = [expr]
     while todo:
@@ -434,15 +414,11 @@ def program(
     for node in reversed(order):
         op = OPERATORS[type(node)]
         n = len(op.inputs)  # no operator has more than two
-        if n == 1:
-            below: tuple[tuple[str, ...], ...] = (done.pop(),)
-        elif n == 2:
+        if n == 2:
             right = done.pop()
-            below = (done.pop(), right)
-        else:
-            below = ()
+        below = done.pop() if n else arg_columns  # its (first) input's columns
         if diags is not None:
-            if op.inside is not None and op.inside == (scope is None):
+            if op.inside == (scope is None):  # never when inside is None
                 where = "outside" if op.inside else "inside"
                 diags.append(f"{op.ascii(node)} {where} a selection predicate")
             if type(node) is PropertyFilter:
@@ -452,10 +428,17 @@ def program(
                     diags.append(f"{op.ascii(node)} cannot read anchor {node.anchor}: it extracts no value")
             if op.reads is not None:
                 for v in op.reads(node):
-                    if v not in below[0]:
+                    if v not in below:
                         diags.append(f"unbound {v} in {op.noun}")
-        sub = None if op.predicate is None else program(getattr(node, op.predicate), below[0], diags)
-        columns = output_columns(node, below, arg_columns)
+        sub = None if op.predicate is None else program(getattr(node, op.predicate), below, diags)
+        columns = below if op.schema is None else op.schema(node)
+        if n == 2:
+            for c in right:
+                if c not in below:
+                    columns = columns + (c,)
+        for v in op.binds(node):
+            if v and v not in columns:
+                columns = columns + (v,)
         done.append(columns)
         steps.append((node, columns, sub))
     return steps

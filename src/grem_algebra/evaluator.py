@@ -10,12 +10,12 @@ ascending lexicographic id order, and every operator except sorting and
 grouping preserves its input order.
 
 Inside the engine a relation is stored column by column: one list per
-visible column, in the order of the column rules of
-``algebra.output_columns``, and one list of current positions.  A list is
-never changed once built, so relations share lists freely
-(``traverse(a->b)`` keeps one list as both ``b`` and the position).  Each
-list has one of two kinds, fixed where the list is built and carried next
-to it, never read off its contents:
+visible column, in the order of the column rule in ``algebra.program``,
+and one list of current positions.  A list is never changed once built,
+so relations share lists freely (``traverse(a->b)`` keeps one list as
+both ``b`` and the position).  Each list has one of two kinds, fixed
+where the list is built and carried next to it, never read off its
+contents:
 
 * a rank column holds vertices and nothing else, each as its bare rank in
   id order, the graph's own int object (see ``Graph``);

@@ -55,11 +55,11 @@ DELETED |= {
     )
 }
 # The second scope rule: every variable bound below a node, a dropped one
-# too.  A read is checked against the columns output_columns gives.
+# too.  A read is checked against the columns algebra.program gives.
 DELETED |= {"introduced" + "_vars", "_intro" + "duced"}
 # The recursive plan walks: every walk is a loop over algebra.program, and
 # the bag union of two results is a reference helper over their rows.
-DELETED |= {"_sche" + "ma", "_sub" + "trees", "_union_" + "rels"}
+DELETED |= {"_sche" + "ma", "_sub" + "trees", "_union_" + "rels", "output" + "_columns"}
 
 
 def _operator_classes() -> set[type]:
