@@ -94,12 +94,14 @@ class Traverse:
 class PropertyFilter:
     """has()/values() as an operator.
 
-    With a value it keeps rows whose element's key property equals it;
-    with no value and bind_value=False it keeps rows where the key exists.
-    Its element, var's binding (else the position, bound to var), becomes
-    the position.  With bind_value=True (and no value) it reads anchor's
-    element alike, moves the position onto its key property and binds that
-    to var as a traverse binds to_var; validate admits an anchor only there.
+    It reads an element as a traverse does: anchor's binding (None = the
+    current position, and an absent anchor is bound to it), which becomes
+    the position.  With a value it keeps rows whose element's key property
+    equals it; with no value and bind_value=False it keeps rows where the
+    key exists; with bind_value=True (and no value) it moves the position
+    onto the element's key property, dropping rows without it.  var names
+    its output, the position, as to_var does a traverse's: a var that is
+    already bound acts as an equality filter.
     """
 
     var: str | None
@@ -112,11 +114,13 @@ class PropertyFilter:
 
 @dataclass(frozen=True)
 class LabelFilter:
-    """Keeps rows whose element carries the given label."""
+    """Keeps rows whose element carries the given label; it reads anchor's
+    element and binds var as a PropertyFilter does."""
 
     var: str | None
     label: str
     input: AlgebraExpr
+    anchor: str | None = None
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,10 @@ def _its_var(expr: Any) -> tuple[str | None]:
     return (expr.var,)
 
 
+def _anchor_and_var(expr: Any) -> tuple[str | None, str | None]:
+    return (expr.anchor, expr.var)
+
+
 class Operator(NamedTuple):
     """One operator class's row.  Each function takes the operator; a
     rendering also takes the texts of its subtrees, its predicate first."""
@@ -272,11 +280,14 @@ def _chain(atom: str, e: Any, t: list[str]) -> str:
     return f"{atom} {t[0]}" if OPERATORS[type(e.input)].chained else f"{atom}({t[0]})"
 
 
-def _property_label(e: PropertyFilter) -> str:
-    if e.bind_value:
+def _filter_label(e: PropertyFilter | LabelFilter) -> str:
+    """A filter's ascii line: the element it reads, its test and, when set,
+    the variable it binds; an extraction names its output first."""
+    if type(e) is PropertyFilter and e.bind_value:
         anchor = f"{e.anchor}." if e.anchor is not None else ""
         return f"filter[{_var(e.var)}=values {anchor}{e.key}]"
-    return f"filter[{_var(e.var)}.{e.key}{_equals(e.value)}]"
+    test = f"label={e.label}" if type(e) is LabelFilter else f"{e.key}{_equals(e.value)}"
+    return f"filter[{_var(e.anchor)}.{test}]" + ("" if e.var is None else f"->{e.var}")
 
 
 OPERATORS: dict[type, Operator] = {
@@ -309,18 +320,18 @@ OPERATORS: dict[type, Operator] = {
     ),
     PropertyFilter: Operator(
         ("input",),
-        _property_label,
-        lambda e, t: _chain(f"σ{_sup(e.var)}_{{{e.key}{_equals(e.value)}}}", e, t),
+        _filter_label,
+        lambda e, t: _chain(f"σ{_sup(e.var or e.anchor)}_{{{e.key}{_equals(e.value)}}}", e, t),
         lambda e, t: (f"values_{e.key}" if e.bind_value else f"has_{e.key}{_equals(e.value)}")
         + f"({t[0]})",
-        binds=lambda e: (e.anchor, e.var), named="var", chained=True,
+        binds=_anchor_and_var, named="var", chained=True,
     ),
     LabelFilter: Operator(
         ("input",),
-        lambda e: f"filter[{_var(e.var)}.label={e.label}]",
-        lambda e, t: _chain(f"σ{_sup(e.var)}_{{label={e.label}}}", e, t),
+        _filter_label,
+        lambda e, t: _chain(f"σ{_sup(e.var or e.anchor)}_{{label={e.label}}}", e, t),
         lambda e, t: f"hasLabel_{e.label}({t[0]})",
-        binds=_its_var, named="var", chained=True,
+        binds=_anchor_and_var, named="var", chained=True,
     ),
     Selection: Operator(
         ("input",),
@@ -421,11 +432,8 @@ def program(
             if op.inside == (scope is None):  # never when inside is None
                 where = "outside" if op.inside else "inside"
                 diags.append(f"{op.ascii(node)} {where} a selection predicate")
-            if type(node) is PropertyFilter:
-                if node.bind_value and node.value is not None:
-                    diags.append(f"{op.ascii(node)} cannot also test {node.key}{_equals(node.value)}")
-                if not node.bind_value and node.anchor is not None:
-                    diags.append(f"{op.ascii(node)} cannot read anchor {node.anchor}: it extracts no value")
+            if type(node) is PropertyFilter and node.bind_value and node.value is not None:
+                diags.append(f"{op.ascii(node)} cannot also test {node.key}{_equals(node.value)}")
             if op.reads is not None:
                 for v in op.reads(node):
                     if v not in below:
@@ -458,9 +466,8 @@ def validate(expr: AlgebraExpr) -> list[str]:
     Returns one diagnostic per variable an operator reads that is not a
     column of its input (inside a selection predicate, an Argument leaf
     carries the columns of the rows under test), per get-vertices/get-edges
-    leaf inside a selection predicate, per Argument leaf outside one, per
-    property filter that extracts a value and also holds one to test, and
-    per property filter that holds an anchor but extracts no value.
+    leaf inside a selection predicate, per Argument leaf outside one and
+    per property filter that extracts a value and also holds one to test.
     An empty list means the plan is well-scoped and well-shaped, as the
     evaluator needs.
 

@@ -3,13 +3,17 @@
 The mapping follows a fixed recipe: the g.V()/g.E() source becomes a
 get-vertices/get-edges leaf; each out()/in()/has()/hasLabel()/values()
 step becomes its traverse, property filter or label filter operator
-through one function, ``_apply_step``; match() patterns are extracted as
-anchored chains of those steps and stitched into one connected
-expression (threading shared variables, joining disconnected ones);
-where()/not()/and() become selections over predicates rooted at the row
-under test (Argument); select() a projection; dedup(), order().by(),
-group().by(), limit() their namesake operators; union() builds a
-left-deep union tree; a terminal max() an aggregate.
+through one function, ``_apply_step``; each reads the element its
+anchor variable binds, else the position, and binds its output to its
+target variable, if any; as() fills the target of the step before it, a new column
+where the name is unbound and an equality test where it is bound;
+match() patterns are extracted as anchored chains of those steps and
+stitched into one connected expression (threading shared variables,
+joining disconnected ones); where()/not()/and() become selections over
+predicates rooted at the row under test (Argument); select() a
+projection; dedup(), order().by(), group().by(), limit() their namesake
+operators; union() builds a left-deep union tree; a terminal max() an
+aggregate.
 
 ``select(...).by(key)`` is value extraction by default.  With
 ``eq7_grouping=True`` it instead emits a grouping operator above the
@@ -100,21 +104,18 @@ def _apply_step(
     step: Step, expr: AlgebraExpr, anchor: str | None, target: str | None
 ) -> AlgebraExpr:
     """The operator of an out/in/has/hasLabel/values step on top of expr.
-    anchor names the variable it starts from (None: the current position),
+    anchor names the variable it reads (None: the current position),
     target the variable it binds (None: none); name is the edge label,
     property key or vertex label the step names."""
     kind = step.kind
     name = str(_literal(step.args[0]).value) if step.args else None
     if kind is StepKind.OUT or kind is StepKind.IN:
         return alg.Traverse(alg.OUT if kind is StepKind.OUT else alg.IN, name, anchor, target, expr)
-    if kind is StepKind.VALUES:
-        return alg.PropertyFilter(target, name, None, True, expr, anchor)  # type: ignore[arg-type]
-    if target is not None:
-        raise _aliasing(target, kind)
-    if kind is StepKind.HAS:
-        value = _literal(step.args[1]).value if len(step.args) == 2 else None
-        return alg.PropertyFilter(anchor, name, value, False, expr)  # type: ignore[arg-type]
-    return alg.LabelFilter(anchor, name, expr)  # type: ignore[arg-type]
+    if kind is StepKind.HAS_LABEL:
+        return alg.LabelFilter(target, name, expr, anchor)  # type: ignore[arg-type]
+    value = _literal(step.args[1]).value if len(step.args) == 2 else None
+    extract = kind is StepKind.VALUES
+    return alg.PropertyFilter(target, name, value, extract, expr, anchor)  # type: ignore[arg-type]
 
 
 def _apply_chain(chain: PatternChain, expr: AlgebraExpr) -> AlgebraExpr:
@@ -128,28 +129,16 @@ def _apply_chain(chain: PatternChain, expr: AlgebraExpr) -> AlgebraExpr:
     return expr
 
 
-def _aliasing(var: str, kind: StepKind) -> CompileError:
-    return CompileError(f"as({var!r}) after {kind.value}() would alias the pattern anchor; unsupported")
-
-
-def _name_head(expr: AlgebraExpr, var: str, scope: tuple[str, ...]) -> AlgebraExpr:
-    """Attach a variable to the operator that produced the current position.
-    A has()/hasLabel() filter's named field is the anchor it tests, so a
-    var bound below it (scope: the columns of the rows under test) is
-    refused: the filter would test that binding instead."""
+def _name_head(expr: AlgebraExpr, var: str) -> AlgebraExpr:
+    """Attach a variable to the operator that produced the current position:
+    its output, which a var that is already bound then tests for equality."""
     field = alg.OPERATORS[type(expr)].named
     if field is None or getattr(expr, field) is not None:
         raise CompileError(f"as({var!r}) cannot name the preceding step here")
-    kind = type(expr)
-    if kind is alg.LabelFilter or (kind is alg.PropertyFilter and not expr.bind_value):
-        if var in static_columns(expr, scope):
-            raise _aliasing(var, StepKind.HAS_LABEL if kind is alg.LabelFilter else StepKind.HAS)
     return dataclasses.replace(expr, **{field: var})
 
 
-def stitch_patterns(
-    chains: list[PatternChain], source: AlgebraExpr | None = None, scope: tuple[str, ...] = ()
-) -> AlgebraExpr:
+def stitch_patterns(chains: list[PatternChain], source: AlgebraExpr | None = None) -> AlgebraExpr:
     """Compose pattern chains into one connected expression.
 
     Chains whose start variable is already bound are threaded directly on
@@ -157,8 +146,7 @@ def stitch_patterns(
     at that variable).  A chain that shares no bound variable is evaluated
     as its own subtree over the source and combined with a concatenative
     join, which degenerates to a cartesian product when the subtrees share
-    no variables at all.  Inside a selection predicate, scope holds the
-    columns of the rows under test.
+    no variables at all.
     """
     if not chains:
         raise CompileError("match() needs at least one pattern")
@@ -169,7 +157,7 @@ def stitch_patterns(
     if first.ops:
         acc = _apply_chain(first, source)
     else:
-        acc = _name_head(source, first.start_var, scope)
+        acc = _name_head(source, first.start_var)
     bound = set(first.vars)
     while remaining:
         idx = next((i for i, c in enumerate(remaining) if c.start_var in bound), None)
@@ -231,15 +219,15 @@ def _compile_steps(
         if kind in (StepKind.SOURCE_V, StepKind.SOURCE_E):
             raise CompileError(f"{kind.value}() may only start a root traversal")
         if kind is StepKind.AS:
-            expr = _name_head(expr, str(_literal(step.args[0]).value), scope)
+            expr = _name_head(expr, str(_literal(step.args[0]).value))
         elif kind in _CHAIN_STEPS:
             expr = _apply_step(step, expr, None, None)
         elif kind is StepKind.MATCH:
             chains = extract_patterns(step)
             if seen_match:
-                expr = alg.Join(expr, stitch_patterns(chains, source, scope))
+                expr = alg.Join(expr, stitch_patterns(chains, source))
             else:
-                expr = stitch_patterns(chains, expr, scope)
+                expr = stitch_patterns(chains, expr)
                 seen_match = True
         elif kind in (StepKind.WHERE, StepKind.NOT, StepKind.AND):
             # and() joins its predicates, left-deep; where() and not() hold one
@@ -248,7 +236,7 @@ def _compile_steps(
             expr = alg.Selection(reduce(alg.Join, preds), expr, negated=kind is StepKind.NOT)
         elif kind is StepKind.SELECT or kind is StepKind.DEDUP:
             vars_ = tuple(str(_literal(a).value) for a in step.args)
-            declared = static_columns(expr, scope)
+            declared = static_columns(expr, scope) if vars_ else ()
             for v in vars_:
                 if v not in declared:
                     raise CompileError(f"{kind.value}() references undeclared variable {v!r}")

@@ -53,8 +53,8 @@ where()/not() run their predicate once over all input rows, each tagged
 with its row's index in a tag list.  Inside the predicate, dedup, join,
 limit and aggregate key on that tag, and sort and group are stable, so
 the batch answers exactly what one run per row would.  A predicate that
-is a chain of traverses and label or value filters, binding nothing and
-ending in a seekable filter, may instead be answered backward, as a
+is a chain of traverses and label or value filters, none of which binds
+or reads a variable, ending in a seekable filter, may instead be answered backward, as a
 semi-join reduction from its selective end: the filter's vertices from
 the rank index, then each traverse walked in reverse, give the set of
 anchor vertices that have a witness.  The choice is made per selection
@@ -587,29 +587,24 @@ def _passes(g: Graph, expr: alg.LabelFilter | alg.PropertyFilter, elems: list, k
 
 
 def _filter(expr: alg.LabelFilter | alg.PropertyFilter, cols, sub, stack, g: Graph, arg) -> _Rel:
-    """The rows whose element passes a label, value or key filter, each
-    positioned at its element.  Over a seek, whose rows are distinct
-    vertices in ascending rank, a seekable filter reads no per-vertex data:
-    straight over V(), row i is the vertex of rank i and it gathers its
-    ranks; over seeking filters, it intersects its ranks with the rows'."""
-    src = stack.pop()
-    rel = _element(g, src, expr.var, cols)
-    if _seekable(expr):
-        if type(expr.input) is alg.GetVertices:
-            return _gather(rel, _seek(g, expr))  # type: ignore[arg-type]
-        if _seeks(expr.input):
-            return _gather(rel, _intersect(rel.pos, _seek(g, expr)))
-    return _keep(rel, _passes(g, expr, rel.pos, rel.pos_kind))
-
-
-def _property_filter(expr: alg.PropertyFilter, cols, sub, stack, g: Graph, arg) -> _Rel:
-    """A has() filter, or values(): its anchor's element's key property
-    becomes the position and is bound to var; rows without it are dropped."""
-    if not expr.bind_value:
-        return _filter(expr, cols, sub, stack, g, arg)
+    """The rows whose anchor's element passes a label, value or key filter,
+    each positioned at its element, or for values() at its key property,
+    rows without it dropped; the position is bound to var.  Over a seek,
+    whose rows are distinct vertices in ascending rank, a seekable filter
+    reads no per-vertex data: straight over V(), row i is the vertex of
+    rank i and it gathers its ranks; over seeking filters, it intersects
+    its ranks with the rows'."""
     rel = _element(g, stack.pop(), expr.anchor, cols)
-    rel.pos, rel.pos_kind = _properties(g, expr.key, rel.pos, rel.pos_kind), VALUES
-    return _bind(g, _keep(rel, list(map(is_not, rel.pos, repeat(None)))), expr.var)
+    if _seekable(expr) and _seeks(expr.input):
+        ranks = _seek(g, expr)
+        over_v = type(expr.input) is alg.GetVertices
+        rel = _gather(rel, ranks if over_v else _intersect(rel.pos, ranks))  # type: ignore[arg-type]
+    elif type(expr) is alg.PropertyFilter and expr.bind_value:
+        rel.pos, rel.pos_kind = _properties(g, expr.key, rel.pos, rel.pos_kind), VALUES
+        rel = _keep(rel, list(map(is_not, rel.pos, repeat(None))))
+    else:
+        rel = _keep(rel, _passes(g, expr, rel.pos, rel.pos_kind))
+    return _bind(g, rel, expr.var)
 
 
 def _selection(expr: alg.Selection, cols, sub, stack, g: Graph, arg) -> _Rel:
@@ -622,8 +617,8 @@ def _selection(expr: alg.Selection, cols, sub, stack, g: Graph, arg) -> _Rel:
     row carries its tag.
 
     Backward (see _backward), a predicate that is a chain from its anchor
-    through traverses and label or value filters, binding nothing and
-    ending in a seekable filter, is answered from that end: seek the
+    through traverses and label or value filters, none of which binds or
+    reads a variable, ending in a seekable filter, is answered from that end: seek the
     filter's vertices, then walk the chain down against each traverse's
     direction to the set of anchors that have a witness.  It needs every
     anchor (arg[var]'s binding, else the position) to be a vertex: forward
@@ -675,7 +670,7 @@ def _backward(predicate: AlgebraExpr, src: _Rel, g: Graph) -> list[bool] | None:
         if type(node) is alg.Traverse:
             if node.from_var or node.to_var:
                 return None
-        elif not _seekable(node) or node.var:  # type: ignore[union-attr]
+        elif not _seekable(node) or node.var or node.anchor:  # type: ignore[union-attr]
             return None
         steps.append(node)
         node = node.input  # type: ignore[union-attr]
@@ -921,7 +916,7 @@ _OPERATORS = {
     alg.Argument: _argument,
     alg.Traverse: _traverse,
     alg.LabelFilter: _filter,
-    alg.PropertyFilter: _property_filter,
+    alg.PropertyFilter: _filter,
     alg.Selection: _selection,
     alg.Projection: _projection,
     alg.Dedup: _dedup,

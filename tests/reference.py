@@ -532,7 +532,8 @@ def linear_rows(g: Graph, steps: Iterable[tuple], source: str = "V") -> list[dic
     ("union", steps, steps).  A row maps its variables and CUR (the
     position) to VertexRefs, EdgeRefs or property values.
 
-    where keeps a row when steps run from that row alone yield a row, not
+    as binds var to the position; where var is bound, it keeps the rows
+    whose binding equals the position (values_equal).  where keeps a row when steps run from that row alone yield a row, not
     when they yield none; with a var they start at its binding, bound to
     the position where absent.  union gives the first branch's rows for all
     input rows, then the second's.  out and in raise from anything but a
@@ -560,7 +561,11 @@ def _linear(g: Graph, rows: list[dict], steps: Iterable[tuple]) -> list[dict]:
                 adjacent = out_adjacent if kind == "out" else in_adjacent
                 out += [{**row, CUR: VertexRef(end)} for _, end in adjacent(g, here.id, *args)]
             elif kind == "as":
-                out.append({**row, args[0]: here})
+                bound = row.get(args[0])
+                if bound is None:
+                    out.append({**row, args[0]: here})
+                elif values_equal(bound, here):
+                    out.append(row)
             elif kind == "has":
                 value = element_property(g, here.id, args[0]) if element else None
                 if value is not None and values_equal(value, args[1]):

@@ -121,18 +121,33 @@ def test_validate_rejects_a_value_on_a_value_extraction():
     assert validate(PropertyFilter(None, "age", 30, False, GetVertices())) == []
 
 
-def test_validate_rejects_an_anchor_on_a_filter():
-    """Only an extraction reads an anchor.  A has() filter would ignore it,
-    and each rendering would equal that of the same filter without it."""
-    bare = PropertyFilter(None, "age", 30, False, GetVertices("a"))
-    anchored = PropertyFilter(None, "age", 30, False, GetVertices("a"), "a")
-    for style in PLAN_STYLES:
-        assert render_plan(anchored, style) == render_plan(bare, style)
-    assert validate(anchored) == ["filter[_.age=30] cannot read anchor a: it extracts no value"]
-    with pytest.raises(EvaluationError, match="invalid plan: filter"):
-        evaluate(anchored, modern_graph())
-    assert validate(bare) == []
-    assert validate(PropertyFilter(None, "age", None, True, GetVertices("a"), "a")) == []
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda walked, anchor: LabelFilter(None, "person", walked, anchor),
+        lambda walked, anchor: PropertyFilter(None, "age", None, False, walked, anchor),
+    ],
+)
+def test_an_anchored_filter_reads_its_anchors_element(make):
+    """has()/hasLabel() anchored at a variable test its element, not the
+    position, and move the position onto it, as a traverse's from_var does."""
+    walked = Traverse("out", None, None, "b", GetVertices("a"))  # the position is b
+    on_a, on_b = make(walked, "a"), make(walked, "b")
+    assert validate(on_a) == [] and static_columns(on_a) == ("a", "b")
+    assert render_plan(on_a).splitlines()[0].startswith("filter[a.")
+    g = modern_graph()
+
+    def names(expr):
+        rows = evaluate(PropertyFilter(None, "name", None, True, expr), g)
+        return [(r["a"].id, r["b"].id) for r in rows.rows], rows.values()
+
+    # every a is a person with an age, of b only vadas and josh
+    assert names(on_a) == (
+        [("1", "2"), ("1", "4"), ("1", "3"), ("4", "5"), ("4", "3"), ("6", "3")],
+        ["marko", "marko", "marko", "josh", "josh", "peter"],
+    )
+    assert names(on_b) == ([("1", "2"), ("1", "4")], ["vadas", "josh"])
+    assert names(on_b) == names(make(walked, None))
 
 
 def test_an_extraction_binds_its_absent_anchor():
@@ -302,11 +317,14 @@ def _random_expr(rng, depth=0):
             rng.choice([None, 30, 29, "lop"]),
             False,
             child,
+            rng.choice([None, "a", "b"]),
         )
     if pick == 2:
-        return PropertyFilter(rng.choice([None, "b"]), "age", None, True, child)
+        return PropertyFilter(rng.choice([None, "a", "b"]), "age", None, True, child,
+                              rng.choice([None, "a", "b"]))
     if pick == 3:
-        return LabelFilter(rng.choice([None, "a"]), rng.choice(["person", "software"]), child)
+        return LabelFilter(rng.choice([None, "a"]), rng.choice(["person", "software"]), child,
+                           rng.choice([None, "a", "b"]))
     if pick == 4:
         return Projection(
             tuple(rng.sample(["a", "b", "c"], rng.randint(1, 2))),

@@ -143,6 +143,21 @@ def test_the_rule_walks_backward_and_stops_past_the_forward_rows():
         assert walks == [{0, 3, 5}, None]
 
 
+def test_a_filter_that_binds_or_reads_a_variable_runs_forward():
+    """A backward walk tests the position alone: here it would keep no row
+    of the first query and only the rows at vadas and josh of the second."""
+    g = modern_graph()
+    walks: list = []
+    with _walks(walks), _forward_rows_of(sys.maxsize):
+        # the filter binds x, which the rows under test bind: an equality test
+        rows = _rows("g.V().as('x').out().out().not(__.in().hasLabel('person').as('x'))", g)
+        assert _ids(rows) == ["5"]
+        # the filter reads x's element, not the position
+        rows = _rows("g.V().as('x').out().where(__.match(__.as('x').hasLabel('person')))", g)
+        assert _ids(rows) == ["2", "4", "3", "5", "3", "3"]
+    assert walks == []
+
+
 def test_a_walk_past_the_forward_rows_stops_between_hops():
     """Forward reads 6 rows and 1 x edge; the walk seeks z, and its first
     reverse hop reads z's 8 y edges in: 9 rows, past 7, so it stops before

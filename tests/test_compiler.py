@@ -1,7 +1,6 @@
 """Traversal-to-algebra mapping: step clauses, pattern extraction, stitching."""
 
 import json
-import re
 from collections import Counter
 
 import pytest
@@ -69,9 +68,9 @@ def test_oldest_known_age_tree():
 
 def test_cocreator_tree_with_grouping():
     inner = Traverse("out", "created", "a", "b", GetVertices())
-    inner = PropertyFilter("b", "name", "lop", False, inner)
+    inner = PropertyFilter(None, "name", "lop", False, inner, "b")
     inner = Traverse("in", "created", "b", "c", inner)
-    inner = PropertyFilter("c", "age", 30, False, inner)
+    inner = PropertyFilter(None, "age", 30, False, inner, "c")
     expected = Group("name", Projection(("a", "c"), None, inner))
     assert compiled(Q_COCREATOR_30, eq7_grouping=True) == expected
 
@@ -84,7 +83,7 @@ def test_cocreator_tree_default_projection():
 
 
 def test_ages_asc_tree():
-    inner = LabelFilter("a", "person", GetVertices())
+    inner = LabelFilter(None, "person", GetVertices(), "a")
     inner = PropertyFilter("b", "age", None, True, inner)
     expected = Sort(("b",), "asc", Projection(("b",), None, inner))
     assert compiled(Q_AGES_ASC) == expected
@@ -157,30 +156,56 @@ def test_extract_rejects_mid_anchor():
         )
 
 
-def test_extract_rejects_alias_after_filter():
-    with pytest.raises(CompileError, match="alias"):
-        compiled('g.V().match(__.as("a").has("name","lop").as("b"))')
+def test_a_pattern_ending_in_a_filter_binds_its_end(modern):
+    expr = compiled('g.V().match(__.as("a").has("name","lop").as("b"))')
+    assert expr == PropertyFilter("b", "name", "lop", False, GetVertices(), "a")
+    assert [(r["a"].id, r["b"].id) for r in evaluate(expr, modern).rows] == [("3", "3")]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "g.V().as('x').out().hasLabel('person').as('x')",
-        "g.V().as('x').out().has('age').as('x')",
-        "g.V().as('x').out().where(__.out().hasLabel('person').as('x'))",
-        "g.V().as('x').out().has('age').match(__.as('x'))",
-        "g.V().as('x').out().where(__.out().has('age').match(__.as('x')))",
-    ],
-)
-def test_as_after_a_filter_rejects_a_bound_name(text):
-    """A has()/hasLabel() filter's as() fills its anchor, the element it
-    tests; a name its input already binds would make it test that binding
-    instead of the element it walked to (6 and 1 rows on the modern graph,
-    where out().as('x') and where(__.out().as('x')) give none)."""
-    step = "hasLabel" if "hasLabel" in text else "has"
-    message = f"as('x') after {step}() would alias the pattern anchor; unsupported"
-    with pytest.raises(CompileError, match=re.escape(message)):
-        compiled(text)
+# q.F.as('x') and q.as('x').F for a has()/hasLabel() filter F, with {x} the
+# prefix's own as('x') or nothing, and the rows each gives with x bound and not
+COMMUTING = [
+    ("g.V(){x}.out().hasLabel('person').as('x')", "g.V(){x}.out().as('x').hasLabel('person')", (0, 2)),
+    ("g.V(){x}.out().has('age').as('x')", "g.V(){x}.out().as('x').has('age')", (0, 2)),
+    (
+        "g.V(){x}.out().where(__.out().hasLabel('person').as('x'))",
+        "g.V(){x}.out().where(__.out().as('x').hasLabel('person'))",
+        (0, 0),
+    ),
+    (
+        "g.V(){x}.out().has('age').match(__.as('x'))",
+        "g.V(){x}.out().match(__.as('x')).has('age')",
+        (0, 2),
+    ),
+    (
+        "g.V(){x}.out().where(__.out().has('age').match(__.as('x')))",
+        "g.V(){x}.out().where(__.out().match(__.as('x')).has('age'))",
+        (0, 0),
+    ),
+    (
+        "g.V(){x}.out().where(__.in().hasLabel('person').as('x'))",
+        "g.V(){x}.out().where(__.in().as('x').hasLabel('person'))",
+        (6, 6),
+    ),
+    (
+        "g.V(){x}.out().in().has('age').match(__.as('x'))",
+        "g.V(){x}.out().in().match(__.as('x')).has('age')",
+        (6, 12),
+    ),
+]
+
+
+@pytest.mark.parametrize("bound", [True, False])
+@pytest.mark.parametrize("filtered, named, sizes", COMMUTING)
+def test_as_after_a_filter_commutes_with_it(modern, filtered, named, sizes, bound):
+    """as('x') names a filter's output, the element it tested, as it names
+    a traverse's: a bound x is an equality test (before the filter or after
+    it, the same rows in the same order), an unbound one a new column."""
+    x = ".as('x')" if bound else ""
+    after = evaluate(compiled(filtered.format(x=x)), modern)
+    before = evaluate(compiled(named.format(x=x)), modern)
+    assert (after.columns, after.rows) == (before.columns, before.rows)
+    assert len(after) == sizes[0 if bound else 1]
 
 
 def test_as_after_a_filter_names_an_unbound_element():
@@ -204,9 +229,9 @@ def test_stitch_threads_cocreator_in_source_order():
     chains = extract_patterns(match_step(Q_COCREATOR_30))
     expr = stitch_patterns(chains)
     # bottom-up operator order: out-traverse, name filter, in-traverse, age filter
-    assert isinstance(expr, PropertyFilter) and expr.var == "c"
+    assert isinstance(expr, PropertyFilter) and (expr.anchor, expr.var) == ("c", None)
     assert isinstance(expr.input, Traverse) and expr.input.from_var == "b"
-    assert isinstance(expr.input.input, PropertyFilter) and expr.input.input.var == "b"
+    assert isinstance(expr.input.input, PropertyFilter) and expr.input.input.anchor == "b"
     bottom = expr.input.input.input
     assert isinstance(bottom, Traverse) and (bottom.from_var, bottom.to_var) == ("a", "b")
 

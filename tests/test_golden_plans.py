@@ -62,12 +62,30 @@ def golden_lines() -> list[str]:
     return lines
 
 
+def _by_query(lines: list[str]) -> dict[tuple[str, str], str]:
+    keyed = {}
+    for line in lines:
+        entry = json.loads(line)
+        keyed[entry["source"], entry["name"]] = line
+    return keyed
+
+
+def _difference(expected: list[str], got: list[str]) -> str:
+    """Which queries' lines were added, removed or changed, each named by
+    its (source, name)."""
+    want, have = _by_query(expected), _by_query(got)
+    added = [k for k in have if k not in want]
+    removed = [k for k in want if k not in have]
+    changed = [k for k in have if k in want and have[k] != want[k]]
+    if not (added or removed or changed):
+        return "the same lines in another order"
+    return f"added {added}, removed {removed}, changed {changed}"
+
+
 def test_golden_plans():
     expected = GOLDEN.read_text(encoding="utf-8").splitlines()
     got = golden_lines()
-    assert len(got) == len(expected)
-    for line, want in zip(got, expected):
-        assert line == want
+    assert got == expected, _difference(expected, got)
 
 
 if __name__ == "__main__":

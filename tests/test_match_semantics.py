@@ -264,20 +264,21 @@ def patterns(draw):
     variables, in a drawn order: each starts at a vertex variable an
     earlier one bound, takes out/in/has/hasLabel steps and may end in
     values(), so a values() alone is anchored at the start variable.  A
-    trailing as() follows a hop (a vertex variable) or values() (a value
-    variable, which no pattern starts from)."""
+    trailing as() names a vertex variable, bound or new, after a hop or a
+    filter, or a value variable, which no pattern starts from, after
+    values()."""
     vertex_vars, value_vars, chains = ["a"], [], []
     for _ in range(draw(st.integers(1, 4))):
         steps = draw(st.lists(st.one_of(_HOPS, _FILTERS), max_size=2))
         if draw(st.booleans()) or not steps:
             steps.append(("values", draw(st.sampled_from(_KEYS))))
         steps = [step[:1] if step[1] is None else step for step in steps]
-        hop = steps[-1][0] in ("out", "in")
-        names, pool = (vertex_vars, _VERTEX_VARS) if hop else (value_vars, _VALUE_VARS)
+        vertex = steps[-1][0] != "values"
+        names, pool = (vertex_vars, _VERTEX_VARS) if vertex else (value_vars, _VALUE_VARS)
         ends = [None] + names
         if len(names) < len(pool) and len(vertex_vars) + len(value_vars) < MAX_ORACLE_VARS:
             ends.append(pool[len(names)])
-        end = None if steps[-1][0] in ("has", "hasLabel") else draw(st.sampled_from(ends))
+        end = draw(st.sampled_from(ends))
         chains.append((draw(st.sampled_from(vertex_vars)), steps, end))
         if end is not None and end not in names:
             names.append(end)

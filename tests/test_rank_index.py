@@ -69,15 +69,21 @@ def _typed(rows: list[dict]) -> list[list[tuple]]:
     g=graphs(),
     bind=st.booleans(),
     picked=st.lists(filters, min_size=1, max_size=2),
+    named=st.sampled_from([0, 1, 2]),
     tail=st.sampled_from(["", "out", "values", "select"]),
 )
-def test_filters_over_v_and_after_out_agree_with_the_reference(g, bind, picked, tail):
+def test_filters_over_v_and_after_out_agree_with_the_reference(g, bind, picked, named, tail):
+    """bind names the position x before the hop, if any; named (if not 0)
+    names x after the first named filters, a new column or, with bind, an
+    equality test that after out() only a self-loop passes."""
     tails = {
         "": [], "out": [("out",)], "values": [("values", "k")],
-        "select": [("select", "x")] if bind else [],
+        "select": [("select", "x")] if bind or named else [],
     }
+    if named:
+        picked = picked[:named] + [("as", "x")] + picked[named:]
     for hop in ([], [("out",)]):  # over V() the first filter seeks; after out() it scans
-        steps = hop + ([("as", "x")] if bind else []) + picked + tails[tail]
+        steps = ([("as", "x")] if bind else []) + hop + picked + tails[tail]
         result = evaluate(compile_traversal(parse_traversal(_text(steps))), g)
         assert _typed(result.rows) == _typed(linear_rows(g, steps)), _text(steps)
 
@@ -116,6 +122,8 @@ def test_a_filter_over_v_reads_no_per_vertex_data():
         # a seekable filter over seeks intersects rank tuples
         "g.V().hasLabel('person').has('name','josh')",
         "g.V().as('a').has('lang','java').hasLabel('software').has('name','lop').select('a')",
+        # filters that bind their element still seek and intersect
+        "g.V().hasLabel('person').as('p').has('age',29).as('q').select('p','q')",
     ]
     scans = ["g.V().out().has('name','lop')", "g.V().out().hasLabel('software')"]
     g = modern_graph()
@@ -124,7 +132,7 @@ def test_a_filter_over_v_reads_no_per_vertex_data():
         return evaluate(compile_traversal(parse_traversal(text)), g).rows
 
     first = list(map(run, seeks))
-    assert [len(rows) for rows in first] == [1, 2, 4, 0, 4, 0, 1, 1]
+    assert [len(rows) for rows in first] == [1, 2, 4, 0, 4, 0, 1, 1, 1]
     assert all(map(run, scans))
     g.vertex_labels = _Unreadable()
     g.property_column = _Unreadable()

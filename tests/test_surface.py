@@ -60,6 +60,10 @@ DELETED |= {"introduced" + "_vars", "_intro" + "duced"}
 # The recursive plan walks: every walk is a loop over algebra.program, and
 # the bag union of two results is a reference helper over their rows.
 DELETED |= {"_sche" + "ma", "_sub" + "trees", "_union_" + "rels", "output" + "_columns"}
+# A filter reads its anchor and binds its output as a traverse does: as()
+# after it needs no check of its own, and one evaluator function serves
+# both filter classes.
+DELETED |= {"_alias" + "ing", "_property_" + "filter", "_property_" + "label"}
 
 
 def _operator_classes() -> set[type]:
