@@ -533,7 +533,8 @@ def linear_rows(g: Graph, steps: Iterable[tuple], source: str = "V") -> list[dic
     position) to VertexRefs, EdgeRefs or property values.
 
     as binds var to the position; where var is bound, it keeps the rows
-    whose binding equals the position (values_equal).  where keeps a row when steps run from that row alone yield a row, not
+    whose binding equals the position (values_equal).  select keeps var's
+    column alone and moves the position onto it.  where keeps a row when steps run from that row alone yield a row, not
     when they yield none; with a var they start at its binding, bound to
     the position where absent.  union gives the first branch's rows for all
     input rows, then the second's.  out and in raise from anything but a
@@ -578,7 +579,7 @@ def _linear(g: Graph, rows: list[dict], steps: Iterable[tuple]) -> list[dict]:
                 if value is not None:
                     out.append({**row, CUR: value})
             elif kind == "select":
-                out.append({args[0]: row[args[0]], CUR: here})
+                out.append({args[0]: row[args[0]], CUR: row[args[0]]})
             elif kind in ("where", "not"):
                 var, predicate = args
                 start = row
