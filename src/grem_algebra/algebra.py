@@ -262,11 +262,26 @@ def _label(label: str | None) -> str:
     return f"[{label}]" if label is not None else ""
 
 
+def _written(text: str, *reserved: str) -> str:
+    """A key or string value as a plan writes it: bare, or quoted (repr)
+    where bare it would read as something else: a reserved word, a number,
+    a quoted text, or text holding "=", "." or "]"."""
+    try:
+        float(text)
+    except ValueError:
+        if text not in reserved and not text.startswith(("'", '"')) and not set("=.]") & set(text):
+            return text
+    return repr(text)
+
+
 def _equals(value: PropertyValue | None) -> str:
-    """A filter's "=value" annotation, the value bare: =lop, =30, =0.5, =true."""
+    """A filter's "=value" annotation: =lop, =30, =0.5, =true, and ='29' or
+    ='true' for a string that would read as another value."""
     if value is None:
         return ""
-    return "=" + (str(value).lower() if isinstance(value, bool) else str(value))
+    if isinstance(value, bool):
+        return "=" + str(value).lower()
+    return "=" + (_written(value, "true", "false") if isinstance(value, str) else str(value))
 
 
 def _wrap(head: str, inner: str) -> str:
@@ -282,11 +297,14 @@ def _chain(atom: str, e: Any, t: list[str]) -> str:
 
 def _filter_label(e: PropertyFilter | LabelFilter) -> str:
     """A filter's ascii line: the element it reads, its test and, when set,
-    the variable it binds; an extraction names its output first."""
+    the variable it binds; an extraction names its output first.  A key
+    that would read as something else, such as a has() key "label", is
+    quoted."""
     if type(e) is PropertyFilter and e.bind_value:
         anchor = f"{e.anchor}." if e.anchor is not None else ""
-        return f"filter[{_var(e.var)}=values {anchor}{e.key}]"
-    test = f"label={e.label}" if type(e) is LabelFilter else f"{e.key}{_equals(e.value)}"
+        return f"filter[{_var(e.var)}=values {anchor}{_written(e.key)}]"
+    test = (f"label={e.label}" if type(e) is LabelFilter
+            else _written(e.key, "label") + _equals(e.value))
     return f"filter[{_var(e.anchor)}.{test}]" + ("" if e.var is None else f"->{e.var}")
 
 

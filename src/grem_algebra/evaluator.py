@@ -30,14 +30,11 @@ tested or filled in, a column one union side lacks), through
 ``_as_values``.  The operators are passes over whole columns: a traverse
 expands each column by the neighbour counts of its anchors, a filter
 compresses every column by a mask read from the graph's labels or
-property columns by rank (see ``Graph``), dedup, limit, sort, group and
-join gather by an index list and union concatenates.  A label or value
-filter straight over ``V()``, whose row i is the vertex of rank i, reads
-no per-vertex data: it gathers the ranks the graph's rank index holds for
-its label or value; over such filters, whose rows are distinct vertices
-in ascending rank, it intersects those ranks with the rows'.  A rank
-column takes these passes through C-level ``map``s; a value column takes
-a per-value path in the same function.  Ints and tuples of ints hold
+property columns by rank (see ``Graph``) or, over ``V()``, by the ranks
+its rank index holds (see ``_filter``), dedup, limit, sort, group and join
+gather by an index list and union concatenates.  A rank column takes
+these passes through C-level ``map``s; a value column takes a per-value
+path in the same function.  Ints and tuples of ints hold
 nothing CPython's cyclic garbage collector must follow, so the objects it
 tracks per relation are its few lists, not its rows.
 
@@ -49,28 +46,26 @@ variable is appended, one already bound keeps the rows that agree with
 it.  Group keys the position by a property of it, the position is the
 member, and max() reduces it.
 
-where()/not() run their predicate once over all input rows, each tagged
-with its row's index in a tag list.  Inside the predicate, dedup, join,
-limit and aggregate key on that tag, and sort and group are stable, so
-the batch answers exactly what one run per row would.  A predicate that
-is a chain of traverses and label or value filters, none of which binds
-or reads a variable, ending in a seekable filter, may instead be answered backward, as a
-semi-join reduction from its selective end: the filter's vertices from
-the rank index, then each traverse walked in reverse, give the set of
-anchor vertices that have a witness.  The choice is made per selection
-from exact counts (see ``_selection``); either way the rows under test
-keep their order.  ``evaluate`` flattens the plan once into the post-order
-program of ``algebra.program``, each operator with its output columns, and
-raises on any diagnostic that walk gathers.  Without one, predicate leaves
-are all the row under test (Argument), other leaves all sources and every
-read a column of its input, so inside a predicate every relation is
-tagged and outside one none is.  ``_run`` is one loop over the program,
-each operator popping its inputs' relations off a stack and pushing its
-own; a predicate's program runs from its selection, two frames per
-nesting level.  ``evaluate`` hands the final columns, their kinds and the
-graph to a ``BindingSet``; a rank or a token becomes the graph's interned
-``VertexRef`` wherever a value leaves the set, and ``to_jsonl`` prints a
-rank column from the graph's table of vertex texts.
+``evaluate`` flattens the plan once into the post-order program of
+``algebra.program``, each operator with its output columns, raises on any
+diagnostic that walk gathers, and hands the final columns, their kinds and
+the graph to a ``BindingSet``; a rank or a token becomes the graph's
+interned ``VertexRef`` wherever a value leaves the set, and ``to_jsonl``
+prints a rank column from the graph's table of vertex texts.  ``_run``,
+one loop over a program, is the only code that pushes or pops a relation:
+it hands each operator its inputs' relations (``algebra.OPERATORS`` gives
+their count) and pushes the one it returns.
+
+where()/not() run their predicate's program once, from the selection (two
+frames per nesting level), over all input rows, each tagged with its row's
+index; predicate leaves are all the row under test (Argument) and other
+leaves sources, so inside a predicate every relation is tagged and outside
+one none is.  Dedup, join, limit and aggregate key on the tag, and sort
+and group are stable, so the batch answers exactly what one run per row
+would.  A predicate that is a chain ending in a seekable filter may
+instead be answered backward from that end, a semi-join reduction chosen
+per selection from exact counts (see ``_selection``); either way the rows
+under test keep their order.
 
 This is the package's only evaluation engine.  The reference semantics it
 is tested against (the path algebra, the traverser-level match route and
@@ -82,6 +77,7 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_left
+from dataclasses import dataclass, replace
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import add, eq, is_not, itemgetter, mul, not_
@@ -302,6 +298,7 @@ def _first_rows(keys: list) -> list[int]:
 # -- the engine ----------------------------------------------------------------------
 
 
+@dataclass(slots=True, eq=False)
 class _Rel:
     """A relation inside the engine, stored column by column.
 
@@ -316,17 +313,13 @@ class _Rel:
     so relations share them; data and kinds belong to their relation.
     """
 
-    __slots__ = ("cols", "data", "kinds", "pos", "pos_kind", "tags", "holes")
-
-    def __init__(self, cols: tuple[str, ...], data: list[list], kinds: list[bool],
-                 pos: list, pos_kind: bool, tags: list | None = None, holes: bool = False):
-        self.cols = cols
-        self.data = data
-        self.kinds = kinds
-        self.pos = pos
-        self.pos_kind = pos_kind
-        self.tags = tags
-        self.holes = holes
+    cols: tuple[str, ...]
+    data: list[list]
+    kinds: list[bool]
+    pos: list
+    pos_kind: bool
+    tags: list | None = None
+    holes: bool = False
 
     def get(self, name: str) -> tuple[list, bool]:
         """A column's values and kind."""
@@ -450,24 +443,26 @@ def _matches(values: list, const: object) -> list:
 
 
 def _run(steps: list[tuple], g: Graph, arg: _Rel | None) -> _Rel:
-    """Run a program of algebra.program: each operator pops its inputs'
-    relations, the last on top, and pushes its own; arg holds the rows
-    under test inside a selection predicate."""
+    """Run a program of algebra.program: per entry, take its operator's
+    inputs' relations off the stack, the last on top, call the operator
+    with them and push its own; arg holds the rows under test inside a
+    selection predicate.  No other code pushes or pops a relation."""
     stack: list[_Rel] = []
     for expr, cols, sub in steps:
-        stack.append(_OPERATORS[type(expr)](expr, cols, sub, stack, g, arg))
+        first = len(stack) - len(alg.OPERATORS[type(expr)].inputs)
+        inputs = stack[first:]
+        del stack[first:]
+        stack.append(_OPERATORS[type(expr)](expr, cols, sub, g, arg, *inputs))
     return stack[-1]
 
 
-def _source(expr: alg.GetVertices | alg.GetEdges, cols, sub, stack, g: Graph, arg) -> _Rel:
+def _source(expr: alg.GetVertices | alg.GetEdges, cols, sub, g: Graph, arg) -> _Rel:
     if type(expr) is alg.GetVertices:
-        elems, kind = list(g.vertex_ranks), RANKS
-    else:
-        elems, kind = list(g.edges_sorted()), VALUES
-    return _Rel(cols, [elems] if cols else [], [kind] if cols else [], elems, kind)
+        return _bind(g, _Rel(cols, [], [], list(g.vertex_ranks), RANKS), expr.var)
+    return _bind(g, _Rel(cols, [], [], list(g.edges_sorted()), VALUES), expr.var)
 
 
-def _argument(expr: alg.Argument, cols, sub, stack, g: Graph, arg: _Rel) -> _Rel:
+def _argument(expr: alg.Argument, cols, sub, g: Graph, arg: _Rel) -> _Rel:
     """The rows under test; with a var, re-anchored at its binding (bound
     to the position where absent), rows with neither dropped."""
     rel = _element(g, arg, expr.var, cols)
@@ -487,9 +482,8 @@ def _vertex_ranks(values: list) -> list[int]:
     return [a[0] for a in values]
 
 
-def _traverse(expr: alg.Traverse, cols, sub, stack, g: Graph, arg) -> _Rel:
+def _traverse(expr: alg.Traverse, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
     """Each row once per edge from its anchor, the neighbour as position."""
-    src = stack.pop()
     rel = _element(g, src, expr.from_var, cols)
     ranks = rel.pos if rel.pos_kind is RANKS else _vertex_ranks(rel.pos)
     found = _entries(g, expr.direction, expr.edge_label, ranks)
@@ -586,7 +580,7 @@ def _passes(g: Graph, expr: alg.LabelFilter | alg.PropertyFilter, elems: list, k
     return _matches(_properties(g, expr.key, elems, kind), expr.value)
 
 
-def _filter(expr: alg.LabelFilter | alg.PropertyFilter, cols, sub, stack, g: Graph, arg) -> _Rel:
+def _filter(expr: alg.LabelFilter | alg.PropertyFilter, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
     """The rows whose anchor's element passes a label, value or key filter,
     each positioned at its element, or for values() at its key property,
     rows without it dropped; the position is bound to var.  Over a seek,
@@ -594,7 +588,7 @@ def _filter(expr: alg.LabelFilter | alg.PropertyFilter, cols, sub, stack, g: Gra
     reads no per-vertex data: straight over V(), row i is the vertex of
     rank i and it gathers its ranks; over seeking filters, it intersects
     its ranks with the rows'."""
-    rel = _element(g, stack.pop(), expr.anchor, cols)
+    rel = _element(g, src, expr.anchor, cols)
     if _seekable(expr) and _seeks(expr.input):
         ranks = _seek(g, expr)
         over_v = type(expr.input) is alg.GetVertices
@@ -607,7 +601,7 @@ def _filter(expr: alg.LabelFilter | alg.PropertyFilter, cols, sub, stack, g: Gra
     return _bind(g, rel, expr.var)
 
 
-def _selection(expr: alg.Selection, cols, sub, stack, g: Graph, arg) -> _Rel:
+def _selection(expr: alg.Selection, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
     """Semi-join (where) or anti-join (not): a row survives when the
     predicate has a witness for it (negated: none).  Either way the input
     rows keep their order and tags; two physical runs answer the test.
@@ -632,17 +626,14 @@ def _selection(expr: alg.Selection, cols, sub, stack, g: Graph, arg) -> _Rel:
     at most F rows: the seek's vertices, then each reverse hop's
     neighbours.  Past F it stops, and forward runs.  F is summed only as
     far as these tests need."""
-    src = stack.pop()
     n = len(src.pos)
     if not n:
         return src
     kept = _backward(expr.predicate, src, g)
     if kept is None:
         # inside an enclosing predicate the rows are re-tagged
-        under_test = _Rel(src.cols, src.data, src.kinds, src.pos, src.pos_kind,
-                          list(range(n)), src.holes)
         try:
-            hits = _run(sub, g, under_test)
+            hits = _run(sub, g, replace(src, tags=list(range(n))))
         except EvaluationError:
             # raise what one run per row raises first, in input order
             for i in range(n):
@@ -734,8 +725,7 @@ def _witnesses(steps: list, g: Graph, affords) -> set[int] | None:
     return set(found) if affords(touched) else None
 
 
-def _projection(expr: alg.Projection, cols, sub, stack, g: Graph, arg) -> _Rel:
-    src = stack.pop()
+def _projection(expr: alg.Projection, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
     picked, kinds = src.columns(expr.vars)
     if expr.value_key is not None:
         picked = [_properties(g, expr.value_key, c, k) for c, k in zip(picked, kinds)]
@@ -750,12 +740,11 @@ def _projection(expr: alg.Projection, cols, sub, stack, g: Graph, arg) -> _Rel:
     return rel if mask is None else _keep(rel, mask)
 
 
-def _dedup(expr: alg.Dedup, cols, sub, stack, g: Graph, arg) -> _Rel:
+def _dedup(expr: alg.Dedup, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
     """First occurrence per key; inside a predicate, per row under test.
     Key columns that are all rank columns key a row by one int of their
     ranks (see _rank_keys); otherwise each column keeps its identity keys
     at its own place in a tuple key, so a token never meets an int."""
-    src = stack.pop()
     names = expr.vars or src.cols
     keyed, kinds = src.columns(names) if names else ([src.pos], [src.pos_kind])
     if all(kinds):
@@ -766,9 +755,8 @@ def _dedup(expr: alg.Dedup, cols, sub, stack, g: Graph, arg) -> _Rel:
     return src if len(first) == len(src.pos) else _gather(src, first)
 
 
-def _restriction(expr: alg.Restriction, cols, sub, stack, g, arg) -> _Rel:
+def _restriction(expr: alg.Restriction, cols, sub, g, arg, src: _Rel) -> _Rel:
     """skip/take in row order; inside a predicate, counted per row under test."""
-    src = stack.pop()
     lo, hi = expr.skip, expr.skip + expr.take
     if src.tags is None:
         return _each(src, itemgetter(slice(lo, hi)))
@@ -782,12 +770,11 @@ def _restriction(expr: alg.Restriction, cols, sub, stack, g, arg) -> _Rel:
     return _gather(src, index)
 
 
-def _sort(expr: alg.Sort, cols, sub, stack, g, arg) -> _Rel:
+def _sort(expr: alg.Sort, cols, sub, g, arg, src: _Rel) -> _Rel:
     """A stable sort on the key columns in turn, the last first, so that
     the first key column decides and each later one breaks its ties.  No
     tag is needed inside a predicate: a stable sort of all rows orders
     each tag's rows as sorting them alone would."""
-    src = stack.pop()
     columns, kinds = src.columns(expr.vars) if expr.vars else ([src.pos], [src.pos_kind])
     descending = expr.direction != alg.ASCENDING
     index = list(range(len(src.pos)))
@@ -796,13 +783,12 @@ def _sort(expr: alg.Sort, cols, sub, stack, g, arg) -> _Rel:
     return _gather(src, index)
 
 
-def _group(expr: alg.Group, cols, sub, stack, g: Graph, arg) -> _Rel:
+def _group(expr: alg.Group, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
     """Flattened (key, member) rows in a stable sort by key.  A row's
     member is its position and its key the key property of its position
     (no key: the member); a row with no key is dropped.  Inside a
     predicate each row keeps its tag; as for _sort, sorting all rows at
     once orders each tag's rows as grouping them alone would."""
-    src = stack.pop()
     members, kind = src.pos, src.pos_kind
     if expr.key is None:
         keys, key_kind = members, kind
@@ -817,13 +803,11 @@ def _group(expr: alg.Group, cols, sub, stack, g: Graph, arg) -> _Rel:
     return rel
 
 
-def _join(expr: alg.Join, cols, sub, stack, g: Graph, arg) -> _Rel:
+def _join(expr: alg.Join, cols, sub, g: Graph, arg, left: _Rel, right: _Rel) -> _Rel:
     """Hash join on the shared columns (values_equal), rows in left-major
     order; a shared column takes the right side's value, as does the
     position unless the right row has none.  Inside a predicate the tag is
     a join column too: both sides are tagged there."""
-    right = stack.pop()
-    left = stack.pop()
     shared = [c for c in dict.fromkeys(left.cols) if c in right.cols]
     nl, nr = len(left.pos), len(right.pos)
     if shared or left.tags is not None:
@@ -856,13 +840,11 @@ def _join(expr: alg.Join, cols, sub, stack, g: Graph, arg) -> _Rel:
     return _Rel(cols, data, kinds, pos, pos_kind, tags, holes)  # type: ignore[arg-type]
 
 
-def _union(expr: alg.Union, cols, sub, stack, g: Graph, arg) -> _Rel:
+def _union(expr: alg.Union, cols, sub, g: Graph, arg, left: _Rel, right: _Rel) -> _Rel:
     """Bag union: left rows then right rows, multiplicities add.  A column
     one side lacks is absent in its rows.
     A column is a rank column where both sides' are.  Inside a predicate
     both sides are tagged and each row keeps its tag."""
-    right = stack.pop()
-    left = stack.pop()
     holes = left.holes or right.holes or set(left.cols) != set(right.cols)
 
     def column(rel: _Rel, c: str) -> tuple[list, bool]:
@@ -880,17 +862,13 @@ def _union(expr: alg.Union, cols, sub, stack, g: Graph, arg) -> _Rel:
     return _Rel(cols, data, kinds, lp + rp, pos_kind, tags, holes)
 
 
-def _aggregate(expr: alg.Aggregate, cols, sub, stack, g: Graph, arg) -> _Rel:
+def _aggregate(expr: alg.Aggregate, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
     """max of the positions of an input of at most one column; inside a
     predicate, one per row under test that has input."""
-    src = stack.pop()
     if len(src.cols) > 1:
         raise EvaluationError("max() needs a single-column input")
-    values = src.pos
-    if src.pos_kind is RANKS:
-        if values:
-            raise EvaluationError(f"max() over non-numeric value {g.vertex_refs[values[0]]!r}")
-    elif not set(map(type, values)) <= {int, float}:
+    values = _as_values(g, src.pos, src.pos_kind)
+    if not set(map(type, values)) <= {int, float}:
         bad = next(v for v in values if not is_numeric(v))
         shown = g.vertex_refs[bad[0]] if type(bad) is tuple else bad  # type: ignore[index]
         raise EvaluationError(f"max() over non-numeric value {shown!r}")
@@ -909,7 +887,7 @@ def _aggregate(expr: alg.Aggregate, cols, sub, stack, g: Graph, arg) -> _Rel:
 
 
 # Each takes a program entry (the operator, its output columns, its predicate's
-# program), the stack of relations to pop its inputs off, g and the rows under test.
+# program), g, the rows under test and then its inputs' relations, as _run hands them.
 _OPERATORS = {
     alg.GetVertices: _source,
     alg.GetEdges: _source,

@@ -311,17 +311,18 @@ def _random_expr(rng, depth=0):
             child,
         )
     if pick == 1:
+        # keys and values that read as another filter's text unless quoted
         return PropertyFilter(
             rng.choice([None, "a"]),
-            rng.choice(["age", "name"]),
-            rng.choice([None, 30, 29, "lop"]),
+            rng.choice(["age", "label", "a", "a=b", "a.age", "age]"]),
+            rng.choice([None, 30, 29, True, "lop", "person", "b", "29", "true", "30.0"]),
             False,
             child,
             rng.choice([None, "a", "b"]),
         )
     if pick == 2:
-        return PropertyFilter(rng.choice([None, "a", "b"]), "age", None, True, child,
-                              rng.choice([None, "a", "b"]))
+        return PropertyFilter(rng.choice([None, "a", "b"]), rng.choice(["age", "a.age"]), None,
+                              True, child, rng.choice([None, "a", "b"]))
     if pick == 3:
         return LabelFilter(rng.choice([None, "a"]), rng.choice(["person", "software"]), child,
                            rng.choice([None, "a", "b"]))
@@ -351,12 +352,36 @@ def _random_expr(rng, depth=0):
 def test_ascii_rendering_injective():
     rng = random.Random(3)
     seen = {}
-    for _ in range(400):
+    for _ in range(3000):
         expr = _random_expr(rng)
         text = render_plan(expr, "ascii")
         if text in seen:
             assert seen[text] == expr, f"distinct trees share rendering:\n{text}"
         seen[text] = expr
+
+
+@pytest.mark.parametrize("one,other,lines", [
+    (PropertyFilter(None, "label", "person", False, GetVertices()),
+     LabelFilter(None, "person", GetVertices()),
+     ("filter[_.'label'=person]", "filter[_.label=person]")),
+    (PropertyFilter(None, "age", 29, False, GetVertices()),
+     PropertyFilter(None, "age", "29", False, GetVertices()),
+     ("filter[_.age=29]", "filter[_.age='29']")),
+    (PropertyFilter(None, "a=b", None, False, GetVertices()),
+     PropertyFilter(None, "a", "b", False, GetVertices()),
+     ("filter[_.'a=b']", "filter[_.a=b]")),
+    (PropertyFilter(None, "flag", True, False, GetVertices()),
+     PropertyFilter(None, "flag", "true", False, GetVertices()),
+     ("filter[_.flag=true]", "filter[_.flag='true']")),
+    (PropertyFilter(None, "a]->x", None, False, GetVertices()),
+     PropertyFilter("x]", "a", None, False, GetVertices()),
+     ("filter[_.'a]->x']", "filter[_.a]->x]")),
+    (PropertyFilter(None, "a.age", None, True, GetVertices()),
+     PropertyFilter(None, "age", None, True, GetVertices("a"), "a"),
+     ("filter[_=values 'a.age']", "filter[_=values a.age]")),
+])
+def test_filter_lines_quote_what_would_read_as_another_filter(one, other, lines):
+    assert tuple(render_plan(e, "ascii").split("\n")[0] for e in (one, other)) == lines
 
 
 def test_all_styles_total_over_random_trees():

@@ -23,9 +23,8 @@ from grem_algebra import evaluator
 from corpus import random_graph
 
 
-def _selection_per_row(expr, cols, predicate, stack, t, arg):
+def _selection_per_row(expr, cols, predicate, t, arg, src):
     """Reference Selection: one run of the predicate's program per input row."""
-    src = stack.pop()
     kept = []
     for i in range(len(src.pos)):
         row = [[values[i]] for values in src.data]

@@ -49,8 +49,8 @@ def checked(monkeypatch):
     ran = []
 
     def wrap(op):
-        def checked_op(expr, cols, predicate, stack, g, arg):
-            rel = op(expr, cols, predicate, stack, g, arg)
+        def checked_op(expr, cols, predicate, g, arg, *inputs):
+            rel = op(expr, cols, predicate, g, arg, *inputs)
             _assert_kinds(rel, g)
             ran.append(type(expr))
             return rel

@@ -325,6 +325,11 @@ def test_order_by_property_key_rejected():
         compiled("g.V().order().by('name')")
 
 
+def test_select_by_direction_rejected():
+    with pytest.raises(CompileError, match="by\\(\\) after select\\(\\) takes a property key"):
+        compiled("g.V().as('a').select('a').by(asc)")
+
+
 def test_group_by_direction_rejected():
     with pytest.raises(CompileError, match="property key"):
         compiled("g.V().group().by(asc)")

@@ -211,6 +211,25 @@ def test_traverse_from_group_rows_raises(modern, query):
         run(query, modern)
 
 
+def test_where_over_group_rows_drops_rows_without_an_anchor(modern):
+    """group() rows bind no z and have no position: anchored at z, the
+    predicate's Argument has no element for any of them and drops them."""
+    assert len(run("g.V().group()", modern)) == 6
+    assert run("g.V().group().where(__.as('z').out())", modern).rows == []
+
+
+def test_and_joins_its_branches_on_an_edge_column(modern):
+    """Both branches bind e to an edge: the join inside the predicate keys
+    on that edge column."""
+    plan = compile_traversal(
+        parse_traversal("g.E().as('e').and(__.as('e').has('weight'), __.as('e').has('weight'))")
+    )
+    assert type(plan.predicate) is Join
+    result = evaluate(plan, modern)
+    assert [r["e"].id for r in result.rows] == ["10", "11", "12", "7", "8", "9"]
+    assert all(r["e"] == r[CUR] for r in result.rows)
+
+
 def test_traverse_bound_target_filters(modern):
     # a -created-> b and a -knows-> b simultaneously: no such pair in the fixture
     first = Traverse("out", "created", "a", "b", GetVertices())
@@ -305,10 +324,9 @@ def test_sort_is_permutation(modern):
     assert Counter(plain.canonical()) == Counter(ordered.canonical())
 
 
-def _tuple_sort(expr, cols, predicate, stack, g, arg):
+def _tuple_sort(expr, cols, predicate, g, arg, src):
     """Reference Sort: one stable sort on a tuple of every key column's
     order keys."""
-    src = stack.pop()
     columns, kinds = src.columns(expr.vars) if expr.vars else ([src.pos], [src.pos_kind])
     keys = evaluator._keys(list(map(evaluator._order_keys, columns, kinds)), None)
     index = sorted(range(len(keys)), key=keys.__getitem__, reverse=expr.direction != "asc")
@@ -343,8 +361,8 @@ def test_sorting_key_by_key_orders_as_one_tuple_sort(case):
     cols = tuple(f"c{i}" for i in range(len(data)))
     rel = evaluator._Rel(cols, data, kinds, list(range(len(data[0]))), evaluator.VALUES)
     expr = Sort(cols, direction, GetVertices())
-    got = evaluator._sort(expr, cols, None, [rel], None, None)
-    assert got.pos == _tuple_sort(expr, cols, None, [rel], None, None).pos
+    got = evaluator._sort(expr, cols, None, None, None, rel)
+    assert got.pos == _tuple_sort(expr, cols, None, None, None, rel).pos
 
 
 ORDER_QUERIES = [

@@ -120,6 +120,7 @@ def test_unknown_step_named():
         ("g.V().out('a','b')", "at most one edge label"),
         ("g.V().as()", "exactly one label"),
         ("g.V().has()", "key and an optional value"),
+        ("g.V().has('k', __.out())", "has\\(\\) value must be a scalar literal"),
         ("g.V().hasLabel()", "exactly one label"),
         ("g.V().values('a','b')", "exactly one property key"),
         ("g.V().limit('x')", "one integer"),

@@ -157,6 +157,11 @@ def test_missing_label_rejected():
         load_graph(_doc([{"id": "1"}], []))
 
 
+def test_non_object_top_level_rejected():
+    with pytest.raises(GraphFormatError, match="top level must be a JSON object"):
+        load_graph("[]")
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(GraphFormatError, match="top-level"):
         load_graph('{"vertices": [], "edges": [], "meta": {}}')

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -108,6 +109,21 @@ def test_the_operator_table_covers_every_operator():
 
     assert set(alg.OPERATORS) == _operator_classes() == set(evaluator._OPERATORS)
     assert len(_operator_classes()) == 15
+
+
+def test_each_physical_operator_takes_its_inputs_relations():
+    """The program loop hands each operator its inputs' relations, one
+    named parameter each after the program entry, g and the rows under
+    test; no operator takes the stack or more inputs than its algebra row."""
+    from grem_algebra import evaluator
+
+    for cls, fn in evaluator._OPERATORS.items():
+        params = list(inspect.signature(fn).parameters.values())
+        names = [p.name for p in params]
+        assert names[:5] == ["expr", "cols", "sub", "g", "arg"], fn.__name__
+        assert "stack" not in names, fn.__name__
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), fn.__name__
+        assert len(params) - 5 == len(alg.OPERATORS[cls].inputs), fn.__name__
 
 
 def test_every_exported_name_resolves():
