@@ -18,7 +18,8 @@ level.  program holds the one column rule, which gives every schema: a
 plan's, the columns an operator may read (validate) and each relation's
 in the evaluator, which keeps its own table of physical operators.
 
-Three deterministic renderings are provided:
+Three deterministic renderings are provided; only ascii is injective (the
+source paper's notation writes has('age') and values('age') both ``σ_{age}(V_g)``):
 
 * ``paper``   - Unicode operator glyphs, e.g. ``Π_{a,c}( σ^c_{age=30} ... (V_g) )``
 * ``ascii``   - one operator per line, two-space indent; injective over
@@ -340,7 +341,8 @@ OPERATORS: dict[type, Operator] = {
         ("input",),
         _filter_label,
         lambda e, t: _chain(f"σ{_sup(e.var or e.anchor)}_{{{e.key}{_equals(e.value)}}}", e, t),
-        lambda e, t: (f"values_{e.key}" if e.bind_value else f"has_{e.key}{_equals(e.value)}")
+        lambda e, t: (f"values_{_written(e.key)}" if e.bind_value
+                      else f"has_{_written(e.key, 'label')}{_equals(e.value)}")
         + f"({t[0]})",
         binds=_anchor_and_var, named="var", chained=True,
     ),

@@ -1,17 +1,21 @@
 """Command-line driver: parse, plan, or run a traversal.
 
-Exit codes: 0 success, 1 parse/compile error, 2 graph-load error,
-3 evaluation error.  Errors go to stderr with positions when available.
+Exit codes: 0 success, 1 parse/compile error or an unreadable query file,
+2 graph-load error, 3 evaluation error, 141 (128 + SIGPIPE, as shells
+report it) when the reader closes the output pipe early.  Errors go to
+stderr with positions when available; ``main`` takes each engine error's
+message word and exit code from ``ERRORS``, keyed by its class.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .algebra import PLAN_STYLES, render_plan
 from .compiler import compile_traversal
-from .errors import CompileError, EvaluationError, GraphFormatError, ParseError
+from .errors import CompileError, EvaluationError, GraphFormatError, GremAlgebraError, ParseError
 from .evaluator import evaluate, to_jsonl, to_table
 from .parser import parse_traversal, render_traversal
 from .property_graph import load_graph_file
@@ -20,6 +24,15 @@ EXIT_OK = 0
 EXIT_QUERY_ERROR = 1
 EXIT_GRAPH_ERROR = 2
 EXIT_EVAL_ERROR = 3
+EXIT_PIPE_CLOSED = 141
+
+# Per engine error class, the word its message starts with and its exit code.
+ERRORS = {
+    ParseError: ("parse", EXIT_QUERY_ERROR),
+    CompileError: ("compile", EXIT_QUERY_ERROR),
+    GraphFormatError: ("graph", EXIT_GRAPH_ERROR),
+    EvaluationError: ("evaluation", EXIT_EVAL_ERROR),
+}
 
 
 def _add_query_args(sub: argparse.ArgumentParser) -> None:
@@ -69,6 +82,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output(args: argparse.Namespace, query: str) -> str:
+    """The text a command prints: the canonical traversal, the plan or the
+    result.  A graph file that cannot be read is a graph error."""
+    ast = parse_traversal(query)
+    if args.command == "parse":
+        return render_traversal(ast)
+    expr = compile_traversal(ast, eq7_grouping=args.eq7_grouping)
+    if args.command == "plan":
+        return render_plan(expr, args.style)
+    if not args.graph:
+        raise GraphFormatError("run mode requires --graph")
+    try:
+        graph = load_graph_file(args.graph)
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read {args.graph}: {exc}") from exc
+    result = evaluate(expr, graph)
+    return to_jsonl(result) if args.format == "jsonl" else to_table(result)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
@@ -76,48 +108,18 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read query file: {exc}", file=sys.stderr)
         return EXIT_QUERY_ERROR
-
     try:
-        ast = parse_traversal(query)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_QUERY_ERROR
-
-    if args.command == "parse":
-        print(render_traversal(ast))
-        return EXIT_OK
-
-    try:
-        expr = compile_traversal(ast, eq7_grouping=args.eq7_grouping)
-    except CompileError as exc:
-        print(f"compile error: {exc}", file=sys.stderr)
-        return EXIT_QUERY_ERROR
-
-    if args.command == "plan":
-        print(render_plan(expr, args.style))
-        return EXIT_OK
-
-    if not args.graph:
-        print("graph error: run mode requires --graph", file=sys.stderr)
-        return EXIT_GRAPH_ERROR
-    try:
-        graph = load_graph_file(args.graph)
-    except OSError as exc:
-        print(f"graph error: cannot read {args.graph}: {exc}", file=sys.stderr)
-        return EXIT_GRAPH_ERROR
-    except GraphFormatError as exc:
-        print(f"graph error: {exc}", file=sys.stderr)
-        return EXIT_GRAPH_ERROR
-
-    try:
-        result = evaluate(expr, graph)
-    except EvaluationError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_EVAL_ERROR
-
-    rendered = to_jsonl(result) if args.format == "jsonl" else to_table(result)
-    if rendered:
-        print(rendered)
+        text = _output(args, query)
+        if text:
+            print(text, flush=True)
+    except GremAlgebraError as exc:
+        word, code = ERRORS[type(exc)]
+        print(f"{word} error: {exc}", file=sys.stderr)
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's last flush writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     return EXIT_OK
 
 

@@ -308,9 +308,9 @@ class _Rel:
     kinds holds the kind of each list in data, pos_kind that of pos.
     Inside a selection predicate tags holds, per row, the index of the row
     under test it derives from (see _selection); outside one it is None.
-    None marks an absent binding, in a value column only; holes says
-    whether any column may hold one.  Lists are never changed once built,
-    so relations share them; data and kinds belong to their relation.
+    None marks an absent binding, in a value column only.  Lists are
+    never changed once built, so relations share them; data and kinds
+    belong to their relation.
     """
 
     cols: tuple[str, ...]
@@ -319,7 +319,6 @@ class _Rel:
     pos: list
     pos_kind: bool
     tags: list | None = None
-    holes: bool = False
 
     def get(self, name: str) -> tuple[list, bool]:
         """A column's values and kind."""
@@ -379,14 +378,13 @@ def _each(rel: _Rel, fn) -> _Rel:
     apply = _once(fn)
     tags = None if rel.tags is None else apply(rel.tags)
     data = list(map(apply, rel.data))
-    return _Rel(rel.cols, data, list(rel.kinds), apply(rel.pos), rel.pos_kind, tags, rel.holes)
+    return _Rel(rel.cols, data, list(rel.kinds), apply(rel.pos), rel.pos_kind, tags)
 
 
 def _keep(rel: _Rel, mask: list) -> _Rel:
     """The rows whose mask entry is true."""
     if False not in mask:
-        return _Rel(rel.cols, list(rel.data), list(rel.kinds), rel.pos, rel.pos_kind,
-                    rel.tags, rel.holes)
+        return _Rel(rel.cols, list(rel.data), list(rel.kinds), rel.pos, rel.pos_kind, rel.tags)
     return _each(rel, lambda values: list(compress(values, mask)))
 
 
@@ -493,7 +491,7 @@ def _traverse(expr: alg.Traverse, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
     expand = _once(lambda values: list(chain.from_iterable(map(mul, zip(values), counts))))
     tags = None if src.tags is None else expand(src.tags)
     data = list(map(expand, rel.data))
-    return _bind(g, _Rel(rel.cols, data, rel.kinds, dest, RANKS, tags, src.holes), expr.to_var)
+    return _bind(g, _Rel(rel.cols, data, rel.kinds, dest, RANKS, tags), expr.to_var)
 
 
 def _entries(g: Graph, direction: str, label: str | None, ranks) -> list:
@@ -515,7 +513,7 @@ def _element(g: Graph, src: _Rel, var: str | None, cols: tuple[str, ...]) -> _Re
         elems, kind = src.pos, src.pos_kind
     else:
         elems, kind = _coalesce(g, src.data[p], src.kinds[p], src.pos, src.pos_kind)
-    rel = _Rel(cols, list(src.data), list(src.kinds), elems, kind, src.tags, src.holes)
+    rel = _Rel(cols, list(src.data), list(src.kinds), elems, kind, src.tags)
     return _bind(g, rel, var)
 
 
@@ -638,7 +636,7 @@ def _selection(expr: alg.Selection, cols, sub, g: Graph, arg, src: _Rel) -> _Rel
             # raise what one run per row raises first, in input order
             for i in range(n):
                 row = [[values[i]] for values in src.data]
-                alone = _Rel(src.cols, row, src.kinds, [src.pos[i]], src.pos_kind, [0], src.holes)
+                alone = _Rel(src.cols, row, src.kinds, [src.pos[i]], src.pos_kind, [0])
                 _run(sub, g, alone)
             raise
         kept = list(map(set(hits.tags).__contains__, range(n)))  # type: ignore[arg-type]
@@ -735,8 +733,8 @@ def _projection(expr: alg.Projection, cols, sub, g: Graph, arg, src: _Rel) -> _R
         pos, pos_kind = picked[0], kinds[0]
     else:
         pos, pos_kind = src.pos, src.pos_kind
-    rel = _Rel(cols, picked, kinds, pos, pos_kind, src.tags, src.holes)
-    mask = _present(picked, kinds) if src.holes or expr.value_key is not None else None
+    rel = _Rel(cols, picked, kinds, pos, pos_kind, src.tags)
+    mask = _present(picked, kinds)
     return rel if mask is None else _keep(rel, mask)
 
 
@@ -794,7 +792,7 @@ def _group(expr: alg.Group, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
         keys, key_kind = members, kind
     else:
         keys, key_kind = _properties(g, expr.key, members, kind), VALUES
-    rel = _Rel(cols, [keys, members], [key_kind, kind], keys, key_kind, src.tags, True)
+    rel = _Rel(cols, [keys, members], [key_kind, kind], keys, key_kind, src.tags)
     if key_kind is VALUES and None in keys:
         rel = _keep(rel, list(map(is_not, keys, repeat(None))))
     keys = rel.data[0]
@@ -832,12 +830,11 @@ def _join(expr: alg.Join, cols, sub, g: Graph, arg, left: _Rel, right: _Rel) -> 
         values, kind = (right if from_right else left).get(c)
         data.append((take_right if from_right else take_left)(values))
         kinds.append(kind)
-    holes = left.holes or right.holes
     pos, pos_kind = take_right(right.pos), right.pos_kind
-    if holes:  # a right row without a position keeps the left one
+    if pos_kind is VALUES and None in pos:  # a right row without a position keeps the left one
         pos, pos_kind = _coalesce(g, pos, pos_kind, take_left(left.pos), left.pos_kind)
     tags = None if left.tags is None else take_left(left.tags)
-    return _Rel(cols, data, kinds, pos, pos_kind, tags, holes)  # type: ignore[arg-type]
+    return _Rel(cols, data, kinds, pos, pos_kind, tags)  # type: ignore[arg-type]
 
 
 def _union(expr: alg.Union, cols, sub, g: Graph, arg, left: _Rel, right: _Rel) -> _Rel:
@@ -845,8 +842,6 @@ def _union(expr: alg.Union, cols, sub, g: Graph, arg, left: _Rel, right: _Rel) -
     one side lacks is absent in its rows.
     A column is a rank column where both sides' are.  Inside a predicate
     both sides are tagged and each row keeps its tag."""
-    holes = left.holes or right.holes or set(left.cols) != set(right.cols)
-
     def column(rel: _Rel, c: str) -> tuple[list, bool]:
         if c not in rel.cols:
             return [None] * len(rel.pos), VALUES
@@ -859,7 +854,7 @@ def _union(expr: alg.Union, cols, sub, g: Graph, arg, left: _Rel, right: _Rel) -
         kinds.append(kind)
     lp, rp, pos_kind = _meet(g, left.pos, left.pos_kind, right.pos, right.pos_kind)
     tags = None if left.tags is None else left.tags + right.tags  # type: ignore[operator]
-    return _Rel(cols, data, kinds, lp + rp, pos_kind, tags, holes)
+    return _Rel(cols, data, kinds, lp + rp, pos_kind, tags)
 
 
 def _aggregate(expr: alg.Aggregate, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:

@@ -384,6 +384,18 @@ def test_filter_lines_quote_what_would_read_as_another_filter(one, other, lines)
     assert tuple(render_plan(e, "ascii").split("\n")[0] for e in (one, other)) == lines
 
 
+def test_curried_plans_write_a_key_as_the_ascii_plan_does():
+    """has('a=b') and has('a','b') differ in the curried plan as in the
+    ascii one; the paper notation, the source paper's, keeps has('age')
+    and values('age') alike by design."""
+    one, other = compiled("g.V().has('a=b')"), compiled("g.V().has('a','b')")
+    assert [render_plan(e, "curried") for e in (one, other)] == ["has_'a=b'(V_g)", "has_a=b(V_g)"]
+    assert render_plan(compiled("g.V().values('a.b')"), "curried") == "values_'a.b'(V_g)"
+    has, values = compiled("g.V().has('age')"), compiled("g.V().values('age')")
+    assert render_plan(has, "paper") == render_plan(values, "paper") == "σ_{age}(V_g)"
+    assert render_plan(has, "curried") != render_plan(values, "curried")
+
+
 def test_all_styles_total_over_random_trees():
     rng = random.Random(4)
     for _ in range(150):

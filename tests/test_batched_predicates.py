@@ -28,14 +28,14 @@ def _selection_per_row(expr, cols, predicate, t, arg, src):
     kept = []
     for i in range(len(src.pos)):
         row = [[values[i]] for values in src.data]
-        alone = evaluator._Rel(src.cols, row, src.kinds, [src.pos[i]], src.pos_kind, [0], src.holes)
+        alone = evaluator._Rel(src.cols, row, src.kinds, [src.pos[i]], src.pos_kind, [0])
         hits = evaluator._run(predicate, t, alone)
         if bool(hits.pos) != expr.negated:
             kept.append(i)
     data = [[values[i] for i in kept] for values in src.data]
     pos = [src.pos[i] for i in kept]
     tags = None if src.tags is None else [src.tags[i] for i in kept]
-    return evaluator._Rel(src.cols, data, list(src.kinds), pos, src.pos_kind, tags, src.holes)
+    return evaluator._Rel(src.cols, data, list(src.kinds), pos, src.pos_kind, tags)
 
 
 def _outcome(text, g):

@@ -304,3 +304,26 @@ def test_empty_or_reserved_as_label_exit_1():
             f"parse error: as() label {label} is empty or reserved at line 1, column 7\n"
         )
         assert proc.stdout == ""
+
+
+def test_reader_closing_the_pipe_gets_no_traceback(tmp_path):
+    """A reader that stops after one line (`| head -1`) closes the pipe
+    while the output, far larger than a pipe's buffer, is still being
+    written: the CLI exits with its documented code, 141, and says
+    nothing."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"vertices": [{"id": str(i), "label": "p"} for i in range(20000)], "edges": []}
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grem_algebra.cli", "run", "--graph", str(path),
+         "--format", "jsonl", "--query", "g.V()"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    with proc:
+        assert proc.stdout.readline() == b'{"value":{"vertex":"0"}}\n'
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert stderr == b""  # no traceback, nor a note on the last flush

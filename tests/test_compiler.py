@@ -484,3 +484,31 @@ def test_values_first_pattern_on_bound_anchor(modern):
     )
     got = evaluate(compiled(text), modern)
     assert [(r["a"].id, r["b"].id, r["x"]) for r in got.rows] == [("1", "2", 27), ("1", "4", 32)]
+
+
+def _by(key):
+    return Step(StepKind.BY, (Literal("string", key),))
+
+
+_V, _A = Step(StepKind.SOURCE_V, ()), (Literal("string", "a"),)
+
+
+@pytest.mark.parametrize("steps,eq7,message", [
+    ((_V, _by("name")), False, "by() must directly follow select(), order(), or group()"),
+    ((_V, Step(StepKind.AS, _A), Step(StepKind.SELECT, _A), _by("name"), _by("age")), False,
+     "only one by() is supported after select()"),
+    ((_V, Step(StepKind.AS, _A), Step(StepKind.SELECT, _A), _by("name"), _by("age")), True,
+     "only one by() is supported after group()"),
+    ((_V, Step(StepKind.GROUP, ()), _by("name"), _by("age")), False,
+     "only one by() is supported after group()"),
+    ((_V, Step(StepKind.OUT, ()), _V), False, "V() may only start a root traversal"),
+    ((_V, Step(StepKind.WHERE, _A)), False, "predicate must be an anonymous traversal"),
+])
+def test_checks_only_a_hand_built_traversal_reaches(steps, eq7, message):
+    """The parser never builds these step lists; the compiler still
+    rejects each with its own message."""
+    from grem_algebra.parser import TraversalAST
+
+    with pytest.raises(CompileError) as info:
+        compile_traversal(TraversalAST(False, steps), eq7_grouping=eq7)
+    assert str(info.value) == message

@@ -34,7 +34,7 @@ from grem_algebra.algebra import (
 )
 from grem_algebra import evaluator
 from grem_algebra.evaluator import CUR
-from grem_algebra.property_graph import EdgeRef, Graph, sort_key
+from grem_algebra.property_graph import EdgeRef, Graph, VertexRef, sort_key
 
 from reference import (
     EMPTY_PATH, Path, element_property, multiset_union, out_adjacent, path_concat, path_join,
@@ -741,3 +741,14 @@ def _as_json_object(v):
     if isinstance(v, EdgeRef):
         return {"edge": v.id}
     return v
+
+
+def test_binding_set_equality_and_repr(modern):
+    """A set evaluate returns equals a caller-built set of the same rows,
+    never a value that is not a set, and shows its schema and size."""
+    got = run("g.V().as('a')", modern)
+    refs = [VertexRef(str(i)) for i in range(1, 7)]
+    assert got == BindingSet(("a",), [{"a": r, CUR: r} for r in refs])
+    assert got != BindingSet(("a",), [{"a": r} for r in refs])
+    assert (got == 1) is False
+    assert repr(got) == "BindingSet(columns=('a',), 6 rows)"

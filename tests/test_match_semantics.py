@@ -1,5 +1,6 @@
 """Traverser-level match evaluation, bind, and the brute-force oracle."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from grem_algebra import (
     EvaluationError,
+    GremAlgebraError,
     compile_traversal,
     evaluate,
     extract_patterns,
@@ -310,3 +312,29 @@ def test_generated_patterns_compiled_and_traverser_routes_agree(seed, chains):
     g = random_graph(seed)
     compiled = evaluate(compile_traversal(parse_traversal(text)), g)
     assert Counter(compiled.canonical()) == Counter(match_all(chains_of(text), g).canonical()), text
+
+
+def test_pattern_order_does_not_change_the_bag():
+    """match() is a join of its patterns, so every order of 2-4 generated
+    patterns gives one bag over the pattern variables (the position "@" is
+    not compared).  A set where some order raises is skipped: an empty
+    disconnected pattern raises in some orders only."""
+    checked, skipped = [], []
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(0, 200), patterns().filter(lambda chains: len(chains) > 1))
+    def check(seed, chains):
+        g = random_graph(seed)
+        bags = []
+        try:
+            for order in itertools.permutations(chains):
+                text = "g.V().match(" + ", ".join(_pattern_text(*c) for c in order) + ")"
+                bags.append(Counter(evaluate(compile_traversal(parse_traversal(text)), g).canonical()))
+        except GremAlgebraError:
+            skipped.append(chains)
+            return
+        checked.append(chains)
+        assert all(bag == bags[0] for bag in bags), chains
+
+    check()
+    assert len(checked) >= 3 * len(skipped) and len(checked) >= 100

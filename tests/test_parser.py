@@ -392,3 +392,9 @@ def test_a_lexical_error_wins_over_an_earlier_syntax_error(text, message, line, 
     with pytest.raises(ParseError, match=message) as exc:
         parse_traversal(text)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_a_lone_surrogate_right_after_a_string_body_is_an_illegal_character():
+    with pytest.raises(ParseError) as info:
+        parse_traversal("g.V().has('name','ab\ud800c')")
+    assert str(info.value) == "illegal character '\\ud800' at line 1, column 21"

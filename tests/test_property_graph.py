@@ -527,3 +527,16 @@ def test_load_graph_agrees_with_the_entry_by_entry_checks(doc, form):
             for label in (None, "k"):
                 expected = tuple(rank[v] for _, v in adjacent(g, vid, label))
                 assert g.adjacent(direction, label, r) == expected
+
+
+def test_graph_repr_and_equality_with_other_values(modern):
+    assert repr(modern) == "Graph(|V|=6, |E|=6)"
+    assert (modern == 1) is False and modern != "Graph(|V|=6, |E|=6)"
+
+
+def test_load_graph_file_reads_a_path(tmp_path):
+    from grem_algebra import load_graph_file, modern_graph_path
+
+    assert load_graph_file(modern_graph_path()) == modern_graph()
+    with pytest.raises(OSError):
+        load_graph_file(str(tmp_path / "missing.json"))

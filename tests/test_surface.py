@@ -161,3 +161,42 @@ def test_graph_layout_stays_inside_its_module():
             continue
         source = pathlib.Path(module.__file__).read_text(encoding="utf-8")
         assert attribute.findall(source) == [], module.__name__
+
+
+def test_a_relation_holds_no_second_record_of_its_columns():
+    """Whether a relation holds an absent binding is read off its value
+    columns (None), not kept in a field of its own."""
+    from grem_algebra import evaluator
+
+    fields = [f.name for f in dataclasses.fields(evaluator._Rel)]
+    assert fields == ["cols", "data", "kinds", "pos", "pos_kind", "tags"]
+
+
+def test_every_engine_error_has_one_documented_exit_code():
+    """The CLI's one error boundary reads each error's message word and
+    exit code from cli.ERRORS: every subclass of GremAlgebraError the
+    package defines has a row there, with the code README's "Exit codes"
+    paragraph gives that word; the closed-pipe code is documented in
+    README and the CLI module docstring.  (The reference semantics' own
+    error class is raised by tests only.)"""
+    from grem_algebra import cli
+    from grem_algebra.errors import GremAlgebraError
+
+    _package_modules()  # every error class defined
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Exit codes:"):].split("\n\n")[0]
+    documented = {}
+    for code, words in re.findall(r"`(\d+)` ([\w/-]+) error", paragraph):
+        for word in words.split("/"):
+            documented[word.split("-")[0]] = int(code)
+    classes, todo = set(), [GremAlgebraError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith(grem_algebra.__name__ + "."):
+                classes.add(sub)
+            todo.append(sub)
+    assert set(cli.ERRORS) == classes
+    for cls, (word, code) in cli.ERRORS.items():
+        assert documented[word] == code, cls.__name__
+    assert f"`{cli.EXIT_PIPE_CLOSED}`" in paragraph
+    assert f"{cli.EXIT_PIPE_CLOSED} (128 + SIGPIPE" in cli.__doc__
