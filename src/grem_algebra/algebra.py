@@ -8,8 +8,8 @@ value trees; structural equality is plain dataclass equality.
 
 Everything the algebra knows of an operator class is its row in
 OPERATORS: the fields holding its inputs and predicate, the variables it
-binds and reads, its column rule, the field as() fills, whether it may
-stand inside a selection predicate, and its three renderings.  program
+binds and reads, its column rule, whether it may stand inside a selection
+predicate, and its three renderings; as() fills its field var.  program
 flattens a plan, with an explicit stack, into a post-order list of its
 operators and their output columns; validate, static_columns, the paper
 and curried renderers and the evaluator each loop over it, and only a
@@ -79,15 +79,15 @@ class Traverse:
     """Move from a vertex to adjacent vertices along labeled edges.
 
     direction 'out' follows edge direction, 'in' goes against it.
-    from_var names the anchor (None = current position), to_var names the
+    anchor names the vertex it reads (None = current position), var the
     destination; a destination variable that is already bound acts as an
     equality filter.
     """
 
     direction: str
     edge_label: str | None
-    from_var: str | None
-    to_var: str | None
+    anchor: str | None
+    var: str | None
     input: AlgebraExpr
 
 
@@ -101,7 +101,7 @@ class PropertyFilter:
     equals it; with no value and bind_value=False it keeps rows where the
     key exists; with bind_value=True (and no value) it moves the position
     onto the element's key property, dropping rows without it.  var names
-    its output, the position, as to_var does a traverse's: a var that is
+    its output, the position, as a traverse's var does: a var that is
     already bound acts as an equality filter.
     """
 
@@ -242,7 +242,6 @@ class Operator(NamedTuple):
     paper: Callable[[Any, list[str]], str]
     curried: Callable[[Any, list[str]], str]
     binds: Callable[[Any], tuple[str | None, ...]] = _nothing  # None binds nothing
-    named: str | None = None  # the field as() fills
     reads: Callable[[Any], tuple[str, ...]] | None = None  # variables its one input must bind
     noun: str = ""  # names the operator in a diagnostic of what it reads
     schema: Callable[[Any], tuple[str, ...]] | None = None  # columns replacing its inputs'
@@ -313,29 +312,29 @@ OPERATORS: dict[type, Operator] = {
     GetVertices: Operator(
         (), lambda e: "V" if e.var is None else f"V[{e.var}]",
         lambda e, t: "V_g", lambda e, t: "V_g",
-        binds=_its_var, named="var", inside=False,
+        binds=_its_var, inside=False,
     ),
     GetEdges: Operator(
         (), lambda e: "E" if e.var is None else f"E[{e.var}]",
         lambda e, t: "E_g", lambda e, t: "E_g",
-        binds=_its_var, named="var", inside=False,
+        binds=_its_var, inside=False,
     ),
     Argument: Operator(
         (),
         lambda e: "arg" if e.var is None else f"arg[{e.var}]",
         lambda e, t: "•" if e.var is None else f"•_{e.var}",
         lambda e, t: "__" if e.var is None else f"__[{e.var}]",
-        binds=_its_var, named="var", inside=True,
+        binds=_its_var, inside=True,
     ),
     Traverse: Operator(
         ("input",),
         lambda e: f"traverse-{e.direction}{_label(e.edge_label)}"
-        f"({_var(e.from_var)}->{_var(e.to_var)})",
+        f"({_var(e.anchor)}->{_var(e.var)})",
         lambda e, t: _chain(("↑" if e.direction == OUT else "↓")
-                            + (f"_{e.from_var}" if e.from_var else "") + _sup(e.to_var)
+                            + (f"_{e.anchor}" if e.anchor else "") + _sup(e.var)
                             + _label(e.edge_label), e, t),
         lambda e, t: f"{e.direction}{'' if e.edge_label is None else '_' + e.edge_label}({t[0]})",
-        binds=lambda e: (e.from_var, e.to_var), named="to_var", chained=True,
+        binds=_anchor_and_var, chained=True,
     ),
     PropertyFilter: Operator(
         ("input",),
@@ -344,14 +343,14 @@ OPERATORS: dict[type, Operator] = {
         lambda e, t: (f"values_{_written(e.key)}" if e.bind_value
                       else f"has_{_written(e.key, 'label')}{_equals(e.value)}")
         + f"({t[0]})",
-        binds=_anchor_and_var, named="var", chained=True,
+        binds=_anchor_and_var, chained=True,
     ),
     LabelFilter: Operator(
         ("input",),
         _filter_label,
         lambda e, t: _chain(f"σ{_sup(e.var or e.anchor)}_{{label={e.label}}}", e, t),
         lambda e, t: f"hasLabel_{e.label}({t[0]})",
-        binds=_anchor_and_var, named="var", chained=True,
+        binds=_anchor_and_var, chained=True,
     ),
     Selection: Operator(
         ("input",),

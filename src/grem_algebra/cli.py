@@ -1,10 +1,11 @@
 """Command-line driver: parse, plan, or run a traversal.
 
-Exit codes: 0 success, 1 parse/compile error or an unreadable query file,
-2 graph-load error, 3 evaluation error, 141 (128 + SIGPIPE, as shells
-report it) when the reader closes the output pipe early.  Errors go to
-stderr with positions when available; ``main`` takes each engine error's
-message word and exit code from ``ERRORS``, keyed by its class.
+Exit codes: 0 success, 1 parse/compile error, a usage error or an
+unreadable query file, 2 graph-load error, 3 evaluation error,
+141 (128 + SIGPIPE, as shells report it) when the reader closes the
+output pipe early.  Errors go to stderr with positions when available;
+``main`` takes each engine error's message word and exit code from
+``ERRORS``, keyed by its class.
 """
 
 from __future__ import annotations
@@ -35,20 +36,19 @@ ERRORS = {
 }
 
 
-def _add_query_args(sub: argparse.ArgumentParser) -> None:
+def _add_query_args(sub: argparse.ArgumentParser, compiles: bool = True) -> None:
     sub.add_argument("--query", help="traversal text")
     sub.add_argument("--query-file", help="file containing the traversal text")
-    sub.add_argument(
-        "--eq7-grouping",
-        action="store_true",
-        help="compile select().by(key) to grouping over the projection "
-        "instead of value extraction",
-    )
+    if compiles:
+        sub.add_argument(
+            "--eq7-grouping",
+            action="store_true",
+            help="compile select().by(key) to grouping over the projection "
+            "instead of value extraction",
+        )
 
 
 def _read_query(args: argparse.Namespace) -> str:
-    if bool(args.query) == bool(args.query_file):
-        raise SystemExit("exactly one of --query/--query-file is required")
     if args.query:
         return args.query
     with open(args.query_file, "r", encoding="utf-8") as fh:
@@ -77,7 +77,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_query_args(plan)
 
     parse = commands.add_parser("parse", help="parse and echo the canonical form")
-    _add_query_args(parse)
+    _add_query_args(parse, compiles=False)
 
     return parser
 
@@ -102,7 +102,13 @@ def _output(args: argparse.Namespace, query: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or its usage error
+        return EXIT_OK if exc.code == 0 else EXIT_QUERY_ERROR
+    if bool(args.query) == bool(args.query_file):
+        print("error: exactly one of --query/--query-file is required", file=sys.stderr)
+        return EXIT_QUERY_ERROR
     try:
         query = _read_query(args)
     except (OSError, UnicodeDecodeError) as exc:

@@ -132,10 +132,9 @@ def _apply_chain(chain: PatternChain, expr: AlgebraExpr) -> AlgebraExpr:
 def _name_head(expr: AlgebraExpr, var: str) -> AlgebraExpr:
     """Attach a variable to the operator that produced the current position:
     its output, which a var that is already bound then tests for equality."""
-    field = alg.OPERATORS[type(expr)].named
-    if field is None or getattr(expr, field) is not None:
+    if getattr(expr, "var", var) is not None:  # no var field, or one already set
         raise CompileError(f"as({var!r}) cannot name the preceding step here")
-    return dataclasses.replace(expr, **{field: var})
+    return dataclasses.replace(expr, var=var)
 
 
 def stitch_patterns(chains: list[PatternChain], source: AlgebraExpr | None = None) -> AlgebraExpr:

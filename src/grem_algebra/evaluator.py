@@ -28,7 +28,8 @@ int; it orders, dedups and joins as itself.  A rank column becomes a value
 column only where the two kinds meet (union, join, a binding that is
 tested or filled in, a column one union side lacks), through
 ``_as_values``.  The operators are passes over whole columns: a traverse
-expands each column by the neighbour counts of its anchors, a filter
+expands each column by the sizes of its anchors' neighbour entries (one
+read of ``Graph.neighbours``, which builds the missing ones), a filter
 compresses every column by a mask read from the graph's labels or
 property columns by rank (see ``Graph``) or, over ``V()``, by the ranks
 its rank index holds (see ``_filter``), dedup, limit, sort, group and join
@@ -180,7 +181,7 @@ class BindingSet:
     def values(self) -> list[Value]:
         """The single value per row: sole visible column, else the position."""
         columns = [self._column(i) for i in map(self.columns.index, self.columns)]
-        return list(_naturals(columns, self._column(-1)))
+        return list(map(_natural, zip(*columns, self._column(-1))))
 
 
 _PUBLISH = threading.Lock()  # held only to publish a set's dict rows
@@ -195,19 +196,11 @@ def _dict_rows(bs: BindingSet) -> list[Row]:
     return list(map(dict, map(zip, repeat(names), zip(*columns))))
 
 
-def _naturals(columns: list[list], pos: list) -> list:
-    """Per row, its natural value: the sole present value among columns,
-    else the position, else the last present value."""
-    if any(None in c for c in columns):
-        return [_natural(vals, p) for vals, p in zip(zip(*columns), pos)]
-    if len(columns) == 1:
-        return columns[0]
-    if not columns:
-        return pos
-    return [c if p is None else p for p, c in zip(pos, columns[-1])]
-
-
-def _natural(values: tuple, position: Value) -> Value:
+def _natural(row: tuple) -> Value:
+    """A row's natural value, row holding its visible values and then its
+    position: the sole present value, else the position, else the last
+    present value."""
+    *values, position = row
     present = [v for v in values if v is not None]
     if len(present) == 1:
         return present[0]
@@ -482,26 +475,16 @@ def _vertex_ranks(values: list) -> list[int]:
 
 def _traverse(expr: alg.Traverse, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
     """Each row once per edge from its anchor, the neighbour as position."""
-    rel = _element(g, src, expr.from_var, cols)
+    rel = _element(g, src, expr.anchor, cols)
     ranks = rel.pos if rel.pos_kind is RANKS else _vertex_ranks(rel.pos)
-    found = _entries(g, expr.direction, expr.edge_label, ranks)
+    found = g.neighbours(expr.direction, expr.edge_label, ranks)
     counts = list(map(len, found))
     dest = list(chain.from_iterable(found))
     # each value once per neighbour: a 1-tuple times the count, chained
     expand = _once(lambda values: list(chain.from_iterable(map(mul, zip(values), counts))))
     tags = None if src.tags is None else expand(src.tags)
     data = list(map(expand, rel.data))
-    return _bind(g, _Rel(rel.cols, data, rel.kinds, dest, RANKS, tags), expr.to_var)
-
-
-def _entries(g: Graph, direction: str, label: str | None, ranks) -> list:
-    """Per rank, its adjacent(direction, label, rank) entry, built where missing."""
-    found = list(map(g.neighbours(direction, label).__getitem__, ranks))
-    if None in found:
-        found = [
-            g.adjacent(direction, label, r) if ns is None else ns for ns, r in zip(found, ranks)
-        ]
-    return found
+    return _bind(g, _Rel(rel.cols, data, rel.kinds, dest, RANKS, tags), expr.var)
 
 
 def _element(g: Graph, src: _Rel, var: str | None, cols: tuple[str, ...]) -> _Rel:
@@ -656,10 +639,7 @@ def _backward(predicate: AlgebraExpr, src: _Rel, g: Graph) -> list[bool] | None:
     steps = []  # the chain top-down, the seekable filter first
     node = predicate
     while type(node) is not alg.Argument:
-        if type(node) is alg.Traverse:
-            if node.from_var or node.to_var:
-                return None
-        elif not _seekable(node) or node.var or node.anchor:  # type: ignore[union-attr]
+        if not (type(node) is alg.Traverse or _seekable(node)) or node.anchor or node.var:  # type: ignore[union-attr]
             return None
         steps.append(node)
         node = node.input  # type: ignore[union-attr]
@@ -697,7 +677,7 @@ def _forward_rows(steps: list, ranks: list[int], g: Graph):
             i = next(starts, None)
             if i is None:
                 return False
-            summed += sum(map(len, _entries(g, first.direction, first.edge_label, ranks[i:i + _CHUNK])))
+            summed += sum(map(len, g.neighbours(first.direction, first.edge_label, ranks[i:i + _CHUNK])))
         return True
 
     return at_least
@@ -715,7 +695,7 @@ def _witnesses(steps: list, g: Graph, affords) -> set[int] | None:
             return None
         if type(step) is alg.Traverse:
             direction = _REVERSE[step.direction]
-            ends = _entries(g, direction, step.edge_label, found)
+            ends = g.neighbours(direction, step.edge_label, found)
             touched += sum(map(len, ends))
             found = list(set(chain.from_iterable(ends)))
         else:
@@ -921,12 +901,13 @@ def evaluate(expr: AlgebraExpr, g: Graph) -> BindingSet:
 
 # -- result serialization -------------------------------------------------------------
 #
-# The renderers read a set's columns.  A rank column is written by a gather
-# of texts by rank, a value column of one scalar type by a C-level text
+# to_jsonl reads a set's columns.  A rank column is written by a gather of
+# texts by rank, a value column of one scalar type by a C-level text
 # function, and any other value column makes each distinct object's text
-# once per call.  to_jsonl writes no string per row: it fills one flat list
-# of pieces a column at a time, a key prefix and the column's texts in
-# every row's slots, and joins that list once.
+# once per call.  It writes no string per row: it fills one flat list of
+# pieces a column at a time, a key prefix and the column's texts in every
+# row's slots, and joins that list once.  to_table formats each value of
+# BindingSet._column on its own.
 
 
 _dump = json.JSONEncoder(separators=(",", ":")).encode
@@ -951,19 +932,9 @@ def _format_cell(v: Value) -> str:
     return str(v)
 
 
-def _cell_texts(g: Graph, ranks: list[int]) -> list[str]:
-    """Per rank, its vertex's table cell, made once per distinct rank."""
-    distinct = list(set(ranks))
-    table = dict(zip(distinct, map(_format_cell, map(g.vertex_refs.__getitem__, distinct))))
-    return list(map(table.__getitem__, ranks))
-
-
-# Per format: the text of one value; per scalar type, the C-level function
-# that writes that text for a value of exactly that type (a finite float's
-# JSON text is its repr); and the texts of a rank column, from the graph's
-# table (JSON) or made per call (cells).
-_JSON = (_json_value, {str: _json_string, int: int.__repr__, float: float.__repr__}, Graph.vertex_texts)
-_CELL = (_format_cell, {str: str, int: int.__repr__, float: float.__repr__}, _cell_texts)
+# Per scalar type, the C-level function that writes a value of exactly that
+# type as _json_value does (a finite float's JSON text is its repr).
+_JSON_TEXTS = {str: _json_string, int: int.__repr__, float: float.__repr__}
 
 
 def _types(values: list, kind: bool) -> set:
@@ -971,25 +942,23 @@ def _types(values: list, kind: bool) -> set:
     return set() if kind is RANKS else set(map(type, values))
 
 
-def _texts(values: list, kind: bool, types: set, form: tuple, g: Graph | None,
-           cache: dict[int, str]) -> list[str]:
-    """The texts of a column's values in a format.  A rank column is
-    written by the format's texts by rank.  A value column whose values
-    are all of one type (types) that the format maps to a text function is
-    written by it; otherwise the value text runs once per distinct object,
-    a vertex token read as its vertex of g, and cache maps id(object) to
-    its text while the objects are alive."""
-    text, direct, ranks = form
+def _texts(values: list, kind: bool, types: set, g: Graph | None, cache: dict[int, str]) -> list[str]:
+    """The JSON texts of a column's values.  A rank column is written from
+    g's vertex texts.  A value column whose values are all of one type
+    (types) in _JSON_TEXTS is written by its function; otherwise
+    _json_value runs once per distinct object, a vertex token read as its
+    vertex of g, and cache maps id(object) to its text while the objects
+    are alive."""
     if kind is RANKS:
-        return ranks(g, values)
+        return g.vertex_texts(values)  # type: ignore[union-attr]
     if len(types) == 1:
         (tp,) = types
-        if tp in direct:
-            return list(map(direct[tp], values))
+        if tp in _JSON_TEXTS:
+            return list(map(_JSON_TEXTS[tp], values))
     ids = list(map(id, values))
     for i, v in dict(zip(ids, values)).items():
         if i not in cache:
-            cache[i] = text(g.vertex_refs[v[0]] if type(v) is tuple else v)  # type: ignore[union-attr]
+            cache[i] = _json_value(g.vertex_refs[v[0]] if type(v) is tuple else v)  # type: ignore[union-attr]
     return list(map(cache.__getitem__, ids))
 
 
@@ -1017,13 +986,13 @@ def to_jsonl(result: BindingSet) -> str:
     cache: dict[int, str] = {}  # the set keeps every value alive meanwhile
     if not result.columns:
         pos, kind = result._pos, result._pos_kind
-        return _lines(['{"value":'], [_texts(pos, kind, _types(pos, kind), _JSON, g, cache)])
+        return _lines(['{"value":'], [_texts(pos, kind, _types(pos, kind), g, cache)])
     slots = list(map(result.columns.index, dict.fromkeys(result.columns)))
     keys = [_json_string(result.columns[i]) + ":" for i in slots]
     columns = list(map(result._data.__getitem__, slots))
     kinds = list(map(result._kinds.__getitem__, slots))
     types = list(map(_types, columns, kinds))
-    texts = list(map(_texts, columns, kinds, types, repeat(_JSON), repeat(g), repeat(cache)))
+    texts = list(map(_texts, columns, kinds, types, repeat(g), repeat(cache)))
     if any(type(None) in t for t in types):
         # each row writes the columns it has
         texts = [
@@ -1037,20 +1006,13 @@ def to_jsonl(result: BindingSet) -> str:
 def to_table(result: BindingSet) -> str:
     """Aligned text table; schema-less results print one bare value per row.
     Empty results render as the empty string."""
-    g = result._graph
-    cache: dict[int, str] = {}  # the set keeps every value alive meanwhile
     if not len(result):
         return ""
     if not result.columns:
-        pos, kind = result._pos, result._pos_kind
-        return "\n".join(_texts(pos, kind, _types(pos, kind), _CELL, g, cache))
+        return "\n".join(map(_format_cell, result._column(-1)))
     padded = []
     for c in result.columns:
-        i = result.columns.index(c)
-        values, kind = result._data[i], result._kinds[i]
-        texts = _texts(values, kind, _types(values, kind), _CELL, g, cache)
-        if kind is VALUES:
-            texts = ["" if v is None else t for v, t in zip(values, texts)]
+        texts = ["" if v is None else _format_cell(v) for v in result._column(result.columns.index(c))]
         width = max(len(c), *map(len, texts))
         padded.append((c.ljust(width), "-" * width, [t.ljust(width) for t in texts]))
     headers, rules, cells = zip(*padded)

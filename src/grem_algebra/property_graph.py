@@ -176,11 +176,11 @@ class Graph:
       per-key table keyed by ``join_key`` built whole on the first use of
       key.  A filter straight over all vertices reads these instead of a
       mask over every vertex;
-    * ``adjacent(direction, label, rank)``: the ranks adjacent to a vertex
-      along edges of that label (None: any label), one per edge, in file
-      order, read from the direction's edge indexes sorted by endpoint
-      rank, built whole on first use; ``neighbours(direction, label)`` is
-      the list of these entries by rank, filled on first use;
+    * ``neighbours(direction, label, ranks)``: per rank, the ranks
+      adjacent to its vertex along edges of that label (None: any label),
+      one per edge, in file order, read from the direction's edge indexes
+      sorted by endpoint rank, built whole on first use; each entry is
+      built on the first read of its rank and kept;
     * ``vertex_texts(ranks)``: per rank, the vertex's JSON text
       ``{"vertex":"<id>"}``, from a table by rank filled only for the ranks
       a render asks for, so a render of a few rows makes only their texts;
@@ -262,33 +262,27 @@ class Graph:
             self._incidences[direction] = found
         return found
 
-    def neighbours(self, direction: str, label: str | None) -> list:
-        """Per rank, its entry of adjacent(direction, label, rank), or None
-        while that entry has not been built."""
-        key = (direction, label)
-        lists = self._neighbours.get(key)
+    def neighbours(self, direction: str, label: str | None, ranks) -> list[tuple[int, ...]]:
+        """Per rank, the ranks adjacent to its vertex along edges of label
+        (None: any label), one per edge, in file order.  Each entry is built
+        on its first use and kept, so a query that touches a few vertices
+        builds only their entries."""
+        lists = self._neighbours.get((direction, label))
         if lists is None:
-            lists = [None] * len(self._v_ids)
-            self._neighbours[key] = lists
-        return lists
-
-    def adjacent(self, direction: str, label: str | None, rank: int) -> tuple[int, ...]:
-        """The ranks adjacent to the vertex of that rank along edges of
-        label (None: any label), one per edge, in file order.  Built on
-        first use, so a query that touches a few vertices builds only their
-        entries."""
-        lists = self.neighbours(direction, label)
-        found = lists[rank]
-        if found is None:
+            lists = [None] * len(self._v_ids)  # None marks an entry not built yet
+            self._neighbours[(direction, label)] = lists
+        found = list(map(lists.__getitem__, ranks))
+        if None in found:
             order, sorted_ends = self._incidence(direction)
-            start = bisect_left(sorted_ends, rank)
-            exs = order[start : bisect_left(sorted_ends, rank + 1, start)]
             ends = self._e_in if direction == "out" else self._e_out
-            if label is not None:
-                labels = self.edge_labels
-                exs = [ex for ex in exs if labels[ex] == label]
-            found = tuple(map(ends.__getitem__, exs))
-            lists[rank] = found
+            labels = self.edge_labels
+            for rank in set(compress(ranks, map(is_, found, repeat(None)))):
+                start = bisect_left(sorted_ends, rank)
+                exs = order[start : bisect_left(sorted_ends, rank + 1, start)]
+                if label is not None:
+                    exs = [ex for ex in exs if labels[ex] == label]
+                lists[rank] = tuple(map(ends.__getitem__, exs))
+            found = list(map(lists.__getitem__, ranks))
         return found
 
     # -- rendering ---------------------------------------------------------

@@ -102,7 +102,7 @@ def test_criterion_4_union_creators_plan_shape():
         assert isinstance(branch, Traverse)
         assert branch.direction == "out"
         assert branch.edge_label == "created"
-        assert (branch.from_var, branch.to_var) == (frm, to)
+        assert (branch.anchor, branch.var) == (frm, to)
     # An alternative reading projects (b, c); the compiler follows the query
     # text's select('a','c').  Asserted here, documented in the README:
     assert expr.vars == ("a", "c")

@@ -130,7 +130,7 @@ def test_validate_rejects_a_value_on_a_value_extraction():
 )
 def test_an_anchored_filter_reads_its_anchors_element(make):
     """has()/hasLabel() anchored at a variable test its element, not the
-    position, and move the position onto it, as a traverse's from_var does."""
+    position, and move the position onto it, as a traverse's anchor does."""
     walked = Traverse("out", None, None, "b", GetVertices("a"))  # the position is b
     on_a, on_b = make(walked, "a"), make(walked, "b")
     assert validate(on_a) == [] and static_columns(on_a) == ("a", "b")
@@ -152,7 +152,7 @@ def test_an_anchored_filter_reads_its_anchors_element(make):
 
 def test_an_extraction_binds_its_absent_anchor():
     """An extraction anchored at a variable its input lacks binds it to the
-    position and reads it there, as a traverse's from_var does."""
+    position and reads it there, as a traverse's anchor does."""
     only_a = Projection(("a",), None, Traverse("out", None, None, "b", GetVertices("a")))
     expr = PropertyFilter("x", "age", None, True, only_a, "b")
     assert validate(expr) == []

@@ -199,7 +199,7 @@ def _whole_sum(steps, ranks, g):
     every anchor's degree along the nearest traverse, summed whole."""
     first = next((s for s in reversed(steps) if type(s) is alg.Traverse), None)
     degrees = 0 if first is None else sum(
-        len(g.adjacent(first.direction, first.edge_label, r)) for r in ranks
+        map(len, g.neighbours(first.direction, first.edge_label, ranks))
     )
     return (len(ranks) + degrees).__ge__
 

@@ -190,7 +190,31 @@ def test_query_and_query_file_exclusive(tmp_path):
     path = tmp_path / "query.grem"
     path.write_text("g.V()")
     proc = cli("run", "--graph", modern_graph_path(), "--query", "g.V()", "--query-file", str(path))
-    assert proc.returncode != 0
+    assert proc.returncode == 1
+    assert proc.stderr == "error: exactly one of --query/--query-file is required\n"
+
+
+def test_usage_error_exit_1_not_the_graph_code():
+    """An argparse usage error keeps argparse's message and exits 1, the
+    query error code, not 2, the graph-load code."""
+    proc = cli("run", "--graph", modern_graph_path(), "--format", "xml", "--query", "g.V()")
+    assert proc.returncode == 1
+    assert "error: argument --format: invalid choice: 'xml'" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_eq7_grouping_only_where_it_acts():
+    """parse never compiles, so it does not take --eq7-grouping."""
+    proc = cli("parse", "--eq7-grouping", "--query", "g.V()")
+    assert proc.returncode == 1
+    assert "unrecognized arguments: --eq7-grouping" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_help_exit_0():
+    proc = cli("run", "--help")
+    assert proc.returncode == 0
+    assert "--query-file" in proc.stdout
 
 
 def test_byte_identical_reruns():

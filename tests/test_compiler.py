@@ -230,10 +230,10 @@ def test_stitch_threads_cocreator_in_source_order():
     expr = stitch_patterns(chains)
     # bottom-up operator order: out-traverse, name filter, in-traverse, age filter
     assert isinstance(expr, PropertyFilter) and (expr.anchor, expr.var) == ("c", None)
-    assert isinstance(expr.input, Traverse) and expr.input.from_var == "b"
+    assert isinstance(expr.input, Traverse) and expr.input.anchor == "b"
     assert isinstance(expr.input.input, PropertyFilter) and expr.input.input.anchor == "b"
     bottom = expr.input.input.input
-    assert isinstance(bottom, Traverse) and (bottom.from_var, bottom.to_var) == ("a", "b")
+    assert isinstance(bottom, Traverse) and (bottom.anchor, bottom.var) == ("a", "b")
 
 
 def test_stitch_disconnected_chains_join():

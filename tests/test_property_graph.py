@@ -325,17 +325,19 @@ def test_tables_built_once_and_shared():
     assert all(map(is_, map(itemgetter(0), modern.vertex_tokens), modern.vertex_ranks))
     assert modern.vertex_props[rank["1"]]["name"] == "marko"
     assert modern.vertex_labels[rank["3"]] == "software"
-    knows = modern.neighbours("out", "knows")
-    assert modern.neighbours("out", "knows") is knows
     marko = rank["1"]
-    assert knows[marko] is None  # not built before first use
-    found = modern.adjacent("out", "knows", marko)
+    assert ("out", "knows") not in modern._neighbours  # not built before first use
+    (found,) = modern.neighbours("out", "knows", [marko])
     assert [modern.vertex_refs[n].id for n in found] == ["2", "4"]
-    assert knows[marko] is modern.adjacent("out", "knows", marko)
+    knows = modern._neighbours[("out", "knows")]
+    # built for the ranks asked for only, then kept
+    assert [r for r, e in enumerate(knows) if e is not None] == [marko]
+    assert modern.neighbours("out", "knows", [marko, marko]) == [found, found]
+    assert modern._neighbours[("out", "knows")] is knows and knows[marko] is found
     for direction, adjacent in (("out", out_adjacent), ("in", in_adjacent)):
         for label in (None, "knows", "created"):
-            for vid in rank:
-                found = modern.adjacent(direction, label, rank[vid])
+            entries = modern.neighbours(direction, label, list(rank.values()))
+            for vid, found in zip(rank, entries):
                 assert found == tuple(rank[v] for _, v in adjacent(modern, vid, label))
                 # the graph's own rank ints, never one made per entry
                 assert all(n is modern.vertex_ranks[n] for n in found)
@@ -354,8 +356,8 @@ def test_tables_hold_no_reference_to_the_graph():
         "vertices": [{"id": "1", "label": "p"}, {"id": "0", "label": "p"}],
         "edges": [{"id": "e", "label": "k", "outV": "1", "inV": "0"}],
     }))
-    g.adjacent("out", None, 1)
-    g.adjacent("in", "k", 0)
+    g.neighbours("out", None, [1])
+    g.neighbours("in", "k", [0])
     g.edges_sorted()
     ref = weakref.ref(g)
     gc.disable()
@@ -526,7 +528,7 @@ def test_load_graph_agrees_with_the_entry_by_entry_checks(doc, form):
         for vid, r in rank.items():
             for label in (None, "k"):
                 expected = tuple(rank[v] for _, v in adjacent(g, vid, label))
-                assert g.adjacent(direction, label, r) == expected
+                assert g.neighbours(direction, label, [r]) == [expected]
 
 
 def test_graph_repr_and_equality_with_other_values(modern):

@@ -65,6 +65,11 @@ DELETED |= {"_sche" + "ma", "_sub" + "trees", "_union_" + "rels", "output" + "_c
 # after it needs no check of its own, and one evaluator function serves
 # both filter classes.
 DELETED |= {"_alias" + "ing", "_property_" + "filter", "_property_" + "label"}
+# A traverse names its two variables as the filters do, anchor and var; the
+# graph alone builds and keeps neighbour entries; a result reader no
+# benchmark renders keeps one general path.
+DELETED |= {"from" + "_var", "to" + "_var", "_ent" + "ries", "_natu" + "rals", "_cell_" + "texts",
+            "_CE" + "LL"}
 
 
 def _operator_classes() -> set[type]:
@@ -161,6 +166,25 @@ def test_graph_layout_stays_inside_its_module():
             continue
         source = pathlib.Path(module.__file__).read_text(encoding="utf-8")
         assert attribute.findall(source) == [], module.__name__
+
+
+def test_a_step_reads_its_anchor_and_binds_its_var():
+    """A traverse and the two filters spell the element they read and the
+    variable they bind alike, and as() fills var: the operator table keeps
+    no field saying which field it fills."""
+    for cls in (alg.Traverse, alg.LabelFilter, alg.PropertyFilter):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert {"anchor", "var"} <= fields, cls.__name__
+    assert "named" not in alg.Operator._fields
+
+
+def test_the_graph_alone_builds_neighbour_entries():
+    """The evaluator reads neighbour entries through Graph.neighbours only."""
+    from grem_algebra import evaluator
+    from grem_algebra.property_graph import Graph
+
+    assert not hasattr(Graph, "adjacent")
+    assert not hasattr(evaluator, "_entries")
 
 
 def test_a_relation_holds_no_second_record_of_its_columns():
