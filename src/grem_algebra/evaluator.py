@@ -31,8 +31,10 @@ tested or filled in, a column one union side lacks), through
 expands each column by the sizes of its anchors' neighbour entries (one
 read of ``Graph.neighbours``, which builds the missing ones), a filter
 compresses every column by a mask read from the graph's labels or
-property columns by rank (see ``Graph``) or, over ``V()``, by the ranks
-its rank index holds (see ``_filter``), dedup, limit, sort, group and join
+property columns by rank (see ``Graph``) or, over ``V()``, takes the
+ranks its rank index holds as its rows, one list that every column
+shares, and over such a seek intersects them with the rows' (see
+``_filter``), dedup, limit, sort, group and join
 gather by an index list and union concatenates.  A rank column takes
 these passes through C-level ``map``s; a value column takes a per-value
 path in the same function.  Ints and tuples of ints hold
@@ -566,14 +568,18 @@ def _filter(expr: alg.LabelFilter | alg.PropertyFilter, cols, sub, g: Graph, arg
     each positioned at its element, or for values() at its key property,
     rows without it dropped; the position is bound to var.  Over a seek,
     whose rows are distinct vertices in ascending rank, a seekable filter
-    reads no per-vertex data: straight over V(), row i is the vertex of
-    rank i and it gathers its ranks; over seeking filters, it intersects
+    reads no per-vertex data: straight over V(), where every list holds
+    rank i at row i, its rows are the index's ranks, one list that every
+    column and the position share; over seeking filters, it intersects
     its ranks with the rows'."""
     rel = _element(g, src, expr.anchor, cols)
     if _seekable(expr) and _seeks(expr.input):
         ranks = _seek(g, expr)
-        over_v = type(expr.input) is alg.GetVertices
-        rel = _gather(rel, ranks if over_v else _intersect(rel.pos, ranks))  # type: ignore[arg-type]
+        if type(expr.input) is alg.GetVertices:
+            rows = list(ranks)
+            rel = _Rel(cols, [rows] * len(rel.data), rel.kinds, rows, RANKS, rel.tags)
+        else:
+            rel = _gather(rel, _intersect(rel.pos, ranks))  # type: ignore[arg-type]
     elif type(expr) is alg.PropertyFilter and expr.bind_value:
         rel.pos, rel.pos_kind = _properties(g, expr.key, rel.pos, rel.pos_kind), VALUES
         rel = _keep(rel, list(map(is_not, rel.pos, repeat(None))))

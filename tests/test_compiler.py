@@ -512,3 +512,82 @@ def test_checks_only_a_hand_built_traversal_reaches(steps, eq7, message):
     with pytest.raises(CompileError) as info:
         compile_traversal(TraversalAST(False, steps), eq7_grouping=eq7)
     assert str(info.value) == message
+
+
+# -- runs of pure filters ------------------------------------------------------------
+#
+# A pure filter reads no anchor, binds no variable and extracts nothing; a
+# run of them holds each test once, seekable tests lowest.  Anything else
+# is a barrier: a run stops below it and keeps its place.
+
+_V = GetVertices()
+
+
+def _has(key, input_, value=None, var=None, anchor=None):
+    return PropertyFilter(var, key, value, False, input_, anchor)
+
+
+@pytest.mark.parametrize("text, plan", [
+    # a filter that as() named binds a variable
+    (
+        "g.V().has('age').as('x').hasLabel('person').has('age')",
+        _has("age", LabelFilter(None, "person", _has("age", _V, var="x"))),
+    ),
+    # a pattern's first step reads its anchor
+    (
+        "g.V().match(__.as('a').out().has('age'), __.as('a').has('age'))",
+        _has("age", _has("age", Traverse("out", None, "a", None, _V)), anchor="a"),
+    ),
+    # values() moves the position onto a value
+    (
+        "g.V().hasLabel('person').values('name').hasLabel('person')",
+        LabelFilter(None, "person", PropertyFilter(None, "name", None, True, LabelFilter(None, "person", _V))),
+    ),
+    # a traverse moves it to another element
+    (
+        "g.V().has('age').out().has('age').hasLabel('person')",
+        _has("age", LabelFilter(None, "person", Traverse("out", None, None, None, _has("age", _V)))),
+    ),
+])
+def test_a_barrier_keeps_its_place_in_a_run(text, plan):
+    assert compiled(text) == plan
+
+
+def test_as_after_a_shortened_run_names_its_top_filter(modern):
+    expr = compiled(
+        "g.V().has('age').hasLabel('person').has('age').as('x').out().as('y').select('x','y')"
+    )
+    assert expr.input.input == _has("age", LabelFilter(None, "person", _V), var="x")
+    by_hand = Projection(("x", "y"), None, Traverse("out", None, None, "y", _has(
+        "age", LabelFilter(None, "person", _has("age", _V)), var="x",
+    )))
+    got, want = evaluate(expr, modern), evaluate(by_hand, modern)
+    assert (got.columns, got.rows) == (want.columns, want.rows)
+    assert [(r["x"].id, r["y"].id) for r in got.rows] == [
+        ("1", "2"), ("1", "4"), ("1", "3"), ("4", "5"), ("4", "3"), ("6", "3"),
+    ]
+
+
+def test_a_union_branch_that_repeats_its_inputs_filter(modern):
+    expr = compiled("g.V().has('age').union(__.has('age'), __.out())")
+    assert isinstance(expr, Union)
+    assert expr.left is expr.right.input  # the branch adds nothing to its input
+    by_hand = Union(_has("age", _has("age", _V)), Traverse("out", None, None, None, _has("age", _V)))
+    got, want = evaluate(expr, modern), evaluate(by_hand, modern)
+    assert (got.columns, got.rows) == (want.columns, want.rows)
+    assert len(got) == 4 + 6  # the four persons with an age, then their six out-edges
+
+
+def test_the_benchmark_filter_chain_plans_as_six_lines():
+    from grem_algebra import render_plan
+    from test_golden_eval import BENCH_QUERIES
+
+    text = dict(BENCH_QUERIES)["bench_filter_chain"]
+    assert render_plan(compiled(text)) == "\n".join([
+        "filter[_=values age]",
+        "  traverse-out[knows](_->_)",
+        "    filter[_.age]",
+        "      filter[_.name=marko]",
+        "        filter[_.label=person]",
+        "          V",
+    ])
