@@ -9,9 +9,7 @@ target variable, if any; as() fills the target of the step before it, a new colu
 where the name is unbound and an equality test where it is bound; a
 has()/hasLabel() filter that reads no anchor and binds no variable (a
 pure filter) stacked onto such filters (a run) is dropped where the run
-already makes its test, and a seekable one (hasLabel, has(key, value))
-goes below the run's existence tests (has(key)), so that V()'s rank
-index answers every seekable test of a run over it (see ``_onto_run``);
+already makes its test (see ``_run_makes``);
 match() patterns are extracted as anchored chains of those steps and
 stitched into one connected expression (threading shared variables,
 joining disconnected ones); where()/not()/and() become selections over
@@ -111,17 +109,22 @@ def _apply_step(
     """The operator of an out/in/has/hasLabel/values step on top of expr.
     anchor names the variable it reads (None: the current position),
     target the variable it binds (None: none); name is the edge label,
-    property key or vertex label the step names.  A pure filter on top of
-    a run joins it as _onto_run says."""
+    property key or vertex label the step names.  A pure filter, one that
+    reads no anchor, binds no variable and extracts nothing, is dropped
+    where the run below it already makes its test: a selection applied
+    twice is applied once."""
     kind = step.kind
     name = str(_literal(step.args[0]).value) if step.args else None
     if kind is StepKind.OUT or kind is StepKind.IN:
         return alg.Traverse(alg.OUT if kind is StepKind.OUT else alg.IN, name, anchor, target, expr)
     value = _literal(step.args[1]).value if len(step.args) == 2 else None
-    if anchor is None and target is None and kind is not StepKind.VALUES and _test(expr):
+    if anchor is None and target is None and kind is not StepKind.VALUES:
         if kind is StepKind.HAS_LABEL:
-            return _onto_run((alg.LabelFilter, name), expr)
-        return _onto_run((alg.PropertyFilter, name, type(value), value), expr)
+            test: tuple = (alg.LabelFilter, name)
+        else:
+            test = (alg.PropertyFilter, name, type(value), value)
+        if _run_makes(test, expr):
+            return expr
     if kind is StepKind.HAS_LABEL:
         return alg.LabelFilter(target, name, expr, anchor)  # type: ignore[arg-type]
     extract = kind is StepKind.VALUES
@@ -143,44 +146,15 @@ def _test(expr: AlgebraExpr) -> tuple | None:
     return None
 
 
-def _exists(test: tuple) -> bool:
-    """Whether a test is has(key), which no rank index answers."""
-    return test[0] is alg.PropertyFilter and test[-1] is None
-
-
-def _pure(test: tuple, expr: AlgebraExpr) -> AlgebraExpr:
-    """The pure filter making test, on top of expr."""
-    if test[0] is alg.LabelFilter:
-        return alg.LabelFilter(None, test[1], expr)
-    return alg.PropertyFilter(None, test[1], test[-1], False, expr)
-
-
-def _onto_run(test: tuple, run: AlgebraExpr) -> AlgebraExpr:
-    """A pure filter making test on top of run, the pure filters below it
-    (a run): run itself where one of them makes the same test, since a
-    selection applied twice is applied once; else the filter, and a
-    seekable one (hasLabel, has(key, value)) goes below the existence
-    tests (has(key)) at run's top, since selections over one element
-    commute.  So a run holds each test once and its seekable tests lowest,
-    each kind in source order, and V()'s seek answers all of them."""
-    above: list[tuple] = []  # the existence tests at run's top, top-down
-    below = run  # what a seekable filter goes on: the node under those tests
-    at_top = True
+def _run_makes(test: tuple, run: AlgebraExpr) -> bool:
+    """Whether one of the pure filters stacked at the top of run (its
+    run) makes test."""
     node = run
     while (made := _test(node)) is not None:
         if made == test:
-            return run
-        at_top = at_top and _exists(made)
-        if at_top:
-            above.append(made)
-            below = node.input  # type: ignore[union-attr]
+            return True
         node = node.input  # type: ignore[union-attr]
-    if _exists(test):
-        return _pure(test, run)
-    expr = _pure(test, below)
-    for made in reversed(above):
-        expr = _pure(made, expr)
-    return expr
+    return False
 
 
 def _apply_chain(chain: PatternChain, expr: AlgebraExpr) -> AlgebraExpr:

@@ -517,8 +517,8 @@ def test_checks_only_a_hand_built_traversal_reaches(steps, eq7, message):
 # -- runs of pure filters ------------------------------------------------------------
 #
 # A pure filter reads no anchor, binds no variable and extracts nothing; a
-# run of them holds each test once, seekable tests lowest.  Anything else
-# is a barrier: a run stops below it and keeps its place.
+# run of them holds each test once, in source order.  Anything else is a
+# barrier: a run stops below it and keeps its place.
 
 _V = GetVertices()
 
@@ -546,7 +546,7 @@ def _has(key, input_, value=None, var=None, anchor=None):
     # a traverse moves it to another element
     (
         "g.V().has('age').out().has('age').hasLabel('person')",
-        _has("age", LabelFilter(None, "person", Traverse("out", None, None, None, _has("age", _V)))),
+        LabelFilter(None, "person", _has("age", Traverse("out", None, None, None, _has("age", _V)))),
     ),
 ])
 def test_a_barrier_keeps_its_place_in_a_run(text, plan):
@@ -557,7 +557,7 @@ def test_as_after_a_shortened_run_names_its_top_filter(modern):
     expr = compiled(
         "g.V().has('age').hasLabel('person').has('age').as('x').out().as('y').select('x','y')"
     )
-    assert expr.input.input == _has("age", LabelFilter(None, "person", _V), var="x")
+    assert expr.input.input == LabelFilter("x", "person", _has("age", _V))
     by_hand = Projection(("x", "y"), None, Traverse("out", None, None, "y", _has(
         "age", LabelFilter(None, "person", _has("age", _V)), var="x",
     )))

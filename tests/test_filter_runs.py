@@ -2,11 +2,10 @@
 
 A run is a stack of has()/hasLabel() filters that read no anchor, bind no
 variable and extract nothing.  The compiler drops a filter whose test the
-run already makes and puts seekable tests (hasLabel, has(key, value))
-below existence tests (has(key)).  Here every generated run is placed in
-a query and compiled, and the same filters are stacked by hand, in
-source order and none dropped, with the algebra's constructors: the plan
-the rule would have built without it.  Both must give equal binding sets
+run already makes.  Here every generated run is placed in a query and
+compiled, and the same filters are stacked by hand, in source order and
+none dropped, with the algebra's constructors: the plan the rule would
+have built without it.  Both must give equal binding sets
 (columns, rows, row order and the position "@") or raise the same error.
 
 The runs draw look-alike values (1, true, 1.0, '1', 29, 29.0, '29') that
@@ -177,7 +176,7 @@ CONTEXTS = [
 
 
 # Runs the random ones may miss: each pair of look-alikes, a label test
-# beside a has('label', ...), and a seekable test after an existence test.
+# beside a has('label', ...), and a repeat behind other tests.
 FIXED_RUNS = [
     [("has", "age", 1), ("has", "age", True)],
     [("has", "age", True), ("has", "age", 1)],
