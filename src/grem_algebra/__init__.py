@@ -5,7 +5,7 @@ render_plan for inspecting compiled plans.
 """
 
 from .algebra import AlgebraExpr, render_plan, validate
-from .compiler import PatternChain, compile_traversal, extract_patterns, stitch_patterns
+from .compiler import compile_traversal
 from .errors import (
     CompileError,
     EvaluationError,
@@ -35,12 +35,10 @@ __all__ = [
     "GraphFormatError",
     "GremAlgebraError",
     "ParseError",
-    "PatternChain",
     "TraversalAST",
     "VertexRef",
     "compile_traversal",
     "evaluate",
-    "extract_patterns",
     "load_graph",
     "load_graph_file",
     "modern_graph",
@@ -48,7 +46,6 @@ __all__ = [
     "parse_traversal",
     "render_plan",
     "render_traversal",
-    "stitch_patterns",
     "to_jsonl",
     "to_table",
     "tokenize",

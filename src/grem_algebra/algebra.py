@@ -10,13 +10,14 @@ Everything the algebra knows of an operator class is its row in
 OPERATORS: the fields holding its inputs and predicate, the variables it
 binds and reads, its column rule, whether it may stand inside a selection
 predicate, and its three renderings; as() fills its field var.  program
-flattens a plan, with an explicit stack, into a post-order list of its
-operators and their output columns; validate, static_columns, the paper
-and curried renderers and the evaluator each loop over it, and only a
-selection predicate, a program of its own, takes a frame per nesting
-level.  program holds the one column rule, which gives every schema: a
-plan's, the columns an operator may read (validate) and each relation's
-in the evaluator, which keeps its own table of physical operators.
+flattens a plan into a post-order list, one entry per operator object
+(a union's shared input once) with its output columns and its inputs'
+entry indexes; validate, static_columns, the paper and curried renderers
+and the evaluator each loop over it, and only a selection predicate, a
+program of its own, takes a frame per nesting level.  program holds the
+one column rule, which gives every schema: a plan's, the columns an
+operator may read (validate) and each relation's in the evaluator, which
+keeps its own table of physical operators.
 
 Three deterministic renderings are provided; only ascii is injective (the
 source paper's notation writes has('age') and values('age') both ``σ_{age}(V_g)``):
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Union
 
+from .errors import CompileError
 from .property_graph import PropertyValue
 
 OUT = "out"
@@ -419,9 +421,10 @@ OPERATORS: dict[type, Operator] = {
 def program(
     expr: AlgebraExpr, scope: tuple[str, ...] | None = None, diags: list[str] | None = None
 ) -> list[tuple]:
-    """The plan as a post-order program: per operator one entry (the
-    operator, its output columns, its predicate's program or None), its
-    inputs listed before it, first to last.  A Selection's predicate is a
+    """The plan as a post-order program: per operator object, however
+    many read it, one entry (the operator, its output columns, its
+    predicate's program or None, its inputs' entry indexes), its inputs
+    listed before it, first to last.  A Selection's predicate is a
     program of its own, its scope the Selection's input columns.  scope is
     the columns of the rows under test inside a predicate, where Argument
     leaves start from them; None outside every predicate.  diags, given a
@@ -431,22 +434,24 @@ def program(
     schema if it has one, else its input's (a join or union: the left
     columns, then the right ones the left lacks; a leaf: scope's), then
     each variable it binds that is not a column yet."""
-    order = []  # each operator before its inputs, the last input first
+    steps: list[tuple] = []
+    slots: dict[int, int] = {}  # id of each listed operator -> its entry's index
     todo = [expr]
     while todo:
         node = todo.pop()
-        order.append(node)
-        for field in OPERATORS[type(node)].inputs:
-            todo.append(getattr(node, field))
-    arg_columns = scope or ()
-    steps: list[tuple] = []
-    done: list[tuple[str, ...]] = []  # the output columns no operator has read yet
-    for node in reversed(order):
         op = OPERATORS[type(node)]
-        n = len(op.inputs)  # no operator has more than two
-        if n == 2:
-            right = done.pop()
-        below = done.pop() if n else arg_columns  # its (first) input's columns
+        at = ()
+        for field in op.inputs:
+            slot = slots.get(id(getattr(node, field)))
+            if slot is None:  # list its inputs first, then come back to it
+                todo.append(node)
+                for f in reversed(op.inputs):
+                    todo.append(getattr(node, f))
+                break
+            at += (slot,)
+        if len(at) < len(op.inputs) or id(node) in slots:
+            continue
+        below = steps[at[0]][1] if at else scope or ()  # its (first) input's columns
         if diags is not None:
             if op.inside == (scope is None):  # never when inside is None
                 where = "outside" if op.inside else "inside"
@@ -459,15 +464,15 @@ def program(
                         diags.append(f"unbound {v} in {op.noun}")
         sub = None if op.predicate is None else program(getattr(node, op.predicate), below, diags)
         columns = below if op.schema is None else op.schema(node)
-        if n == 2:
-            for c in right:
+        if len(at) == 2:
+            for c in steps[at[1]][1]:
                 if c not in below:
-                    columns = columns + (c,)
+                    columns += (c,)
         for v in op.binds(node):
             if v and v not in columns:
-                columns = columns + (v,)
-        done.append(columns)
-        steps.append((node, columns, sub))
+                columns += (v,)
+        slots[id(node)] = len(steps)
+        steps.append((node, columns, sub, at))
     return steps
 
 
@@ -492,7 +497,7 @@ def validate(expr: AlgebraExpr) -> list[str]:
 
     They come in program order: an operator's inputs' first, the first
     input's before the second's, then its own; a predicate's at its
-    Selection, after those of the Selection's input.
+    Selection, after its input's; a shared operator's once (Union(x, x)).
     """
     diags: list[str] = []
     program(expr, None, diags)
@@ -517,26 +522,30 @@ def _render_ascii(expr: AlgebraExpr) -> str:
     return "\n".join(lines)
 
 
-def _render(steps: list[tuple], style: str) -> str:
-    """The paper or curried text of a program's plan: each operator's from
-    those of its predicate and inputs."""
-    texts: list[str] = []
-    for node, _, sub in steps:
-        op = OPERATORS[type(node)]
-        k = len(texts) - len(op.inputs)
-        below = texts[k:]
-        del texts[k:]
+def _fold(steps: list[tuple], write: Callable[[Any, list], Any]) -> Any:
+    """The root's value of write(operator, its predicate's and inputs'
+    values) over a program: its paper or curried text, or its operator count."""
+    values: list = []
+    for node, _, sub, at in steps:
+        below = [values[i] for i in at]
         if sub is not None:
-            below.insert(0, _render(sub, style))
-        texts.append(getattr(op, style)(node, below))
-    return texts[-1]
+            below.insert(0, _fold(sub, write))
+        values.append(write(node, below))
+    return values[-1]
 
 
 PLAN_STYLES = ("paper", "ascii", "curried")
+MAX_PLAN_OPERATORS = 10_000  # the most operators render_plan writes
 
 
 def render_plan(expr: AlgebraExpr, style: str = "ascii") -> str:
-    """Render a plan in one of the three notations (no trailing newline)."""
+    """Render a plan in one of the three notations (no trailing newline);
+    one writing over MAX_PLAN_OPERATORS operators raises CompileError."""
     if style not in PLAN_STYLES:
         raise ValueError(f"unknown plan style {style!r}; expected one of {PLAN_STYLES}")
-    return _render_ascii(expr) if style == "ascii" else _render(program(expr), style)
+    steps = program(expr)
+    if _fold(steps, lambda node, counts: 1 + sum(counts)) > MAX_PLAN_OPERATORS:
+        raise CompileError(f"plan text would write more than {MAX_PLAN_OPERATORS} operators")
+    if style == "ascii":
+        return _render_ascii(expr)
+    return _fold(steps, lambda node, texts: getattr(OPERATORS[type(node)], style)(node, texts))

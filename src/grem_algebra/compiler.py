@@ -65,8 +65,6 @@ def _literal(arg: object) -> Literal:
 
 def extract_patterns(match_step: Step) -> list[PatternChain]:
     """Split a match() step into its anchored pattern chains, in source order."""
-    if match_step.kind is not StepKind.MATCH:
-        raise CompileError(f"expected a match() step, got {match_step.kind.value}()")
     if not match_step.args:
         raise CompileError("match() needs at least one pattern")
 
@@ -186,8 +184,6 @@ def stitch_patterns(chains: list[PatternChain], source: AlgebraExpr | None = Non
     join, which degenerates to a cartesian product when the subtrees share
     no variables at all.
     """
-    if not chains:
-        raise CompileError("match() needs at least one pattern")
     if source is None:
         source = alg.GetVertices()
 

@@ -55,9 +55,9 @@ diagnostic that walk gathers, and hands the final columns, their kinds and
 the graph to a ``BindingSet``; a rank or a token becomes the graph's
 interned ``VertexRef`` wherever a value leaves the set, and ``to_jsonl``
 prints a rank column from the graph's table of vertex texts.  ``_run``,
-one loop over a program, is the only code that pushes or pops a relation:
-it hands each operator its inputs' relations (``algebra.OPERATORS`` gives
-their count) and pushes the one it returns.
+one loop over a program, hands each operator the relations its input
+slots name and keeps the one it returns; one that several read runs
+once, and no operator may change a relation it is handed.
 
 where()/not() run their predicate's program once, from the selection (two
 frames per nesting level), over all input rows, each tagged with its row's
@@ -436,17 +436,14 @@ def _matches(values: list, const: object) -> list:
 
 
 def _run(steps: list[tuple], g: Graph, arg: _Rel | None) -> _Rel:
-    """Run a program of algebra.program: per entry, take its operator's
-    inputs' relations off the stack, the last on top, call the operator
-    with them and push its own; arg holds the rows under test inside a
-    selection predicate.  No other code pushes or pops a relation."""
-    stack: list[_Rel] = []
-    for expr, cols, sub in steps:
-        first = len(stack) - len(alg.OPERATORS[type(expr)].inputs)
-        inputs = stack[first:]
-        del stack[first:]
-        stack.append(_OPERATORS[type(expr)](expr, cols, sub, g, arg, *inputs))
-    return stack[-1]
+    """Run a program of algebra.program: per entry, call its operator
+    with the relations of the entries its input slots name and keep the
+    one it returns at the entry's index; arg holds the rows under test
+    inside a selection predicate."""
+    rels: list[_Rel] = []
+    for expr, cols, sub, at in steps:
+        rels.append(_OPERATORS[type(expr)](expr, cols, sub, g, arg, *map(rels.__getitem__, at)))
+    return rels[-1]
 
 
 def _source(expr: alg.GetVertices | alg.GetEdges, cols, sub, g: Graph, arg) -> _Rel:
@@ -867,8 +864,8 @@ def _aggregate(expr: alg.Aggregate, cols, sub, g: Graph, arg, src: _Rel) -> _Rel
     return _Rel(cols, [], [], results, VALUES, None if src.tags is None else list(groups))
 
 
-# Each takes a program entry (the operator, its output columns, its predicate's
-# program), g, the rows under test and then its inputs' relations, as _run hands them.
+# Each takes a program entry's operator, output columns and predicate's
+# program, then g, the rows under test and its inputs' relations, as _run hands them.
 _OPERATORS = {
     alg.GetVertices: _source,
     alg.GetEdges: _source,

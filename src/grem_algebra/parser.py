@@ -23,8 +23,8 @@ MAX_NESTING_DEPTH levels deep: the parser, the compiler and every walk
 over a selection predicate (validate, evaluate, render) recurse a few
 frames per nesting level, and this keeps them inside Python's recursion
 limit.  A query may hold at most MAX_STEPS steps, counting the steps of
-nested traversals and the source step; no walk over a plan recurses per
-step, so this bounds the work per query, not the stack.
+nested traversals and the source step.  This bounds a plan's program,
+which lists a shared input once, not its rows or its text (render_plan).
 """
 
 from __future__ import annotations

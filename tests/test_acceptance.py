@@ -13,12 +13,11 @@ from grem_algebra import (
     ParseError,
     compile_traversal,
     evaluate,
-    extract_patterns,
     parse_traversal,
     render_plan,
-    stitch_patterns,
 )
 from grem_algebra.algebra import Dedup, GetVertices, Projection, Restriction, Traverse, Union
+from grem_algebra.compiler import extract_patterns, stitch_patterns
 from grem_algebra.parser import Step, StepKind, TraversalAST
 from grem_algebra.property_graph import VertexRef
 

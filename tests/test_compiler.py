@@ -9,11 +9,9 @@ from grem_algebra import (
     CompileError,
     compile_traversal,
     evaluate,
-    extract_patterns,
     load_graph,
     modern_graph,
     parse_traversal,
-    stitch_patterns,
     to_jsonl,
 )
 from grem_algebra.algebra import (
@@ -33,7 +31,7 @@ from grem_algebra.algebra import (
     Union,
 )
 from grem_algebra.algebra import validate as alg_validate
-from grem_algebra.compiler import PatternChain, static_columns
+from grem_algebra.compiler import PatternChain, extract_patterns, static_columns, stitch_patterns
 from grem_algebra.parser import Literal, Step, StepKind
 
 from corpus import Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30, Q_AGES_ASC, Q_UNION_CREATORS
@@ -503,6 +501,9 @@ _V, _A = Step(StepKind.SOURCE_V, ()), (Literal("string", "a"),)
      "only one by() is supported after group()"),
     ((_V, Step(StepKind.OUT, ()), _V), False, "V() may only start a root traversal"),
     ((_V, Step(StepKind.WHERE, _A)), False, "predicate must be an anonymous traversal"),
+    ((_V, Step(StepKind.MATCH, ())), False, "match() needs at least one pattern"),
+    ((_V, Step(StepKind.MATCH, _A)), False, "match() arguments must be anonymous traversals"),
+    ((Step(StepKind.OUT, ()),), False, "root traversal must start with V() or E()"),
 ])
 def test_checks_only_a_hand_built_traversal_reaches(steps, eq7, message):
     """The parser never builds these step lists; the compiler still

@@ -13,10 +13,9 @@ from grem_algebra import (
     GremAlgebraError,
     compile_traversal,
     evaluate,
-    extract_patterns,
     parse_traversal,
-    stitch_patterns,
 )
+from grem_algebra.compiler import extract_patterns, stitch_patterns
 from grem_algebra.parser import StepKind
 from grem_algebra.property_graph import VertexRef
 

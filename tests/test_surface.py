@@ -83,7 +83,7 @@ def _plan_classes(expr) -> set[type]:
     found = set()
     programs = [alg.program(expr)]
     while programs:
-        for node, _, predicate in programs.pop():
+        for node, _, predicate, _ in programs.pop():
             found.add(type(node))
             if predicate is not None:
                 programs.append(predicate)
@@ -135,6 +135,16 @@ def test_every_exported_name_resolves():
     assert len(set(grem_algebra.__all__)) == len(grem_algebra.__all__)
     for name in grem_algebra.__all__:
         assert getattr(grem_algebra, name) is not None, name
+
+
+def test_pattern_chains_are_the_compilers_own():
+    """extract_patterns, stitch_patterns and PatternChain are compiler
+    internals, which tests and tests/reference.py import from there."""
+    from grem_algebra import compiler
+
+    for name in ("PatternChain", "extract_patterns", "stitch_patterns"):
+        assert name not in grem_algebra.__all__ and not hasattr(grem_algebra, name), name
+        assert hasattr(compiler, name), name
 
 
 def test_reference_semantics_stay_out_of_the_package():
