@@ -1,11 +1,12 @@
 """Command-line driver: parse, plan, or run a traversal.
 
 Exit codes: 0 success, 1 parse/compile error, a usage error or an
-unreadable query file, 2 graph-load error, 3 evaluation error,
-141 (128 + SIGPIPE, as shells report it) when the reader closes the
-output pipe early.  Errors go to stderr with positions when available;
-``main`` takes each engine error's message word and exit code from
-``ERRORS``, keyed by its class.
+unreadable query file, 2 graph-load error, 3 evaluation error (running
+out of memory while evaluating or rendering is one), 141 (128 + SIGPIPE,
+as shells report it) when the reader closes the output pipe early.
+Errors go to stderr with positions when available; ``main`` takes each
+engine error's message word and exit code from ``ERRORS``, keyed by its
+class.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def _output(args: argparse.Namespace, query: str) -> str:
     """The text a command prints: the canonical traversal, the plan or the
-    result.  A graph file that cannot be read is a graph error."""
+    result.  A graph file that cannot be read is a graph error; running
+    out of memory while evaluating or rendering is an evaluation error."""
     ast = parse_traversal(query)
     if args.command == "parse":
         return render_traversal(ast)
@@ -97,8 +99,11 @@ def _output(args: argparse.Namespace, query: str) -> str:
         graph = load_graph_file(args.graph)
     except OSError as exc:
         raise GraphFormatError(f"cannot read {args.graph}: {exc}") from exc
-    result = evaluate(expr, graph)
-    return to_jsonl(result) if args.format == "jsonl" else to_table(result)
+    try:
+        result = evaluate(expr, graph)
+        return to_jsonl(result) if args.format == "jsonl" else to_table(result)
+    except MemoryError:
+        raise EvaluationError("out of memory") from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -77,7 +77,6 @@ the brute-force oracle) live with the tests, in ``tests/reference.py``.
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -172,10 +171,10 @@ class BindingSet:
     def canonical(self) -> list[tuple]:
         """Rows as order-insensitive canonical tuples (for multiset tests)."""
         if not self.columns:
-            return [() if v is None else (value_key(v),) for v in self._column(-1)]
+            return list(zip(map(value_key, self._column(-1))))
         index = self.columns.index
         keyed = [
-            [(c, ("missing",) if v is None else value_key(v)) for v in self._column(index(c))]
+            list(zip(repeat(c), map(value_key, self._column(index(c)))))
             for c in sorted(set(self.columns))
         ]
         return list(zip(*keyed))
@@ -223,31 +222,27 @@ def _natural(row: tuple) -> Value:
 
 def _identity_keys(values: list, kind: bool) -> list:
     """Keys under which values of one column are the same row value
-    (dedup): value_key's identity, a rank or a vertex token its own, with
-    None (absent) as its own key.  A rank column, or a value column of a
-    single type whose values are their own identity, keeps them."""
+    (dedup), by property_graph.value_key.  A rank column, or a value
+    column of a single type whose values are their own identity, keeps
+    them."""
     if kind is RANKS:
         return values
     types = set(map(type, values))
     if types == {tuple} or types == {str} or types == {int} or types == {bool}:
         return values
-    return [
-        ("missing",) if v is None else v if type(v) is tuple else value_key(v) for v in values
-    ]
+    return list(map(value_key, values))
 
 
 def _order_keys(values: list, kind: bool) -> list:
-    """Keys ordering one column's values as sort_key does, an absent value
-    first; ranks and vertex tokens (rank order is id order), numbers,
-    strings or bools alone order as they are."""
+    """Keys ordering one column's values, by property_graph.sort_key.
+    Ranks and vertex tokens (rank order is id order), numbers, strings or
+    bools alone order as they are."""
     if kind is RANKS:
         return values
     types = set(map(type, values))
     if types == {tuple} or types <= {int, float} or types == {str} or types == {bool}:
         return values
-    return [
-        (-1,) if v is None else (3, v) if type(v) is tuple else sort_key(v) for v in values
-    ]
+    return list(map(sort_key, values))
 
 
 def _keys(parts: list[list], tags: list | None) -> list:
@@ -261,12 +256,9 @@ def _keys(parts: list[list], tags: list | None) -> list:
 
 
 def _join_keys(columns: list[list], kinds: list[bool], tags: list | None) -> list:
-    """Join key per row, None for a row with an absent join column; the
-    tag first when tags are given."""
-    parts = [
-        c if k is RANKS else [None if v is None else join_key(v) for v in c]
-        for c, k in zip(columns, kinds)
-    ]
+    """Join key per row, by property_graph.join_key, None for a row with
+    an absent join column; the tag first when tags are given."""
+    parts = [c if k is RANKS else list(map(join_key, c)) for c, k in zip(columns, kinds)]
     keys = _keys(parts, tags)
     holes = any(k is VALUES and None in p for p, k in zip(parts, kinds))
     if holes and len(parts) + (tags is not None) > 1:
@@ -904,27 +896,36 @@ def evaluate(expr: AlgebraExpr, g: Graph) -> BindingSet:
 
 # -- result serialization -------------------------------------------------------------
 #
-# to_jsonl reads a set's columns.  A rank column is written by a gather of
-# texts by rank, a value column of one scalar type by a C-level text
-# function, and any other value column makes each distinct object's text
-# once per call.  It writes no string per row: it fills one flat list of
-# pieces a column at a time, a key prefix and the column's texts in every
-# row's slots, and joins that list once.  to_table formats each value of
+# to_jsonl reads a set's columns.  A vertex's JSON text is defined by
+# property_graph.vertex_json, an edge's by _json_value and a scalar's by
+# its type's function in _JSON_TEXTS.  A rank column is written by a
+# gather of the graph's vertex texts by rank, a value column of one type
+# in _JSON_TEXTS by that type's function, and any other value column
+# makes each distinct object's text once per call with _json_value.  It
+# writes no string per row: it fills one flat list of pieces a column at
+# a time, a key prefix and the column's texts in every row's slots, and
+# joins that list once.  to_table formats each value of
 # BindingSet._column on its own.
 
 
-_dump = json.JSONEncoder(separators=(",", ":")).encode
+# Per scalar type (and None), the C-level function that writes a value of
+# exactly that type as json.dumps does (a finite float's JSON text is its
+# repr): the one writer of a scalar's JSON text.
+_JSON_TEXTS = {
+    str: _json_string, int: int.__repr__, float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__,
+}
 
 
 def _json_value(v: Value) -> str:
-    """JSON text of one value as json.dumps writes it, an element
-    reference as {"vertex": id} / {"edge": id}."""
+    """JSON text of one value, an element reference as {"vertex": id} /
+    {"edge": id} and a scalar as _JSON_TEXTS writes it."""
     tp = type(v)
     if tp is VertexRef:
         return vertex_json(v.id)  # type: ignore[union-attr]
     if tp is EdgeRef:
         return '{"edge":' + _json_string(v.id) + "}"  # type: ignore[union-attr]
-    return _json_string(v) if tp is str else _dump(v)
+    return _JSON_TEXTS[tp](v)
 
 
 def _format_cell(v: Value) -> str:
@@ -933,11 +934,6 @@ def _format_cell(v: Value) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)
-
-
-# Per scalar type, the C-level function that writes a value of exactly that
-# type as _json_value does (a finite float's JSON text is its repr).
-_JSON_TEXTS = {str: _json_string, int: int.__repr__, float: float.__repr__}
 
 
 def _types(values: list, kind: bool) -> set:

@@ -64,77 +64,72 @@ def is_numeric(v: object) -> bool:
 
 
 def values_equal(a: object, b: object) -> bool:
-    """Type-strict value equality.
-
-    int and float compare numerically with each other; bool only equals
-    bool; strings only equal strings; element refs compare by kind and id.
-    """
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool) and a == b
-    if is_numeric(a) and is_numeric(b):
-        return a == b
-    if type(a) is not type(b):
-        return False
-    return a == b
+    """Type-strict value equality, as join_key defines it."""
+    return join_key(a) == join_key(b)
 
 
-# A scalar's join key is its type's tag and itself (see join_key).
+# Per value type (a vertex token's is tuple), the tag of its key under each rule.
 _JOIN_TAGS = {int: "n", float: "n", bool: "b", str: "s"}
+_VALUE_TAGS = {int: "i", bool: "b", str: "s"}
+_SORT_TAGS = {bool: 0, int: 1, float: 1, str: 2, tuple: 3}
 
 
 def join_key(v: object) -> object:
-    """Hashable key under which two values are equal as values_equal has
-    it: int and float meet numerically (-0.0 meets 0.0) while bool, str and
-    elements stay type-strict.  A vertex token (see Graph) is its own key;
-    every other value is keyed by a tagged tuple."""
+    """Hashable key that defines value equality, for joins, bindings and
+    has() values: int and float meet numerically (-0.0 meets 0.0) while
+    bool, str and elements stay type-strict.  A vertex token (see Graph)
+    and None are their own keys; every other value is keyed by a tagged
+    tuple."""
     t = type(v)
-    if t is tuple:
+    if t is tuple or v is None:
         return v
     tag = _JOIN_TAGS.get(t)
     if tag is not None:
         return (tag, v)
     if t is EdgeRef:
         return ("e", v.id)  # type: ignore[union-attr]
+    if t is VertexRef:
+        return ("v", v.id)  # type: ignore[union-attr]
     raise TypeError(f"not a graph value: {v!r}")
 
 
 def value_key(v: object) -> tuple:
-    """Hashable identity key used for dedup and grouping.
-
-    Floats are keyed by their exact bit pattern, so 1.0 and 1 stay distinct
-    and -0.0 differs from 0.0.
-    """
-    if isinstance(v, bool):
-        return ("b", v)
-    if isinstance(v, int):
-        return ("i", v)
-    if isinstance(v, float):
+    """Hashable key that defines value identity, for dedup() and
+    canonical rows.  Floats are keyed by their exact bit pattern, so 1.0
+    and 1 stay distinct and -0.0 differs from 0.0.  A vertex token (see
+    Graph) is its own key, and None (absent) is keyed ("missing",)."""
+    t = type(v)
+    if t is tuple:
+        return v
+    tag = _VALUE_TAGS.get(t)
+    if tag is not None:
+        return (tag, v)
+    if t is float:
         return ("f", struct.pack(">d", v))
-    if isinstance(v, str):
-        return ("s", v)
-    if isinstance(v, VertexRef):
-        return ("v", v.id)
-    if isinstance(v, EdgeRef):
-        return ("e", v.id)
+    if v is None:
+        return ("missing",)
+    if t is EdgeRef:
+        return ("e", v.id)  # type: ignore[union-attr]
+    if t is VertexRef:
+        return ("v", v.id)  # type: ignore[union-attr]
     raise TypeError(f"not a graph value: {v!r}")
 
 
 def sort_key(v: object) -> tuple:
-    """Deterministic total-order key across value types.
-
-    Numbers sort numerically (int/float mixed), strings lexicographically,
-    element refs by id; distinct type families never interleave.
-    """
-    if isinstance(v, bool):
-        return (0, v)
-    if is_numeric(v):
-        return (1, v)
-    if isinstance(v, str):
-        return (2, v)
-    if isinstance(v, VertexRef):
-        return (3, v.id)
-    if isinstance(v, EdgeRef):
-        return (4, v.id)
+    """Key that defines the total order across value types, for order()
+    and group(): None (absent) first, then bools, numbers numerically
+    (int/float mixed), strings, vertices (a token by rank, which is id
+    order; a ref by id) and edges by id; type families never interleave."""
+    t = type(v)
+    tag = _SORT_TAGS.get(t)
+    if tag is not None:
+        return (tag, v)
+    if v is None:
+        return (-1,)
+    if t is EdgeRef:
+        return (4, v.id)  # type: ignore[union-attr]
+    if t is VertexRef:
+        return (3, v.id)  # type: ignore[union-attr]
     raise TypeError(f"not a graph value: {v!r}")
 
 

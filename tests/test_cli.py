@@ -128,6 +128,24 @@ def test_evaluation_error_exit_3():
     assert "evaluation error" in proc.stderr
 
 
+def test_out_of_memory_exit_3(monkeypatch, capsys):
+    """A product too large to hold (a disconnected match(), a chain of
+    union()s) raises MemoryError in evaluate or in a renderer: the CLI
+    reports an evaluation error, not a traceback.  The error is faked, so
+    the test allocates nothing large."""
+    from grem_algebra import cli as cli_module
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    for name, fmt in (("evaluate", "jsonl"), ("to_jsonl", "jsonl"), ("to_table", "table")):
+        argv = ["run", "--graph", modern_graph_path(), "--format", fmt, "--query", "g.V()"]
+        with monkeypatch.context() as patched:
+            patched.setattr(cli_module, name, out_of_memory)
+            assert cli_module.main(argv) == cli_module.EXIT_EVAL_ERROR, name
+        assert capsys.readouterr() == ("", "evaluation error: out of memory\n"), name
+
+
 def test_group_then_order_exit_0():
     query = "g.V().group().by('lang').order()"
     proc = cli("run", "--graph", modern_graph_path(), "--query", query)

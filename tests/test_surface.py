@@ -71,6 +71,9 @@ DELETED |= {"_alias" + "ing", "_property_" + "filter", "_property_" + "label"}
 DELETED |= {"from" + "_var", "to" + "_var", "_ent" + "ries", "_natu" + "rals", "_cell_" + "texts",
             "_CE" + "LL"}
 
+# One writer of a scalar's JSON text: evaluator._JSON_TEXTS, not an encoder.
+DELETED |= {"_du" + "mp"}
+
 
 def _operator_classes() -> set[type]:
     return {
