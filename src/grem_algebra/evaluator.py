@@ -51,10 +51,10 @@ member, and max() reduces it.
 
 ``evaluate`` flattens the plan once into the post-order program of
 ``algebra.program``, each operator with its output columns, raises on any
-diagnostic that walk gathers, and hands the final columns, their kinds and
-the graph to a ``BindingSet``; a rank or a token becomes the graph's
-interned ``VertexRef`` wherever a value leaves the set, and ``to_jsonl``
-prints a rank column from the graph's table of vertex texts.  ``_run``,
+diagnostic that walk gathers, and wraps the final relation and the graph
+in a ``BindingSet``; a rank or a token becomes the graph's interned
+``VertexRef`` wherever a value leaves the set, and ``to_jsonl`` prints a
+rank column from the graph's table of vertex texts.  ``_run``,
 one loop over a program, hands each operator the relations its input
 slots name and keeps the one it returns; one that several read runs
 once, and no operator may change a relation it is handed.
@@ -116,23 +116,22 @@ class BindingSet:
     left out; the reserved "@" key carries the current position and is not
     part of `columns`.  Multiplicity is represented by repeated rows.
 
-    Underneath are the engine's columns: one list per name in `columns`
-    (a repeated name reads its first list) and one of positions, each with
-    its kind; a set ``evaluate`` returns holds its graph, whose refs and
-    texts name the ranks and tokens.  A set built from dict rows holds
-    value columns only.  Every reading but ``rows`` works on the columns.
-    ``rows`` is built on its first read and published whole, once.
+    Underneath is the engine's relation (a repeated name reads its first
+    list); a set ``evaluate`` returns holds the relation ``_run`` made and
+    its graph, whose refs and texts name the ranks and tokens.  A set built
+    from dict rows holds a relation of value columns.  Every reading but
+    ``rows`` works on the relation.  ``rows`` is built on its first read
+    and published whole, once.
     """
 
-    __slots__ = ("columns", "_dicts", "_data", "_kinds", "_pos", "_pos_kind", "_graph")
+    __slots__ = ("columns", "_dicts", "_rel", "_graph")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, columns: tuple[str, ...], rows: list[Row] | None = None):
         self.columns, self._graph = columns, None
         self._dicts: list[Row] | None = [] if rows is None else rows
-        self._data = [[r.get(c) for r in self._dicts] for c in columns]
-        self._kinds = [VALUES] * len(columns)
-        self._pos, self._pos_kind = [r.get(CUR) for r in self._dicts], VALUES
+        data = [[r.get(c) for r in self._dicts] for c in (*columns, CUR)]
+        self._rel = _Rel(columns, data[:-1], [VALUES] * len(columns), data[-1], VALUES)
 
     @property
     def rows(self) -> list[Row]:
@@ -153,14 +152,12 @@ class BindingSet:
         return f"BindingSet(columns={self.columns!r}, {len(self)} rows)"
 
     def __len__(self) -> int:
-        return len(self._pos)
+        return len(self._rel.pos)
 
-    def _column(self, slot: int) -> list:
-        """One column (-1: the positions), each vertex as its VertexRef."""
-        if slot == -1:
-            values, kind = self._pos, self._pos_kind
-        else:
-            values, kind = self._data[slot], self._kinds[slot]
+    def _column(self, name: str | None) -> list:
+        """One column by name (None: the positions), each vertex as its VertexRef."""
+        rel = self._rel
+        values, kind = (rel.pos, rel.pos_kind) if name is None else rel.get(name)
         if kind is RANKS:
             return list(map(self._graph.vertex_refs.__getitem__, values))  # type: ignore[union-attr]
         if self._graph is None or tuple not in set(map(type, values)):
@@ -171,18 +168,14 @@ class BindingSet:
     def canonical(self) -> list[tuple]:
         """Rows as order-insensitive canonical tuples (for multiset tests)."""
         if not self.columns:
-            return list(zip(map(value_key, self._column(-1))))
-        index = self.columns.index
-        keyed = [
-            list(zip(repeat(c), map(value_key, self._column(index(c)))))
-            for c in sorted(set(self.columns))
-        ]
+            return list(zip(map(value_key, self._column(None))))
+        names = sorted(set(self.columns))
+        keyed = [list(zip(repeat(c), map(value_key, self._column(c)))) for c in names]
         return list(zip(*keyed))
 
     def values(self) -> list[Value]:
         """The single value per row: sole visible column, else the position."""
-        columns = [self._column(i) for i in map(self.columns.index, self.columns)]
-        return list(map(_natural, zip(*columns, self._column(-1))))
+        return list(map(_natural, zip(*map(self._column, self.columns), self._column(None))))
 
 
 _PUBLISH = threading.Lock()  # held only to publish a set's dict rows
@@ -191,7 +184,7 @@ _PUBLISH = threading.Lock()  # held only to publish a set's dict rows
 def _dict_rows(bs: BindingSet) -> list[Row]:
     """The dict rows of a set's columns, absent bindings left out."""
     names = tuple(dict.fromkeys(bs.columns)) + (CUR,)
-    columns = [bs._column(bs.columns.index(c)) for c in names[:-1]] + [bs._column(-1)]
+    columns = list(map(bs._column, names[:-1] + (None,)))
     if any(None in c for c in columns):
         return [{k: v for k, v in zip(names, r) if v is not None} for r in zip(*columns)]
     return list(map(dict, map(zip, repeat(names), zip(*columns))))
@@ -852,7 +845,10 @@ def _aggregate(expr: alg.Aggregate, cols, sub, g: Graph, arg, src: _Rel) -> _Rel
     results = []
     for bag in groups.values():
         result = max(bag)
-        results.append(float(result) if len(set(map(type, bag))) > 1 else result)
+        try:
+            results.append(float(result) if len(set(map(type, bag))) > 1 else result)
+        except OverflowError:  # the maximum, an int, has no float to stand for it
+            raise EvaluationError("max() over floats and an int past the float range") from None
     return _Rel(cols, [], [], results, VALUES, None if src.tags is None else list(groups))
 
 
@@ -888,9 +884,8 @@ def evaluate(expr: AlgebraExpr, g: Graph) -> BindingSet:
     if diags:
         raise EvaluationError("invalid plan: " + "; ".join(diags))
     rel = _run(steps, g, None)
-    bs = BindingSet(rel.cols)
-    bs._dicts, bs._data, bs._kinds, bs._graph = None, rel.data, rel.kinds, g
-    bs._pos, bs._pos_kind = rel.pos, rel.pos_kind
+    bs = object.__new__(BindingSet)
+    bs.columns, bs._dicts, bs._rel, bs._graph = rel.cols, None, rel, g
     return bs
 
 
@@ -981,15 +976,14 @@ def _lines(prefixes: list[str], texts: list[list[str]]) -> str:
 def to_jsonl(result: BindingSet) -> str:
     """One JSON object per row; element references as {"vertex": id} /
     {"edge": id}; schema-less rows as {"value": ...}."""
-    g = result._graph
+    rel, g = result._rel, result._graph
     cache: dict[int, str] = {}  # the set keeps every value alive meanwhile
     if not result.columns:
-        pos, kind = result._pos, result._pos_kind
+        pos, kind = rel.pos, rel.pos_kind
         return _lines(['{"value":'], [_texts(pos, kind, _types(pos, kind), g, cache)])
-    slots = list(map(result.columns.index, dict.fromkeys(result.columns)))
-    keys = [_json_string(result.columns[i]) + ":" for i in slots]
-    columns = list(map(result._data.__getitem__, slots))
-    kinds = list(map(result._kinds.__getitem__, slots))
+    names = list(dict.fromkeys(result.columns))
+    keys = [_json_string(c) + ":" for c in names]
+    columns, kinds = rel.columns(names)
     types = list(map(_types, columns, kinds))
     texts = list(map(_texts, columns, kinds, types, repeat(g), repeat(cache)))
     if any(type(None) in t for t in types):
@@ -1008,10 +1002,10 @@ def to_table(result: BindingSet) -> str:
     if not len(result):
         return ""
     if not result.columns:
-        return "\n".join(map(_format_cell, result._column(-1)))
+        return "\n".join(map(_format_cell, result._column(None)))
     padded = []
     for c in result.columns:
-        texts = ["" if v is None else _format_cell(v) for v in result._column(result.columns.index(c))]
+        texts = ["" if v is None else _format_cell(v) for v in result._column(c)]
         width = max(len(c), *map(len, texts))
         padded.append((c.ljust(width), "-" * width, [t.ljust(width) for t in texts]))
     headers, rules, cells = zip(*padded)

@@ -19,6 +19,7 @@ import re
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_string
@@ -140,9 +141,9 @@ class Graph:
     ``json.loads`` builds them: vertex objects ``{"id", "label",
     "properties"?}`` and edge objects ``{"id", "label", "outV", "inV",
     "properties"?}``.  It checks them in whole-column passes and, when a
-    pass fails, checks them one entry at a time to raise the first fault
-    in the order load_graph documents.  The checked properties objects
-    become the graph's own, uncopied.
+    pass fails, one entry at a time to raise the first fault in the order
+    load_graph documents, save the lone-surrogate rule: only load_graph's
+    scan of the text applies it.  The properties objects are kept uncopied.
 
     The graph is laid out in the order the evaluator reads it.  Vertices
     are stored by rank, their position in ascending lexicographic id
@@ -200,15 +201,12 @@ class Graph:
         ) = columns
         # the rank ints the edge ends already hold, 0 .. n - 1 in insertion order
         self.vertex_ranks: tuple[int, ...] = tuple(self._v_index.values())
-        self._vertex_tokens: tuple[tuple[int], ...] | None = None
         self.vertex_refs: tuple[VertexRef, ...] = tuple(map(VertexRef, self._v_ids))
         self._incidences: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._neighbours: dict[tuple[str, str | None], list] = {}
         self._vertex_texts: list[str | None] = [None] * len(self._v_ids)
         self._property_columns: dict[str, list] = {}
-        self._label_ranks: dict[str, tuple[int, ...]] | None = None
         self._value_ranks: dict[str, dict[object, tuple[int, ...]]] = {}
-        self._edge_refs: tuple[EdgeRef, ...] | None = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -224,23 +222,19 @@ class Graph:
         """All vertex ids in ascending lexicographic order."""
         return list(self._v_ids)
 
-    @property
+    @cached_property
     def vertex_tokens(self) -> tuple[tuple[int], ...]:
         """One token (rank,) per vertex, by rank.  Built whole on first use."""
-        tokens = self._vertex_tokens
-        if tokens is None:
-            # tuples of ints, which the garbage collector stops tracking
-            tokens = tuple(zip(self.vertex_ranks))
-            self._vertex_tokens = tokens
-        return tokens
+        # tuples of ints, which the garbage collector stops tracking
+        return tuple(zip(self.vertex_ranks))
+
+    @cached_property
+    def _edge_refs(self) -> tuple[EdgeRef, ...]:
+        return tuple(map(EdgeRef, sorted(self._e_ids)))
 
     def edges_sorted(self) -> tuple[EdgeRef, ...]:
         """One interned EdgeRef per edge, in ascending id order."""
-        refs = self._edge_refs
-        if refs is None:
-            refs = tuple(map(EdgeRef, sorted(self._e_ids)))
-            self._edge_refs = refs
-        return refs
+        return self._edge_refs
 
     # -- adjacency -------------------------------------------------------
 
@@ -296,14 +290,14 @@ class Graph:
 
     # -- labels and properties -------------------------------------------
 
+    @cached_property
+    def _label_ranks(self) -> dict[str, tuple[int, ...]]:
+        return _ranks_by(self.vertex_ranks, self.vertex_labels)
+
     def ranks_labelled(self, label: str) -> tuple[int, ...]:
         """The ranks of the vertices carrying label, ascending.  The table of
         every vertex label is built whole on first use."""
-        table = self._label_ranks
-        if table is None:
-            table = _ranks_by(self.vertex_ranks, self.vertex_labels)
-            self._label_ranks = table
-        return table.get(label, ())
+        return self._label_ranks.get(label, ())
 
     def property_column(self, key: str) -> list:
         """Per rank, the vertex's value for key, or None where it has none.

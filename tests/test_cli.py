@@ -8,6 +8,7 @@ import sys
 from grem_algebra import modern_graph_path
 
 from corpus import Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30
+from test_evaluator import PAST_FLOAT_RANGE
 
 GOLDEN_EQ7 = """\
 group[name]
@@ -144,6 +145,17 @@ def test_out_of_memory_exit_3(monkeypatch, capsys):
             patched.setattr(cli_module, name, out_of_memory)
             assert cli_module.main(argv) == cli_module.EXIT_EVAL_ERROR, name
         assert capsys.readouterr() == ("", "evaluation error: out of memory\n"), name
+
+
+def test_max_past_the_float_range_exit_3(tmp_path, capsys):
+    """The int is not printed: it may hold thousands of digits."""
+    from grem_algebra import cli as cli_module
+
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(PAST_FLOAT_RANGE))
+    argv = ["run", "--graph", str(path), "--query", "g.V().values('age').max()"]
+    assert cli_module.main(argv) == cli_module.EXIT_EVAL_ERROR
+    assert capsys.readouterr() == ("", "evaluation error: max() over floats and an int past the float range\n")
 
 
 def test_group_then_order_exit_0():

@@ -508,6 +508,42 @@ def test_max_mixed_numeric_coerces(modern):
     assert isinstance(mixed.values()[0], float)
 
 
+# ages 1.5, 10**400 and -10**400; x reaches 1.5 and -10**400, y 1.5 and 10**400
+PAST_FLOAT_RANGE = {
+    "vertices": [
+        {"id": "a", "label": "p", "properties": {"age": 1.5}},
+        {"id": "b", "label": "p", "properties": {"age": 10**400}},
+        {"id": "c", "label": "p", "properties": {"age": -10**400}},
+        {"id": "x", "label": "p", "properties": {"name": "x"}},
+        {"id": "y", "label": "p", "properties": {"name": "y"}},
+    ],
+    "edges": [
+        {"id": "xa", "label": "k", "outV": "x", "inV": "a"},
+        {"id": "xc", "label": "k", "outV": "x", "inV": "c"},
+        {"id": "ya", "label": "k", "outV": "y", "inV": "a"},
+        {"id": "yb", "label": "k", "outV": "y", "inV": "b"},
+    ],
+}
+
+
+def test_max_over_floats_and_an_int_past_the_float_range_errors():
+    """A maximum over ints and floats is a float; an int past the float
+    range has none, so max() raises without printing the int, per row
+    inside where() too.  Such an int below the maximum is compared exactly."""
+    g = load_graph(json.dumps(PAST_FLOAT_RANGE))
+    for text in (
+        "g.V().values('age').max()",
+        "g.V().has('name','y').out().values('age').max()",
+        "g.V().where(__.out().values('age').max())",
+    ):
+        with pytest.raises(EvaluationError, match="^max\\(\\) over floats and an int past the float range$"):
+            run(text, g)
+    assert run("g.V().has('name','x').out().values('age').max()", g).values() == [1.5]
+    kept = run("g.V().has('name','x').where(__.out().values('age').max())", g)
+    assert [v.id for v in kept.values()] == ["x"]
+    assert run(f"g.V().has('age',{10**400}).values('age').max()", g).values() == [10**400]
+
+
 def test_validate_enforced(modern):
     with pytest.raises(EvaluationError, match="invalid plan"):
         evaluate(Projection(("z",), None, GetVertices()), modern)

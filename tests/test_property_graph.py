@@ -320,7 +320,7 @@ def test_tables_built_once_and_shared():
     # one rank int and one interned ref per vertex, by rank
     rank = {r.id: i for i, r in enumerate(modern.vertex_refs)}
     assert modern.vertex_ranks == tuple(range(len(rank)))
-    assert modern._vertex_tokens is None  # not built before first use
+    assert "vertex_tokens" not in vars(modern)  # not built before first use
     assert modern.vertex_tokens == tuple((i,) for i in range(len(rank)))
     assert all(map(is_, map(itemgetter(0), modern.vertex_tokens), modern.vertex_ranks))
     assert modern.vertex_props[rank["1"]]["name"] == "marko"
@@ -341,6 +341,11 @@ def test_tables_built_once_and_shared():
                 assert found == tuple(rank[v] for _, v in adjacent(modern, vid, label))
                 # the graph's own rank ints, never one made per entry
                 assert all(n is modern.vertex_ranks[n] for n in found)
+    assert "_label_ranks" not in vars(modern)  # not built before first use
+    people = modern.ranks_labelled("person")
+    table = modern._label_ranks
+    assert [modern.vertex_refs[r].id for r in people] == ["1", "2", "4", "6"]
+    assert modern.ranks_labelled("person") is people and modern._label_ranks is table
     refs = modern.edges_sorted()
     assert modern.edges_sorted() is refs
     assert [r.id for r in refs] == edge_ids(modern) == sorted(e.id for e in edges(modern))
