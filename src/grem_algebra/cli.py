@@ -50,7 +50,7 @@ def _add_query_args(sub: argparse.ArgumentParser, compiles: bool = True) -> None
 
 
 def _read_query(args: argparse.Namespace) -> str:
-    if args.query:
+    if args.query is not None:
         return args.query
     with open(args.query_file, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help or its usage error
         return EXIT_OK if exc.code == 0 else EXIT_QUERY_ERROR
-    if bool(args.query) == bool(args.query_file):
+    if (args.query is None) == (args.query_file is None):
         print("error: exactly one of --query/--query-file is required", file=sys.stderr)
         return EXIT_QUERY_ERROR
     try:

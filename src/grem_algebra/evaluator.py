@@ -185,9 +185,7 @@ def _dict_rows(bs: BindingSet) -> list[Row]:
     """The dict rows of a set's columns, absent bindings left out."""
     names = tuple(dict.fromkeys(bs.columns)) + (CUR,)
     columns = list(map(bs._column, names[:-1] + (None,)))
-    if any(None in c for c in columns):
-        return [{k: v for k, v in zip(names, r) if v is not None} for r in zip(*columns)]
-    return list(map(dict, map(zip, repeat(names), zip(*columns))))
+    return [{k: v for k, v in zip(names, r) if v is not None} for r in zip(*columns)]
 
 
 def _natural(row: tuple) -> Value:
@@ -208,22 +206,9 @@ def _natural(row: tuple) -> Value:
 # A rank column keys, orders and joins by its ranks.  In a value column a
 # vertex is its token (rank,) and an edge the graph's interned EdgeRef (see
 # Graph); a token is a 1-tuple of an int, so it never equals an int or a
-# tagged key such as ("s", "x") or ("missing",).  A key built from several
-# columns holds each column's key at that column's place, so keys of the
+# tagged key such as ("s", "x") or ("missing",).  A row's key is a tuple
+# that holds each key column's key at that column's place, so keys of the
 # two kinds never meet.
-
-
-def _identity_keys(values: list, kind: bool) -> list:
-    """Keys under which values of one column are the same row value
-    (dedup), by property_graph.value_key.  A rank column, or a value
-    column of a single type whose values are their own identity, keeps
-    them."""
-    if kind is RANKS:
-        return values
-    types = set(map(type, values))
-    if types == {tuple} or types == {str} or types == {int} or types == {bool}:
-        return values
-    return list(map(value_key, values))
 
 
 def _order_keys(values: list, kind: bool) -> list:
@@ -238,23 +223,21 @@ def _order_keys(values: list, kind: bool) -> list:
     return list(map(sort_key, values))
 
 
-def _keys(parts: list[list], tags: list | None) -> list:
-    """Per row, the key of the given key columns: one column's key alone,
-    else a tuple of keys, the tag first when tags are given."""
+def _keys(parts: list[list], tags: list | None) -> list[tuple]:
+    """Per row, the tuple of the given key columns' keys, the tag first
+    when tags are given."""
     if tags is not None:
         parts = [tags] + parts
-    if len(parts) == 1:
-        return parts[0]
     return list(zip(*parts))
 
 
 def _join_keys(columns: list[list], kinds: list[bool], tags: list | None) -> list:
-    """Join key per row, by property_graph.join_key, None for a row with
-    an absent join column; the tag first when tags are given."""
+    """Join key per row, a tuple of the columns' keys by
+    property_graph.join_key (see _keys), None for a row with an absent
+    join column."""
     parts = [c if k is RANKS else list(map(join_key, c)) for c, k in zip(columns, kinds)]
     keys = _keys(parts, tags)
-    holes = any(k is VALUES and None in p for p, k in zip(parts, kinds))
-    if holes and len(parts) + (tags is not None) > 1:
+    if any(k is VALUES and None in p for p, k in zip(parts, kinds)):
         return [None if None in k else k for k in keys]
     return keys
 
@@ -498,8 +481,6 @@ def _bind(g: Graph, rel: _Rel, var: str | None) -> _Rel:
     bound, kind, pos = rel.data[p], rel.kinds[p], rel.pos
     if bound is pos:  # an anchor every row binds, read by _element
         return rel
-    if kind is RANKS and rel.pos_kind is RANKS:
-        return _keep(rel, list(map(eq, bound, pos)))
     rel.data[p], rel.kinds[p] = _coalesce(g, bound, kind, pos, rel.pos_kind)
     bound, pos = _as_values(g, bound, kind), _as_values(g, pos, rel.pos_kind)
     return _keep(rel, [b is None or values_equal(b, v) for b, v in zip(bound, pos)])
@@ -709,14 +690,16 @@ def _projection(expr: alg.Projection, cols, sub, g: Graph, arg, src: _Rel) -> _R
 def _dedup(expr: alg.Dedup, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
     """First occurrence per key; inside a predicate, per row under test.
     Key columns that are all rank columns key a row by one int of their
-    ranks (see _rank_keys); otherwise each column keeps its identity keys
-    at its own place in a tuple key, so a token never meets an int."""
+    ranks (see _rank_keys); otherwise by a tuple key (see _keys) of each
+    column's ranks or property_graph.value_key, so a token never meets an
+    int."""
     names = expr.vars or src.cols
     keyed, kinds = src.columns(names) if names else ([src.pos], [src.pos_kind])
     if all(kinds):
         keys = _rank_keys(keyed, src.tags, g.vertex_count)
     else:
-        keys = _keys(list(map(_identity_keys, keyed, kinds)), src.tags)
+        parts = [c if k is RANKS else list(map(value_key, c)) for c, k in zip(keyed, kinds)]
+        keys = _keys(parts, src.tags)
     first = _first_rows(keys)
     return src if len(first) == len(src.pos) else _gather(src, first)
 
@@ -895,12 +878,11 @@ def evaluate(expr: AlgebraExpr, g: Graph) -> BindingSet:
 # property_graph.vertex_json, an edge's by _json_value and a scalar's by
 # its type's function in _JSON_TEXTS.  A rank column is written by a
 # gather of the graph's vertex texts by rank, a value column of one type
-# in _JSON_TEXTS by that type's function, and any other value column
-# makes each distinct object's text once per call with _json_value.  It
-# writes no string per row: it fills one flat list of pieces a column at
-# a time, a key prefix and the column's texts in every row's slots, and
-# joins that list once.  to_table formats each value of
-# BindingSet._column on its own.
+# in _JSON_TEXTS by that type's function, and any other value column by
+# _json_value, once per value.  It writes no string per row: it fills one
+# flat list of pieces a column at a time, a key prefix and the column's
+# texts in every row's slots, and joins that list once.  to_table formats
+# each value of BindingSet._column on its own.
 
 
 # Per scalar type (and None), the C-level function that writes a value of
@@ -936,24 +918,18 @@ def _types(values: list, kind: bool) -> set:
     return set() if kind is RANKS else set(map(type, values))
 
 
-def _texts(values: list, kind: bool, types: set, g: Graph | None, cache: dict[int, str]) -> list[str]:
+def _texts(values: list, kind: bool, types: set, g: Graph | None) -> list[str]:
     """The JSON texts of a column's values.  A rank column is written from
     g's vertex texts.  A value column whose values are all of one type
     (types) in _JSON_TEXTS is written by its function; otherwise
-    _json_value runs once per distinct object, a vertex token read as its
-    vertex of g, and cache maps id(object) to its text while the objects
-    are alive."""
+    _json_value writes each value, a vertex token read as its vertex of g."""
     if kind is RANKS:
         return g.vertex_texts(values)  # type: ignore[union-attr]
     if len(types) == 1:
         (tp,) = types
         if tp in _JSON_TEXTS:
             return list(map(_JSON_TEXTS[tp], values))
-    ids = list(map(id, values))
-    for i, v in dict(zip(ids, values)).items():
-        if i not in cache:
-            cache[i] = _json_value(g.vertex_refs[v[0]] if type(v) is tuple else v)  # type: ignore[union-attr]
-    return list(map(cache.__getitem__, ids))
+    return [_json_value(g.vertex_refs[v[0]] if type(v) is tuple else v) for v in values]  # type: ignore[union-attr]
 
 
 def _lines(prefixes: list[str], texts: list[list[str]]) -> str:
@@ -977,15 +953,14 @@ def to_jsonl(result: BindingSet) -> str:
     """One JSON object per row; element references as {"vertex": id} /
     {"edge": id}; schema-less rows as {"value": ...}."""
     rel, g = result._rel, result._graph
-    cache: dict[int, str] = {}  # the set keeps every value alive meanwhile
     if not result.columns:
         pos, kind = rel.pos, rel.pos_kind
-        return _lines(['{"value":'], [_texts(pos, kind, _types(pos, kind), g, cache)])
+        return _lines(['{"value":'], [_texts(pos, kind, _types(pos, kind), g)])
     names = list(dict.fromkeys(result.columns))
     keys = [_json_string(c) + ":" for c in names]
     columns, kinds = rel.columns(names)
     types = list(map(_types, columns, kinds))
-    texts = list(map(_texts, columns, kinds, types, repeat(g), repeat(cache)))
+    texts = list(map(_texts, columns, kinds, types, repeat(g)))
     if any(type(None) in t for t in types):
         # each row writes the columns it has
         texts = [

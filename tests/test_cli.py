@@ -217,11 +217,21 @@ def test_graph_not_utf8_or_nested_too_deeply_exit_2(tmp_path):
 
 
 def test_query_and_query_file_exclusive(tmp_path):
+    """Both flags given is a usage error, even when one of them is empty."""
     path = tmp_path / "query.grem"
     path.write_text("g.V()")
-    proc = cli("run", "--graph", modern_graph_path(), "--query", "g.V()", "--query-file", str(path))
-    assert proc.returncode == 1
-    assert proc.stderr == "error: exactly one of --query/--query-file is required\n"
+    for query, query_file in (("g.V()", str(path)), ("", str(path)), ("g.V()", "")):
+        proc = cli("run", "--graph", modern_graph_path(), "--query", query, "--query-file", query_file)
+        assert proc.returncode == 1, (query, query_file)
+        assert proc.stderr == "error: exactly one of --query/--query-file is required\n", (query, query_file)
+
+
+def test_an_empty_query_is_a_positioned_parse_error(capsys):
+    """--query '' is a given flag: the query is empty, and does not parse."""
+    from grem_algebra import cli as cli_module
+
+    assert cli_module.main(["parse", "--query", ""]) == cli_module.EXIT_QUERY_ERROR
+    assert capsys.readouterr() == ("", "parse error: traversal must start with 'g' or '__' at line 1, column 1\n")
 
 
 def test_usage_error_exit_1_not_the_graph_code():

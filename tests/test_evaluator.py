@@ -34,10 +34,11 @@ from grem_algebra.algebra import (
 )
 from grem_algebra import evaluator
 from grem_algebra.evaluator import CUR
-from grem_algebra.property_graph import EdgeRef, Graph, VertexRef, sort_key
+from grem_algebra.property_graph import EdgeRef, Graph, VertexRef, sort_key, values_equal
 
 from reference import (
-    EMPTY_PATH, Path, element_property, multiset_union, out_adjacent, path_concat, path_join,
+    EMPTY_PATH, Path, element_property, linear_rows, multiset_union, out_adjacent, path_concat,
+    path_join,
 )
 from corpus import Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30, Q_COCREATOR_32, Q_AGES_ASC, random_graph
 
@@ -468,6 +469,58 @@ def test_join_on_shared_column(modern):
     )
 
 
+def _reference_join(left: list[dict], right: list[dict], shared: list[str]) -> list[dict]:
+    """A nested-loop join of dict rows in left-major order: rows meet where
+    both bind every shared column to equal values (values_equal); the
+    right row's bindings, its position among them, win."""
+    return [
+        {**lrow, **rrow} for lrow in left for rrow in right
+        if all(c in lrow and c in rrow and values_equal(lrow[c], rrow[c]) for c in shared)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_hash_join_on_a_value_column_with_absent_bindings(seed):
+    """Each side's shared column a is a value column that is absent (None)
+    in the rows of its second union branch; an absent binding meets
+    nothing, not even another absent one."""
+    g = random_graph(seed)
+    left = Union(Traverse("out", None, "a", "b", GetVertices()), Traverse("out", None, "x", "b", GetVertices()))
+    right = Union(Traverse("in", None, "a", "c", GetVertices()), Traverse("in", None, "y", "c", GetVertices()))
+    joined = evaluate(Join(left, right), g)
+    assert joined.rows == _reference_join(evaluate(left, g).rows, evaluate(right, g).rows, ["a"])
+
+
+# The second as() of a variable meets its rank column with the traverse's
+# rank position: a cycle, kept where the two are the same vertex.
+CYCLIC_AS = {
+    "g.V().as('a').out().as('a')": [("as", "a"), ("out",), ("as", "a")],
+    "g.V().as('a').out().out().as('a')": [("as", "a"), ("out",), ("out",), ("as", "a")],
+    "g.V().as('a').out('knows').as('b').in('created').as('a')":
+        [("as", "a"), ("out", "knows"), ("as", "b"), ("in", "created"), ("as", "a")],
+    "g.V().as('a').out().as('b').out().as('c').in().as('b')":
+        [("as", "a"), ("out",), ("as", "b"), ("out",), ("as", "c"), ("in",), ("as", "b")],
+}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cyclic_as_over_rank_columns_matches_the_reference(seed, monkeypatch):
+    g = random_graph(seed)
+    met = []
+    bind = evaluator._bind
+
+    def spy(g, rel, var):
+        if var in rel.cols[:len(rel.data)]:
+            i = rel.cols.index(var)
+            met.append((rel.kinds[i], rel.pos_kind, rel.data[i] is rel.pos))
+        return bind(g, rel, var)
+
+    monkeypatch.setattr(evaluator, "_bind", spy)
+    for text, steps in CYCLIC_AS.items():
+        assert run(text, g).rows == linear_rows(g, steps), text
+    assert (evaluator.RANKS, evaluator.RANKS, False) in met
+
+
 def test_union_equal_schemas_adds(modern):
     knows = Traverse("out", "knows", "a", "b", GetVertices())
     created = Traverse("out", "created", "a", "b", GetVertices())
@@ -767,6 +820,48 @@ def test_jsonl_encoding_matches_json_dumps():
         assert to_jsonl(BindingSet(("a", "b"), rows)) == expected
         expected = "\n".join(json.dumps({"value": v}, separators=(",", ":")) for v in same)
         assert to_jsonl(BindingSet((), [{CUR: v} for v in same])) == expected
+
+
+def test_jsonl_of_value_columns_whose_objects_repeat():
+    """Value columns that mix types are written value by value: one vertex
+    token object, one edge object and equal strings that are distinct
+    objects each repeat, next to 1, 1.0 and True, which are equal but
+    write three texts."""
+    doc = {
+        "vertices": [
+            {"id": "1", "label": "p", "properties": {"name": "same"}},
+            {"id": "2", "label": "p", "properties": {"name": "same"}},
+            {"id": "3", "label": "p", "properties": {"name": 1}},
+            {"id": "4", "label": "p", "properties": {"name": 1.0}},
+            {"id": "5", "label": "p", "properties": {"name": True}},
+        ],
+        "edges": [{"id": "e1", "label": "k", "outV": "1", "inV": "3"},
+                  {"id": "e2", "label": "k", "outV": "2", "inV": "3"}],
+    }
+    g = load_graph(json.dumps(doc))
+
+    def plan(*texts):
+        exprs = [compile_traversal(parse_traversal(t)) for t in texts]
+        while len(exprs) > 1:
+            exprs[:2] = [Union(exprs[0], exprs[1])]
+        return exprs[0]
+
+    schemaless = plan("g.E()", "g.E()", "g.V().out()", "g.V().values('name')")
+    named = plan("g.E().as('a')", "g.E().as('a')", "g.V().out().as('a')", "g.V().as('a').select('a').by('name')")
+    for expr in (schemaless, named, Union(named, schemaless)):
+        result = evaluate(expr, g)
+        column = result._rel.get("a")[0] if result.columns else result._rel.pos
+        tokens, edges = [v for v in column if type(v) is tuple], [v for v in column if type(v) is EdgeRef]
+        strings = [v for v in column if v == "same"]
+        assert tokens == [(2,), (2,)] and tokens[0] is tokens[1]
+        assert len(edges) == 4 and len(set(map(id, edges))) == 2
+        assert len(strings) == 2 and strings[0] is not strings[1]
+        expected = [
+            {c: _as_json_object(r[c]) for c in result.columns if c in r} if result.columns
+            else {"value": _as_json_object(r[CUR])}
+            for r in result.rows
+        ]
+        assert to_jsonl(result) == "\n".join(json.dumps(r, separators=(",", ":")) for r in expected)
 
 
 def _as_json_object(v):

@@ -73,6 +73,9 @@ DELETED |= {"from" + "_var", "to" + "_var", "_ent" + "ries", "_natu" + "rals", "
 
 # One writer of a scalar's JSON text: evaluator._JSON_TEXTS, not an encoder.
 DELETED |= {"_du" + "mp"}
+# Dedup keys a value column by property_graph.value_key, in _dedup, with no
+# one-type shortcut that no workload ran.
+DELETED |= {"_identity" + "_keys"}
 
 
 def _operator_classes() -> set[type]:
