@@ -12,18 +12,19 @@ binds and reads, its column rule, whether it may stand inside a selection
 predicate, and its three renderings; as() fills its field var.  program
 flattens a plan into a post-order list, one entry per operator object
 (a union's shared input once) with its output columns and its inputs'
-entry indexes; validate, static_columns, the paper and curried renderers
-and the evaluator each loop over it, and only a selection predicate, a
-program of its own, takes a frame per nesting level.  program holds the
-one column rule, which gives every schema: a plan's, the columns an
-operator may read (validate) and each relation's in the evaluator, which
-keeps its own table of physical operators.
+entry indexes; validate, static_columns, the evaluator and render_plan
+(which folds every notation over it) each loop over it, and only a
+selection predicate, a program of its own, takes a frame per nesting
+level.  program holds the one column rule, which gives every schema: a
+plan's, the columns an operator may read (validate) and each relation's
+in the evaluator, which keeps its own table of physical operators.
 
 Three deterministic renderings are provided; only ascii is injective (the
 source paper's notation writes has('age') and values('age') both ``σ_{age}(V_g)``):
 
 * ``paper``   - Unicode operator glyphs, e.g. ``Π_{a,c}( σ^c_{age=30} ... (V_g) )``
-* ``ascii``   - one operator per line, two-space indent; injective over
+* ``ascii``   - one operator per line, in pre-order, two-space indent per
+  level (a shared input written under each reader); injective over
   well-formed trees, suitable for golden-file tests
 * ``curried`` - nested single-step application, e.g.
   ``max(values_age(out_knows(has_name=marko(V_g))))``
@@ -507,24 +508,9 @@ def validate(expr: AlgebraExpr) -> list[str]:
 # -- rendering ------------------------------------------------------------------------
 
 
-def _render_ascii(expr: AlgebraExpr) -> str:
-    """One line per operator in pre-order, indented by its depth: its
-    predicate, then its inputs, each below it."""
-    lines: list[str] = []
-    todo = [(expr, 0)]
-    while todo:
-        node, depth = todo.pop()
-        op = OPERATORS[type(node)]
-        lines.append("  " * depth + op.ascii(node))
-        fields = op.inputs if op.predicate is None else (op.predicate,) + op.inputs
-        for field in reversed(fields):
-            todo.append((getattr(node, field), depth + 1))
-    return "\n".join(lines)
-
-
 def _fold(steps: list[tuple], write: Callable[[Any, list], Any]) -> Any:
     """The root's value of write(operator, its predicate's and inputs'
-    values) over a program: its paper or curried text, or its operator count."""
+    values) over a program: paper or curried text, nested ascii lines, or its operator count."""
     values: list = []
     for node, _, sub, at in steps:
         below = [values[i] for i in at]
@@ -546,6 +532,13 @@ def render_plan(expr: AlgebraExpr, style: str = "ascii") -> str:
     steps = program(expr)
     if _fold(steps, lambda node, counts: 1 + sum(counts)) > MAX_PLAN_OPERATORS:
         raise CompileError(f"plan text would write more than {MAX_PLAN_OPERATORS} operators")
-    if style == "ascii":
-        return _render_ascii(expr)
-    return _fold(steps, lambda node, texts: getattr(OPERATORS[type(node)], style)(node, texts))
+    if style != "ascii":
+        return _fold(steps, lambda node, texts: getattr(OPERATORS[type(node)], style)(node, texts))
+    # each entry's line over its predicate's and inputs' lines, one level deeper
+    nested = _fold(steps, lambda node, below: (OPERATORS[type(node)].ascii(node), below))
+    lines, todo = [], [(nested, 0)]
+    while todo:
+        (line, below), depth = todo.pop()
+        lines.append("  " * depth + line)
+        todo.extend((b, depth + 1) for b in reversed(below))
+    return "\n".join(lines)

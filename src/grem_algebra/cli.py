@@ -106,6 +106,16 @@ def _output(args: argparse.Namespace, query: str) -> str:
         raise EvaluationError("out of memory") from None
 
 
+def _print(text: str) -> None:
+    """Print text; a character stdout cannot encode goes out as a backslash
+    escape, as on stderr (the stream encodes all of text before writing)."""
+    try:
+        print(text, flush=True)
+    except UnicodeEncodeError:
+        encoding = sys.stdout.encoding
+        print(text.encode(encoding, "backslashreplace").decode(encoding), flush=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_arg_parser().parse_args(argv)
@@ -122,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = _output(args, query)
         if text:
-            print(text, flush=True)
+            _print(text)
     except GremAlgebraError as exc:
         word, code = ERRORS[type(exc)]
         print(f"{word} error: {exc}", file=sys.stderr)

@@ -34,12 +34,14 @@ compresses every column by a mask read from the graph's labels or
 property columns by rank (see ``Graph``) or, over ``V()``, takes the
 ranks its rank index holds as its rows, one list that every column
 shares, and over such a seek intersects them with the rows' (see
-``_filter``), dedup, limit, sort, group and join
-gather by an index list and union concatenates.  A rank column takes
-these passes through C-level ``map``s; a value column takes a per-value
-path in the same function.  Ints and tuples of ints hold
-nothing CPython's cyclic garbage collector must follow, so the objects it
-tracks per relation are its few lists, not its rows.
+``_filter``), dedup, limit, sort, group and join gather by an index list
+and union concatenates.  A join keys each row by its shared columns and
+tag; with neither, every key is () and the one keyed path gives the
+cartesian product.  A rank column takes these passes through C-level
+``map``s; a value column takes a per-value path in the same function.
+Ints and tuples of ints hold nothing CPython's cyclic garbage collector
+must follow, so the objects it tracks per relation are its few lists,
+not its rows.
 
 Every operator that reads an element (an argument, traverse, filter or
 values()) finds it one way, ``_element``: its anchor variable's binding,
@@ -65,10 +67,10 @@ index; predicate leaves are all the row under test (Argument) and other
 leaves sources, so inside a predicate every relation is tagged and outside
 one none is.  Dedup, join, limit and aggregate key on the tag, and sort
 and group are stable, so the batch answers exactly what one run per row
-would.  A predicate that is a chain ending in a seekable filter may
-instead be answered backward from that end, a semi-join reduction chosen
-per selection from exact counts (see ``_selection``); either way the rows
-under test keep their order.
+would.  A predicate whose program is a chain ending in a seekable filter
+may instead be answered backward from that end, a semi-join reduction
+chosen per selection from exact counts (see ``_selection``); either way
+the rows under test keep their order.
 
 This is the package's only evaluation engine.  The reference semantics it
 is tested against (the path algebra, the traverser-level match route and
@@ -223,20 +225,20 @@ def _order_keys(values: list, kind: bool) -> list:
     return list(map(sort_key, values))
 
 
-def _keys(parts: list[list], tags: list | None) -> list[tuple]:
-    """Per row, the tuple of the given key columns' keys, the tag first
-    when tags are given."""
+def _keys(parts: list[list], tags: list | None, n: int) -> list[tuple]:
+    """Per row of n, the tuple of the given key columns' keys, the tag
+    first when tags are given; with neither, every row's key is ()."""
     if tags is not None:
         parts = [tags] + parts
-    return list(zip(*parts))
+    return list(zip(*parts)) if parts else [()] * n
 
 
-def _join_keys(columns: list[list], kinds: list[bool], tags: list | None) -> list:
-    """Join key per row, a tuple of the columns' keys by
+def _join_keys(columns: list[list], kinds: list[bool], tags: list | None, n: int) -> list:
+    """Join key per row of n, a tuple of the columns' keys by
     property_graph.join_key (see _keys), None for a row with an absent
     join column."""
     parts = [c if k is RANKS else list(map(join_key, c)) for c, k in zip(columns, kinds)]
-    keys = _keys(parts, tags)
+    keys = _keys(parts, tags, n)
     if any(k is VALUES and None in p for p, k in zip(parts, kinds)):
         return [None if None in k else k for k in keys]
     return keys
@@ -577,9 +579,9 @@ def _selection(expr: alg.Selection, cols, sub, g: Graph, arg, src: _Rel) -> _Rel
     neighbours.  Past F it stops, and forward runs.  F is summed only as
     far as these tests need."""
     n = len(src.pos)
-    if not n:
+    if not n:  # no row to test: the predicate must not run (its max() may raise)
         return src
-    kept = _backward(expr.predicate, src, g)
+    kept = _backward(sub, src, g)
     if kept is None:
         # inside an enclosing predicate the rows are re-tagged
         try:
@@ -598,21 +600,18 @@ def _selection(expr: alg.Selection, cols, sub, g: Graph, arg, src: _Rel) -> _Rel
 _REVERSE = {alg.OUT: alg.IN, alg.IN: alg.OUT}
 
 
-def _backward(predicate: AlgebraExpr, src: _Rel, g: Graph) -> list[bool] | None:
-    """Per row under test, whether the predicate has a witness for it,
-    answered from its selective end; None when the predicate or its
-    anchors do not qualify, or when forward is the cheaper run (see
-    _selection)."""
-    if not _seekable(predicate):
+def _backward(sub: list[tuple], src: _Rel, g: Graph) -> list[bool] | None:
+    """Per row under test, whether the predicate (its program: sub) has a
+    witness for it, answered from its selective end; None when it or its
+    anchors do not qualify, or forward is the cheaper run (see _selection)."""
+    leaf, *above = [node for node, _, _, _ in sub]  # a chain: its Argument, then each step up
+    if not above or not _seekable(above[-1]):
         return None
-    steps = []  # the chain top-down, the seekable filter first
-    node = predicate
-    while type(node) is not alg.Argument:
+    for node in above:
         if not (type(node) is alg.Traverse or _seekable(node)) or node.anchor or node.var:  # type: ignore[union-attr]
             return None
-        steps.append(node)
-        node = node.input  # type: ignore[union-attr]
-    anchors = _element(g, src, node.var, src.cols)  # type: ignore[union-attr]
+    steps = above[::-1]  # the chain top-down, the seekable filter first
+    anchors = _element(g, src, leaf.var, src.cols)
     ranks = anchors.pos
     if anchors.pos_kind is VALUES:
         if set(map(type, ranks)) != {tuple}:  # forward raises or skips as it always has
@@ -699,7 +698,7 @@ def _dedup(expr: alg.Dedup, cols, sub, g: Graph, arg, src: _Rel) -> _Rel:
         keys = _rank_keys(keyed, src.tags, g.vertex_count)
     else:
         parts = [c if k is RANKS else list(map(value_key, c)) for c, k in zip(keyed, kinds)]
-        keys = _keys(parts, src.tags)
+        keys = _keys(parts, src.tags, len(src.pos))
     first = _first_rows(keys)
     return src if len(first) == len(src.pos) else _gather(src, first)
 
@@ -756,23 +755,19 @@ def _join(expr: alg.Join, cols, sub, g: Graph, arg, left: _Rel, right: _Rel) -> 
     """Hash join on the shared columns (values_equal), rows in left-major
     order; a shared column takes the right side's value, as does the
     position unless the right row has none.  Inside a predicate the tag is
-    a join column too: both sides are tagged there."""
+    a join column too: both sides are tagged there.  With neither, every
+    key is (): the cartesian product, in the same left-major order."""
     shared = [c for c in dict.fromkeys(left.cols) if c in right.cols]
-    nl, nr = len(left.pos), len(right.pos)
-    if shared or left.tags is not None:
-        met = [_meet(g, *left.get(c), *right.get(c)) for c in shared]
-        kinds = [k for _, _, k in met]
-        table: dict = {}
-        for i, k in enumerate(_join_keys([r for _, r, _ in met], kinds, right.tags)):
-            if k is not None:
-                table.setdefault(k, []).append(i)
-        lkeys = _join_keys([lv for lv, _, _ in met], kinds, left.tags)
-        matches = list(map(table.get, lkeys, repeat(())))
-        right_index = list(chain.from_iterable(matches))
-        left_index = list(chain.from_iterable(map(repeat, range(nl), map(len, matches))))
-    else:  # cartesian product
-        right_index = list(range(nr)) * nl
-        left_index = list(chain.from_iterable(map(repeat, range(nl), repeat(nr, nl))))
+    met = [_meet(g, *left.get(c), *right.get(c)) for c in shared]
+    kinds = [k for _, _, k in met]
+    table: dict = {}
+    for i, k in enumerate(_join_keys([r for _, r, _ in met], kinds, right.tags, len(right.pos))):
+        if k is not None:
+            table.setdefault(k, []).append(i)
+    lkeys = _join_keys([lv for lv, _, _ in met], kinds, left.tags, len(left.pos))
+    matches = list(map(table.get, lkeys, repeat(())))
+    right_index = list(chain.from_iterable(matches))
+    left_index = list(chain.from_iterable(map(repeat, range(len(lkeys)), map(len, matches))))
     take_left = _once(lambda values: list(map(values.__getitem__, left_index)))
     take_right = _once(lambda values: list(map(values.__getitem__, right_index)))
     data, kinds = [], []

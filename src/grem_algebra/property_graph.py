@@ -392,10 +392,11 @@ def _columns(vertices: list, edges: list) -> tuple | None:
         e_props = [{} if p is None else p for p in e_props]
     if not kinds <= {dict}:
         return None
-    values = list(chain.from_iterable(map(dict.values, filter(None, chain(props, e_props)))))
+    present = list(filter(None, chain(props, e_props)))
+    values = list(chain.from_iterable(map(dict.values, present)))
     types = list(map(type, values))
     kinds = set(types)
-    if not kinds <= _SCALAR_TYPES:
+    if not kinds <= _SCALAR_TYPES or not set(map(type, set().union(*present))) <= {str}:
         return None
     if float in kinds and not all(map(isfinite, compress(values, map(is_, types, repeat(float))))):
         return None

@@ -5,6 +5,8 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grem_algebra import (
     CompileError,
@@ -17,6 +19,7 @@ from grem_algebra import (
     validate,
 )
 from grem_algebra.algebra import (
+    OPERATORS,
     PLAN_STYLES,
     Aggregate,
     Argument,
@@ -358,6 +361,66 @@ def test_ascii_rendering_injective():
         if text in seen:
             assert seen[text] == expr, f"distinct trees share rendering:\n{text}"
         seen[text] = expr
+
+
+def _tree_walk_ascii(expr):
+    """Reference ascii plan: one line per operator in pre-order, indented
+    by its depth, its predicate and then its inputs below it, a shared
+    input under each reader; a walk over the tree's fields."""
+    lines = []
+    todo = [(expr, 0)]
+    while todo:
+        node, depth = todo.pop()
+        op = OPERATORS[type(node)]
+        lines.append("  " * depth + op.ascii(node))
+        fields = op.inputs if op.predicate is None else (op.predicate,) + op.inputs
+        for field in reversed(fields):
+            todo.append((getattr(node, field), depth + 1))
+    return "\n".join(lines)
+
+
+_STEPS = [
+    ".out('knows')", ".in()", ".has('name','marko')", ".hasLabel('person')", ".has('age')",
+    ".dedup()", ".limit(2)", ".order().by(desc)", ".out().as('a')",
+]
+
+
+def _traversals(depth):
+    """Step chains, each step plain or one holding traversals of depth - 1:
+    union() (its branches read one input object), where(), not() or
+    and()."""
+    plain = st.sampled_from(_STEPS)
+    if not depth:
+        return st.lists(plain, max_size=3).map("".join)
+    inner = _traversals(depth - 1).map(lambda steps: "__" + (steps or ".out()"))
+    nested = st.one_of(
+        st.tuples(st.sampled_from(["union", "and"]), st.lists(inner, min_size=2, max_size=2)),
+        st.tuples(st.sampled_from(["where", "not"]), st.lists(inner, min_size=1, max_size=1)),
+    ).map(lambda step: f".{step[0]}({', '.join(step[1])})")
+    return st.lists(st.one_of(plain, nested), max_size=4).map("".join)
+
+
+_MATCH = st.sampled_from([
+    "", ".match(__.as('a').out('knows').as('b'), __.as('c').in().as('d'))",
+    ".match(__.as('a').out().as('b'), __.as('b').has('name').as('c'))",
+])
+_TAIL = st.sampled_from(["", ".values('name')", ".select('a')", ".values('age').max()", ".group().by('name')"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_traversals(2), _MATCH, _traversals(1), _TAIL)
+def test_the_ascii_plan_is_the_tree_walk(head, match, steps, tail):
+    """render_plan folds the ascii style over the plan's program; it writes
+    what the tree walk writes, a union's shared input under each branch.
+    A query that does not compile, or whose plan is too long to write, is
+    skipped."""
+    text = "g.V()" + head + match + steps + tail
+    try:
+        expr = compiled(text)
+        rendered = render_plan(expr, "ascii")
+    except CompileError:
+        return
+    assert rendered == _tree_walk_ascii(expr)
 
 
 @pytest.mark.parametrize("one,other,lines", [

@@ -1,11 +1,16 @@
 """Command-line driver: subcommands, exit codes, output determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 from grem_algebra import modern_graph_path
+from grem_algebra.cli import main
 
 from corpus import Q_OLDEST_KNOWN_AGE, Q_COCREATOR_30
 from test_evaluator import PAST_FLOAT_RANGE
@@ -119,6 +124,54 @@ def test_surrogate_pair_in_graph_prints(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.decode("utf-8") == "\U0001f600\n"
+
+
+def _zh_graph(tmp_path):
+    """A graph file whose one vertex is named 中."""
+    path = tmp_path / "zh.json"
+    path.write_text('{"vertices":[{"id":"1","label":"p","properties":{"name":"中"}}],"edges":[]}',
+                    encoding="utf-8")
+    return str(path)
+
+
+def _cli_bytes(encoding, *args):
+    return subprocess.run(
+        [sys.executable, "-m", "grem_algebra.cli", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": encoding},
+    )
+
+
+@pytest.mark.parametrize("command,expected", [
+    ("run", "中\n"),
+    ("plan", "filter[_.name=中]\n  V\n"),
+    ("parse", 'g.V().has("name","中")\n'),
+], ids=["run", "plan", "parse"])
+def test_a_character_the_output_cannot_encode_is_escaped(tmp_path, command, expected):
+    """On a stream that cannot encode a character the output holds (a
+    graph value, or a query string), the character is written as a
+    backslash escape, as Python writes to stderr, and the command
+    succeeds; a UTF-8 stream gets it as it is."""
+    if command == "run":
+        args = ("run", "--graph", _zh_graph(tmp_path), "--format", "table", "--query", "g.V().values('name')")
+    else:
+        args = (command, "--query", "g.V().has('name','中')")
+    for encoding, text in (("ascii", expected.replace("中", "\\u4e2d")), ("utf-8", expected)):
+        proc = _cli_bytes(encoding, *args)
+        assert (proc.returncode, proc.stderr) == (0, b""), encoding
+        assert proc.stdout.decode(encoding) == text, encoding
+
+
+def test_jsonl_and_an_in_process_caller_are_unchanged_by_the_stream(tmp_path):
+    """jsonl writes ascii only, so an ascii stream gets the same bytes; a
+    caller that captures stdout in a StringIO gets the characters."""
+    args = ("run", "--graph", _zh_graph(tmp_path), "--query", "g.V().values('name')")
+    jsonl = [_cli_bytes(encoding, *args, "--format", "jsonl").stdout for encoding in ("ascii", "utf-8")]
+    assert jsonl == [b'{"value":"\\u4e2d"}\n'] * 2
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*args, "--format", "table"]) == 0
+    assert out.getvalue() == "中\n"
 
 
 def test_evaluation_error_exit_3():

@@ -329,7 +329,7 @@ def _tuple_sort(expr, cols, predicate, g, arg, src):
     """Reference Sort: one stable sort on a tuple of every key column's
     order keys."""
     columns, kinds = src.columns(expr.vars) if expr.vars else ([src.pos], [src.pos_kind])
-    keys = evaluator._keys(list(map(evaluator._order_keys, columns, kinds)), None)
+    keys = evaluator._keys(list(map(evaluator._order_keys, columns, kinds)), None, len(src.pos))
     index = sorted(range(len(keys)), key=keys.__getitem__, reverse=expr.direction != "asc")
     return evaluator._gather(src, index)
 

@@ -2,7 +2,7 @@
 
 import io
 import json
-import sys
+import re
 from collections import OrderedDict
 from operator import is_, itemgetter
 
@@ -214,12 +214,52 @@ def test_non_utf8_bytes_rejected(data):
         load_graph(io.BytesIO(data))
 
 
-@pytest.mark.parametrize("depth", [100_000, sys.getrecursionlimit() + 10])
-def test_json_nested_past_the_decoder_limit_rejected(depth):
-    text = '{"vertices": [{"id": "1", "label": "person", "properties": {"k": '
-    text += "[" * depth + "]" * depth + "}}], \"edges\": []}"
-    with pytest.raises(GraphFormatError, match="nested too deeply"):
-        load_graph(text)
+def _nested_value(depth):
+    """A graph document whose vertex property k is depth nested arrays."""
+    return ('{"vertices": [{"id": "1", "label": "person", "properties": {"k": '
+            + "[" * depth + "]" * depth + '}}], "edges": []}')
+
+
+def _decodes(text):
+    """Whether json.loads decodes text."""
+    try:
+        json.loads(text)
+    except RecursionError:
+        return False
+    return True
+
+
+def _decoder_limit():
+    """The most nested arrays the running json decoder takes as property
+    k's value, here.  Up to 3.11 the recursion limit bounds it; 3.12 and
+    3.13 count C-level recursion against a limit of their own, and take
+    more (json.loads decodes 1,010 nested arrays on both)."""
+    lo, hi = 0, 100_000  # decoded, not decoded
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _decodes(_nested_value(mid)) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("past", [None, 10], ids=["100000", "limit+10"])
+def test_json_nested_past_the_decoder_limit_rejected(past):
+    """Nesting past what the decoder takes is an invalid-JSON fault, well
+    past it (100,000 levels) and just past it (10 levels past the limit
+    _decoder_limit finds, clear of the few frames by which its json.loads
+    call and load_graph's may differ)."""
+    depth = 100_000 if past is None else _decoder_limit() + past
+    with pytest.raises(GraphFormatError, match="^invalid JSON: nested too deeply$"):
+        load_graph(_nested_value(depth))
+
+
+def test_json_nested_within_the_decoder_limit_is_a_non_scalar_value():
+    """Nesting the decoder takes reaches the loader's next documented
+    check: a property value must be a scalar."""
+    depth = _decoder_limit() - 10
+    assert _decodes(_nested_value(depth))
+    message = "vertices[0]: property 'k' has non-scalar value of type array"
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        load_graph(_nested_value(depth))
 
 
 def test_missing_sections_rejected():
@@ -387,6 +427,21 @@ def test_graph_takes_only_what_json_loads_builds():
         Graph([{"id": "1"}], [])
     with pytest.raises(GraphFormatError, match="^graph entries hold values json.loads never builds$"):
         Graph([OrderedDict(id="1", label="p")], [])
+
+
+@pytest.mark.parametrize("vertices,edges,where,key", [
+    ([{"id": "a", "label": "p", "properties": {1: 2, None: "x"}}], [], "vertices[0]", "1"),
+    (
+        [{"id": "a", "label": "p", "properties": {"k": 1}}, {"id": "b", "label": "p"}],
+        [{"id": "e", "label": "q", "outV": "a", "inV": "b", "properties": {"w": 1, None: 2}}],
+        "edges[0]", "None",
+    ),
+], ids=["vertex", "edge"])
+def test_graph_rejects_a_property_key_that_is_not_a_string(vertices, edges, where, key):
+    """json.loads builds only string keys; Graph() applies that rule too,
+    with the entry-by-entry check's message."""
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(where)}: property key {key} is not a string$"):
+        Graph(vertices, edges)
 
 
 # -- lone surrogates -------------------------------------------------------------

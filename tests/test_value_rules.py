@@ -169,14 +169,14 @@ def test_sort_orders_match_the_reference(values, descending):
 @settings(max_examples=400, deadline=None)
 @given(engine_columns, st.data())
 def test_join_partitions_match_the_reference(values, data):
-    keys = ev._join_keys([values], [ev.VALUES], None)
+    keys = ev._join_keys([values], [ev.VALUES], None, len(values))
     reference = reference_join_keys(values)
     assert [k is None for k in keys] == [v is None for v in values]
     assert same_partition(keys, reference)
     assert hashes_agree([k for k in keys if k is not None])
     # two join columns: a row with either absent has no key
     other = data.draw(st.lists(st.sampled_from(ENGINE_VALUES), min_size=len(values), max_size=len(values)))
-    pairs = ev._join_keys([values, other], [ev.VALUES, ev.VALUES], None)
+    pairs = ev._join_keys([values, other], [ev.VALUES, ev.VALUES], None, len(values))
     assert [k is None for k in pairs] == [a is None or b is None for a, b in zip(values, other)]
     present = [i for i, k in enumerate(pairs) if k is not None]
     both = list(zip(reference, reference_join_keys(other)))

@@ -254,7 +254,7 @@ DEDUP_QUERIES = [
 def _identity_keyed(columns, tags, base):
     """Dedup keys as they were before rank columns were keyed by one int:
     a tuple of the ranks, the tag first."""
-    return evaluator._keys(list(columns), tags)
+    return evaluator._keys(list(columns), tags, len(columns[0]))
 
 
 @pytest.mark.parametrize("seed", range(40))
